@@ -15,7 +15,7 @@ from .delay import (DelayMoments, conditional_mean, conditional_second_moment,
                     expected_delay)
 from .efficiency import EfficiencyResult, efficiency, expected_received, \
     received_on_transition
-from .gf256 import gf_axpy, gf_dot_rows, gf_inv, gf_mul, gf_scale
+from .gf256 import gf_axpy, gf_dot_rows, gf_inv, gf_mul
 from .kernel import (MAX_K, NumericalError, TransitionKernel, build_kernel)
 from .moments import (PrefixMoments, StragglerMoments, prefix_mgf,
                       prefix_moments, prefix_pmf, straggler_moments,
@@ -24,8 +24,8 @@ from .optimizer import (SweepRecord, TradeoffPoint, default_k_range, k_star,
                         smooth_local_maxima, sweep, tradeoff_curve)
 from .params import (AssumptionWarning, ChannelParams, CodingParams,
                      coded_count_distribution, derive_channel, derive_coding,
-                     redundancy_from_margin)
-from .simulator import (PacketRecord, SimConfig, SimStats, replicate, run_arq,
+                     redundancy_from_margin, split_count)
+from .simulator import (PacketTrace, SimConfig, SimStats, replicate, run_arq,
                         run_coded, trace_csv)
 
 __version__ = "0.1.0"
@@ -33,15 +33,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionWarning", "ChannelParams", "CodingParams", "CodedPacket",
     "DecoderState", "DelayMoments", "EfficiencyResult", "MAX_K",
-    "NumericalError", "PacketRecord", "PrefixMoments", "SimConfig", "SimStats",
+    "NumericalError", "PacketTrace", "PrefixMoments", "SimConfig", "SimStats",
     "StragglerMoments", "SweepRecord", "TradeoffPoint", "TransitionKernel",
     "build_kernel", "coded_count_distribution", "conditional_mean",
     "conditional_second_moment", "default_k_range", "derive_channel",
     "derive_coding", "efficiency", "encode", "expected_delay",
     "expected_received", "gf_axpy", "gf_dot_rows", "gf_inv", "gf_mul",
-    "gf_scale", "k_star", "pack_packet", "prefix_mgf", "prefix_moments",
+    "k_star", "pack_packet", "prefix_mgf", "prefix_moments",
     "prefix_pmf", "received_on_transition", "redundancy_from_margin",
-    "replicate", "run_arq", "run_coded", "smooth_local_maxima",
+    "replicate", "run_arq", "run_coded", "smooth_local_maxima", "split_count",
     "straggler_moments", "straggler_pmf", "sweep", "systematic_packet",
     "trace_csv", "tradeoff_curve", "unpack_packet",
 ]

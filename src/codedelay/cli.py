@@ -149,6 +149,8 @@ def _parse_k_grid(text, channel):
         raise click.UsageError(f"--k-grid must be comma-separated integers, got {text!r}")
     if not ks:
         raise click.UsageError("--k-grid is empty")
+    if min(ks) < 1:
+        raise click.UsageError(f"--k-grid sizes must be >= 1, got {min(ks)}")
     return ks
 
 
@@ -282,7 +284,7 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets,
                     seed=seed, use_real_codec=real_codec, hol_cap=hol_cap,
                     collect_records=trace is not None)
-    stats = replicate(cfg, reps) if reps > 1 else run_coded(cfg)
+    stats = replicate(cfg, reps)
     if trace is not None:
         with open(trace, "w") as fh:
             trace_csv(stats, cfg, fh)

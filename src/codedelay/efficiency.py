@@ -1,33 +1,20 @@
-"""Throughput efficiency: information packets per packet received at the sink."""
+"""Throughput efficiency: information packets per packet received at the sink.
+
+Everything here reads the transition kernel: the non-absorbing entries of
+each row give deterministic received counts, and the absorbing transition's
+received-count-weighted mass comes from `TransitionKernel.absorbed_received`,
+computed from the same pmf evaluation as the row. No pmf is evaluated here.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
-from dataclasses import dataclass
-from scipy import stats
-
-from .params import coded_count_distribution
 
 
 @dataclass(frozen=True)
 class EfficiencyResult:
     expected_received: float
     eta: float
-
-
-def _absorb_sums(kern, i):
-    """Weighted sums over the absorbing transition from state i.
-
-    Returns (a_i0, sum over outcomes of count * prob), both averaged over the
-    randomized per-round transmit count.
-    """
-    p_success = 1.0 - kern.channel.epsilon
-    a = 0.0
-    first = 0.0
-    for n, w in coded_count_distribution(kern.coding.R, i).items():
-        x = np.arange(i, n + 1)
-        pm = stats.binom.pmf(x, n, p_success)
-        a += w * pm.sum()
-        first += w * float(x @ pm)
-    return a, first
 
 
 def received_on_transition(kern, i, j):
@@ -45,8 +32,7 @@ def received_on_transition(kern, i, j):
         raise ValueError(f"transition {i} -> {j} has zero probability")
     if j >= 1:
         return float(i - j)
-    a, first = _absorb_sums(kern, i)
-    return first / a
+    return float(kern.absorbed_received[i] / kern.matrix[i, 0])
 
 
 def expected_received(kern):
@@ -59,9 +45,8 @@ def expected_received(kern):
     mat = kern.matrix
     em = np.zeros(k + 1)
     for i in range(1, k + 1):
-        a_i0, first = _absorb_sums(kern, i)
-        total = first  # E[count | absorb] * a_i0, with E[M_0] = 0
-        denom = a_i0
+        total = kern.absorbed_received[i]  # E[count | absorb] * a_i0, with E[M_0] = 0
+        denom = mat[i, 0]
         for j in range(1, i):
             a_ij = mat[i, j]
             if a_ij > 0.0:

@@ -52,11 +52,6 @@ def gf_inv(a):
     return INV[a]
 
 
-def gf_scale(c, vec):
-    """Scale a byte vector by the field element c."""
-    return MUL[c][vec]
-
-
 def gf_axpy(c, x, y):
     """Return y + c*x over the field (XOR accumulate), without touching inputs."""
     if c == 0:

@@ -5,6 +5,12 @@ transition is one transmission round. State 0 (decoded) is absorbing. Row i
 follows from sending n_i packets over an erasure channel with loss rate
 epsilon, where n_i mixes floor(R*i) and ceil(R*i) to realize the fractional
 redundancy.
+
+The binomial pmf of each (i, n_i) pair is evaluated once, here. Besides the
+row, that one evaluation yields the received-count-weighted mass of the
+absorbing transition, which the kernel stores per state so that the
+efficiency module can read packets-received expectations without touching the
+pmf again. This is the only module that imports scipy.
 """
 
 import numpy as np
@@ -29,13 +35,20 @@ class TransitionKernel:
     [P^r]_{k0} for r = 0, 1, ..., horizon, extended eagerly at build time until
     the tail 1 - [P^r]_{k0} drops below ABSORPTION_TAIL, so the object is
     immutable afterwards and safe to share between threads.
+
+    absorbed_received[i] is the sum, over the outcomes of one round from state
+    i that absorb, of packets received times probability, averaged over the
+    randomized transmit count like the row itself; matrix[i, 0] is the matching
+    total probability, so their ratio is the mean received count given
+    absorption.
     """
 
-    def __init__(self, channel, coding, matrix, absorption):
+    def __init__(self, channel, coding, matrix, absorption, absorbed_received):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
         self.matrix = matrix
+        self.absorbed_received = absorbed_received
         self._absorption = absorption
 
     @property
@@ -82,17 +95,18 @@ class TransitionKernel:
 
 
 def _pure_row(i, n, p_success):
-    """Row of transition probabilities for state i when exactly n packets are sent.
+    """Transition row for state i when exactly n packets are sent.
 
-    Entry j (0 < j <= i) is the probability of receiving i-j packets; entry 0
-    collects every outcome with at least i received.
+    Entry j (0 < j <= i) of the row is the probability of receiving i-j
+    packets; entry 0 collects every outcome with at least i received. Returns
+    (row, absorbed_received), the second being the sum of received count times
+    probability over those absorbing outcomes.
     """
+    pm = stats.binom.pmf(np.arange(0, n + 1), n, p_success)
     row = np.zeros(i + 1)
-    m = np.arange(0, i)          # received counts below i -> state i - m
-    pm = stats.binom.pmf(m, n, p_success)
-    row[i - m] = pm
-    row[0] = stats.binom.pmf(np.arange(i, n + 1), n, p_success).sum()
-    return row
+    row[1:] = pm[:i][::-1]   # receiving m < i packets leaves state i - m
+    row[0] = pm[i:].sum()
+    return row, float(np.arange(i, n + 1) @ pm[i:])
 
 
 def build_kernel(channel, coding):
@@ -107,9 +121,12 @@ def build_kernel(channel, coding):
     p_success = 1.0 - channel.epsilon
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 1.0
+    absorbed_received = np.zeros(k + 1)
     for i in range(1, k + 1):
         for n, w in coded_count_distribution(coding.R, i).items():
-            mat[i, :i + 1] += w * _pure_row(i, n, p_success)
+            row, received = _pure_row(i, n, p_success)
+            mat[i, :i + 1] += w * row
+            absorbed_received[i] += w * received
     # Row sums are 1 up to binomial pmf roundoff; keep them as computed.
 
     absorption = [0.0]
@@ -124,4 +141,4 @@ def build_kernel(channel, coding):
         raise NumericalError(
             f"absorption tail still {1.0 - v[0]:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={k}, R={coding.R})")
-    return TransitionKernel(channel, coding, mat, np.array(absorption))
+    return TransitionKernel(channel, coding, mat, np.array(absorption), absorbed_received)

@@ -13,6 +13,13 @@ class AssumptionWarning(UserWarning):
     """A configuration violates an operating assumption; results may be loose."""
 
 
+def _require_finite(**values):
+    """Reject NaN and infinite inputs by name; None means not given."""
+    for name, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def _ceil_snapped(x):
     r = round(x)
     if abs(x - r) < _INT_SNAP:
@@ -46,6 +53,7 @@ def derive_channel(epsilon, rate, packet_size, t_p=None, rtt=None):
     Exactly one of t_p and rtt must be given; the other is derived via
     rtt = t_s + 2*t_p.
     """
+    _require_finite(epsilon=epsilon, rate=rate, packet_size=packet_size, t_p=t_p, rtt=rtt)
     if not (0.0 <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     if rate <= 0:
@@ -63,7 +71,11 @@ def derive_channel(epsilon, rate, packet_size, t_p=None, rtt=None):
     if t_p < 0:
         raise ValueError(f"t_p must be nonnegative, got {t_p}")
     rtt = t_s + 2.0 * t_p
-    bdp = max(_ceil_snapped(rtt * rate / packet_size), 1)
+    bdp = rtt * rate / packet_size
+    if not math.isfinite(bdp):
+        raise ValueError(f"bandwidth-delay product must be finite, got {bdp} "
+                         f"(rate {rate}, packet_size {packet_size}, rtt {rtt})")
+    bdp = max(_ceil_snapped(bdp), 1)
     return ChannelParams(epsilon=float(epsilon), rate=float(rate),
                          packet_size=float(packet_size), t_p=float(t_p),
                          t_s=t_s, rtt=rtt, bdp=bdp)
@@ -71,11 +83,27 @@ def derive_channel(epsilon, rate, packet_size, t_p=None, rtt=None):
 
 def redundancy_from_margin(x, epsilon):
     """Redundancy factor giving a fractional capacity margin x above the loss rate."""
+    _require_finite(margin=x, epsilon=epsilon)
     if x < 0:
         raise ValueError(f"margin must be nonnegative, got {x}")
     if not (0.0 <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     return (1.0 + x) / (1.0 - epsilon)
+
+
+def split_count(R, i):
+    """R*i as (floor, fraction): the per-round transmit count for i dofs.
+
+    The count is floor(R*i), plus one with probability `fraction`. Values
+    within float fuzz of an integer snap to it with fraction 0. This is the
+    only place R*i is rounded.
+    """
+    ri = R * i
+    r = round(ri)
+    if abs(ri - r) < _INT_SNAP:
+        return int(r), 0.0
+    lo = int(math.floor(ri))
+    return lo, ri - lo
 
 
 def coded_count_distribution(R, i):
@@ -89,12 +117,9 @@ def coded_count_distribution(R, i):
         raise ValueError(f"R must be >= 1, got {R}")
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    ri = R * i
-    r = round(ri)
-    if abs(ri - r) < _INT_SNAP:
-        return {int(r): 1.0}
-    lo = int(math.floor(ri))
-    frac = ri - lo
+    lo, frac = split_count(R, i)
+    if frac == 0.0:
+        return {lo: 1.0}
     return {lo: 1.0 - frac, lo + 1: frac}
 
 
@@ -104,8 +129,7 @@ class CodingParams:
 
     n_k_low/n_k_high bracket the randomized first-round transmit count, frac is
     the probability of the high value. b is the number of generations
-    concurrently in flight within one bandwidth-delay product; b_definition
-    selects whether the divisor is the real-valued R*k (default) or k alone.
+    concurrently in flight within one bandwidth-delay product, ceil(bdp / (R*k)).
     within_bdp is False when R*k >= bdp, i.e. when feedback would arrive before
     the first round even finishes; the analysis still runs but is flagged.
     """
@@ -116,16 +140,18 @@ class CodingParams:
     n_k_high: int
     frac: float
     b: int
-    b_definition: str
     within_bdp: bool
 
 
-def derive_coding(channel, k, R=None, margin=None, b_definition="n_k"):
+def derive_coding(channel, k, R=None, margin=None):
     """Build CodingParams for a channel.
 
     Give either the redundancy factor R directly or a capacity margin
     (R = (1+margin)/(1-epsilon)).
     """
+    _require_finite(k=k, R=R, margin=margin)
+    if k != int(k):
+        raise ValueError(f"k must be an integer, got {k}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if (R is None) == (margin is None):
@@ -134,18 +160,9 @@ def derive_coding(channel, k, R=None, margin=None, b_definition="n_k"):
         R = redundancy_from_margin(margin, channel.epsilon)
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    if b_definition not in ("n_k", "k"):
-        raise ValueError(f"b_definition must be 'n_k' or 'k', got {b_definition!r}")
-    dist = coded_count_distribution(R, k)
-    counts = sorted(dist)
-    if len(counts) == 1:
-        n_lo = n_hi = counts[0]
-        frac = 0.0
-    else:
-        n_lo, n_hi = counts
-        frac = dist[n_hi]
-    divisor = R * k if b_definition == "n_k" else float(k)
-    b = max(_ceil_snapped(channel.bdp / divisor), 1)
+    n_lo, frac = split_count(R, k)
+    n_hi = n_lo + 1 if frac else n_lo
+    b = max(_ceil_snapped(channel.bdp / (R * k)), 1)
     within = R * k < channel.bdp
     if not within:
         warnings.warn(
@@ -153,5 +170,4 @@ def derive_coding(channel, k, R=None, margin=None, b_definition="n_k"):
             "feedback arrives before the first round completes and the delay "
             "model is loose here", AssumptionWarning, stacklevel=2)
     return CodingParams(k=int(k), R=float(R), n_k_low=n_lo, n_k_high=n_hi,
-                        frac=frac, b=b, b_definition=b_definition,
-                        within_bdp=within)
+                        frac=frac, b=b, within_bdp=within)

@@ -18,20 +18,29 @@ and beta, so times are tracked as integer pairs and only converted to floats
 for comparisons and reporting. That keeps the lossless case exact and avoids
 cancellation when a run spans millions of slots.
 
+Each quantity has one implementation. Transmit counts come from a per-run
+table of params.split_count(R, i) for i = 0..k; the vectorized site draws one
+uniform per active generation, the scalar sites draw only when the fraction
+is nonzero. With the real codec, every round, first or retransmission, goes
+through _codec_round. Per-packet traces are a columnar PacketTrace of numpy
+arrays built from the engines' own delay arrays.
+
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
-seed reproduces traces bit for bit.
+seed reproduces traces bit for bit; tests/test_golden.py pins the bytes of a
+set of seeded CLI runs.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .codec import DecoderState, CodedPacket
 from .kernel import MAX_ROUNDS, NumericalError
+from .params import split_count
 
 _CHUNK = 4096
 _WARMUP_FACTOR = 5
@@ -54,15 +63,32 @@ class SimConfig:
             raise ValueError(f"mode must be 'idealized' or 'relaxed', got {self.mode!r}")
         if self.n_packets < self.coding.k:
             raise ValueError("n_packets must cover at least one generation")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.hol_cap is not None and self.hol_cap < 0:
+            raise ValueError(f"hol_cap must be nonnegative, got {self.hol_cap}")
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    packet_id: int
-    generation_id: int
-    first_tx_slot: int
-    delivered_slot: float
-    delay: float
+@dataclass(frozen=True, eq=False)
+class PacketTrace:
+    """Per-packet trace columns of one run, in packet order.
+
+    first_tx_slot is the packet's first transmission slot, delivered_slot its
+    in-order delivery instant in slot units, delay the difference in seconds.
+    """
+
+    packet_id: np.ndarray
+    generation_id: np.ndarray
+    first_tx_slot: np.ndarray
+    delivered_slot: np.ndarray
+    delay: np.ndarray
+
+    @classmethod
+    def build(cls, first_tx_slot, delay, t_s, k):
+        """Trace of packets 0..n-1, packet p in generation p // k."""
+        ids = np.arange(delay.size)
+        return cls(packet_id=ids, generation_id=ids // k, first_tx_slot=first_tx_slot,
+                   delivered_slot=first_tx_slot + delay / t_s, delay=delay)
 
 
 @dataclass
@@ -74,7 +100,7 @@ class SimStats:
     replications: int = 1
     se_mean: Optional[float] = None
     rounds_hist: Optional[dict] = None
-    records: Optional[list] = None
+    trace: Optional[PacketTrace] = None
     info_packets: int = 0
     received_packets: int = 0
 
@@ -83,24 +109,15 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _sample_count_scalar(rng, R, need):
-    """Transmit count for `need` dofs: R*need with randomized rounding."""
-    ri = R * need
-    r = round(ri)
-    if abs(ri - r) < 1e-9:
-        return int(r)
-    lo = math.floor(ri)
-    return int(lo) + (1 if rng.random() < ri - lo else 0)
+def _count_table(R, k):
+    """split_count(R, i) for i = 0..k: the (floor, fraction) transmit count per dofs needed."""
+    return [split_count(R, i) for i in range(k + 1)]
 
 
-def _sample_count_vec(rng, R, need):
-    ri = R * need
-    r = np.round(ri)
-    snapped = np.abs(ri - r) < 1e-9
-    lo = np.where(snapped, r, np.floor(ri))
-    fr = np.where(snapped, 0.0, ri - lo)
-    add = rng.random(need.shape[0]) < fr
-    return lo.astype(np.int64) + add
+def _draw_count(rng, counts, need):
+    """Transmit count for `need` dofs; draws a uniform only when R*need is fractional."""
+    n, frac = counts[need]
+    return n + (rng.random() < frac) if frac > 0.0 else n
 
 
 class _PairStats:
@@ -148,51 +165,33 @@ class _PairStats:
         return math.sqrt(max(var, 0.0))
 
 
-def _round_one_real_codec(rng, recv_row, n, k):
-    """Round-1 decode bookkeeping with true GF(2^8) innovation checks.
+def _codec_round(rng, dec, flags, n_sys, k):
+    """Feed one round into a decoder with true GF(2^8) innovation checks.
 
-    Returns (dofs gained, slot index where rank reached k or -1, decoder).
-    Coefficients are drawn for every transmitted coded packet, received or
-    not, because the sender draws them before the channel acts.
+    Slots below n_sys carry systematic packets 0..n_sys-1, the rest random
+    combinations. Coefficients are drawn for every coded slot, received or
+    not, because the sender draws them before the channel acts. Returns the
+    slot at which the rank reached k, or -1.
     """
-    dec = DecoderState(0, k, 0)
-    n_coded = n - k
-    coeffs = rng.integers(0, 256, size=(n_coded, k), dtype=np.uint8) if n_coded else None
+    coeffs = rng.integers(0, 256, size=(flags.shape[0] - n_sys, k), dtype=np.uint8)
     empty = np.zeros(0, dtype=np.uint8)
-    hit_col = -1
-    for c in range(n):
-        if not recv_row[c]:
-            continue
-        if c < k:
-            pkt = CodedPacket(0, c, None, empty)
-        else:
-            vec = coeffs[c - k]
-            if not vec.any():
-                continue  # the zero combination carries nothing
-            pkt = CodedPacket(0, None, vec, empty)
-        dec.ingest(pkt)
-        if dec.rank >= k and hit_col < 0:
-            hit_col = c
-    return dec.rank, hit_col, dec
-
-
-def _retx_round_real_codec(rng, recv_flags, dec, k):
-    """Feed one retransmission round into the decoder; returns innovative count."""
-    nl = recv_flags.shape[0]
-    coeffs = rng.integers(0, 256, size=(nl, k), dtype=np.uint8)
-    empty = np.zeros(0, dtype=np.uint8)
-    before = dec.rank
-    for c in range(nl):
-        if recv_flags[c] and coeffs[c].any():
-            dec.ingest(CodedPacket(0, None, coeffs[c], empty))
-    return dec.rank - before
+    for c in np.flatnonzero(flags).tolist():
+        if c < n_sys:
+            dec.ingest(CodedPacket(0, c, None, empty))
+        elif coeffs[c - n_sys].any():  # the zero combination carries nothing
+            dec.ingest(CodedPacket(0, None, coeffs[c - n_sys], empty))
+        if dec.rank >= k:
+            return c
+    return -1
 
 
 def _run_idealized(cfg, rng):
     ch, cd = cfg.channel, cfg.coding
-    k, eps, R = cd.k, ch.epsilon, cd.R
+    k, eps = cd.k, ch.epsilon
     t_s, t_p = ch.t_s, ch.t_p
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
+    counts = _count_table(cd.R, k)
+    count_lo, count_frac = (np.array(col) for col in zip(*counts))
     blockers = cd.b - 1 if cfg.hol_cap is None else cfg.hol_cap
     n_gens = -(-cfg.n_packets // k)
     warm = _WARMUP_FACTOR * cd.b
@@ -205,7 +204,7 @@ def _run_idealized(cfg, rng):
     rounds = np.zeros(64, dtype=np.int64)
     received_counted = 0
     gens_counted = 0
-    records = [] if cfg.collect_records else None
+    trace_parts = [] if cfg.collect_records else None
 
     # carry: absolute decode slot and propagation-hop count per window generation
     carry_slot = np.full(blockers, -(1 << 60), dtype=np.int64)
@@ -228,29 +227,22 @@ def _run_idealized(cfg, rng):
 
         got1 = recv.sum(axis=1)
         received = got1.copy()
+        y = np.ones(g, dtype=np.int64)
         if cfg.use_real_codec:
-            y = np.ones(g, dtype=np.int64)
             dec_col = np.zeros(g, dtype=np.int64)
             for i in range(g):
-                rank, hit, dec = _round_one_real_codec(rng, recv[i], int(n[i]), k)
-                need = k - rank
-                if need == 0:
-                    dec_col[i] = hit
-                    continue
-                r = 1
-                while need > 0:
-                    r += 1
-                    if r > MAX_ROUNDS:
+                dec = DecoderState(0, k, 0)
+                dec_col[i] = _codec_round(rng, dec, recv[i, :n[i]], k, k)
+                while dec.rank < k:
+                    y[i] += 1
+                    if y[i] > MAX_ROUNDS:
                         raise NumericalError("retransmission loop did not terminate")
-                    nl = _sample_count_scalar(rng, R, need)
-                    flags = rng.random(nl) >= eps
+                    flags = rng.random(_draw_count(rng, counts, k - dec.rank)) >= eps
                     received[i] += int(flags.sum())
-                    need -= _retx_round_real_codec(rng, flags, dec, k)
-                y[i] = r
+                    _codec_round(rng, dec, flags, 0, k)
         else:
             cum = np.cumsum(recv, axis=1)
             dec_col = np.argmax(cum >= k, axis=1)
-            y = np.ones(g, dtype=np.int64)
             l = np.maximum(k - got1, 0)
             active = np.flatnonzero(l)
             r = 1
@@ -258,7 +250,8 @@ def _run_idealized(cfg, rng):
                 r += 1
                 if r > MAX_ROUNDS:
                     raise NumericalError("retransmission loop did not terminate")
-                nl = _sample_count_vec(rng, R, l[active].astype(np.float64))
+                need = l[active]
+                nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
                 u2 = rng.random((active.size, int(nl.max())))
                 got = ((u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None])).sum(axis=1)
                 received[active] += got
@@ -304,7 +297,6 @@ def _run_idealized(cfg, rng):
         blocked = (wf[:, None] > own_f)
         del_alpha = np.where(blocked, (wa - start)[:, None], own_alpha)
         del_beta = np.where(blocked, wb[:, None], own_beta)
-        delays = (del_alpha - cols_k[None, :]) * t_s + del_beta * t_p
 
         gen_ids = np.arange(done, done + g)
         window = (gen_ids >= warm) & (gen_ids < n_gens - warm)
@@ -317,25 +309,21 @@ def _run_idealized(cfg, rng):
                 rounds = np.concatenate((rounds, np.zeros(int(yw.max()) + 1 - rounds.size, dtype=np.int64)))
             rounds += np.bincount(yw, minlength=rounds.size)
 
-        if records is not None:
-            first_slot = start[:, None] + cols_k[None, :]
-            dslot = first_slot + delays / t_s
-            for i in range(g):
-                gid = done + i
-                for c in range(k):
-                    records.append(PacketRecord(
-                        packet_id=gid * k + c, generation_id=gid,
-                        first_tx_slot=int(first_slot[i, c]),
-                        delivered_slot=float(dslot[i, c]),
-                        delay=float(delays[i, c])))
+        if trace_parts is not None:
+            trace_parts.append((start[:, None] + cols_k[None, :],
+                                (del_alpha - cols_k[None, :]) * t_s + del_beta * t_p))
 
         slot_offset += int(n.sum())
         done += g
 
     hist = {int(yy): int(c) for yy, c in enumerate(rounds) if c}
+    trace = None
+    if trace_parts is not None:
+        first, delay = (np.concatenate([a.ravel() for a in col]) for col in zip(*trace_parts))
+        trace = PacketTrace.build(first, delay, t_s, k)
     return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                     mean_efficiency=k * gens_counted / received_counted,
-                    n_delays=acc.n, rounds_hist=hist, records=records,
+                    n_delays=acc.n, rounds_hist=hist, trace=trace,
                     info_packets=k * gens_counted,
                     received_packets=received_counted)
 
@@ -344,9 +332,9 @@ def _run_relaxed(cfg, rng):
     import heapq
 
     ch, cd = cfg.channel, cfg.coding
-    k, eps, R = cd.k, ch.epsilon, cd.R
+    k, eps = cd.k, ch.epsilon
     t_s, t_p = ch.t_s, ch.t_p
-    lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
+    counts = _count_table(cd.R, k)
     n_gens = -(-cfg.n_packets // k)
     warm = _WARMUP_FACTOR * cd.b
     if n_gens <= 2 * warm:
@@ -369,89 +357,45 @@ def _run_relaxed(cfg, rng):
     nxt = 0
     tol = 1e-9 * t_s
 
-    def do_retx(item):
+    def send_round(j, need):
+        """Send generation j's next round at `cursor`; returns its receive flags."""
         nonlocal cursor, seq
-        avail, _, j, need = item
-        if avail > cursor * t_s + tol:
-            cursor = int(math.ceil(avail / t_s - 1e-9))
-        nl = _sample_count_scalar(rng, R, need)
-        flags = rng.random(nl) >= eps
+        n = _draw_count(rng, counts, need)
+        flags = rng.random(n) >= eps
         received[j] += int(flags.sum())
         y_arr[j] += 1
         if y_arr[j] > MAX_ROUNDS:
             raise NumericalError("retransmission loop did not terminate")
         if cfg.use_real_codec:
-            dec = decoders[j]
-            before = dec.rank
-            hit = -1
-            coeffs = rng.integers(0, 256, size=(nl, k), dtype=np.uint8)
-            empty = np.zeros(0, dtype=np.uint8)
-            for c in range(nl):
-                if flags[c] and coeffs[c].any():
-                    dec.ingest(CodedPacket(0, None, coeffs[c], empty))
-                    if dec.rank >= k and hit < 0:
-                        hit = c
-            gained = dec.rank - before
+            first = y_arr[j] == 1
+            dec = DecoderState(0, k, 0) if first else decoders.pop(j)
+            hit = _codec_round(rng, dec, flags, k if first else 0, k)
             remaining = k - dec.rank
-        else:
-            cum = np.cumsum(flags)
-            gained = int(cum[-1]) if nl else 0
-            if gained >= need:
-                hit = int(np.searchsorted(cum, need))
-                remaining = 0
-            else:
-                hit = -1
-                remaining = need - gained
-        if remaining == 0:
-            dec_alpha_abs[j] = cursor + hit + 1
-            dec_beta[j] = 1
-            decoders.pop(j, None)
-        else:
-            fb = (cursor + nl) * t_s + 2.0 * t_p
-            heapq.heappush(heap, (fb, seq, j, remaining))
-            seq += 1
-        cursor += nl
-
-    def do_round1(j):
-        nonlocal cursor, seq
-        if frac > 0.0:
-            n = lo + (1 if rng.random() < frac else 0)
-        else:
-            n = lo
-        flags = rng.random(n) >= eps
-        start[j] = cursor
-        received[j] = int(flags.sum())
-        y_arr[j] = 1
-        sys_flags = flags[:k]
-        s_arr[j] = int(np.argmin(sys_flags)) if not sys_flags.all() else k
-        if cfg.use_real_codec:
-            rank, hit, dec = _round_one_real_codec(rng, flags, n, k)
-            remaining = k - rank
             if remaining:
                 decoders[j] = dec
         else:
             cum = np.cumsum(flags)
-            total = int(cum[-1])
-            if total >= k:
-                hit = int(np.searchsorted(cum, k))
-                remaining = 0
-            else:
-                hit = -1
-                remaining = k - total
+            remaining = max(need - int(cum[-1]), 0)
+            hit = -1 if remaining else int(np.searchsorted(cum, need))
         if remaining == 0:
             dec_alpha_abs[j] = cursor + hit + 1
             dec_beta[j] = 1
         else:
-            fb = (cursor + n) * t_s + 2.0 * t_p
-            heapq.heappush(heap, (fb, seq, j, remaining))
+            heapq.heappush(heap, ((cursor + n) * t_s + 2.0 * t_p, seq, j, remaining))
             seq += 1
         cursor += n
+        return flags
 
     while nxt < n_gens or heap:
         if heap and (heap[0][0] <= cursor * t_s + tol or nxt >= n_gens):
-            do_retx(heapq.heappop(heap))
+            avail, _, j, need = heapq.heappop(heap)
+            if avail > cursor * t_s + tol:
+                cursor = int(math.ceil(avail / t_s - 1e-9))
+            send_round(j, need)
         else:
-            do_round1(nxt)
+            start[nxt] = cursor
+            sys_flags = send_round(nxt, k)[:k]
+            s_arr[nxt] = int(np.argmin(sys_flags)) if not sys_flags.all() else k
             nxt += 1
 
     # in-order delivery chained through every generation
@@ -459,8 +403,10 @@ def _run_relaxed(cfg, rng):
     rounds = {}
     received_counted = 0
     gens_counted = 0
-    records = [] if cfg.collect_records else None
     cols_k = np.arange(k)
+    if cfg.collect_records:
+        trace_alpha = np.zeros((n_gens, k), dtype=np.int64)
+        trace_beta = np.zeros((n_gens, k), dtype=np.int64)
     chain_f = -np.inf
     chain_alpha = 0
     chain_beta = 0
@@ -473,30 +419,28 @@ def _run_relaxed(cfg, rng):
         own_alpha = np.where(cols_k < s_arr[j], cols_k + 1, rel_dec)
         own_beta = np.where(cols_k < s_arr[j], 1, dec_beta[j])
         blocked = chain_rel_f > own_f
-        d_alpha = np.where(blocked, chain_alpha - start[j], own_alpha)
+        d_alpha = np.where(blocked, chain_alpha - start[j], own_alpha) - cols_k
         d_beta = np.where(blocked, chain_beta, own_beta)
-        delays = (d_alpha - cols_k) * t_s + d_beta * t_p
         if dec_f >= chain_rel_f:
             chain_f = dec_f
             chain_alpha = dec_alpha_abs[j]
             chain_beta = dec_beta[j]
         if warm <= j < n_gens - warm:
-            acc.add(d_alpha - cols_k, d_beta)
+            acc.add(d_alpha, d_beta)
             received_counted += int(received[j])
             gens_counted += 1
             rounds[int(y_arr[j])] = rounds.get(int(y_arr[j]), 0) + 1
-        if records is not None:
-            for c in range(k):
-                fts = int(start[j] + c)
-                records.append(PacketRecord(
-                    packet_id=j * k + c, generation_id=j,
-                    first_tx_slot=fts,
-                    delivered_slot=float(fts + delays[c] / t_s),
-                    delay=float(delays[c])))
+        if cfg.collect_records:
+            trace_alpha[j] = d_alpha
+            trace_beta[j] = d_beta
+    trace = None
+    if cfg.collect_records:
+        trace = PacketTrace.build((start[:, None] + cols_k).ravel(),
+                                  (trace_alpha * t_s + trace_beta * t_p).ravel(), t_s, k)
     return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                     mean_efficiency=k * gens_counted / received_counted,
                     n_delays=acc.n, rounds_hist=dict(sorted(rounds.items())),
-                    records=records, info_packets=k * gens_counted,
+                    trace=trace, info_packets=k * gens_counted,
                     received_packets=received_counted)
 
 
@@ -539,17 +483,11 @@ def run_arq(config):
     warm_packets = _ARQ_WARMUP_BDP * ch.bdp
     if n <= warm_packets:
         raise ValueError(f"need more than {warm_packets} packets at bdp={ch.bdp}")
-    records = None
-    if config.collect_records:
-        records = [PacketRecord(packet_id=int(p), generation_id=int(p),
-                                first_tx_slot=int(p),
-                                delivered_slot=float(p + delays[p] / t_s),
-                                delay=float(delays[p]))
-                   for p in range(n)]
+    trace = PacketTrace.build(idx, delays, t_s, 1) if config.collect_records else None
     acc = _PairStats(t_s, t_p)
     acc.add((del_alpha - idx)[warm_packets:], del_beta[warm_packets:])
     return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
-                    mean_efficiency=1.0, n_delays=acc.n, records=records,
+                    mean_efficiency=1.0, n_delays=acc.n, trace=trace,
                     info_packets=acc.n, received_packets=acc.n)
 
 
@@ -595,8 +533,8 @@ def replicate(config, reps, engine=run_coded):
 
 
 def trace_csv(stats, config, out):
-    """Write per-packet records as CSV with a config echo comment line."""
-    if stats.records is None:
+    """Write the per-packet trace as CSV with a config echo comment line."""
+    if stats.trace is None:
         raise ValueError("run with collect_records=True to produce a trace")
     cfg = {
         "epsilon": config.channel.epsilon,
@@ -612,6 +550,6 @@ def trace_csv(stats, config, out):
     }
     out.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
     out.write("packet_id,generation_id,first_tx_slot,delivered_slot,delay_s\n")
-    for r in stats.records:
-        out.write(f"{r.packet_id},{r.generation_id},{r.first_tx_slot},"
-                  f"{r.delivered_slot!r},{r.delay!r}\n")
+    t = stats.trace
+    columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
+    out.writelines("%d,%d,%d,%r,%r\n" % row for row in zip(*(c.tolist() for c in columns)))

@@ -10,22 +10,34 @@ import numpy as np
 from codedelay.params import coded_count_distribution
 
 
+def _loss_patterns(n, eps):
+    """(arrival count, probability) of each of the 2^n erasure patterns of n packets."""
+    patterns = np.arange(1 << n, dtype=np.uint32)
+    bits = (patterns[:, None] >> np.arange(n)[None, :]) & 1
+    arrivals = bits.sum(axis=1)
+    return arrivals, (1.0 - eps) ** arrivals * eps ** (n - arrivals)
+
+
 def brute_force_row(i, n, eps):
     """Transition pmf from `i` dofs needed after one round of n packets.
 
     Enumerates all 2^n erasure patterns. Entry j is the probability that
     j dofs are still needed (j=0 collects every pattern with >= i arrivals).
     """
-    patterns = np.arange(1 << n, dtype=np.uint32)
-    bits = (patterns[:, None] >> np.arange(n)[None, :]) & 1
-    arrivals = bits.sum(axis=1)
-    prob = (1.0 - eps) ** arrivals * eps ** (n - arrivals)
+    arrivals, prob = _loss_patterns(n, eps)
     row = np.zeros(i + 1)
     left = np.maximum(i - arrivals, 0)
     np.add.at(row, left, prob)
     out = np.zeros(row.shape[0])
     out[: i + 1] = row
     return out
+
+
+def brute_force_absorbed_received(i, n, eps):
+    """Sum of arrivals times probability over the 2^n patterns with >= i arrivals."""
+    arrivals, prob = _loss_patterns(n, eps)
+    absorbed = arrivals >= i
+    return float((arrivals[absorbed] * prob[absorbed]).sum())
 
 
 def mixture_row(i, R, eps):

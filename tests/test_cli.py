@@ -101,6 +101,43 @@ class TestFlagValidation:
         res = runner.invoke(main, ["analyze", "--k", "16", "--margin", "0.1"])
         assert res.exit_code == 2
 
+    SIM = ["simulate", *CH, "--k", "8", "--margin", "0.1", "--n-packets", "2000",
+           "--seed", "7"]
+
+    @pytest.mark.parametrize("argv, names", [
+        pytest.param(["analyze", "--epsilon", "0.1", "--rate-bps", "inf", "--packet-bits",
+                      "1e4", "--rtt-s", "0.1", "--k", "16", "--margin", "0.1"],
+                     "rate must be finite", id="rate-inf"),
+        pytest.param(["analyze", "--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits",
+                      "1e4", "--rtt-s", "inf", "--k", "16", "--margin", "0.1"],
+                     "rtt must be finite", id="rtt-inf"),
+        pytest.param(["analyze", "--epsilon", "0.1", "--rate-bps", "1e300", "--packet-bits",
+                      "1e-300", "--rtt-s", "0.1", "--k", "16", "--margin", "0.1"],
+                     "bandwidth-delay product", id="bdp-overflow"),
+        pytest.param(["analyze", "--epsilon", "nan", "--rate-bps", "1e7", "--packet-bits",
+                      "1e4", "--rtt-s", "0.1", "--k", "16", "--margin", "0.1"],
+                     "epsilon must be finite", id="epsilon-nan"),
+        pytest.param(["analyze", *CH, "--k", "16", "--margin", "nan"],
+                     "margin must be finite", id="margin-nan"),
+        pytest.param(["analyze", *CH, "--k", "16", "--redundancy", "inf"],
+                     "R must be finite", id="redundancy-inf"),
+        pytest.param(["sweep", *CH, "--margin", "nan", "--k-grid", "4,8"],
+                     "margin must be finite", id="sweep-margin-nan"),
+        pytest.param(SIM + ["--hol-cap", "-3"], "hol_cap", id="hol-cap-negative"),
+        pytest.param(SIM[:-1] + ["-1"], "seed must be nonnegative", id="seed-negative"),
+        pytest.param(SIM + ["--reps", "0"], "reps must be >= 1", id="reps-0"),
+        pytest.param(SIM + ["--reps", "-1"], "reps must be >= 1", id="reps-negative"),
+        pytest.param(["kstar", *CH, "--margin", "0.1", "--k-grid", "0,5"],
+                     "--k-grid", id="kstar-k-0"),
+        pytest.param(["sweep", *CH, "--margin", "0.1", "--k-grid", "-4,8"],
+                     "--k-grid", id="sweep-k-negative"),
+    ])
+    def test_bad_input_exits_2_without_traceback(self, runner, argv, names):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert names in res.output
+
 
 class TestSweepCommand:
     def test_round_trips_through_csv(self, runner):

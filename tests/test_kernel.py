@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from codedelay.kernel import build_kernel, _pure_row
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import brute_force_row, mixture_row
+from .helpers import brute_force_absorbed_received, brute_force_row, mixture_row
 
 
 def make_pair(epsilon, k, R):
@@ -20,12 +20,14 @@ class TestPureRow:
     @pytest.mark.parametrize("i", [1, 2, 4, 6])
     def test_matches_enumeration(self, i, eps):
         for n in range(i, 13):
-            got = _pure_row(i, n, 1.0 - eps)
+            got, absorbed_received = _pure_row(i, n, 1.0 - eps)
             want = brute_force_row(i, n, eps)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            assert absorbed_received == pytest.approx(
+                brute_force_absorbed_received(i, n, eps), rel=0, abs=1e-13)
 
     def test_lossless_absorbs_immediately(self):
-        row = _pure_row(4, 5, 1.0)
+        row, _ = _pure_row(4, 5, 1.0)
         assert row[0] == 1.0
         assert row[1:].sum() == 0.0
 
@@ -33,7 +35,7 @@ class TestPureRow:
            st.floats(min_value=0.0, max_value=0.95))
     @settings(max_examples=60, deadline=None)
     def test_row_is_stochastic(self, i, extra, eps):
-        row = _pure_row(i, i + extra, 1.0 - eps)
+        row, _ = _pure_row(i, i + extra, 1.0 - eps)
         assert row.min() >= 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -11,7 +11,10 @@ from codedelay.params import (
     derive_channel,
     derive_coding,
     redundancy_from_margin,
+    split_count,
 )
+
+INF, NAN = float("inf"), float("nan")
 
 
 def std_channel(epsilon=0.1):
@@ -50,6 +53,18 @@ class TestDeriveChannel:
             derive_channel(1.0, 1e7, 1e4, rtt=0.1)
         derive_channel(0.0, 1e7, 1e4, rtt=0.1)  # boundary is allowed
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(epsilon=NAN, rate=1e7, packet_size=1e4, rtt=0.1),
+        dict(epsilon=0.1, rate=INF, packet_size=1e4, rtt=0.1),
+        dict(epsilon=0.1, rate=1e7, packet_size=INF, rtt=0.1),
+        dict(epsilon=0.1, rate=1e7, packet_size=1e4, rtt=INF),
+        dict(epsilon=0.1, rate=1e7, packet_size=1e4, t_p=NAN),
+        dict(epsilon=0.1, rate=1e300, packet_size=1e-300, rtt=0.1),  # BDP overflows
+    ])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            derive_channel(**kwargs)
+
     def test_rtt_shorter_than_slot_rejected(self):
         with pytest.raises(ValueError):
             derive_channel(0.1, 1e7, 1e4, rtt=1e-4)
@@ -81,6 +96,9 @@ class TestRedundancyFromMargin:
             redundancy_from_margin(-0.1, 0.1)
         with pytest.raises(ValueError):
             redundancy_from_margin(0.1, 1.0)
+        for x in (NAN, INF):
+            with pytest.raises(ValueError, match="margin must be finite"):
+                redundancy_from_margin(x, 0.1)
 
 
 class TestCodedCountDistribution:
@@ -96,6 +114,13 @@ class TestCodedCountDistribution:
         dist = coded_count_distribution(1.1, 5)  # 5.5 on average
         assert set(dist) == {5, 6}
         assert dist[6] == pytest.approx(0.5)
+
+    def test_split_count_matches_distribution(self):
+        assert split_count(1.25, 4) == (5, 0.0)
+        assert split_count(1.1, 10) == (11, 0.0)
+        lo, frac = split_count(1.1, 5)
+        assert lo == 5 and frac == pytest.approx(0.5)
+        assert coded_count_distribution(1.1, 5) == {5: 1.0 - frac, 6: frac}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -121,11 +146,6 @@ class TestDeriveCoding:
         ch = std_channel()
         assert derive_coding(ch, 16, margin=0.1).b == 6
         assert derive_coding(ch, 8, margin=0.1).b == 11
-
-    def test_inflight_count_k_divisor(self):
-        ch = std_channel()
-        cd = derive_coding(ch, 16, margin=0.1, b_definition="k")
-        assert cd.b == math.ceil(100 / 16)
 
     def test_first_round_bracket(self):
         ch = std_channel()
@@ -159,8 +179,22 @@ class TestDeriveCoding:
             derive_coding(ch, 0, R=1.2)
         with pytest.raises(ValueError):
             derive_coding(ch, 16, R=0.8)
-        with pytest.raises(ValueError):
-            derive_coding(ch, 16, R=1.2, b_definition="rk")
+
+    @pytest.mark.parametrize("k, kwargs, match", [
+        (16.5, dict(margin=0.1), "k must be an integer"),
+        (INF, dict(margin=0.1), "k must be finite"),
+        (16, dict(R=INF), "R must be finite"),
+        (16, dict(R=NAN), "R must be finite"),
+        (16, dict(margin=NAN), "margin must be finite"),
+        (16, dict(margin=INF), "margin must be finite"),
+    ])
+    def test_rejects_non_finite_and_non_integral(self, k, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            derive_coding(std_channel(), k, **kwargs)
+
+    def test_integral_float_k_accepted(self):
+        ch = std_channel()
+        assert derive_coding(ch, 16.0, margin=0.1) == derive_coding(ch, 16, margin=0.1)
 
     def test_warns_when_generation_exceeds_bdp(self):
         ch = std_channel()

@@ -1,5 +1,6 @@
 """Simulator engines: exact lossless closure, determinism, ordering, baselines."""
 
+import dataclasses
 import io
 import json
 import math
@@ -42,6 +43,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(channel=ch, coding=cd, n_packets=4)
 
+    @pytest.mark.parametrize("field, value", [("hol_cap", -3), ("seed", -1)])
+    def test_negative_value_rejected(self, field, value):
+        ch = std_channel()
+        cd = derive_coding(ch, 8, margin=0.1)
+        with pytest.raises(ValueError, match=field):
+            SimConfig(channel=ch, coding=cd, **{field: value})
+
     def test_warmup_guard(self):
         # k=16 at margin 0.1 gives b=6, so 60 generations are not enough
         cfg = make_config(n_packets=16 * 60, seed=1)
@@ -68,7 +76,7 @@ class TestLosslessClosure:
         want = ch.t_s + ch.t_p
         assert st.mean_delay == want
         assert st.std_delay == 0.0
-        assert all(r.delay == want for r in st.records)
+        assert (st.trace.delay == want).all()
         assert st.mean_efficiency == 0.8  # 4 info packets of 5 sent
         assert set(st.rounds_hist) == {1}
 
@@ -81,7 +89,7 @@ class TestLosslessClosure:
         want = ch.t_s + ch.t_p
         assert st.mean_delay == want
         assert st.std_delay == 0.0
-        assert all(r.delay == want for r in st.records)
+        assert (st.trace.delay == want).all()
         assert st.mean_efficiency == 1.0
 
 
@@ -93,7 +101,8 @@ class TestDeterminism:
         a = run_coded(cfg)
         b = run_coded(cfg)
         assert a.mean_delay == b.mean_delay
-        assert a.records == b.records
+        for f in dataclasses.fields(a.trace):
+            np.testing.assert_array_equal(getattr(a.trace, f.name), getattr(b.trace, f.name))
 
     def test_different_seed_different_outcome(self):
         a = run_coded(make_config(k=8, n_packets=3000, seed=1))
@@ -136,14 +145,14 @@ class TestInOrderDelivery:
         cfg = make_config(k=8, n_packets=16_000, seed=31, mode="relaxed",
                           collect_records=True)
         st = run_coded(cfg)
-        slots = np.array([r.delivered_slot for r in st.records])
+        slots = st.trace.delivered_slot
         assert np.all(np.diff(slots) >= -1e-6)
 
     def test_idealized_full_window_is_monotone(self):
         cfg = make_config(k=8, n_packets=8_000, seed=32, hol_cap=1000,
                           collect_records=True)
         st = run_coded(cfg)
-        slots = np.array([r.delivered_slot for r in st.records])
+        slots = st.trace.delivered_slot
         assert np.all(np.diff(slots) >= -1e-6)
 
     @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
@@ -151,9 +160,8 @@ class TestInOrderDelivery:
         cfg = make_config(k=8, n_packets=8_000, seed=33, mode=mode,
                           collect_records=True)
         st = run_coded(cfg)
-        for r in st.records:
-            assert r.delivered_slot > r.first_tx_slot
-            assert r.delay > 0
+        assert (st.trace.delivered_slot > st.trace.first_tx_slot).all()
+        assert (st.trace.delay > 0).all()
 
 
 class TestRealCodec:
@@ -215,7 +223,7 @@ class TestArq:
                 best_key = key
                 best = (alpha, beta)
             want = (best[0] - p) * ch.t_s + best[1] * ch.t_p
-            assert st.records[p].delay == want
+            assert st.trace.delay[p] == want
 
     def test_mean_grows_with_loss(self):
         means = [run_arq(make_config(epsilon=e, k=8, n_packets=20_000, seed=52)).mean_delay
@@ -238,7 +246,7 @@ class TestTraceCsv:
         assert header["k"] == 8
         assert header["seed"] == 61
         assert lines[1] == "packet_id,generation_id,first_tx_slot,delivered_slot,delay_s"
-        assert len(lines) == 2 + len(st.records)
+        assert len(lines) == 2 + len(st.trace.delay)
         ch = cfg.channel
         for row in lines[2:5]:
             pid, gid, fts, dslot, delay = row.split(",")
