@@ -123,12 +123,22 @@ def _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s):
     return derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
 
 
-def _resolve_r(redundancy, margin, epsilon):
+def _require_one_redundancy(redundancy, margin):
     if (redundancy is None) == (margin is None):
         raise click.UsageError("provide exactly one of --redundancy / --margin")
+
+
+def _resolve_r(redundancy, margin, epsilon):
+    _require_one_redundancy(redundancy, margin)
     if redundancy is not None:
         return redundancy
     return redundancy_from_margin(margin, epsilon)
+
+
+def _build_coding(channel, k, redundancy, margin):
+    # margin goes through as given, so derive_coding's messages can name it
+    _require_one_redundancy(redundancy, margin)
+    return derive_coding(channel, k, R=redundancy, margin=margin)
 
 
 def _emit(table, fmt, out):
@@ -172,8 +182,7 @@ def main():
 def analyze(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, margin, fmt, out):
     """Mean/std in-order delay and efficiency at one operating point."""
     ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    r = _resolve_r(redundancy, margin, epsilon)
-    coding = derive_coding(ch, k, R=r)
+    coding = _build_coding(ch, k, redundancy, margin)
     kern = build_kernel(ch, coding)
     dm = expected_delay(ch, coding, kern)
     eff = efficiency(kern)
@@ -277,8 +286,7 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
                  mode, n_packets, seed, reps, real_codec, hol_cap, trace, fmt, out):
     """Monte-Carlo run of the coded transport."""
     ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    r = _resolve_r(redundancy, margin, epsilon)
-    coding = derive_coding(ch, k, R=r)
+    coding = _build_coding(ch, k, redundancy, margin)
     if trace is not None and reps != 1:
         raise click.UsageError("--trace requires --reps 1")
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets,
@@ -291,7 +299,7 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
     table = OutputTable(
         ["mode", "k", "R", "n_packets", "seed", "reps", "mean_s", "std_s",
          "efficiency", "se_mean_s"],
-        [[mode, k, r, n_packets, seed, reps, stats.mean_delay, stats.std_delay,
+        [[mode, k, coding.R, n_packets, seed, reps, stats.mean_delay, stats.std_delay,
           stats.mean_efficiency, stats.se_mean]])
     _emit(table, fmt, out)
 
@@ -309,8 +317,7 @@ def cmd_compare_arq(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, 
                     mode, n_packets, seed, fmt, out):
     """Coded transport and idealized SR-ARQ on one configuration."""
     ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    r = _resolve_r(redundancy, margin, epsilon)
-    coding = derive_coding(ch, k, R=r)
+    coding = _build_coding(ch, k, redundancy, margin)
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets, seed=seed)
     coded = run_coded(cfg)
     arq = run_arq(cfg)

@@ -33,7 +33,9 @@ def _power_sums(d, n):
     """
     if n <= 0:
         return 0.0, 0.0, 0.0, 0.0
-    if n == 1:
+    if n == 1 or d >= 1.0:
+        # Only s = 0 carries weight. d reaches 1 when its complement is
+        # below the resolution of a double, where log1p(-d) is undefined.
         return 1.0, 0.0, 0.0, 0.0
     if n * d < 0.05:
         rho = 1.0 - d

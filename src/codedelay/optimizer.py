@@ -9,6 +9,7 @@ raw means are always kept alongside.
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,8 +18,8 @@ import numpy as np
 
 from .delay import expected_delay
 from .efficiency import efficiency
-from .kernel import build_kernel
-from .params import derive_coding, redundancy_from_margin
+from .kernel import build_kernel, check_generation_size
+from .params import AssumptionWarning, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, run_arq
 
 DEFAULT_K_POINTS = 40
@@ -71,27 +72,56 @@ def _thread_count(threads):
         raise ValueError(f"CODEDELAY_THREADS must be an integer, got {env!r}") from None
 
 
-def _evaluate_point(channel, R, k):
+def _failed_record(channel, R, k, message):
+    return SweepRecord(k=k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
+                       mean=float("nan"), std=float("nan"),
+                       eta=float("nan"), b=0, error=message)
+
+
+def _grid_codings(channel, R, ks):
+    """derive_coding at every k, serially, with one counted AssumptionWarning.
+
+    Returns the CodingParams of the sizes a kernel can be built for, in
+    order, and an error message for each other k.
+    """
+    codings, errors = [], {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        for k in ks:
+            try:
+                coding = derive_coding(channel, k, R=R)
+                check_generation_size(k)
+                codings.append(coding)
+            except ValueError as exc:
+                errors[k] = str(exc)
+    loose = [c.k for c in codings if not c.within_bdp]
+    if loose:
+        warnings.warn(
+            f"R*k >= BDP ({channel.bdp}) at {len(loose)} of {len(ks)} grid points "
+            f"(k >= {min(loose)}); the delay model is loose there",
+            AssumptionWarning, stacklevel=3)
+    return codings, errors
+
+
+def _evaluate_point(channel, R, coding, kern, eff):
     try:
-        coding = derive_coding(channel, k, R=R)
-        kern = build_kernel(channel, coding)
-        dm = expected_delay(channel, coding, kern)
-        eff = efficiency(kern)
-        return SweepRecord(k=k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
-                           mean=dm.mean, std=math.sqrt(dm.variance),
-                           eta=eff.eta, b=coding.b)
+        dm = expected_delay(channel, coding, kern.block(coding))
+        return SweepRecord(k=coding.k, R=R, epsilon=channel.epsilon,
+                           bdp=channel.bdp, mean=dm.mean, std=math.sqrt(dm.variance),
+                           eta=eff.at(coding.k).eta, b=coding.b)
     except Exception as exc:  # per-point failures become markers, not aborts
-        return SweepRecord(k=k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
-                           mean=float("nan"), std=float("nan"),
-                           eta=float("nan"), b=0, error=str(exc))
+        return _failed_record(channel, R, coding.k, str(exc))
 
 
 def sweep(channel, R, k_range=None, threads=None):
     """Evaluate mean/std delay and efficiency at each k, in order.
 
-    Points are independent; CODEDELAY_THREADS (or the threads argument) turns
-    on a parallel map with ordered collection. A failing point yields a record
-    with its error message instead of aborting the sweep.
+    One kernel, built at the largest k, serves every point: each k reads its
+    leading block, its own absorption cdf and its entry of one efficiency
+    pass. Points are otherwise independent; CODEDELAY_THREADS (or the threads
+    argument) turns on a parallel map over the delay sums with ordered
+    collection. A failing point yields a record with its error message
+    instead of aborting the sweep.
     """
     ks = list(k_range) if k_range is not None else default_k_range(channel)
     if not ks:
@@ -99,10 +129,21 @@ def sweep(channel, R, k_range=None, threads=None):
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_range must be strictly ascending")
     workers = _thread_count(threads)
-    if workers > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda k: _evaluate_point(channel, R, k), ks))
-    return [_evaluate_point(channel, R, k) for k in ks]
+    codings, errors = _grid_codings(channel, R, ks)
+    done = {}
+    if codings:
+        kern = build_kernel(channel, codings[-1], [c.k for c in codings])
+        eff = efficiency(kern)
+
+        def evaluate(coding):
+            return _evaluate_point(channel, R, coding, kern, eff)
+
+        if workers > 1 and len(codings) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                done = {rec.k: rec for rec in ex.map(evaluate, codings)}
+        else:
+            done = {rec.k: rec for rec in map(evaluate, codings)}
+    return [done[k] if k in done else _failed_record(channel, R, k, errors[k]) for k in ks]
 
 
 def smooth_local_maxima(records):

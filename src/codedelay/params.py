@@ -8,6 +8,16 @@ from dataclasses import dataclass
 # fuzz (e.g. 0.1 * 1e7 / 1e4 evaluates to 100.00000000000001).
 _INT_SNAP = 1e-9
 
+# Largest bandwidth-delay product accepted, in packets. The delay sums cost
+# O(b) per cell in the in-flight generation count b = ceil(bdp / (R*k)), and
+# analyze already takes seconds at this size.
+MAX_BDP = 10_000_000
+
+# Largest R*k accepted: the packets one generation sends in its first round.
+# It bounds the kernel's binomial recurrence (n runs to ceil(R*k)) and the
+# simulators' per-round draws.
+MAX_ROUND_PACKETS = 1 << 16
+
 
 class AssumptionWarning(UserWarning):
     """A configuration violates an operating assumption; results may be loose."""
@@ -72,9 +82,9 @@ def derive_channel(epsilon, rate, packet_size, t_p=None, rtt=None):
         raise ValueError(f"t_p must be nonnegative, got {t_p}")
     rtt = t_s + 2.0 * t_p
     bdp = rtt * rate / packet_size
-    if not math.isfinite(bdp):
-        raise ValueError(f"bandwidth-delay product must be finite, got {bdp} "
-                         f"(rate {rate}, packet_size {packet_size}, rtt {rtt})")
+    if not math.isfinite(bdp) or _ceil_snapped(bdp) > MAX_BDP:
+        raise ValueError(f"bandwidth-delay product must be at most {MAX_BDP} packets, got "
+                         f"{bdp:.6g} (rate {rate}, packet_size {packet_size}, rtt {rtt})")
     bdp = max(_ceil_snapped(bdp), 1)
     return ChannelParams(epsilon=float(epsilon), rate=float(rate),
                          packet_size=float(packet_size), t_p=float(t_p),
@@ -160,6 +170,10 @@ def derive_coding(channel, k, R=None, margin=None):
         R = redundancy_from_margin(margin, channel.epsilon)
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    if R * k > MAX_ROUND_PACKETS:
+        source = "" if margin is None else f" from margin {margin}"
+        raise ValueError(f"R*k must be at most {MAX_ROUND_PACKETS} packets per round, got "
+                         f"{R * k:.6g} (R = {R:.6g}{source}, k = {k})")
     n_lo, frac = split_count(R, k)
     n_hi = n_lo + 1 if frac else n_lo
     b = max(_ceil_snapped(channel.bdp / (R * k)), 1)

@@ -43,6 +43,7 @@ from .kernel import MAX_ROUNDS, NumericalError
 from .params import split_count
 
 _CHUNK = 4096
+_CHUNK_ELEMENTS = 1 << 22   # cap on one round-1 block of uniforms (32 MiB)
 _WARMUP_FACTOR = 5
 _ARQ_WARMUP_BDP = 10
 
@@ -185,6 +186,11 @@ def _codec_round(rng, dec, flags, n_sys, k):
     return -1
 
 
+def _chunk_rows(n_k_high):
+    """Generations per round-1 block: _CHUNK, fewer when R*k is large."""
+    return max(1, min(_CHUNK, _CHUNK_ELEMENTS // n_k_high))
+
+
 def _run_idealized(cfg, rng):
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
@@ -212,8 +218,9 @@ def _run_idealized(cfg, rng):
     slot_offset = 0
     done = 0
     cols_k = np.arange(k)
+    rows = _chunk_rows(hi)
     while done < n_gens:
-        g = min(_CHUNK, n_gens - done)
+        g = min(rows, n_gens - done)
         if frac > 0.0:
             n = lo + (rng.random(g) < frac).astype(np.int64)
         else:

@@ -1,13 +1,21 @@
 """Shared oracles for the test suite.
 
-Everything here is implemented independently of the module under test:
+The oracles here are implemented independently of the module under test:
 transition rows by exhaustive loss-pattern enumeration, and conditional delay
 moments by direct Monte-Carlo of the timing model bucketed on (y, z).
+`kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
 import numpy as np
 
+from codedelay.kernel import _binomial_rows, _pure_row
 from codedelay.params import coded_count_distribution
+
+
+def kernel_row(i, n, p_success):
+    """(row, absorbed_received) the kernel builds for state i when n >= i packets are sent."""
+    laws = list(_binomial_rows(n, n + 1, p_success))
+    return _pure_row(i, n, p_success, laws[n], laws[n - 1])
 
 
 def _loss_patterns(n, eps):

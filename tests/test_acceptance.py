@@ -17,13 +17,13 @@ from codedelay.codec import CodedPacket, DecoderState, encode, systematic_packet
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
 from codedelay.gf256 import MUL
-from codedelay.kernel import build_kernel, _pure_row
+from codedelay.kernel import build_kernel
 from codedelay.moments import prefix_moments, straggler_moments, straggler_pmf
 from codedelay.optimizer import k_star, tradeoff_curve
 from codedelay.params import derive_channel, derive_coding
 from codedelay.simulator import SimConfig, run_arq, run_coded
 
-from .helpers import brute_force_row, mixture_row
+from .helpers import brute_force_row, kernel_row, mixture_row
 
 
 def std_channel(epsilon):
@@ -61,7 +61,7 @@ def test_criterion_02_kernel_rows_against_enumeration():
     for eps in (0.05, 0.1, 0.3):
         for i in range(1, 7):
             for n in range(i, 17):
-                got, _ = _pure_row(i, n, 1.0 - eps)
+                got, _ = kernel_row(i, n, 1.0 - eps)
                 want = brute_force_row(i, n, eps)
                 assert np.abs(got - want).max() <= 1e-12, (eps, i, n)
     # the assembled kernel averages rows over the fractional transmit count

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import codedelay
 from codedelay.cli import main
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
@@ -131,9 +137,18 @@ class TestFlagValidation:
                      "--k-grid", id="kstar-k-0"),
         pytest.param(["sweep", *CH, "--margin", "0.1", "--k-grid", "-4,8"],
                      "--k-grid", id="sweep-k-negative"),
+        pytest.param(["simulate", *CH, "--k", "16", "--margin", "1e6", "--n-packets", "2000",
+                      "--seed", "7"], "from margin 1000000.0", id="simulate-margin-huge"),
+        pytest.param(["analyze", *CH, "--k", "16", "--margin", "1e300"],
+                     "from margin 1e+300", id="margin-huge"),
+        pytest.param(["analyze", "--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits",
+                      "1e4", "--rtt-s", "1e300", "--k", "16", "--margin", "0.1"],
+                     "rtt 1e+300", id="rtt-huge"),
     ])
     def test_bad_input_exits_2_without_traceback(self, runner, argv, names):
+        t0 = time.perf_counter()
         res = runner.invoke(main, argv)
+        assert time.perf_counter() - t0 < 2.0
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
         assert names in res.output
@@ -247,3 +262,14 @@ class TestCompareArqCommand:
         rows = {r["scheme"]: r for r in parse_csv(res.output)}
         assert float(rows["coded"]["mean_s"]) < float(rows["arq"]["mean_s"])
         assert float(rows["arq"]["efficiency"]) == 1.0
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(codedelay.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import codedelay.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -72,6 +72,30 @@ class TestExpectedReceived:
             assert expected_received(kern) >= k
 
 
+def loop_received(kern):
+    """Reference: the bottom-up recursion as a plain double loop over states."""
+    mat = kern.matrix
+    em = [0.0] * (kern.k + 1)
+    for i in range(1, kern.k + 1):
+        total = kern.absorbed_received[i]
+        denom = mat[i, 0]
+        for j in range(1, i):
+            total += (float(i - j) + em[j]) * mat[i, j]
+            denom += mat[i, j]
+        em[i] = total / denom
+    return em
+
+
+class TestReceivedByState:
+    @pytest.mark.parametrize("eps,k,R", [(0.01, 40, 1.05), (0.1, 64, 1.25), (0.3, 200, 1.5)])
+    def test_matches_the_loop(self, eps, k, R):
+        kern = make_kernel(eps, k, R)
+        res = efficiency(kern)
+        np.testing.assert_allclose(res.by_state, loop_received(kern), rtol=1e-13, atol=0)
+        for j in (1, k // 2, k):
+            assert res.at(j).eta == j / res.by_state[j]
+
+
 class TestEfficiency:
     def test_single_packet_no_redundancy_is_lossless_efficient(self):
         kern = make_kernel(0.1, 1, 1.0)

@@ -44,11 +44,13 @@ CASES = {
     "kstar": (["kstar", *CH, "--margin", "0.1", "--k-grid", "2,4,8,16,32,64"], False),
 }
 
-# sha256 of (stdout, trace file) for each case
+# sha256 of (stdout, trace file) for each case. analyze, kstar and sweep were
+# re-recorded when binomial rows moved to the Pascal recurrence and the
+# efficiency pass to vectorized row dots (last-bit changes; see CHANGES.md).
 DIGESTS = {
-    "analyze": ("21ef335c9d8b3c903793971e6366d1e425f042dd3ce671806a8ef17dd114b434", None),
+    "analyze": ("c29338a5deb7e6a766e66cf43e3738effce7b0c750bbe0e0b2368f464d575e2b", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
-    "kstar": ("69bd200feaafef1e350f40bea0c20af6d2b4da433c9574ea1a5c062512672a1d", None),
+    "kstar": ("35876ba27b54372531188c3579199707204206086cd5d948de40c951fa302f28", None),
     "simulate-hol-cap-reps": (
         "590ecfbbd229bd9be7f2c0ae46ada19ad53cbf618dde73e16926dc221ba8c5c6", None),
     "simulate-idealized": (
@@ -64,7 +66,7 @@ DIGESTS = {
         "1d74770e1c4845a44d04237070ac42610e55f1a0950ea15e3da38ab4fe7564f6",
         "e37bbea894e3aafc40637a331d295d2d1a05cba71cecd614d14adf0f8d9ebfcd"),
     "simulate-reps": ("6facffc293dd7bd8627f54743bf9525de9651f9488d19b1fb7fa70d50cc433fb", None),
-    "sweep": ("2c8ab23185dfc43304f4ffb7036acd7ead042dbdcc55843413f632c698f3b77c", None),
+    "sweep": ("7484fcca11a3c0b53be2a8d027ac9e497ce3fb8d1b8ad2b7fa28bf05f18817fa", None),
 }
 
 

@@ -126,6 +126,16 @@ class TestStraggler:
         assert sm.v1 == 0.0
         assert sm.v2 == 0.0
 
+    def test_earlier_rounds_below_double_resolution(self):
+        # Finishing in one round is ~1e-24 likely against ~2e-8 for two, so
+        # p_y(2) / cdf(2) rounds to exactly 1 and nobody sits behind.
+        kern = make_kernel(0.375, 117, 1.0)
+        assert kern.p_y(2) / kern.absorption_cdf(2) == 1.0
+        sm = straggler_moments(kern, 3, 2)
+        v1 = sum(v * straggler_pmf(kern, 3, 2, v) for v in range(3))
+        assert sm.v1 == pytest.approx(v1, abs=1e-15)
+        assert sm.v2 == pytest.approx(v1, abs=1e-15)
+
     def test_zero_probability_conditioning_rejected(self):
         kern = make_kernel(0.0, 4, 1.25)
         with pytest.raises(ValueError):

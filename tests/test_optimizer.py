@@ -1,13 +1,15 @@
 """Sweeps, envelope smoothing, k* selection and the trade-off frontier."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
-from codedelay.kernel import build_kernel
+from codedelay.kernel import MAX_K, NumericalError, build_kernel
 from codedelay.optimizer import (
     SweepRecord,
     default_k_range,
@@ -16,7 +18,7 @@ from codedelay.optimizer import (
     sweep,
     tradeoff_curve,
 )
-from codedelay.params import derive_channel, derive_coding
+from codedelay.params import AssumptionWarning, derive_channel, derive_coding
 
 
 def std_channel(epsilon=0.1):
@@ -120,6 +122,62 @@ class TestSweep:
             sweep(ch, 1.25, k_range=[8, 8])
         with pytest.raises(ValueError):
             sweep(ch, 1.25, k_range=[16, 8])
+
+    def test_one_counted_assumption_warning(self):
+        ch = std_channel()  # BDP 100: R*k >= 100 from k = 80 at R = 1.25
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(ch, 1.25, k_range=[8, 64, 80, 90])
+        assert [str(w.message) for w in caught] == [
+            "R*k >= BDP (100) at 2 of 4 grid points (k >= 80); the delay model is loose there"]
+        assert caught[0].category is AssumptionWarning
+        assert caught[0].filename == __file__
+        with pytest.warns(AssumptionWarning, match="is not smaller than the BDP"):
+            derive_coding(ch, 80, R=1.25)
+
+    def test_no_warning_inside_the_bdp(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep(std_channel(), 1.25, k_range=[8, 16])
+
+
+@pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+class TestSharedKernel:
+    """A sweep's sliced kernel against a standalone evaluation at each k."""
+
+    @given(eps=st.floats(0.0, 0.4), R=st.floats(1.0, 2.5),
+           ks=st.lists(st.integers(1, 256), min_size=1, max_size=6, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_k_evaluation(self, eps, R, ks):
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, rtt=0.3)
+        ks = sorted(ks)
+        codings = [derive_coding(ch, k, R=R) for k in ks]
+        shared = build_kernel(ch, codings[-1], ks)
+        records = sweep(ch, R, k_range=ks)
+        for cd, rec in zip(codings, records):
+            try:
+                alone = build_kernel(ch, cd)
+            except NumericalError as exc:
+                assert rec.error == str(exc)
+                continue
+            sliced = shared.block(cd)
+            np.testing.assert_array_equal(sliced.matrix, alone.matrix)
+            np.testing.assert_array_equal(sliced.absorbed_received, alone.absorbed_received)
+            assert sliced.horizon == alone.horizon
+            dm = expected_delay(ch, cd, alone)
+            assert rec.error is None
+            assert rec.mean == pytest.approx(dm.mean, rel=1e-12)
+            assert rec.std == pytest.approx(math.sqrt(dm.variance), rel=1e-12)
+            assert rec.eta == pytest.approx(efficiency(alone).eta, rel=1e-13)
+
+    def test_oversized_points_fail_alone(self):
+        ch = std_channel()
+        with_big = sweep(ch, 1.25, k_range=[8, 16, 5000, 9000])
+        assert with_big[:2] == sweep(ch, 1.25, k_range=[8, 16])
+        for rec in with_big[2:]:
+            assert rec.error == f"k = {rec.k} exceeds the supported maximum {MAX_K}"
+            assert (rec.b, rec.R, rec.bdp) == (0, 1.25, 100)
+            assert math.isnan(rec.mean) and math.isnan(rec.std) and math.isnan(rec.eta)
 
 
 class TestDefaultKRange:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codedelay.params import (
+    MAX_BDP,
+    MAX_ROUND_PACKETS,
     AssumptionWarning,
     coded_count_distribution,
     derive_channel,
@@ -64,6 +66,13 @@ class TestDeriveChannel:
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError, match="must be"):
             derive_channel(**kwargs)
+
+    def test_bdp_bound(self):
+        assert derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=MAX_BDP * 1e-3).bdp == MAX_BDP
+        with pytest.raises(ValueError, match="bandwidth-delay product must be at most"):
+            derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=MAX_BDP * 1e-3 * 1.001)
+        with pytest.raises(ValueError, match="rtt 1e\\+300"):
+            derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=1e300)
 
     def test_rtt_shorter_than_slot_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +200,16 @@ class TestDeriveCoding:
     def test_rejects_non_finite_and_non_integral(self, k, kwargs, match):
         with pytest.raises(ValueError, match=match):
             derive_coding(std_channel(), k, **kwargs)
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    def test_rejects_oversized_rounds(self):
+        ch = std_channel()
+        at_bound = derive_coding(ch, 16, R=MAX_ROUND_PACKETS / 16)
+        assert at_bound.n_k_high == MAX_ROUND_PACKETS
+        with pytest.raises(ValueError, match=r"R\*k must be at most 65536 .* from margin"):
+            derive_coding(ch, 16, margin=1e300)
+        with pytest.raises(ValueError, match=r"R\*k must be at most"):
+            derive_coding(ch, MAX_ROUND_PACKETS + 1, R=1.0)
 
     def test_integral_float_k_accepted(self):
         ch = std_channel()

@@ -10,7 +10,7 @@ import pytest
 
 import codedelay.simulator as simulator
 from codedelay.delay import expected_delay
-from codedelay.params import derive_channel, derive_coding
+from codedelay.params import MAX_ROUND_PACKETS, derive_channel, derive_coding
 from codedelay.simulator import (
     SimConfig,
     replicate,
@@ -138,6 +138,21 @@ class TestChunking:
         small = run_coded(cfg)
         assert small.n_delays == big.n_delays
         assert small.mean_delay == pytest.approx(big.mean_delay, rel=0.03)
+
+    def test_round1_block_stays_under_the_element_budget(self):
+        # the seeded golden cases send at most ~20 packets in round 1
+        assert simulator._chunk_rows(64) == simulator._CHUNK
+        big = MAX_ROUND_PACKETS + 1
+        assert simulator._chunk_rows(big) * big <= simulator._CHUNK_ELEMENTS
+        assert simulator._chunk_rows(10 ** 9) == 1
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    def test_large_redundancy_runs_in_smaller_blocks(self):
+        ch = std_channel()
+        cd = derive_coding(ch, 4, R=3000.0)  # 12000 packets per round 1
+        assert simulator._chunk_rows(cd.n_k_high) < simulator._CHUNK
+        st = run_coded(SimConfig(channel=ch, coding=cd, n_packets=4000, seed=3))
+        assert st.n_delays > 0 and math.isfinite(st.mean_delay)
 
 
 class TestInOrderDelivery:
