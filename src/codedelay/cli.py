@@ -113,6 +113,9 @@ def _guard(f):
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
+        except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
+            click.echo(f"numerical failure: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
         except ValueError as exc:
             raise click.UsageError(str(exc))
 
@@ -141,10 +144,17 @@ def _build_coding(channel, k, redundancy, margin):
     return derive_coding(channel, k, R=redundancy, margin=margin)
 
 
+def _open_output(path, option):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {option} {path}: {exc.strerror}")
+
+
 def _emit(table, fmt, out):
     text = table.to_csv() if fmt == "csv" else table.to_json()
     if out:
-        with open(out, "w") as fh:
+        with _open_output(out, "--out") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
@@ -167,11 +177,7 @@ def _parse_k_grid(text, channel):
 @click.group()
 @click.version_option(package_name="codedelay")
 def main():
-    """Closed-form delay and efficiency of coded transport, with simulators.
-
-    Workers for sweep-style commands are capped by the CODEDELAY_THREADS
-    environment variable (default 1).
-    """
+    """Closed-form delay and efficiency of coded transport, with simulators."""
 
 
 @main.command()
@@ -294,7 +300,7 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
                     collect_records=trace is not None)
     stats = replicate(cfg, reps)
     if trace is not None:
-        with open(trace, "w") as fh:
+        with _open_output(trace, "--trace") as fh:
             trace_csv(stats, cfg, fh)
     table = OutputTable(
         ["mode", "k", "R", "n_packets", "seed", "reps", "mean_s", "std_s",

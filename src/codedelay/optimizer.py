@@ -8,9 +8,7 @@ raw means are always kept alongside.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -60,18 +58,6 @@ def default_k_range(channel, points=DEFAULT_K_POINTS):
     return [int(v) for v in np.unique(np.round(grid).astype(np.int64))]
 
 
-def _thread_count(threads):
-    if threads is not None:
-        return max(int(threads), 1)
-    env = os.environ.get("CODEDELAY_THREADS")
-    if env is None or env == "":
-        return 1
-    try:
-        return max(int(env), 1)
-    except ValueError:
-        raise ValueError(f"CODEDELAY_THREADS must be an integer, got {env!r}") from None
-
-
 def _failed_record(channel, R, k, message):
     return SweepRecord(k=k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
                        mean=float("nan"), std=float("nan"),
@@ -113,36 +99,26 @@ def _evaluate_point(channel, R, coding, kern, eff):
         return _failed_record(channel, R, coding.k, str(exc))
 
 
-def sweep(channel, R, k_range=None, threads=None):
+def sweep(channel, R, k_range=None):
     """Evaluate mean/std delay and efficiency at each k, in order.
 
     One kernel, built at the largest k, serves every point: each k reads its
     leading block, its own absorption cdf and its entry of one efficiency
-    pass. Points are otherwise independent; CODEDELAY_THREADS (or the threads
-    argument) turns on a parallel map over the delay sums with ordered
-    collection. A failing point yields a record with its error message
-    instead of aborting the sweep.
+    pass. A failing point yields a record with its error message instead of
+    aborting the sweep.
     """
     ks = list(k_range) if k_range is not None else default_k_range(channel)
     if not ks:
         raise ValueError("k_range must be nonempty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_range must be strictly ascending")
-    workers = _thread_count(threads)
     codings, errors = _grid_codings(channel, R, ks)
     done = {}
     if codings:
         kern = build_kernel(channel, codings[-1], [c.k for c in codings])
         eff = efficiency(kern)
-
-        def evaluate(coding):
-            return _evaluate_point(channel, R, coding, kern, eff)
-
-        if workers > 1 and len(codings) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                done = {rec.k: rec for rec in ex.map(evaluate, codings)}
-        else:
-            done = {rec.k: rec for rec in map(evaluate, codings)}
+        for coding in codings:
+            done[coding.k] = _evaluate_point(channel, R, coding, kern, eff)
     return [done[k] if k in done else _failed_record(channel, R, k, errors[k]) for k in ks]
 
 
@@ -171,9 +147,9 @@ def smooth_local_maxima(records):
     return out
 
 
-def k_star(channel, R, k_range=None, threads=None):
+def k_star(channel, R, k_range=None):
     """Smallest k minimizing the smoothed mean delay; returns (k, record)."""
-    records = smooth_local_maxima(sweep(channel, R, k_range, threads=threads))
+    records = smooth_local_maxima(sweep(channel, R, k_range))
     valid = [r for r in records if r.error is None]
     if not valid:
         raise ValueError("every sweep point failed; no k* exists")
@@ -184,8 +160,7 @@ def k_star(channel, R, k_range=None, threads=None):
     return winner.k, winner
 
 
-def tradeoff_curve(channel, margins, k_range=None, threads=None,
-                   arq_packets=200_000, seed=0):
+def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):
     """Delay/efficiency frontier: one k*-optimal point per margin.
 
     Appends the simulated SR-ARQ baseline as the eta = 1 corner so the curve
@@ -197,7 +172,7 @@ def tradeoff_curve(channel, margins, k_range=None, threads=None,
     points = []
     for x in margins:
         R = redundancy_from_margin(x, channel.epsilon)
-        _, rec = k_star(channel, R, k_range, threads=threads)
+        _, rec = k_star(channel, R, k_range)
         points.append(TradeoffPoint(kind="coded", margin=float(x), R=R,
                                     k=rec.k, eta=rec.eta, mean=rec.mean,
                                     std=rec.std))

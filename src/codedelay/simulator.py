@@ -18,6 +18,15 @@ and beta, so times are tracked as integer pairs and only converted to floats
 for comparisons and reporting. That keeps the lossless case exact and avoids
 cancellation when a run spans millions of slots.
 
+The engines differ only in how rounds are scheduled on the link and in which
+earlier generation can block a generation; both hand their blocks of
+generations to one delivery pass, _Delivery, which turns decode and blocker
+instants into per-packet delays, statistics and the trace, and owns the
+warm-up margins. The idealized blocker is the latest decode among a window
+of previous generations. In relaxed mode every decode is a slot count plus
+exactly one hop, so the latest of all earlier decodes is the running maximum
+of the integer decode slots.
+
 Each quantity has one implementation. Transmit counts come from a per-run
 table of params.split_count(R, i) for i = 0..k; the vectorized site draws one
 uniform per active generation, the scalar sites draw only when the fraction
@@ -45,6 +54,7 @@ from .params import split_count
 _CHUNK = 4096
 _CHUNK_ELEMENTS = 1 << 22   # cap on one round-1 block of uniforms (32 MiB)
 _WARMUP_FACTOR = 5
+_NO_BLOCKER = -(1 << 60)    # blocker slot of a generation that nothing can block
 _ARQ_WARMUP_BDP = 10
 
 
@@ -191,6 +201,80 @@ def _chunk_rows(n_k_high):
     return max(1, min(_CHUNK, _CHUNK_ELEMENTS // n_k_high))
 
 
+class _Delivery:
+    """In-order delivery of one coded run, fed blocks of generations in order.
+
+    For each generation a block gives its start slot, systematic prefix s,
+    decode instant, the instant of the earlier generation that can block it
+    (_NO_BLOCKER when none can), its round count and its received count;
+    instants are an absolute slot and a hop count. Packet i < s arrives
+    (i+1)*t_s + t_p after the start, the rest are ready at decode, and a
+    packet whose own instant is earlier than the blocker's waits for it. The
+    comparison is in floats in the generation's own frame; delays stay
+    integer (slot, hop) pairs. Generations inside the warm-up and cool-down
+    margins count only in the trace.
+    """
+
+    def __init__(self, cfg):
+        k, b = cfg.coding.k, cfg.coding.b
+        self.n_gens = -(-cfg.n_packets // k)
+        self.warm = _WARMUP_FACTOR * b
+        if self.n_gens <= 2 * self.warm:
+            raise ValueError(
+                f"need more than {2 * self.warm} generations for warm-up and cool-down "
+                f"at b={b}; got {self.n_gens}")
+        self.k, self.t_s, self.t_p = k, cfg.channel.t_s, cfg.channel.t_p
+        self.acc = _PairStats(self.t_s, self.t_p)
+        self.rounds = np.zeros(0, dtype=np.int64)
+        self.received = 0
+        self.gens = 0
+        self.done = 0
+        self.trace_parts = [] if cfg.collect_records else None
+
+    def add(self, start, s, dec_slot, dec_hops, blk_slot, blk_hops, rounds, received):
+        """Deliver the next start.size generations; hop counts may be scalars."""
+        g = start.size
+        t_s, t_p = self.t_s, self.t_p
+        cols = np.arange(self.k)
+        prefix = cols[None, :] < s[:, None]
+        dec_rel = (dec_slot - start)[:, None]
+        dec_hops = np.broadcast_to(dec_hops, (g,))[:, None]
+        own_f = np.where(prefix, (cols[None, :] + 1) * t_s + t_p, dec_rel * t_s + dec_hops * t_p)
+        own_slot = np.where(prefix, cols[None, :] + 1, dec_rel)
+        own_hops = np.where(prefix, 1, dec_hops)
+        blk_rel = (blk_slot - start)[:, None]
+        blk_hops = np.broadcast_to(blk_hops, (g,))[:, None]
+        blocked = blk_rel * t_s + blk_hops * t_p > own_f
+        d_slot = np.where(blocked, blk_rel, own_slot) - cols[None, :]
+        d_hops = np.where(blocked, blk_hops, own_hops)
+
+        ids = np.arange(self.done, self.done + g)
+        window = (ids >= self.warm) & (ids < self.n_gens - self.warm)
+        if window.any():
+            self.acc.add(d_slot[window], d_hops[window])
+            self.received += int(received[window].sum())
+            self.gens += int(window.sum())
+            counts = np.bincount(rounds[window])
+            if counts.size > self.rounds.size:
+                self.rounds = np.pad(self.rounds, (0, counts.size - self.rounds.size))
+            self.rounds[:counts.size] += counts
+        if self.trace_parts is not None:
+            self.trace_parts.append((start[:, None] + cols[None, :], d_slot * t_s + d_hops * t_p))
+        self.done += g
+
+    def stats(self):
+        trace = None
+        if self.trace_parts is not None:
+            first, delay = (np.concatenate([a.ravel() for a in col]) for col in zip(*self.trace_parts))
+            trace = PacketTrace.build(first, delay, self.t_s, self.k)
+        return SimStats(mean_delay=self.acc.mean(), std_delay=self.acc.std(),
+                        mean_efficiency=self.k * self.gens / self.received,
+                        n_delays=self.acc.n,
+                        rounds_hist={int(y): int(c) for y, c in enumerate(self.rounds) if c},
+                        trace=trace, info_packets=self.k * self.gens,
+                        received_packets=self.received)
+
+
 def _run_idealized(cfg, rng):
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
@@ -198,29 +282,19 @@ def _run_idealized(cfg, rng):
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
     counts = _count_table(cd.R, k)
     count_lo, count_frac = (np.array(col) for col in zip(*counts))
-    blockers = cd.b - 1 if cfg.hol_cap is None else cfg.hol_cap
-    n_gens = -(-cfg.n_packets // k)
-    warm = _WARMUP_FACTOR * cd.b
-    if n_gens <= 2 * warm:
-        raise ValueError(
-            f"need more than {2 * warm} generations for warm-up and cool-down "
-            f"at b={cd.b}; got {n_gens}")
-
-    acc = _PairStats(t_s, t_p)
-    rounds = np.zeros(64, dtype=np.int64)
-    received_counted = 0
-    gens_counted = 0
-    trace_parts = [] if cfg.collect_records else None
+    out = _Delivery(cfg)
+    n_gens = out.n_gens
+    # no generation has more than n_gens - 1 earlier ones, so a larger cap
+    # changes nothing but the size of the carry and the window loop
+    blockers = min(cd.b - 1 if cfg.hol_cap is None else cfg.hol_cap, n_gens - 1)
 
     # carry: absolute decode slot and propagation-hop count per window generation
-    carry_slot = np.full(blockers, -(1 << 60), dtype=np.int64)
+    carry_slot = np.full(blockers, _NO_BLOCKER, dtype=np.int64)
     carry_beta = np.ones(blockers, dtype=np.int64)
     slot_offset = 0
-    done = 0
-    cols_k = np.arange(k)
     rows = _chunk_rows(hi)
-    while done < n_gens:
-        g = min(rows, n_gens - done)
+    while out.done < n_gens:
+        g = min(rows, n_gens - out.done)
         if frac > 0.0:
             n = lo + (rng.random(g) < frac).astype(np.int64)
         else:
@@ -267,24 +341,22 @@ def _run_idealized(cfg, rng):
                 active = active[l[active] > 0]
 
         start = slot_offset + np.concatenate(([0], np.cumsum(n[:-1])))
-        # decode instant relative to the generation's first slot:
         # y = 1 decodes at the k-th dof's arrival, later rounds land as bursts
         # costing 2*t_p each (retransmission slots are free in this mode).
-        dec_alpha = np.where(y == 1, dec_col + 1, n)
+        dec_slot = start + np.where(y == 1, dec_col + 1, n)
         dec_beta = 2 * y - 1
-        dec_slot_abs = start + dec_alpha
 
-        # head-of-line bound from the previous `blockers` generations
+        # head-of-line bound: the latest decode of the previous `blockers`
+        # generations, compared in each generation's own frame
         wf = np.full(g, -np.inf)
-        wa = np.full(g, -(1 << 60), dtype=np.int64)
+        wa = np.full(g, _NO_BLOCKER, dtype=np.int64)
         wb = np.zeros(g, dtype=np.int64)
         if blockers > 0:
-            all_slot = np.concatenate((carry_slot, dec_slot_abs))
+            all_slot = np.concatenate((carry_slot, dec_slot))
             all_beta = np.concatenate((carry_beta, dec_beta))
-            base = np.arange(blockers, blockers + g)
             for t in range(1, blockers + 1):
-                ca = all_slot[base - t]
-                cb = all_beta[base - t]
+                ca = all_slot[blockers - t:blockers - t + g]
+                cb = all_beta[blockers - t:blockers - t + g]
                 cf = (ca - start) * t_s + cb * t_p
                 upd = cf > wf
                 wf = np.where(upd, cf, wf)
@@ -293,46 +365,9 @@ def _run_idealized(cfg, rng):
             carry_slot = all_slot[-blockers:]
             carry_beta = all_beta[-blockers:]
 
-        # per-packet delivery, everything relative to each generation's start
-        prefix_mask = cols_k[None, :] < s[:, None]
-        arr_f = (cols_k[None, :] + 1) * t_s + t_p
-        own_f = np.where(prefix_mask,
-                         arr_f,
-                         (dec_alpha[:, None]) * t_s + dec_beta[:, None] * t_p)
-        own_alpha = np.where(prefix_mask, cols_k[None, :] + 1, dec_alpha[:, None])
-        own_beta = np.where(prefix_mask, 1, dec_beta[:, None])
-        blocked = (wf[:, None] > own_f)
-        del_alpha = np.where(blocked, (wa - start)[:, None], own_alpha)
-        del_beta = np.where(blocked, wb[:, None], own_beta)
-
-        gen_ids = np.arange(done, done + g)
-        window = (gen_ids >= warm) & (gen_ids < n_gens - warm)
-        if window.any():
-            acc.add((del_alpha - cols_k[None, :])[window], del_beta[window])
-            received_counted += int(received[window].sum())
-            gens_counted += int(window.sum())
-            yw = y[window]
-            if yw.max() >= rounds.size:
-                rounds = np.concatenate((rounds, np.zeros(int(yw.max()) + 1 - rounds.size, dtype=np.int64)))
-            rounds += np.bincount(yw, minlength=rounds.size)
-
-        if trace_parts is not None:
-            trace_parts.append((start[:, None] + cols_k[None, :],
-                                (del_alpha - cols_k[None, :]) * t_s + del_beta * t_p))
-
+        out.add(start, s, dec_slot, dec_beta, wa, wb, y, received)
         slot_offset += int(n.sum())
-        done += g
-
-    hist = {int(yy): int(c) for yy, c in enumerate(rounds) if c}
-    trace = None
-    if trace_parts is not None:
-        first, delay = (np.concatenate([a.ravel() for a in col]) for col in zip(*trace_parts))
-        trace = PacketTrace.build(first, delay, t_s, k)
-    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
-                    mean_efficiency=k * gens_counted / received_counted,
-                    n_delays=acc.n, rounds_hist=hist, trace=trace,
-                    info_packets=k * gens_counted,
-                    received_packets=received_counted)
+    return out.stats()
 
 
 def _run_relaxed(cfg, rng):
@@ -342,17 +377,12 @@ def _run_relaxed(cfg, rng):
     k, eps = cd.k, ch.epsilon
     t_s, t_p = ch.t_s, ch.t_p
     counts = _count_table(cd.R, k)
-    n_gens = -(-cfg.n_packets // k)
-    warm = _WARMUP_FACTOR * cd.b
-    if n_gens <= 2 * warm:
-        raise ValueError(
-            f"need more than {2 * warm} generations for warm-up and cool-down "
-            f"at b={cd.b}; got {n_gens}")
+    out = _Delivery(cfg)
+    n_gens = out.n_gens
 
     start = np.zeros(n_gens, dtype=np.int64)
     s_arr = np.zeros(n_gens, dtype=np.int64)
-    dec_alpha_abs = np.zeros(n_gens, dtype=np.int64)   # absolute decode slot
-    dec_beta = np.zeros(n_gens, dtype=np.int64)
+    dec_slot = np.zeros(n_gens, dtype=np.int64)   # absolute decode slot
     y_arr = np.zeros(n_gens, dtype=np.int64)
     received = np.zeros(n_gens, dtype=np.int64)
 
@@ -385,8 +415,7 @@ def _run_relaxed(cfg, rng):
             remaining = max(need - int(cum[-1]), 0)
             hit = -1 if remaining else int(np.searchsorted(cum, need))
         if remaining == 0:
-            dec_alpha_abs[j] = cursor + hit + 1
-            dec_beta[j] = 1
+            dec_slot[j] = cursor + hit + 1
         else:
             heapq.heappush(heap, ((cursor + n) * t_s + 2.0 * t_p, seq, j, remaining))
             seq += 1
@@ -405,50 +434,15 @@ def _run_relaxed(cfg, rng):
             s_arr[nxt] = int(np.argmin(sys_flags)) if not sys_flags.all() else k
             nxt += 1
 
-    # in-order delivery chained through every generation
-    acc = _PairStats(t_s, t_p)
-    rounds = {}
-    received_counted = 0
-    gens_counted = 0
-    cols_k = np.arange(k)
-    if cfg.collect_records:
-        trace_alpha = np.zeros((n_gens, k), dtype=np.int64)
-        trace_beta = np.zeros((n_gens, k), dtype=np.int64)
-    chain_f = -np.inf
-    chain_alpha = 0
-    chain_beta = 0
-    for j in range(n_gens):
-        rel_dec = dec_alpha_abs[j] - start[j]
-        dec_f = rel_dec * t_s + dec_beta[j] * t_p
-        arr_f = (cols_k + 1) * t_s + t_p
-        chain_rel_f = (chain_alpha - start[j]) * t_s + chain_beta * t_p if chain_f > -np.inf else -np.inf
-        own_f = np.where(cols_k < s_arr[j], arr_f, dec_f)
-        own_alpha = np.where(cols_k < s_arr[j], cols_k + 1, rel_dec)
-        own_beta = np.where(cols_k < s_arr[j], 1, dec_beta[j])
-        blocked = chain_rel_f > own_f
-        d_alpha = np.where(blocked, chain_alpha - start[j], own_alpha) - cols_k
-        d_beta = np.where(blocked, chain_beta, own_beta)
-        if dec_f >= chain_rel_f:
-            chain_f = dec_f
-            chain_alpha = dec_alpha_abs[j]
-            chain_beta = dec_beta[j]
-        if warm <= j < n_gens - warm:
-            acc.add(d_alpha, d_beta)
-            received_counted += int(received[j])
-            gens_counted += 1
-            rounds[int(y_arr[j])] = rounds.get(int(y_arr[j]), 0) + 1
-        if cfg.collect_records:
-            trace_alpha[j] = d_alpha
-            trace_beta[j] = d_beta
-    trace = None
-    if cfg.collect_records:
-        trace = PacketTrace.build((start[:, None] + cols_k).ravel(),
-                                  (trace_alpha * t_s + trace_beta * t_p).ravel(), t_s, k)
-    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
-                    mean_efficiency=k * gens_counted / received_counted,
-                    n_delays=acc.n, rounds_hist=dict(sorted(rounds.items())),
-                    trace=trace, info_packets=k * gens_counted,
-                    received_packets=received_counted)
+    # Every decode and first arrival is a slot count plus one hop, so the
+    # latest of all earlier decodes, the instant that blocks a generation,
+    # is the running maximum of the integer decode slots.
+    blk_slot = np.maximum.accumulate(np.concatenate(([_NO_BLOCKER], dec_slot[:-1])))
+    for lo in range(0, n_gens, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        out.add(start[part], s_arr[part], dec_slot[part], 1, blk_slot[part], 1,
+                y_arr[part], received[part])
+    return out.stats()
 
 
 def run_coded(config):

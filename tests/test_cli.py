@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import codedelay
 from codedelay.cli import main
@@ -81,6 +82,14 @@ class TestAnalyze:
                                    "--redundancy", "1.0"])
         assert res.exit_code == 3
 
+    def test_float_overflow_exits_3(self, runner):
+        # a 1.3e154 s slot is accepted, but its square overflows in the delay model
+        res = runner.invoke(main, ["analyze", "--epsilon", "0", "--rate-bps", "1e7",
+                                   "--packet-bits", "1.3407807929942597e+161", "--tp-s", "0.05",
+                                   "--k", "1", "--margin", "0"])
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: OverflowError" in res.output
+
 
 class TestFlagValidation:
     def test_redundancy_and_margin_are_exclusive(self, runner):
@@ -144,14 +153,29 @@ class TestFlagValidation:
         pytest.param(["analyze", "--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits",
                       "1e4", "--rtt-s", "1e300", "--k", "16", "--margin", "0.1"],
                      "rtt 1e+300", id="rtt-huge"),
+        pytest.param(["analyze", *CH, "--k", "16", "--margin", "0.1",
+                      "--out", "missing/x.csv"], "--out missing/x.csv", id="out-unwritable"),
+        pytest.param(SIM + ["--trace", "missing/x.csv"], "--trace missing/x.csv",
+                     id="trace-unwritable"),
     ])
-    def test_bad_input_exits_2_without_traceback(self, runner, argv, names):
+    def test_bad_input_exits_2_without_traceback(self, runner, argv, names, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where "missing/" does not exist
         t0 = time.perf_counter()
         res = runner.invoke(main, argv)
         assert time.perf_counter() - t0 < 2.0
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
         assert names in res.output
+
+    def test_hol_cap_beyond_the_run_is_the_full_window(self, runner):
+        # 2000 packets at k = 8 are 250 generations, so at most 249 earlier ones
+        t0 = time.perf_counter()
+        huge = runner.invoke(main, self.SIM + ["--hol-cap", str(10**12)])
+        assert time.perf_counter() - t0 < 2.0
+        full = runner.invoke(main, self.SIM + ["--hol-cap", "249"])
+        assert huge.exit_code == full.exit_code == 0, huge.output
+        assert huge.stdout_bytes == full.stdout_bytes
 
 
 class TestSweepCommand:
@@ -273,3 +297,52 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _either(draw, typical, wild):
+    """Mostly one of a few working values; one draw in six from `wild`."""
+    return draw(wild) if draw(st.integers(0, 5)) == 5 else draw(st.sampled_from(typical))
+
+
+def _pick(draw, first, second):
+    """argv for two alternative (flag, value thunk) pairs: one, the other, both or neither."""
+    chosen = draw(st.sampled_from([(0,)] * 4 + [(1,)] * 2 + [(0, 1), ()]))
+    pairs = [(first, second)[i] for i in chosen]
+    return [part for name, value in pairs for part in (name, str(value()))]
+
+
+@st.composite
+def _cli_argv(draw):
+    number = st.floats()  # NaN, +-inf, zero, negative and subnormal included
+    count = st.integers(-(2**70), 2**70)
+    command = draw(st.sampled_from(["analyze", "simulate"]))
+    argv = [command,
+            "--epsilon", str(_either(draw, [0.0, 0.1, 0.3], number)),
+            "--rate-bps", str(_either(draw, [1e7], number)),
+            "--packet-bits", str(_either(draw, [1e4], number)),
+            "--k", str(_either(draw, [1, 2, 8, 16, 64], st.integers(-3, 64)))]
+    argv += _pick(draw, ("--rtt-s", lambda: _either(draw, [0.1, 0.02], number)),
+                  ("--tp-s", lambda: _either(draw, [0.05], number)))
+    argv += _pick(draw, ("--margin", lambda: _either(draw, [0.0, 0.1], number)),
+                  ("--redundancy", lambda: _either(draw, [1.0, 1.25, 2.0], number)))
+    if command == "simulate":
+        argv += ["--n-packets", str(_either(draw, [2000, 20_000], st.integers(-10, 20_000))),
+                 "--seed", str(_either(draw, [0, 7], count))]
+        argv += draw(st.sampled_from([[], ["--mode", "idealized"], ["--mode", "relaxed"]]))
+        argv += draw(st.sampled_from([[], ["--real-codec"]]))
+        if draw(st.booleans()):
+            argv += ["--reps", str(_either(draw, [1, 2], st.integers(-2, 3)))]
+        if draw(st.booleans()):
+            argv += ["--hol-cap", str(_either(draw, [0, 10**12], count))]
+    return argv
+
+
+# derandomized: the suite runs the same examples every time, because a BDP
+# near its 10^7 limit at k = 1 makes one analyze call take over a minute
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=_cli_argv())
+def test_any_flags_exit_0_2_or_3_without_traceback(argv):
+    """Random analyze and simulate flags, valid or not, end in exit 0, 2 or 3."""
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code in (0, 2, 3), (res.output, repr(res.exception))
+    assert "Traceback" not in res.output

@@ -39,6 +39,25 @@ CASES = {
                                "--reps", "3", "--format", "json"], False),
     "compare-arq": (["compare-arq", *CH, "--k", "16", "--margin", "0.1",
                      "--n-packets", "5000", "--seed", "5"], False),
+    "simulate-relaxed-k1": (["simulate", *CH, "--k", "1", "--margin", "0.1",
+                             "--mode", "relaxed", "--n-packets", "2000",
+                             "--seed", "17"], True),
+    "simulate-relaxed-eps03": (["simulate", "--epsilon", "0.3", "--rate-bps", "1e7",
+                                "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "8",
+                                "--redundancy", "1.55", "--mode", "relaxed",
+                                "--n-packets", "4000", "--seed", "18"], True),
+    "simulate-idealized-full-window": (["simulate", *CH, "--k", "8", "--margin", "0.1",
+                                        "--hol-cap", "1000", "--n-packets", "4000",
+                                        "--seed", "19"], True),
+    "simulate-idealized-chunks": (["simulate", *CH, "--k", "2", "--margin", "0.1",
+                                   "--n-packets", "10000", "--seed", "22"], True),
+    "simulate-idealized-b1": (["simulate", "--epsilon", "0.1", "--rate-bps", "1e7",
+                               "--packet-bits", "1e4", "--rtt-s", "0.01", "--k", "16",
+                               "--margin", "0.1", "--n-packets", "2000",
+                               "--seed", "20"], True),
+    "simulate-relaxed-codec-seed21": (["simulate", *CH, "--k", "8", "--margin", "0.1",
+                                       "--mode", "relaxed", "--real-codec",
+                                       "--n-packets", "3000", "--seed", "21"], True),
     "analyze": (["analyze", *CH, "--k", "16", "--margin", "0.1"], False),
     "sweep": (["sweep", *CH, "--redundancy", "1.25", "--k-grid", "3,6,12,24"], False),
     "kstar": (["kstar", *CH, "--margin", "0.1", "--k-grid", "2,4,8,16,32,64"], False),
@@ -47,6 +66,9 @@ CASES = {
 # sha256 of (stdout, trace file) for each case. analyze, kstar and sweep were
 # re-recorded when binomial rows moved to the Pascal recurrence and the
 # efficiency pass to vectorized row dots (last-bit changes; see CHANGES.md).
+# The relaxed-k1, relaxed-eps03, idealized-full-window, idealized-chunks,
+# idealized-b1 and relaxed-codec-seed21 digests were recorded before the two
+# engines came to share one delivery pass, and that change kept them.
 DIGESTS = {
     "analyze": ("c29338a5deb7e6a766e66cf43e3738effce7b0c750bbe0e0b2368f464d575e2b", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
@@ -65,6 +87,24 @@ DIGESTS = {
     "simulate-relaxed-codec": (
         "1d74770e1c4845a44d04237070ac42610e55f1a0950ea15e3da38ab4fe7564f6",
         "e37bbea894e3aafc40637a331d295d2d1a05cba71cecd614d14adf0f8d9ebfcd"),
+    "simulate-idealized-b1": (
+        "a206c18bf6bd8dea95669bac8c2313b62440ece17918cb8ccf3426aa11003716",
+        "eb7a9572bb953fc3d99b83f0d406d5ed6e0872de40bbc19eced723fd046028a3"),
+    "simulate-idealized-chunks": (
+        "89bf3cb6a3d0b6269df3e2a4bb9d5615104312cfb20ca76d4dfa9d4ef94a5861",
+        "55f014d02bf2c7013fcaeaa23b89c0bed78afbbadcd3cb7a9da167541983b4dc"),
+    "simulate-idealized-full-window": (
+        "c8cc87b729d8a78f55a0c1095b4ea6b23310cc44efad16d84390d06c385c931f",
+        "141588c591206493dd42bfb103dab2a881308a2cc8fe032967da294886e9d4cf"),
+    "simulate-relaxed-codec-seed21": (
+        "edc85bc6a6997517aba8a6b1a09cb8f963c5c96c651a82e7981d4336fbc45a52",
+        "700f1e25499963e1470b272d6a1be637bffb7d4a60a9fff11ac82fb0ec161c0b"),
+    "simulate-relaxed-eps03": (
+        "03af0fc1f25e376ff544f1eecb6c4d5ee537782fa1347cb5476a116507ccfad2",
+        "8f1dcc4335204bfc505610319c43aa8342c15176dd5f2e61f5887e9893d941da"),
+    "simulate-relaxed-k1": (
+        "d14353ace1486bd71c272857f8e2c75be49149c9f35adb266ed81983192c24ac",
+        "9a22d5e8990c8c007bdc8c3dfb48440c45a08cedc52b423b987e393092b9bd54"),
     "simulate-reps": ("6facffc293dd7bd8627f54743bf9525de9651f9488d19b1fb7fa70d50cc433fb", None),
     "sweep": ("7484fcca11a3c0b53be2a8d027ac9e497ce3fb8d1b8ad2b7fa28bf05f18817fa", None),
 }

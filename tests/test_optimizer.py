@@ -88,24 +88,6 @@ class TestSweep:
         b = sweep(ch, 1.25, k_range=[4, 8, 16])
         assert a == b
 
-    def test_threaded_matches_serial(self):
-        ch = std_channel()
-        serial = sweep(ch, 1.25, k_range=[4, 8, 16, 32], threads=1)
-        threaded = sweep(ch, 1.25, k_range=[4, 8, 16, 32], threads=4)
-        assert serial == threaded
-
-    def test_env_var_thread_cap(self, monkeypatch):
-        ch = std_channel()
-        monkeypatch.setenv("CODEDELAY_THREADS", "3")
-        assert sweep(ch, 1.25, k_range=[4, 8]) == sweep(ch, 1.25, k_range=[4, 8],
-                                                        threads=1)
-
-    def test_malformed_env_var_rejected(self, monkeypatch):
-        ch = std_channel()
-        monkeypatch.setenv("CODEDELAY_THREADS", "many")
-        with pytest.raises(ValueError):
-            sweep(ch, 1.25, k_range=[4, 8])
-
     def test_failing_point_becomes_a_marker(self):
         ch = std_channel()
         records = sweep(ch, 1.25, k_range=[8, 5000])

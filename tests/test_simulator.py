@@ -170,6 +170,35 @@ class TestInOrderDelivery:
         slots = st.trace.delivered_slot
         assert np.all(np.diff(slots) >= -1e-6)
 
+    def test_relaxed_blocker_is_the_running_max_of_decode_slots(self):
+        # reference: the per-generation float chain the relaxed engine kept
+        # before its blocker became a running max, on decodes far apart
+        k, n_gens = 4, 400
+        cfg = make_config(k=k, n_packets=k * n_gens, seed=0, mode="relaxed",
+                          collect_records=True)
+        t_s, t_p = cfg.channel.t_s, cfg.channel.t_p
+        rng = np.random.default_rng(5)
+        start = np.cumsum(rng.integers(4, 9, n_gens))
+        dec_slot = start + rng.integers(1, 200, n_gens)
+        s = rng.integers(0, k + 1, n_gens)
+        out = simulator._Delivery(cfg)
+        blk = np.maximum.accumulate(np.concatenate(([simulator._NO_BLOCKER], dec_slot[:-1])))
+        out.add(start, s, dec_slot, 1, blk, 1, rng.integers(1, 4, n_gens),
+                rng.integers(k, 9, n_gens))
+
+        want = []
+        chain = None
+        for j in range(n_gens):
+            for i in range(k):
+                own = i + 1 if i < s[j] else dec_slot[j] - start[j]
+                if chain is not None and (chain - start[j]) * t_s + t_p > own * t_s + t_p:
+                    own = chain - start[j]
+                want.append((own - i) * t_s + t_p)
+            dec_f = (dec_slot[j] - start[j]) * t_s + t_p
+            if chain is None or dec_f >= (chain - start[j]) * t_s + t_p:
+                chain = dec_slot[j]
+        assert out.stats().trace.delay.tolist() == want
+
     @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
     def test_delivery_after_first_transmission(self, mode):
         cfg = make_config(k=8, n_packets=8_000, seed=33, mode=mode,
