@@ -11,8 +11,7 @@ parameterization.
 
 from .codec import (CodedPacket, DecoderState, encode, pack_packet,
                     systematic_packet, unpack_packet)
-from .delay import (DelayMoments, conditional_mean, conditional_second_moment,
-                    expected_delay)
+from .delay import DelayMoments, expected_delay
 from .efficiency import EfficiencyResult, efficiency, expected_received, \
     received_on_transition
 from .gf256 import gf_axpy, gf_dot_rows, gf_inv, gf_mul
@@ -36,8 +35,7 @@ __all__ = [
     "MAX_ROUND_PACKETS",
     "NumericalError", "PacketTrace", "PrefixMoments", "SimConfig", "SimStats",
     "StragglerMoments", "SweepRecord", "TradeoffPoint", "TransitionKernel",
-    "build_kernel", "coded_count_distribution", "conditional_mean",
-    "conditional_second_moment", "default_k_range", "derive_channel",
+    "build_kernel", "coded_count_distribution", "default_k_range", "derive_channel",
     "derive_coding", "efficiency", "encode", "expected_delay",
     "expected_received", "gf_axpy", "gf_dot_rows", "gf_inv", "gf_mul",
     "k_star", "pack_packet", "prefix_mgf", "prefix_moments",

@@ -93,24 +93,6 @@ def _case_second(y, z, k, n_k, t_s, t_p, pm, vm):
                            - 4.0 * (y - z) * (y + z - 1.0) * t_p ** 2) * pm.s2_1)
 
 
-def conditional_mean(y, z, channel, coding, kern, pm):
-    """Mean delay for the (Y=y, Z=z) cell, dispatching the four cases."""
-    if y < 1 or z < 1:
-        raise ValueError(f"round counts must be >= 1, got y={y}, z={z}")
-    vm = straggler_moments(kern, coding.b - 1, z) if z > 1 else None
-    return _case_mean(y, z, coding.k, coding.R * coding.k,
-                      channel.t_s, channel.t_p, pm, vm)
-
-
-def conditional_second_moment(y, z, channel, coding, kern, pm):
-    """Second moment of the delay for the (Y=y, Z=z) cell."""
-    if y < 1 or z < 1:
-        raise ValueError(f"round counts must be >= 1, got y={y}, z={z}")
-    vm = straggler_moments(kern, coding.b - 1, z) if z > 1 else None
-    return _case_second(y, z, coding.k, coding.R * coding.k,
-                        channel.t_s, channel.t_p, pm, vm)
-
-
 def expected_delay(channel, coding, kern=None, weight_threshold=WEIGHT_THRESHOLD):
     """Lower bound on the mean in-order delay and its variance.
 

@@ -30,9 +30,12 @@ of the integer decode slots.
 Each quantity has one implementation. Transmit counts come from a per-run
 table of params.split_count(R, i) for i = 0..k; the vectorized site draws one
 uniform per active generation, the scalar sites draw only when the fraction
-is nonzero. With the real codec, every round, first or retransmission, goes
-through _codec_round. Per-packet traces are a columnar PacketTrace of numpy
-arrays built from the engines' own delay arrays.
+is nonzero. With the real codec, each generation has a _RankTracker and
+every round, first or retransmission, goes through its round(): the
+coefficient block is drawn there and the rank over GF(2^8) is found by one
+elimination per round, with no payloads; it also counts the non-innovative
+packets that SimStats reports. Per-packet traces are a columnar PacketTrace
+of numpy arrays built from the engines' own delay arrays.
 
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
@@ -47,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import DecoderState, CodedPacket
+from .gf256 import INV, MUL
 from .kernel import MAX_ROUNDS, NumericalError
 from .params import split_count
 
@@ -114,6 +117,7 @@ class SimStats:
     trace: Optional[PacketTrace] = None
     info_packets: int = 0
     received_packets: int = 0
+    non_innovative: int = 0   # real codec: received coded packets that did not raise the rank
 
 
 def _rng_for(seed):
@@ -176,24 +180,79 @@ class _PairStats:
         return math.sqrt(max(var, 0.0))
 
 
-def _codec_round(rng, dec, flags, n_sys, k):
-    """Feed one round into a decoder with true GF(2^8) innovation checks.
+class _RankTracker:
+    """Rank over GF(2^8) of the packets one generation has received, a round at a time.
 
-    Slots below n_sys carry systematic packets 0..n_sys-1, the rest random
-    combinations. Coefficients are drawn for every coded slot, received or
-    not, because the sender draws them before the channel acts. Returns the
-    slot at which the rank reached k, or -1.
+    Systematic packets appear only in the first k slots of round 1, so they
+    set the rank to the number received and leave the set M of missing
+    columns; a coded row counts only through its projection onto M. Each
+    round stacks its received coded rows under the stored basis and
+    eliminates column by column, pivoting on the earliest row still free. A
+    row only ever gets earlier rows added to it, so the rank after row t is
+    the number of pivots at or before t, and the pivot that brings the rank
+    to k is the decode slot. The pivot rows are the next round's basis.
     """
-    coeffs = rng.integers(0, 256, size=(flags.shape[0] - n_sys, k), dtype=np.uint8)
-    empty = np.zeros(0, dtype=np.uint8)
-    for c in np.flatnonzero(flags).tolist():
-        if c < n_sys:
-            dec.ingest(CodedPacket(0, c, None, empty))
-        elif coeffs[c - n_sys].any():  # the zero combination carries nothing
-            dec.ingest(CodedPacket(0, None, coeffs[c - n_sys], empty))
-        if dec.rank >= k:
-            return c
-    return -1
+
+    def __init__(self, k):
+        self.k = k
+        self.rank = 0
+        self.non_innovative = 0   # coded rows fed before decode that left the rank as it was
+        self._missing = None
+        self._basis = None
+
+    def round(self, rng, flags, n_sys):
+        """Feed one round's receive flags; returns the slot where the rank reached k, or -1.
+
+        Slots below n_sys (k in round 1, 0 after) carry systematic packets
+        0..n_sys-1, the rest random combinations. Coefficients are drawn for
+        every coded slot, received or not, because the sender draws them
+        before the channel acts; the zero combination carries nothing.
+        """
+        k = self.k
+        coeffs = rng.integers(0, 256, size=(flags.shape[0] - n_sys, k), dtype=np.uint8)
+        if n_sys:
+            sys_flags = flags[:n_sys]
+            self.rank = int(np.count_nonzero(sys_flags))
+            if self.rank == k:
+                return k - 1   # the k-th systematic arrival
+            self._missing = np.flatnonzero(~sys_flags)
+            self._basis = np.zeros((0, self._missing.size), dtype=np.uint8)
+        slots = flags[n_sys:].nonzero()[0]
+        rows = coeffs[slots]
+        fed = rows.any(axis=1)
+        if not fed.all():
+            slots, rows = slots[fed], rows[fed]
+        if not slots.size:
+            return -1
+        held = self._basis.shape[0]
+        a = np.concatenate((self._basis, rows[:, self._missing]))
+        n_rows, width = a.shape
+        basis = np.zeros((min(n_rows, width), width), dtype=np.uint8)
+        pivots = []
+        for col in range(width):
+            column = a[:, col]
+            nz = column.nonzero()[0]
+            if not nz.size:
+                continue
+            p = nz[0]
+            prow = basis[len(pivots), col:]
+            prow[:] = a[p, col:]
+            pivots.append(p)
+            if len(pivots) == n_rows:
+                break
+            # Rows above p that are still free are zero in this column, and
+            # earlier pivot rows were zeroed when chosen, so clearing the
+            # column from every row adds p only to later rows and zeroes p
+            # itself, which takes it out of the free rows.
+            a[:, col:] ^= MUL[MUL[INV[prow[0]], column][:, None], prow]
+        self.rank = k - width + len(pivots)
+        if self.rank == k:
+            last = max(pivots)
+            self.non_innovative += last + 1 - width
+            return int(slots[last - held]) + n_sys
+        self.non_innovative += n_rows - len(pivots)
+        self._basis = basis[:len(pivots)]
+        return -1
 
 
 def _chunk_rows(n_k_high):
@@ -227,12 +286,18 @@ class _Delivery:
         self.acc = _PairStats(self.t_s, self.t_p)
         self.rounds = np.zeros(0, dtype=np.int64)
         self.received = 0
+        self.non_innovative = 0
         self.gens = 0
         self.done = 0
         self.trace_parts = [] if cfg.collect_records else None
 
-    def add(self, start, s, dec_slot, dec_hops, blk_slot, blk_hops, rounds, received):
-        """Deliver the next start.size generations; hop counts may be scalars."""
+    def add(self, start, s, dec_slot, dec_hops, blk_slot, blk_hops, rounds, received,
+            non_innovative=None):
+        """Deliver the next start.size generations; hop counts may be scalars.
+
+        non_innovative, given only by real-codec runs, holds each generation's
+        received coded packets that did not raise its rank before decode.
+        """
         g = start.size
         t_s, t_p = self.t_s, self.t_p
         cols = np.arange(self.k)
@@ -253,6 +318,8 @@ class _Delivery:
         if window.any():
             self.acc.add(d_slot[window], d_hops[window])
             self.received += int(received[window].sum())
+            if non_innovative is not None:
+                self.non_innovative += int(non_innovative[window].sum())
             self.gens += int(window.sum())
             counts = np.bincount(rounds[window])
             if counts.size > self.rounds.size:
@@ -272,7 +339,7 @@ class _Delivery:
                         n_delays=self.acc.n,
                         rounds_hist={int(y): int(c) for y, c in enumerate(self.rounds) if c},
                         trace=trace, info_packets=self.k * self.gens,
-                        received_packets=self.received)
+                        received_packets=self.received, non_innovative=self.non_innovative)
 
 
 def _run_idealized(cfg, rng):
@@ -309,18 +376,21 @@ def _run_idealized(cfg, rng):
         got1 = recv.sum(axis=1)
         received = got1.copy()
         y = np.ones(g, dtype=np.int64)
+        wasted = None
         if cfg.use_real_codec:
             dec_col = np.zeros(g, dtype=np.int64)
+            wasted = np.zeros(g, dtype=np.int64)
             for i in range(g):
-                dec = DecoderState(0, k, 0)
-                dec_col[i] = _codec_round(rng, dec, recv[i, :n[i]], k, k)
-                while dec.rank < k:
+                tracker = _RankTracker(k)
+                dec_col[i] = tracker.round(rng, recv[i, :n[i]], k)
+                while tracker.rank < k:
                     y[i] += 1
                     if y[i] > MAX_ROUNDS:
                         raise NumericalError("retransmission loop did not terminate")
-                    flags = rng.random(_draw_count(rng, counts, k - dec.rank)) >= eps
+                    flags = rng.random(_draw_count(rng, counts, k - tracker.rank)) >= eps
                     received[i] += int(flags.sum())
-                    _codec_round(rng, dec, flags, 0, k)
+                    tracker.round(rng, flags, 0)
+                wasted[i] = tracker.non_innovative
         else:
             cum = np.cumsum(recv, axis=1)
             dec_col = np.argmax(cum >= k, axis=1)
@@ -365,7 +435,7 @@ def _run_idealized(cfg, rng):
             carry_slot = all_slot[-blockers:]
             carry_beta = all_beta[-blockers:]
 
-        out.add(start, s, dec_slot, dec_beta, wa, wb, y, received)
+        out.add(start, s, dec_slot, dec_beta, wa, wb, y, received, wasted)
         slot_offset += int(n.sum())
     return out.stats()
 
@@ -385,11 +455,12 @@ def _run_relaxed(cfg, rng):
     dec_slot = np.zeros(n_gens, dtype=np.int64)   # absolute decode slot
     y_arr = np.zeros(n_gens, dtype=np.int64)
     received = np.zeros(n_gens, dtype=np.int64)
+    wasted = np.zeros(n_gens, dtype=np.int64) if cfg.use_real_codec else None
 
     # pending retransmissions: (available time, sequence, generation, dofs needed)
     heap = []
     seq = 0
-    decoders = {}
+    trackers = {}
     cursor = 0
     nxt = 0
     tol = 1e-9 * t_s
@@ -405,11 +476,13 @@ def _run_relaxed(cfg, rng):
             raise NumericalError("retransmission loop did not terminate")
         if cfg.use_real_codec:
             first = y_arr[j] == 1
-            dec = DecoderState(0, k, 0) if first else decoders.pop(j)
-            hit = _codec_round(rng, dec, flags, k if first else 0, k)
-            remaining = k - dec.rank
+            tracker = _RankTracker(k) if first else trackers.pop(j)
+            hit = tracker.round(rng, flags, k if first else 0)
+            remaining = k - tracker.rank
             if remaining:
-                decoders[j] = dec
+                trackers[j] = tracker
+            else:
+                wasted[j] = tracker.non_innovative
         else:
             cum = np.cumsum(flags)
             remaining = max(need - int(cum[-1]), 0)
@@ -441,7 +514,7 @@ def _run_relaxed(cfg, rng):
     for lo in range(0, n_gens, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         out.add(start[part], s_arr[part], dec_slot[part], 1, blk_slot[part], 1,
-                y_arr[part], received[part])
+                y_arr[part], received[part], None if wasted is None else wasted[part])
     return out.stats()
 
 
@@ -518,6 +591,7 @@ def replicate(config, reps, engine=run_coded):
              for st in stats) / n_total
     info = sum(st.info_packets for st in stats)
     recv = sum(st.received_packets for st in stats)
+    wasted = sum(st.non_innovative for st in stats)
     hist = {}
     for st in stats:
         for yy, c in (st.rounds_hist or {}).items():
@@ -530,7 +604,7 @@ def replicate(config, reps, engine=run_coded):
                     mean_efficiency=info / recv, n_delays=n_total,
                     replications=reps, se_mean=se,
                     rounds_hist=dict(sorted(hist.items())) or None,
-                    info_packets=info, received_packets=recv)
+                    info_packets=info, received_packets=recv, non_innovative=wasted)
 
 
 def trace_csv(stats, config, out):
@@ -553,4 +627,4 @@ def trace_csv(stats, config, out):
     out.write("packet_id,generation_id,first_tx_slot,delivered_slot,delay_s\n")
     t = stats.trace
     columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
-    out.writelines("%d,%d,%d,%r,%r\n" % row for row in zip(*(c.tolist() for c in columns)))
+    out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))

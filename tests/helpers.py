@@ -2,12 +2,15 @@
 
 The oracles here are implemented independently of the module under test:
 transition rows by exhaustive loss-pattern enumeration, and conditional delay
-moments by direct Monte-Carlo of the timing model bucketed on (y, z).
-`kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
+moments by direct Monte-Carlo of the timing model bucketed on (y, z), and
+the simulator's real-codec rank by feeding every packet to the payload
+decoder. `kernel_row` is not an oracle: it reads the kernel's own row for one
+(i, n).
 """
 
 import numpy as np
 
+from codedelay.codec import CodedPacket, DecoderState
 from codedelay.kernel import _binomial_rows, _pure_row
 from codedelay.params import coded_count_distribution
 
@@ -16,6 +19,40 @@ def kernel_row(i, n, p_success):
     """(row, absorbed_received) the kernel builds for state i when n >= i packets are sent."""
     laws = list(_binomial_rows(n, n + 1, p_success))
     return _pure_row(i, n, p_success, laws[n], laws[n - 1])
+
+
+class ReferenceTracker:
+    """A generation's rank over GF(2^8), one `DecoderState.ingest` per packet.
+
+    The simulator's real-codec round before it tracked the rank itself, with
+    the same interface as `simulator._RankTracker`: `round` draws the round's
+    coefficients the same way and returns the slot at which the rank reached
+    k, or -1; `non_innovative` counts coded packets fed before decode that did
+    not raise the rank.
+    """
+
+    def __init__(self, k):
+        self.k = k
+        self.dec = DecoderState(0, k, 0)
+        self.non_innovative = 0
+
+    @property
+    def rank(self):
+        return self.dec.rank
+
+    def round(self, rng, flags, n_sys):
+        k = self.k
+        coeffs = rng.integers(0, 256, size=(flags.shape[0] - n_sys, k), dtype=np.uint8)
+        empty = np.zeros(0, dtype=np.uint8)
+        for c in np.flatnonzero(flags).tolist():
+            if c < n_sys:
+                self.dec.ingest(CodedPacket(0, c, None, empty))
+            elif coeffs[c - n_sys].any():  # the zero combination carries nothing
+                if not self.dec.ingest(CodedPacket(0, None, coeffs[c - n_sys], empty)):
+                    self.non_innovative += 1
+            if self.dec.rank >= k:
+                return c
+        return -1
 
 
 def _loss_patterns(n, eps):

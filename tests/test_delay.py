@@ -4,9 +4,9 @@ import warnings
 
 import pytest
 
-from codedelay.delay import conditional_mean, conditional_second_moment, expected_delay
+from codedelay.delay import _case_mean, _case_second, expected_delay
 from codedelay.kernel import build_kernel
-from codedelay.moments import prefix_moments
+from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import AssumptionWarning, derive_channel, derive_coding
 
 from .helpers import conditional_delay_mc
@@ -30,6 +30,14 @@ def mc_cells(std_setup):
     return conditional_delay_mc(ch, cd, MC_TRIALS, seed=20240817)
 
 
+def cell_moments(y, z, setup):
+    """Closed-form mean and second moment of the (Y=y, Z=z) cell, as expected_delay weighs them."""
+    ch, cd, kern, pm = setup
+    vm = straggler_moments(kern, cd.b - 1, z) if z > 1 else None
+    args = (y, z, cd.k, cd.R * cd.k, ch.t_s, ch.t_p, pm, vm)
+    return _case_mean(*args), _case_second(*args)
+
+
 def test_lossless_closure():
     ch = derive_channel(0.0, rate=1e7, packet_size=1e4, rtt=0.1)
     cd = derive_coding(ch, 8, R=1.25)
@@ -47,14 +55,12 @@ def test_conditional_cells_track_monte_carlo(std_setup, mc_cells):
     percent; those get a one-sided band. The blocked cells (z > y) are exact
     apart from sampling noise and get a tight band.
     """
-    ch, cd, kern, pm = std_setup
-    k = cd.k
+    k = std_setup[1].k
     checked = 0
     for (y, z), (n_pkts, mc_mean, mc_m2) in sorted(mc_cells.items()):
         if n_pkts < MIN_CELL_GENS * k:
             continue
-        d1 = conditional_mean(y, z, ch, cd, kern, pm)
-        d2 = conditional_second_moment(y, z, ch, cd, kern, pm)
+        d1, d2 = cell_moments(y, z, std_setup)
         if z > y:
             assert d1 == pytest.approx(mc_mean, rel=0.01), (y, z)
             assert d2 == pytest.approx(mc_m2, rel=0.02), (y, z)
@@ -72,17 +78,8 @@ def test_conditional_cells_track_monte_carlo(std_setup, mc_cells):
 
 
 def test_conditional_mean_grows_with_round_count(std_setup):
-    ch, cd, kern, pm = std_setup
-    means = [conditional_mean(y, 1, ch, cd, kern, pm) for y in range(1, 5)]
+    means = [cell_moments(y, 1, std_setup)[0] for y in range(1, 5)]
     assert all(b > a for a, b in zip(means, means[1:]))
-
-
-def test_conditional_validation(std_setup):
-    ch, cd, kern, pm = std_setup
-    with pytest.raises(ValueError):
-        conditional_mean(0, 1, ch, cd, kern, pm)
-    with pytest.raises(ValueError):
-        conditional_second_moment(1, 0, ch, cd, kern, pm)
 
 
 def test_expected_delay_basic_properties(std_setup):

@@ -42,10 +42,16 @@ CASES = {
     "simulate-relaxed-k1": (["simulate", *CH, "--k", "1", "--margin", "0.1",
                              "--mode", "relaxed", "--n-packets", "2000",
                              "--seed", "17"], True),
+    "simulate-relaxed-codec-k1": (
+        "8e33baf9e81c793040200ecf74b784bc7ae2d8d07580050896d010fd031d3e58",
+        "5b84088dd7b43d5c2b690f0ee4ff7a1816006ba5f2fc17f0e50a5077846500b1"),
     "simulate-relaxed-eps03": (["simulate", "--epsilon", "0.3", "--rate-bps", "1e7",
                                 "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "8",
                                 "--redundancy", "1.55", "--mode", "relaxed",
                                 "--n-packets", "4000", "--seed", "18"], True),
+    "simulate-idealized-codec-k64": (
+        "438cd0394d7d85d31ab031d4aaccb47382034282247d8b67f2164cbbdb6c14bc",
+        "7550d87b2daf96e6614d4cdc8b3610597b7abd49c8ecb16dfcf71cfba2891085"),
     "simulate-idealized-full-window": (["simulate", *CH, "--k", "8", "--margin", "0.1",
                                         "--hol-cap", "1000", "--n-packets", "4000",
                                         "--seed", "19"], True),
@@ -58,6 +64,14 @@ CASES = {
     "simulate-relaxed-codec-seed21": (["simulate", *CH, "--k", "8", "--margin", "0.1",
                                        "--mode", "relaxed", "--real-codec",
                                        "--n-packets", "3000", "--seed", "21"], True),
+    "simulate-idealized-codec-k64": (["simulate", "--epsilon", "0.3", "--rate-bps", "1e7",
+                                      "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "64",
+                                      "--redundancy", "1.0", "--real-codec",
+                                      "--n-packets", "12000", "--seed", "23"], True),
+    "simulate-relaxed-codec-k1": (["simulate", "--epsilon", "0.45", "--rate-bps", "1e7",
+                                   "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "1",
+                                   "--margin", "0.1", "--mode", "relaxed", "--real-codec",
+                                   "--n-packets", "2000", "--seed", "24"], True),
     "analyze": (["analyze", *CH, "--k", "16", "--margin", "0.1"], False),
     "sweep": (["sweep", *CH, "--redundancy", "1.25", "--k-grid", "3,6,12,24"], False),
     "kstar": (["kstar", *CH, "--margin", "0.1", "--k-grid", "2,4,8,16,32,64"], False),
@@ -68,7 +82,10 @@ CASES = {
 # efficiency pass to vectorized row dots (last-bit changes; see CHANGES.md).
 # The relaxed-k1, relaxed-eps03, idealized-full-window, idealized-chunks,
 # idealized-b1 and relaxed-codec-seed21 digests were recorded before the two
-# engines came to share one delivery pass, and that change kept them.
+# engines came to share one delivery pass, and that change kept them. The
+# idealized-codec-k64 and relaxed-codec-k1 digests were recorded while the
+# real-codec rounds still fed a payload decoder packet by packet, and the rank
+# tracker that replaced it kept them.
 DIGESTS = {
     "analyze": ("c29338a5deb7e6a766e66cf43e3738effce7b0c750bbe0e0b2368f464d575e2b", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
@@ -93,12 +110,18 @@ DIGESTS = {
     "simulate-idealized-chunks": (
         "89bf3cb6a3d0b6269df3e2a4bb9d5615104312cfb20ca76d4dfa9d4ef94a5861",
         "55f014d02bf2c7013fcaeaa23b89c0bed78afbbadcd3cb7a9da167541983b4dc"),
+    "simulate-idealized-codec-k64": (
+        "438cd0394d7d85d31ab031d4aaccb47382034282247d8b67f2164cbbdb6c14bc",
+        "7550d87b2daf96e6614d4cdc8b3610597b7abd49c8ecb16dfcf71cfba2891085"),
     "simulate-idealized-full-window": (
         "c8cc87b729d8a78f55a0c1095b4ea6b23310cc44efad16d84390d06c385c931f",
         "141588c591206493dd42bfb103dab2a881308a2cc8fe032967da294886e9d4cf"),
     "simulate-relaxed-codec-seed21": (
         "edc85bc6a6997517aba8a6b1a09cb8f963c5c96c651a82e7981d4336fbc45a52",
         "700f1e25499963e1470b272d6a1be637bffb7d4a60a9fff11ac82fb0ec161c0b"),
+    "simulate-relaxed-codec-k1": (
+        "8e33baf9e81c793040200ecf74b784bc7ae2d8d07580050896d010fd031d3e58",
+        "5b84088dd7b43d5c2b690f0ee4ff7a1816006ba5f2fc17f0e50a5077846500b1"),
     "simulate-relaxed-eps03": (
         "03af0fc1f25e376ff544f1eecb6c4d5ee537782fa1347cb5476a116507ccfad2",
         "8f1dcc4335204bfc505610319c43aa8342c15176dd5f2e61f5887e9893d941da"),

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import codedelay.simulator as simulator
 from codedelay.delay import expected_delay
+from codedelay.gf256 import MUL
 from codedelay.params import MAX_ROUND_PACKETS, derive_channel, derive_coding
 from codedelay.simulator import (
     SimConfig,
@@ -18,6 +20,8 @@ from codedelay.simulator import (
     run_coded,
     trace_csv,
 )
+
+from .helpers import ReferenceTracker
 
 
 def std_channel(epsilon=0.1):
@@ -208,6 +212,117 @@ class TestInOrderDelivery:
         assert (st.trace.delay > 0).all()
 
 
+class _ScriptedCoefficients:
+    """Stands in for the generator of a real-codec round: hands out prepared coefficient rows."""
+
+    def __init__(self, mats):
+        self._mats = iter(mats)
+
+    def integers(self, low, high, size, dtype):
+        mat = next(self._mats)
+        assert (low, high, dtype, mat.shape) == (0, 256, np.uint8, size)
+        return mat.copy()
+
+
+def _coefficient_row(draw, k, earlier):
+    """One coded row: random, zero, sparse, or a scaled copy or combination of earlier rows."""
+    kinds = ["random", "zero", "sparse"] + (["copy", "combination"] if earlier else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        return np.array(draw(st.lists(st.integers(0, 255), min_size=k, max_size=k)), dtype=np.uint8)
+    if kind == "zero":
+        return np.zeros(k, dtype=np.uint8)
+    if kind == "sparse":
+        return np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 255]),
+                                      min_size=k, max_size=k)), dtype=np.uint8)
+    picks = range(1 if kind == "copy" else draw(st.integers(2, 3)))
+    row = np.zeros(k, dtype=np.uint8)
+    for _ in picks:
+        row ^= MUL[draw(st.integers(1, 255))][earlier[draw(st.integers(0, len(earlier) - 1))]]
+    return row
+
+
+@st.composite
+def _generation_rounds(draw):
+    """(k, [(receive flags, systematic slots, coded coefficient rows)]) for one generation."""
+    k = draw(st.integers(1, 10))
+    systematic = draw(st.sampled_from(["all", "none", "some"]))
+    if systematic == "some":
+        sys_flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    else:
+        sys_flags = [systematic == "all"] * k
+    earlier = []
+    rounds = []
+    for r in range(draw(st.integers(1, 6))):
+        n_sys = k if r == 0 else 0
+        n_coded = draw(st.integers(0, k + 2))
+        rows = [_coefficient_row(draw, k, earlier) for _ in range(n_coded)]
+        earlier += rows
+        received = draw(st.sampled_from(["mixed", "all", "none"]))
+        if received == "mixed":
+            coded_flags = draw(st.lists(st.booleans(), min_size=n_coded, max_size=n_coded))
+        else:
+            coded_flags = [received == "all"] * n_coded
+        flags = np.array((sys_flags if n_sys else []) + coded_flags, dtype=bool)
+        rounds.append((flags, n_sys, np.array(rows, dtype=np.uint8).reshape(n_coded, k)))
+    return k, rounds
+
+
+def _feed_both(k, rounds):
+    """Feed the rounds to the rank tracker and the decoder reference; compare after each."""
+    mats = [mat for _, _, mat in rounds]
+    new, ref = simulator._RankTracker(k), ReferenceTracker(k)
+    new_rng, ref_rng = _ScriptedCoefficients(mats), _ScriptedCoefficients(mats)
+    fed = 0
+    for flags, n_sys, _ in rounds:
+        if ref.rank >= k:
+            break
+        hit = new.round(new_rng, flags, n_sys)
+        assert hit == ref.round(ref_rng, flags, n_sys)
+        assert (new.rank, new.non_innovative) == (ref.rank, ref.non_innovative)
+        fed += 1
+    return fed, new
+
+
+class TestRankTracker:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_generation_rounds())
+    def test_matches_the_payload_decoder(self, case):
+        _feed_both(*case)
+
+    def test_basis_carried_over_many_rounds(self):
+        # no systematic packet arrives; two coded rows a round, the second of
+        # each round a scaled copy of the first, so the basis grows one row a
+        # round and the seventh round decodes
+        rng = np.random.default_rng(3)
+        k = 6
+        rounds = [(np.zeros(k, dtype=bool), k, np.zeros((0, k), dtype=np.uint8))]
+        for _ in range(7):
+            row = rng.integers(1, 256, size=k, dtype=np.uint8)
+            rounds.append((np.ones(2, dtype=bool), 0, np.stack([row, MUL[7][row]])))
+        fed, tracker = _feed_both(k, rounds)
+        assert fed == 7
+        assert tracker.rank == k
+        assert tracker.non_innovative == 5
+
+    def test_every_systematic_packet_decodes_at_the_kth(self):
+        k = 5
+        flags = np.ones(k + 3, dtype=bool)
+        coeffs = np.ones((3, k), dtype=np.uint8)
+        tracker = simulator._RankTracker(k)
+        assert tracker.round(_ScriptedCoefficients([coeffs]), flags, k) == k - 1
+        assert (tracker.rank, tracker.non_innovative) == (k, 0)
+
+    def test_rows_outside_the_missing_columns_carry_nothing(self):
+        # packet 1 is missing; the first coded row touches only received
+        # columns, the second is the zero combination and is not fed
+        k = 3
+        flags = np.array([True, False, True, True, True, True])
+        coeffs = np.array([[5, 0, 9], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
+        _, tracker = _feed_both(k, [(flags, k, coeffs)])
+        assert (tracker.rank, tracker.non_innovative) == (k, 1)
+
+
 class TestRealCodec:
     @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
     def test_tracks_rank_counting(self, mode):
@@ -219,6 +334,40 @@ class TestRealCodec:
         real = run_coded(make_config(seed=41, use_real_codec=True, **kw))
         assert real.mean_delay == pytest.approx(ideal.mean_delay, rel=0.03)
         assert real.mean_efficiency == pytest.approx(ideal.mean_efficiency, rel=0.02)
+
+    @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
+    @pytest.mark.parametrize("epsilon, k, margin", [(0.45, 1, 0.1), (0.3, 8, 0.0),
+                                                    (0.2, 16, 0.05)])
+    def test_engine_matches_the_decoder_reference(self, monkeypatch, mode, epsilon, k, margin):
+        cfg = make_config(epsilon=epsilon, k=k, margin=margin, mode=mode, n_packets=3000,
+                          seed=43, use_real_codec=True, collect_records=True)
+        got = run_coded(cfg)
+        monkeypatch.setattr(simulator, "_RankTracker", ReferenceTracker)
+        want = run_coded(cfg)
+        assert dataclasses.replace(got, trace=None) == dataclasses.replace(want, trace=None)
+        for field in dataclasses.fields(got.trace):
+            name = field.name
+            assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name)), name
+
+    def test_non_innovative_counts_dependent_rows(self):
+        # at R = 1 a round sends exactly the dofs missing, so every received
+        # packet is fed before decode and either adds a dof or is counted;
+        # over 2000 generations of k = 8 some coded rows are dependent
+        ch = std_channel(0.3)
+        cfg = SimConfig(channel=ch, coding=derive_coding(ch, 8, R=1.0), n_packets=16_000,
+                        seed=44, use_real_codec=True)
+        st_ = run_coded(cfg)
+        assert st_.non_innovative > 0
+        assert st_.received_packets == st_.info_packets + st_.non_innovative
+
+    @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
+    def test_lossless_run_has_no_non_innovative_packets(self, mode):
+        cfg = make_config(epsilon=0.0, k=8, mode=mode, n_packets=3000, seed=45,
+                          use_real_codec=True)
+        assert run_coded(cfg).non_innovative == 0
+
+    def test_rank_counting_reports_none(self):
+        assert run_coded(make_config(k=8, n_packets=3000, seed=46)).non_innovative == 0
 
 
 class TestReplicate:
@@ -246,6 +395,18 @@ class TestReplicate:
         cfg = make_config(k=8, n_packets=2000, seed=7)
         with pytest.raises(ValueError):
             replicate(cfg, 0)
+
+    def test_non_innovative_is_summed(self):
+        cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=4000, seed=8,
+                          use_real_codec=True)
+        runs = []
+
+        def engine(sub):
+            runs.append(run_coded(sub))
+            return runs[-1]
+
+        pooled = replicate(cfg, 3, engine=engine)
+        assert pooled.non_innovative == sum(r.non_innovative for r in runs)
 
 
 class TestArq:
