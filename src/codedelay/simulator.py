@@ -13,29 +13,28 @@ relaxed mode drops both: retransmissions occupy real slots on the shared link
 (with priority over new generations) and delivery chains through every
 earlier generation.
 
-Every event time in either mode is alpha*t_s + beta*t_p with integer alpha
-and beta, so times are tracked as integer pairs and only converted to floats
-for comparisons and reporting. That keeps the lossless case exact and avoids
-cancellation when a run spans millions of slots.
+Losses are i.i.d. per slot, so a generation's rounds depend only on its own
+draws, never on when they are sent. One trajectory stream, _trajectories,
+draws them in generation order, and the same seed gives the same rounds in
+both modes; the modes differ only in their timing map. The idealized map
+adds 2*t_p per extra round. The relaxed map, _link_slots, is an integer
+schedule: a round ending at slot e frees its retransmission from slot
+e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue.
 
-The engines differ only in how rounds are scheduled on the link and in which
-earlier generation can block a generation; both hand their blocks of
-generations to one delivery pass, _Delivery, which turns decode and blocker
-instants into per-packet delays, statistics and the trace, and owns the
-warm-up margins. The idealized blocker is the latest decode among a window
-of previous generations. In relaxed mode every decode is a slot count plus
-exactly one hop, so the latest of all earlier decodes is the running maximum
-of the integer decode slots.
+Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
+times are integer pairs converted to floats only for comparisons and
+reporting; the lossless case stays exact and a run spanning millions of
+slots loses nothing to cancellation. Both maps feed one delivery pass,
+_Delivery, which turns decode and blocker instants into per-packet delays,
+statistics and the trace, and owns the warm-up margins. The idealized
+blocker is the latest decode among a window of previous generations; in
+relaxed mode every decode is a slot count plus one hop, so the blocker is
+the running maximum of the integer decode slots.
 
-Each quantity has one implementation. Transmit counts come from a per-run
-table of params.split_count(R, i) for i = 0..k; the vectorized site draws one
-uniform per active generation, the scalar sites draw only when the fraction
-is nonzero. With the real codec, each generation has a _RankTracker and
-every round, first or retransmission, goes through its round(): the
-coefficient block is drawn there and the rank over GF(2^8) is found by one
-elimination per round, with no payloads; it also counts the non-innovative
-packets that SimStats reports. Per-packet traces are a columnar PacketTrace
-of numpy arrays built from the engines' own delay arrays.
+With the real codec, every round of a generation goes through its
+_RankTracker, which draws the round's coefficient block and finds the rank
+over GF(2^8) by one elimination per round, with no payloads, counting the
+non-innovative packets that SimStats reports.
 
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
@@ -45,7 +44,8 @@ set of seeded CLI runs.
 
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -122,17 +122,6 @@ class SimStats:
 
 def _rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def _count_table(R, k):
-    """split_count(R, i) for i = 0..k: the (floor, fraction) transmit count per dofs needed."""
-    return [split_count(R, i) for i in range(k + 1)]
-
-
-def _draw_count(rng, counts, need):
-    """Transmit count for `need` dofs; draws a uniform only when R*need is fractional."""
-    n, frac = counts[need]
-    return n + (rng.random() < frac) if frac > 0.0 else n
 
 
 class _PairStats:
@@ -342,13 +331,92 @@ class _Delivery:
                         received_packets=self.received, non_innovative=self.non_innovative)
 
 
-def _run_idealized(cfg, rng):
+_Trajectories = namedtuple("_Trajectories", "n s y hit received non_innovative retx")
+
+
+def _trajectories(cfg, rng, n_gens):
+    """Draw the rounds of generations 0..n_gens-1, yielding _Trajectories of _chunk_rows of them.
+
+    Each field has one entry per generation of the block: n is the round-1
+    size, s the systematic prefix received, y the round count, hit the slot
+    within the last round where the k-th dof arrived, received every arrival,
+    and non_innovative (real codec only, else None) the received coded
+    packets that did not raise the rank before decode. retx lists the sizes
+    of rounds 2..y, one generation after the other. Round 1 is one matrix of
+    uniforms per block; rank counting draws each retransmission round for
+    all generations still short of k dofs at once.
+    """
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
-    t_s, t_p = ch.t_s, ch.t_p
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
-    counts = _count_table(cd.R, k)
+    counts = [split_count(cd.R, i) for i in range(k + 1)]   # (floor, fraction) per dofs needed
     count_lo, count_frac = (np.array(col) for col in zip(*counts))
+    rows = _chunk_rows(hi)
+    for done in range(0, n_gens, rows):
+        g = min(rows, n_gens - done)
+        if frac > 0.0:
+            n = lo + (rng.random(g) < frac).astype(np.int64)
+        else:
+            n = np.full(g, lo, dtype=np.int64)
+        u = rng.random((g, hi))
+        recv = (u >= eps) & (np.arange(hi)[None, :] < n[:, None])
+        fails = ~recv[:, :k]
+        s = np.where(fails.any(axis=1), fails.argmax(axis=1), k)
+        received = recv.sum(axis=1)
+        y = np.ones(g, dtype=np.int64)
+        wasted = None
+        if cfg.use_real_codec:
+            hit = np.zeros(g, dtype=np.int64)
+            wasted = np.zeros(g, dtype=np.int64)
+            retx = []
+            for i in range(g):
+                tracker = _RankTracker(k)
+                hit[i] = tracker.round(rng, recv[i, :n[i]], k)
+                while tracker.rank < k:
+                    y[i] += 1
+                    if y[i] > MAX_ROUNDS:
+                        raise NumericalError("retransmission loop did not terminate")
+                    need = k - tracker.rank
+                    size = count_lo[need]
+                    if count_frac[need] > 0.0:   # a uniform only when R*need is fractional
+                        size += rng.random() < count_frac[need]
+                    flags = rng.random(size) >= eps
+                    received[i] += int(flags.sum())
+                    hit[i] = tracker.round(rng, flags, 0)
+                    retx.append(size)
+                wasted[i] = tracker.non_innovative
+            retx = np.array(retx, dtype=np.int64)
+        else:
+            hit = np.argmax(np.cumsum(recv, axis=1) >= k, axis=1)
+            l = np.maximum(k - received, 0)
+            active = np.flatnonzero(l)
+            sent = [(np.zeros(0, dtype=np.int64),) * 2]   # (generations, sizes) per round
+            r = 1
+            while active.size:
+                r += 1
+                if r > MAX_ROUNDS:
+                    raise NumericalError("retransmission loop did not terminate")
+                need = l[active]
+                nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
+                u2 = rng.random((active.size, int(nl.max())))
+                cum = np.cumsum((u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None]),
+                                axis=1)
+                got = cum[:, -1]
+                fin = got >= need
+                hit[active[fin]] = np.argmax(cum[fin] >= need[fin, None], axis=1)
+                received[active] += got
+                l[active] = np.maximum(need - got, 0)
+                y[active] = r
+                sent.append((active, nl))
+                active = active[~fin]
+            gens, sizes = (np.concatenate(col) for col in zip(*sent))
+            retx = sizes[np.argsort(gens, kind="stable")]
+        yield _Trajectories(n, s, y, hit, received, wasted, retx)
+
+
+def _run_idealized(cfg, rng):
+    ch, cd = cfg.channel, cfg.coding
+    t_s, t_p = ch.t_s, ch.t_p
     out = _Delivery(cfg)
     n_gens = out.n_gens
     # no generation has more than n_gens - 1 earlier ones, so a larger cap
@@ -359,61 +427,12 @@ def _run_idealized(cfg, rng):
     carry_slot = np.full(blockers, _NO_BLOCKER, dtype=np.int64)
     carry_beta = np.ones(blockers, dtype=np.int64)
     slot_offset = 0
-    rows = _chunk_rows(hi)
-    while out.done < n_gens:
-        g = min(rows, n_gens - out.done)
-        if frac > 0.0:
-            n = lo + (rng.random(g) < frac).astype(np.int64)
-        else:
-            n = np.full(g, lo, dtype=np.int64)
-        u = rng.random((g, hi))
-        recv = (u >= eps) & (np.arange(hi)[None, :] < n[:, None])
-        sys_part = recv[:, :k]
-        fails = ~sys_part
-        any_fail = fails.any(axis=1)
-        s = np.where(any_fail, fails.argmax(axis=1), k)
-
-        got1 = recv.sum(axis=1)
-        received = got1.copy()
-        y = np.ones(g, dtype=np.int64)
-        wasted = None
-        if cfg.use_real_codec:
-            dec_col = np.zeros(g, dtype=np.int64)
-            wasted = np.zeros(g, dtype=np.int64)
-            for i in range(g):
-                tracker = _RankTracker(k)
-                dec_col[i] = tracker.round(rng, recv[i, :n[i]], k)
-                while tracker.rank < k:
-                    y[i] += 1
-                    if y[i] > MAX_ROUNDS:
-                        raise NumericalError("retransmission loop did not terminate")
-                    flags = rng.random(_draw_count(rng, counts, k - tracker.rank)) >= eps
-                    received[i] += int(flags.sum())
-                    tracker.round(rng, flags, 0)
-                wasted[i] = tracker.non_innovative
-        else:
-            cum = np.cumsum(recv, axis=1)
-            dec_col = np.argmax(cum >= k, axis=1)
-            l = np.maximum(k - got1, 0)
-            active = np.flatnonzero(l)
-            r = 1
-            while active.size:
-                r += 1
-                if r > MAX_ROUNDS:
-                    raise NumericalError("retransmission loop did not terminate")
-                need = l[active]
-                nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
-                u2 = rng.random((active.size, int(nl.max())))
-                got = ((u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None])).sum(axis=1)
-                received[active] += got
-                l[active] = np.maximum(l[active] - got, 0)
-                y[active] = r
-                active = active[l[active] > 0]
-
+    for n, s, y, hit, received, wasted, _ in _trajectories(cfg, rng, n_gens):
+        g = n.size
         start = slot_offset + np.concatenate(([0], np.cumsum(n[:-1])))
         # y = 1 decodes at the k-th dof's arrival, later rounds land as bursts
         # costing 2*t_p each (retransmission slots are free in this mode).
-        dec_slot = start + np.where(y == 1, dec_col + 1, n)
+        dec_slot = start + np.where(y == 1, hit + 1, n)
         dec_beta = 2 * y - 1
 
         # head-of-line bound: the latest decode of the previous `blockers`
@@ -440,81 +459,70 @@ def _run_idealized(cfg, rng):
     return out.stats()
 
 
-def _run_relaxed(cfg, rng):
-    import heapq
+def _link_slots(blocks, n_gens, t_s, t_p):
+    """Start and decode slot of every generation on relaxed mode's shared link.
 
-    ch, cd = cfg.channel, cfg.coding
-    k, eps = cd.k, ch.epsilon
-    t_s, t_p = ch.t_s, ch.t_p
-    counts = _count_table(cd.R, k)
-    out = _Delivery(cfg)
-    n_gens = out.n_gens
-
+    blocks yields the generations' _Trajectories in order. Feedback on a
+    round ending at slot e is back 2*t_p later, so the next round may start
+    from slot e + hold, hold = ceil(2*t_p/t_s - 1e-9). Each new generation
+    waits for every retransmission ready by its turn; once none is left the
+    link idles up to the next ready one. Ready slots rise in queueing order
+    (a later end slot plus the same hold), so the queue is a FIFO.
+    """
+    hold = math.ceil(2.0 * t_p / t_s - 1e-9)
     start = np.zeros(n_gens, dtype=np.int64)
-    s_arr = np.zeros(n_gens, dtype=np.int64)
-    dec_slot = np.zeros(n_gens, dtype=np.int64)   # absolute decode slot
-    y_arr = np.zeros(n_gens, dtype=np.int64)
-    received = np.zeros(n_gens, dtype=np.int64)
-    wasted = np.zeros(n_gens, dtype=np.int64) if cfg.use_real_codec else None
+    dec_slot = np.zeros(n_gens, dtype=np.int64)
+    queue = deque()   # (first slot it may start, generation, its rounds 2..y, next round, hit)
 
-    # pending retransmissions: (available time, sequence, generation, dofs needed)
-    heap = []
-    seq = 0
-    trackers = {}
-    cursor = 0
-    nxt = 0
-    tol = 1e-9 * t_s
-
-    def send_round(j, need):
-        """Send generation j's next round at `cursor`; returns its receive flags."""
-        nonlocal cursor, seq
-        n = _draw_count(rng, counts, need)
-        flags = rng.random(n) >= eps
-        received[j] += int(flags.sum())
-        y_arr[j] += 1
-        if y_arr[j] > MAX_ROUNDS:
-            raise NumericalError("retransmission loop did not terminate")
-        if cfg.use_real_codec:
-            first = y_arr[j] == 1
-            tracker = _RankTracker(k) if first else trackers.pop(j)
-            hit = tracker.round(rng, flags, k if first else 0)
-            remaining = k - tracker.rank
-            if remaining:
-                trackers[j] = tracker
-            else:
-                wasted[j] = tracker.non_innovative
-        else:
-            cum = np.cumsum(flags)
-            remaining = max(need - int(cum[-1]), 0)
-            hit = -1 if remaining else int(np.searchsorted(cum, need))
-        if remaining == 0:
+    def retransmit(cursor):
+        _, j, sizes, r, hit = queue.popleft()
+        if r + 1 == len(sizes):
             dec_slot[j] = cursor + hit + 1
         else:
-            heapq.heappush(heap, ((cursor + n) * t_s + 2.0 * t_p, seq, j, remaining))
-            seq += 1
-        cursor += n
-        return flags
+            queue.append((cursor + sizes[r] + hold, j, sizes, r + 1, hit))
+        return cursor + sizes[r]
 
-    while nxt < n_gens or heap:
-        if heap and (heap[0][0] <= cursor * t_s + tol or nxt >= n_gens):
-            avail, _, j, need = heapq.heappop(heap)
-            if avail > cursor * t_s + tol:
-                cursor = int(math.ceil(avail / t_s - 1e-9))
-            send_round(j, need)
-        else:
-            start[nxt] = cursor
-            sys_flags = send_round(nxt, k)[:k]
-            s_arr[nxt] = int(np.argmin(sys_flags)) if not sys_flags.all() else k
-            nxt += 1
+    cursor = lo = 0
+    for tr in blocks:
+        part = slice(lo, lo + tr.n.size)
+        retx = tr.retx.tolist()
+        first = []
+        prev = 0
+        for j, size, last, hit in zip(range(lo, part.stop), tr.n.tolist(),
+                                      np.cumsum(tr.y - 1).tolist(), tr.hit.tolist()):
+            while queue and queue[0][0] <= cursor:
+                cursor = retransmit(cursor)
+            first.append(cursor)
+            cursor += size
+            if last > prev:
+                queue.append((cursor + hold, j, retx[prev:last], 0, hit))
+                prev = last
+        start[part] = first
+        one = tr.y == 1
+        dec_slot[part][one] = start[part][one] + tr.hit[one] + 1
+        lo = part.stop
+    while queue:
+        cursor = retransmit(max(cursor, queue[0][0]))
+    return start, dec_slot
 
+
+def _run_relaxed(cfg, rng):
+    out = _Delivery(cfg)
+    kept = []   # what delivery needs of each block; the rest goes once it is scheduled
+
+    def blocks():
+        for tr in _trajectories(cfg, rng, out.n_gens):
+            kept.append((tr.s, tr.y, tr.received, tr.non_innovative))
+            yield tr
+
+    start, dec_slot = _link_slots(blocks(), out.n_gens, cfg.channel.t_s, cfg.channel.t_p)
     # Every decode and first arrival is a slot count plus one hop, so the
     # latest of all earlier decodes, the instant that blocks a generation,
     # is the running maximum of the integer decode slots.
     blk_slot = np.maximum.accumulate(np.concatenate(([_NO_BLOCKER], dec_slot[:-1])))
-    for lo in range(0, n_gens, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        out.add(start[part], s_arr[part], dec_slot[part], 1, blk_slot[part], 1,
-                y_arr[part], received[part], None if wasted is None else wasted[part])
+    for s, y, received, wasted in kept:
+        part = slice(out.done, out.done + s.size)
+        out.add(start[part], s, dec_slot[part], 1, blk_slot[part], 1, y, received, wasted)
     return out.stats()
 
 
@@ -579,11 +587,7 @@ def replicate(config, reps, engine=run_coded):
     children = np.random.SeedSequence(config.seed).spawn(reps)
     stats = []
     for ss in children:
-        sub_seed = ss.generate_state(1)[0]
-        sub = SimConfig(channel=config.channel, coding=config.coding,
-                        mode=config.mode, n_packets=config.n_packets,
-                        seed=int(sub_seed), use_real_codec=config.use_real_codec,
-                        hol_cap=config.hol_cap, collect_records=False)
+        sub = replace(config, seed=int(ss.generate_state(1)[0]), collect_records=False)
         stats.append(engine(sub))
     n_total = sum(st.n_delays for st in stats)
     mean = sum(st.mean_delay * st.n_delays for st in stats) / n_total
@@ -592,14 +596,8 @@ def replicate(config, reps, engine=run_coded):
     info = sum(st.info_packets for st in stats)
     recv = sum(st.received_packets for st in stats)
     wasted = sum(st.non_innovative for st in stats)
-    hist = {}
-    for st in stats:
-        for yy, c in (st.rounds_hist or {}).items():
-            hist[yy] = hist.get(yy, 0) + c
-    se = None
-    if reps >= 2:
-        means = np.array([st.mean_delay for st in stats])
-        se = float(means.std(ddof=1) / math.sqrt(reps))
+    hist = sum((Counter(st.rounds_hist or {}) for st in stats), Counter())
+    se = float(np.std([st.mean_delay for st in stats], ddof=1) / math.sqrt(reps))
     return SimStats(mean_delay=mean, std_delay=math.sqrt(max(m2 - mean * mean, 0.0)),
                     mean_efficiency=info / recv, n_delays=n_total,
                     replications=reps, se_mean=se,

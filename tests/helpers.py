@@ -2,17 +2,21 @@
 
 The oracles here are implemented independently of the module under test:
 transition rows by exhaustive loss-pattern enumeration, and conditional delay
-moments by direct Monte-Carlo of the timing model bucketed on (y, z), and
-the simulator's real-codec rank by feeding every packet to the payload
-decoder. `kernel_row` is not an oracle: it reads the kernel's own row for one
-(i, n).
+moments by direct Monte-Carlo of the timing model bucketed on (y, z), the
+simulator's real-codec rank by feeding every packet to the payload decoder,
+its rank-counting rounds by a scalar replay of their recorded uniforms, and
+the relaxed link schedule by a float event heap.
+`kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
+
+import heapq
+import math
 
 import numpy as np
 
 from codedelay.codec import CodedPacket, DecoderState
 from codedelay.kernel import _binomial_rows, _pure_row
-from codedelay.params import coded_count_distribution
+from codedelay.params import coded_count_distribution, split_count
 
 
 def kernel_row(i, n, p_success):
@@ -53,6 +57,108 @@ class ReferenceTracker:
             if self.dec.rank >= k:
                 return c
         return -1
+
+
+class RecordingRng:
+    """Passes random() through to a numpy generator and keeps every array it returns."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        self.draws.append(out)
+        return out
+
+
+def reference_trajectories(draws, coding, eps, g):
+    """(round sizes, hit, received, s) of each of g generations, from recorded uniforms.
+
+    Replays the uniforms the simulator's rank-counting rounds drew for one
+    block, generation by generation: the round-1 extra-slot uniforms (when
+    R*k is fractional) and slot matrix, then per retransmission round one
+    extra-slot uniform and one row of slot uniforms per generation still
+    short of k dofs, in generation order. Round 1 slots arrive when their
+    uniform is at least eps, retransmitted slots when it is below 1 - eps,
+    as the engine compares them. hit is the slot of the k-th dof within the
+    generation's last round.
+    """
+    k = coding.k
+    draws = iter(draws)
+    n = [coding.n_k_low] * g
+    if coding.frac > 0.0:
+        n = [coding.n_k_low + int(f < coding.frac) for f in next(draws)]
+    u = next(draws)
+    rounds = [[n_j] for n_j in n]
+    flags = [[bool(x >= eps) for x in u[j, :n[j]]] for j in range(g)]
+    s = [(f[:k] + [False]).index(False) for f in flags]
+    received = [sum(f) for f in flags]
+    need = [max(k - r, 0) for r in received]
+    hit = [0] * g
+
+    def kth(f, m):
+        return [i for i, x in enumerate(f) if x][m - 1]
+
+    for j in range(g):
+        if not need[j]:
+            hit[j] = kth(flags[j], k)
+    while any(need):
+        active = [j for j in range(g) if need[j]]
+        extra, slots = next(draws), next(draws)
+        for row, j in enumerate(active):
+            lo, frac = split_count(coding.R, need[j])
+            size = lo + int(extra[row] < frac)
+            f = [bool(x < 1.0 - eps) for x in slots[row, :size]]
+            rounds[j].append(size)
+            received[j] += sum(f)
+            if sum(f) >= need[j]:
+                hit[j] = kth(f, need[j])
+            need[j] = max(need[j] - sum(f), 0)
+    return rounds, hit, received, s
+
+
+def reference_relaxed_slots(rounds, hits, t_s, t_p):
+    """Start and decode slot of each generation on the relaxed mode's shared link.
+
+    The relaxed engine's scheduler before it became an integer FIFO: a float
+    heap of retransmissions keyed by the instant their feedback is back,
+    (end slot)*t_s + 2*t_p, compared with the cursor's instant under a
+    1e-9*t_s tolerance. rounds[j] lists generation j's round sizes, hits[j]
+    the slot of its k-th dof within its last round. A retransmission that is
+    available goes before the next new generation; when none is and no new
+    generation is left, the cursor jumps to the first slot at or after the
+    earliest availability.
+    """
+    n_gens = len(rounds)
+    start, dec = [0] * n_gens, [0] * n_gens
+    heap = []
+    seq = 0
+    cursor = 0
+    nxt = 0
+    tol = 1e-9 * t_s
+
+    def send_round(j, r):
+        nonlocal cursor, seq
+        n = rounds[j][r]
+        if r == len(rounds[j]) - 1:
+            dec[j] = cursor + hits[j] + 1
+        else:
+            heapq.heappush(heap, ((cursor + n) * t_s + 2.0 * t_p, seq, j, r + 1))
+            seq += 1
+        cursor += n
+
+    while nxt < n_gens or heap:
+        if heap and (heap[0][0] <= cursor * t_s + tol or nxt >= n_gens):
+            avail, _, j, r = heapq.heappop(heap)
+            if avail > cursor * t_s + tol:
+                cursor = int(math.ceil(avail / t_s - 1e-9))
+            send_round(j, r)
+        else:
+            start[nxt] = cursor
+            send_round(nxt, 0)
+            nxt += 1
+    return start, dec
 
 
 def _loss_patterns(n, eps):

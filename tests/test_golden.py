@@ -42,16 +42,10 @@ CASES = {
     "simulate-relaxed-k1": (["simulate", *CH, "--k", "1", "--margin", "0.1",
                              "--mode", "relaxed", "--n-packets", "2000",
                              "--seed", "17"], True),
-    "simulate-relaxed-codec-k1": (
-        "8e33baf9e81c793040200ecf74b784bc7ae2d8d07580050896d010fd031d3e58",
-        "5b84088dd7b43d5c2b690f0ee4ff7a1816006ba5f2fc17f0e50a5077846500b1"),
     "simulate-relaxed-eps03": (["simulate", "--epsilon", "0.3", "--rate-bps", "1e7",
                                 "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "8",
                                 "--redundancy", "1.55", "--mode", "relaxed",
                                 "--n-packets", "4000", "--seed", "18"], True),
-    "simulate-idealized-codec-k64": (
-        "438cd0394d7d85d31ab031d4aaccb47382034282247d8b67f2164cbbdb6c14bc",
-        "7550d87b2daf96e6614d4cdc8b3610597b7abd49c8ecb16dfcf71cfba2891085"),
     "simulate-idealized-full-window": (["simulate", *CH, "--k", "8", "--margin", "0.1",
                                         "--hol-cap", "1000", "--n-packets", "4000",
                                         "--seed", "19"], True),
@@ -80,12 +74,13 @@ CASES = {
 # sha256 of (stdout, trace file) for each case. analyze, kstar and sweep were
 # re-recorded when binomial rows moved to the Pascal recurrence and the
 # efficiency pass to vectorized row dots (last-bit changes; see CHANGES.md).
-# The relaxed-k1, relaxed-eps03, idealized-full-window, idealized-chunks,
-# idealized-b1 and relaxed-codec-seed21 digests were recorded before the two
-# engines came to share one delivery pass, and that change kept them. The
-# idealized-codec-k64 and relaxed-codec-k1 digests were recorded while the
-# real-codec rounds still fed a payload decoder packet by packet, and the rank
-# tracker that replaced it kept them.
+# The seven relaxed cases (relaxed, relaxed-codec, relaxed-codec-k1,
+# relaxed-codec-seed21, relaxed-eps03, relaxed-k1 and reps) were re-recorded
+# when the relaxed engine stopped drawing its own rounds and became a slot
+# schedule over the idealized engine's trajectories, which draws in
+# generation order (see CHANGES.md). Every idealized, hol-cap, chunk and
+# analytic digest was kept through that change, and through the earlier
+# shared delivery pass and GF(2^8) rank tracker.
 DIGESTS = {
     "analyze": ("c29338a5deb7e6a766e66cf43e3738effce7b0c750bbe0e0b2368f464d575e2b", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
@@ -99,11 +94,11 @@ DIGESTS = {
         "a4ed993cbd2957fd77b8bde83940632e8dbddbf9ff2a935c299cc4bec8672570",
         "81ebbda39d4bd0da23986c380263b3081e5c33c682259958fef7160e0050a421"),
     "simulate-relaxed": (
-        "9d3b60bc4d2407f007acc3f83a020a552aa5a56d7089568a92e2c7363d0c6dbe",
-        "3aa22ae6688cd5d63cb4004b379971a500d8df171e21831f9e9749d2ee934a86"),
+        "945df535f8f9032cd24dc6f8aa31b78c8feebac9936e1358b0f3192dc5d44010",
+        "931287f96e7c62dd01dae39388e98f114fe253418e4d83d188b52c02fb40b666"),
     "simulate-relaxed-codec": (
-        "1d74770e1c4845a44d04237070ac42610e55f1a0950ea15e3da38ab4fe7564f6",
-        "e37bbea894e3aafc40637a331d295d2d1a05cba71cecd614d14adf0f8d9ebfcd"),
+        "f05073fe1c6b0800341a3452b37b1cfab150af69fff78ee8176b237134c64654",
+        "5a74d5042189989dda252ea058c59fbb7742ceadc620beba467931e1ea07b530"),
     "simulate-idealized-b1": (
         "a206c18bf6bd8dea95669bac8c2313b62440ece17918cb8ccf3426aa11003716",
         "eb7a9572bb953fc3d99b83f0d406d5ed6e0872de40bbc19eced723fd046028a3"),
@@ -117,18 +112,18 @@ DIGESTS = {
         "c8cc87b729d8a78f55a0c1095b4ea6b23310cc44efad16d84390d06c385c931f",
         "141588c591206493dd42bfb103dab2a881308a2cc8fe032967da294886e9d4cf"),
     "simulate-relaxed-codec-seed21": (
-        "edc85bc6a6997517aba8a6b1a09cb8f963c5c96c651a82e7981d4336fbc45a52",
-        "700f1e25499963e1470b272d6a1be637bffb7d4a60a9fff11ac82fb0ec161c0b"),
+        "3bd682f274a60c731887ab195f4b8bea867e185719184b659748e50b423eacd2",
+        "b58e7c5a9acd6ba2c69964234a3f9946c78e6faf362a7097ee1e9ee59ec64723"),
     "simulate-relaxed-codec-k1": (
-        "8e33baf9e81c793040200ecf74b784bc7ae2d8d07580050896d010fd031d3e58",
-        "5b84088dd7b43d5c2b690f0ee4ff7a1816006ba5f2fc17f0e50a5077846500b1"),
+        "25fa03d28c60372c1eb3915894abf10943a8ba1f7b7d275b59b9e2d22a651bfa",
+        "bd2aa8fbb71ee1bfd8d189dd64f1b1726ec1625715627d8c5b64091f680857cb"),
     "simulate-relaxed-eps03": (
-        "03af0fc1f25e376ff544f1eecb6c4d5ee537782fa1347cb5476a116507ccfad2",
-        "8f1dcc4335204bfc505610319c43aa8342c15176dd5f2e61f5887e9893d941da"),
+        "05889009ab3973cf16d885088f21e718a2c04978ee09ea21933459e31d470bf5",
+        "4bd1ec64f27e8891d64547ded18a433dbfd698e0e8a4a945a451d500aefb50bf"),
     "simulate-relaxed-k1": (
-        "d14353ace1486bd71c272857f8e2c75be49149c9f35adb266ed81983192c24ac",
-        "9a22d5e8990c8c007bdc8c3dfb48440c45a08cedc52b423b987e393092b9bd54"),
-    "simulate-reps": ("6facffc293dd7bd8627f54743bf9525de9651f9488d19b1fb7fa70d50cc433fb", None),
+        "a4a86408fe469653482702b31747400db97d0fcbb619bfe5e2012884febcf37b",
+        "60e113111766449ff503a258626a94edeb79106d4848ea00eeb7f9201dbf66ce"),
+    "simulate-reps": ("234b71608f9a772451b630a2a8f1c3d34703d950190c062cd0fc64c2234fc3b7", None),
     "sweep": ("7484fcca11a3c0b53be2a8d027ac9e497ce3fb8d1b8ad2b7fa28bf05f18817fa", None),
 }
 
@@ -143,6 +138,10 @@ def run_case(name, tmp_path):
     assert res.exit_code == 0, res.output
     out = hashlib.sha256(res.stdout_bytes).hexdigest()
     return out, hashlib.sha256(trace.read_bytes()).hexdigest() if traced else None
+
+
+def test_every_case_has_one_digest():
+    assert CASES.keys() == DIGESTS.keys()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -21,7 +22,12 @@ from codedelay.simulator import (
     trace_csv,
 )
 
-from .helpers import ReferenceTracker
+from .helpers import (
+    RecordingRng,
+    ReferenceTracker,
+    reference_relaxed_slots,
+    reference_trajectories,
+)
 
 
 def std_channel(epsilon=0.1):
@@ -212,6 +218,137 @@ class TestInOrderDelivery:
         assert (st.trace.delay > 0).all()
 
 
+class TestTrajectories:
+    @pytest.mark.parametrize("epsilon, k, R", [(0.1, 8, 1.25), (0.3, 1, 1.5), (0.2, 16, 1.0),
+                                               (0.35, 5, 1.1), (0.0, 4, 1.0)])
+    def test_rank_counting_matches_a_scalar_replay(self, epsilon, k, R):
+        ch = std_channel(epsilon)
+        cd = derive_coding(ch, k, R=R)
+        g = 600   # one block
+        rng = RecordingRng(simulator._rng_for(81))
+        cfg = SimConfig(channel=ch, coding=cd, n_packets=k * g, seed=81)
+        (tr,) = simulator._trajectories(cfg, rng, g)
+        rounds, hit, received, s = reference_trajectories(rng.draws, cd, epsilon, g)
+        assert tr.n.tolist() == [r[0] for r in rounds]
+        assert tr.y.tolist() == [len(r) for r in rounds]
+        assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
+        assert tr.hit.tolist() == hit
+        assert tr.received.tolist() == received
+        assert tr.s.tolist() == s
+        assert tr.non_innovative is None
+
+    @pytest.mark.parametrize("use_real_codec", [False, True])
+    def test_hit_lies_in_the_last_round(self, use_real_codec):
+        cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=8 * 800, seed=82,
+                          use_real_codec=use_real_codec)
+        (tr,) = simulator._trajectories(cfg, simulator._rng_for(82), 800)
+        assert (tr.y > 1).sum() > 100
+        ends = np.cumsum(tr.y - 1)
+        last = np.where(tr.y == 1, tr.n, tr.retx[np.maximum(ends - 1, 0)])
+        assert np.all((tr.hit >= 0) & (tr.hit < last))
+        assert tr.retx.size == ends[-1]
+
+
+@st.composite
+def _link_runs(draw):
+    """(channel, [generation round sizes], [hit offsets], chunk sizes) for one relaxed schedule.
+
+    2*t_p/t_s lands on or near an integer: t_p comes from an rtt or a t_p
+    that puts it on a grid of quarter slots, or is drawn freely.
+    """
+    rate = draw(st.sampled_from([1e6, 1e7, 3e7, 1e8]))
+    packet = draw(st.sampled_from([1e3, 1e4, 12000.0]))
+    t_s = packet / rate
+    hold = draw(st.integers(0, 300)) / 4.0   # the intended 2*t_p/t_s
+    how = draw(st.sampled_from(["rtt", "t_p", "free"]))
+    if how == "rtt":
+        ch = derive_channel(0.1, rate, packet, rtt=t_s + hold * t_s)
+    elif how == "t_p":
+        ch = derive_channel(0.1, rate, packet, t_p=hold * t_s / 2.0)
+    else:
+        ch = derive_channel(0.1, rate, packet, t_p=draw(st.floats(0.0, 37.5 * t_s)))
+    n_gens = draw(st.integers(1, 60))
+    rounds, hits = [], []
+    for _ in range(n_gens):
+        y = draw(st.sampled_from([1, 1, 1, 2, 2, 3, 5]))
+        sizes = draw(st.lists(st.integers(1, 12), min_size=y, max_size=y))
+        rounds.append(sizes)
+        hits.append(draw(st.integers(0, sizes[-1] - 1)))
+    chunks = draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    return ch, rounds, hits, chunks
+
+
+def _schedule_blocks(rounds, hits, chunks):
+    """_Trajectories blocks of the given generations, their sizes cycling through chunks."""
+    def col(values):
+        return np.array(values, dtype=np.int64)
+
+    blocks = []
+    lo, sizes = 0, itertools.cycle(chunks)
+    while lo < len(rounds):
+        part = slice(lo, min(lo + next(sizes), len(rounds)))
+        gens = rounds[part]
+        blocks.append(simulator._Trajectories(
+            n=col([r[0] for r in gens]), s=None, y=col([len(r) for r in gens]),
+            hit=col(hits[part]), received=None, non_innovative=None,
+            retx=col([n for r in gens for n in r[1:]])))
+        lo = part.stop
+    return blocks
+
+
+class TestRelaxedSchedule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_link_runs())
+    def test_matches_the_float_heap_reference(self, case):
+        # cursors stay below 60 * 5 * (12 + 75) slots, where the heap's float
+        # instants are exact enough for its tolerance to decide every tie
+        ch, rounds, hits, chunks = case
+        start, dec_slot = simulator._link_slots(_schedule_blocks(rounds, hits, chunks),
+                                                len(rounds), ch.t_s, ch.t_p)
+        want_start, want_dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
+        assert start.tolist() == want_start
+        assert dec_slot.tolist() == want_dec
+
+
+def _paired_config(epsilon, k, mode, use_real_codec, seed, R=None, margin=None):
+    ch = std_channel(epsilon)
+    cd = derive_coding(ch, k, R=R, margin=margin)
+    n_packets = k * (10 * cd.b + 40)   # 40 generations past the warm-up margins
+    return SimConfig(channel=ch, coding=cd, mode=mode, n_packets=n_packets, seed=seed,
+                     use_real_codec=use_real_codec, collect_records=True)
+
+
+def _assert_same_rounds_relaxed_later(**point):
+    ideal = run_coded(_paired_config(mode="idealized", **point))
+    relaxed = run_coded(_paired_config(mode="relaxed", **point))
+    for name in ("rounds_hist", "received_packets", "non_innovative", "mean_efficiency"):
+        assert getattr(relaxed, name) == getattr(ideal, name), name
+    assert np.all(relaxed.trace.delivered_slot >= ideal.trace.delivered_slot - 1e-6)
+
+
+class TestSeedPairedModes:
+    """Both modes draw the same trajectories from a seed; only their timing differs."""
+
+    @pytest.mark.parametrize("use_real_codec", [False, True])
+    @pytest.mark.parametrize("point", [
+        dict(epsilon=0.1, k=8, margin=0.1),
+        dict(epsilon=0.0, k=4, R=1.25),
+        dict(epsilon=0.3, k=1, margin=0.1),
+        dict(epsilon=0.2, k=8, R=1.0),
+        dict(epsilon=0.05, k=32, margin=0.02),
+    ])
+    def test_fixed_points(self, point, use_real_codec):
+        _assert_same_rounds_relaxed_later(use_real_codec=use_real_codec, seed=71, **point)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(epsilon=st.sampled_from([0.0, 0.01, 0.1, 0.2, 0.35]), k=st.integers(1, 24),
+           R=st.sampled_from([1.0, 1.1, 1.25, 1.5]), use_real_codec=st.booleans(),
+           seed=st.integers(0, 2 ** 32))
+    def test_drawn_points(self, epsilon, k, R, use_real_codec, seed):
+        _assert_same_rounds_relaxed_later(epsilon=epsilon, k=k, R=R,
+                                          use_real_codec=use_real_codec, seed=seed)
+
+
 class _ScriptedCoefficients:
     """Stands in for the generator of a real-codec round: hands out prepared coefficient rows."""
 
@@ -395,6 +532,20 @@ class TestReplicate:
         cfg = make_config(k=8, n_packets=2000, seed=7)
         with pytest.raises(ValueError):
             replicate(cfg, 0)
+
+    def test_replications_keep_every_field_but_the_seed(self):
+        cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
+                          use_real_codec=True, collect_records=True)
+        subs = []
+
+        def engine(sub):
+            subs.append(sub)
+            return run_coded(sub)
+
+        replicate(cfg, 3, engine=engine)
+        assert len({sub.seed for sub in subs}) == 3
+        for sub in subs:
+            assert sub == dataclasses.replace(cfg, seed=sub.seed, collect_records=False)
 
     def test_non_innovative_is_summed(self):
         cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=4000, seed=8,
