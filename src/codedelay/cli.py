@@ -157,7 +157,9 @@ def _emit(table, fmt, out):
         with _open_output(out, "--out") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # with no file, click caches a wrapper that keeps every stdout it
+        # wrote to alive, which leaks each redirect of an in-process caller
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _parse_k_grid(text, channel):

@@ -17,6 +17,8 @@ stores per state so that the efficiency module can read packets-received
 expectations without evaluating a pmf.
 """
 
+import math
+
 import numpy as np
 
 from .params import coded_count_distribution
@@ -107,22 +109,22 @@ class TransitionKernel:
         return self.absorption_cdf(y) - self.absorption_cdf(y - 1)
 
     def p_z(self, i, z):
-        """Probability that the slowest of i independent generations needs exactly z rounds."""
+        """Probability that the slowest of i independent generations needs exactly z rounds.
+
+        That is a^i - b^i for the cdf a at z and b at z-1, evaluated as
+        a^i * -expm1(i * log1p(-(a-b)/a)), which keeps every digit in the tail
+        where both sit within 1e-12 of 1 and the direct difference cancels.
+        """
         if i < 1:
             raise ValueError(f"generation count must be >= 1, got {i}")
         if z < 1:
             return 0.0
         a = self.absorption_cdf(z)
         b = self.absorption_cdf(z - 1)
-        # a^i - b^i factored as (a - b) * sum of a^t * b^(i-1-t): the direct
-        # difference loses all significance in the tail where both cdf values
-        # sit within 1e-12 of 1.
-        s = 1.0
-        ap = 1.0
-        for _ in range(i - 1):
-            ap *= a
-            s = s * b + ap
-        return (a - b) * s
+        if a - b == a:
+            # b is 0 or below a's resolution, where (a-b)/a is exactly 1
+            return a ** i
+        return a ** i * -math.expm1(i * math.log1p(-(a - b) / a))
 
 
 def _binomial_rows(n_max, width, p_success):

@@ -24,46 +24,33 @@ def _power_sums(d, n):
     """Sums of s^i * (1-d)^s over s in [0, n), for i = 0, 1, 2, 3.
 
     The textbook closed forms for these truncated geometric sums subtract
-    nearly equal terms when n*d is small, which costs up to half the digits.
-    Each bracket regroups as P(d) - (1-d)^(n-1) * Q(d) with Q/P = 1 + r and
-    r of order n*d, so it collapses to a single expm1. The exponent is still
-    a difference of terms of order n*d whose result shrinks like (n*d)^(i+1),
-    so below n*d = 0.05 the sums are instead accumulated directly; that is
-    exact to about n ulps because every term is positive.
+    nearly equal terms when n*d is small. Binary doubling over n avoids
+    every subtraction: with rho = 1-d, the sums over [m, 2m) are those over
+    [0, m) shifted by m, rho^m * sum_j C(i,j) m^(i-j) S_j[0, m), and each
+    set bit of n appends the single term s = m. Every term is nonnegative,
+    rho^m is computed directly as exp(m * log1p(-d)), and the cost is
+    O(log n). At d = 1, log1p(-d) is -inf and only s = 0 carries weight.
     """
     if n <= 0:
         return 0.0, 0.0, 0.0, 0.0
-    if n == 1 or d >= 1.0:
-        # Only s = 0 carries weight. d reaches 1 when its complement is
-        # below the resolution of a double, where log1p(-d) is undefined.
-        return 1.0, 0.0, 0.0, 0.0
-    if n * d < 0.05:
-        rho = 1.0 - d
-        g0 = g1 = g2 = g3 = 0.0
-        p = 1.0
-        for s in range(n):
-            sf = float(s)
-            g0 += p
-            g1 += sf * p
-            g2 += sf * sf * p
-            g3 += sf * sf * sf * p
-            p *= rho
-        return g0, g1, g2, g3
-    c = 1.0 - d
-    ld = math.log1p(-d)
-    m = n - 1
-    md = m * d
-    p2 = 2.0 - d
-    p3 = 6.0 + d * (d - 6.0)
-    b1 = -math.expm1(m * ld + math.log1p(md))
-    b2 = -math.expm1(m * ld + math.log1p(md * (md + 2.0) / p2))
-    b3 = -math.expm1(m * ld + math.log1p(md * (md * md + 3.0 * md + 6.0 - 3.0 * d) / p3))
-    d2 = d * d
-    g0 = -math.expm1(n * ld) / d
-    g1 = c * b1 / d2
-    g2 = c * p2 * b2 / (d2 * d)
-    g3 = c * p3 * b3 / (d2 * d2)
-    return g0, g1, g2, g3
+    ld = math.log1p(-d) if d < 1.0 else -math.inf
+
+    def join(lo, hi, m):
+        # sums of lo over [0, m) followed by those of hi shifted to start at m
+        r, mf = math.exp(m * ld), float(m)
+        h0, h1, h2, h3 = hi
+        return (lo[0] + r * h0,
+                lo[1] + r * (h1 + mf * h0),
+                lo[2] + r * (h2 + mf * (2.0 * h1 + mf * h0)),
+                lo[3] + r * (h3 + mf * (3.0 * h2 + mf * (3.0 * h1 + mf * h0))))
+
+    one = (1.0, 0.0, 0.0, 0.0)   # the sums over [0, 1), for the leading bit of n
+    g, m = one, 1
+    for bit in bin(n)[3:]:
+        g, m = join(g, g, m), 2 * m
+        if bit == "1":
+            g, m = join(g, one, m), m + 1
+    return g
 
 
 def prefix_pmf(epsilon, k, first_round, s):
@@ -194,14 +181,11 @@ def straggler_moments(kern, N, z):
     pz = kern.p_z(N, z)
     if pz <= 0.0 or py <= 0.0:
         raise ValueError(f"conditioning event has zero probability (N={N}, z={z})")
-    b = kern.absorption_cdf(z - 1)
-    if b == 0.0 or N == 1:
-        # Nobody can sit behind the straggler: with one generation, or when
-        # finishing in under z rounds is impossible, V_N is identically 0.
-        return StragglerMoments(v1=0.0, v2=0.0)
     # Position v carries weight a^(N-1-v) * b^v, a geometric in b/a
     # truncated to [0, N). Its moments are ratios of the same power sums
-    # used for the prefix length, with 1 - b/a = p_y(z)/a.
+    # used for the prefix length, with 1 - b/a = p_y(z)/a. With one
+    # generation, or when finishing in under z rounds is impossible (b = 0,
+    # so the ratio is 1), only v = 0 carries weight and V_N is 0.
     a = kern.absorption_cdf(z)
     g0, g1, g2, _ = _power_sums(py / a, N)
     return StragglerMoments(v1=g1 / g0, v2=g2 / g0)

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 # fuzz (e.g. 0.1 * 1e7 / 1e4 evaluates to 100.00000000000001).
 _INT_SNAP = 1e-9
 
-# Largest bandwidth-delay product accepted, in packets. The delay sums cost
-# O(b) per cell in the in-flight generation count b = ceil(bdp / (R*k)), and
-# analyze already takes seconds at this size.
+# Largest bandwidth-delay product accepted, in packets. It bounds the mass the
+# delay sums lose past the absorption horizon, about b * 1e-12 for the slowest
+# of b = ceil(bdp / (R*k)) generations in flight (truncated_mass 1.8e-5 at
+# this size, epsilon 0.3, k 1); a simulation needs more than 10*b generations.
 MAX_BDP = 10_000_000
 
 # Largest R*k accepted: the packets one generation sends in its first round.

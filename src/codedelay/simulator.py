@@ -44,8 +44,9 @@ set of seeded CLI runs.
 
 import json
 import math
+import statistics
 from collections import Counter, deque, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -118,6 +119,8 @@ class SimStats:
     info_packets: int = 0
     received_packets: int = 0
     non_innovative: int = 0   # real codec: received coded packets that did not raise the rank
+    # the integer sums behind mean_delay and std_delay, which replicate pools
+    delay_sums: Optional["_PairStats"] = field(default=None, repr=False, compare=False)
 
 
 def _rng_for(seed):
@@ -151,6 +154,10 @@ class _PairStats:
         self.saa += int((a * a).sum())
         self.sab += int((a * b).sum())
         self.sbb += int((b * b).sum())
+
+    def merge(self, other):
+        for name in ("n", "sa", "sb", "saa", "sab", "sbb"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def mean(self):
         if not self.n:
@@ -328,7 +335,8 @@ class _Delivery:
                         n_delays=self.acc.n,
                         rounds_hist={int(y): int(c) for y, c in enumerate(self.rounds) if c},
                         trace=trace, info_packets=self.k * self.gens,
-                        received_packets=self.received, non_innovative=self.non_innovative)
+                        received_packets=self.received, non_innovative=self.non_innovative,
+                        delay_sums=self.acc)
 
 
 _Trajectories = namedtuple("_Trajectories", "n s y hit received non_innovative retx")
@@ -570,15 +578,16 @@ def run_arq(config):
     acc.add((del_alpha - idx)[warm_packets:], del_beta[warm_packets:])
     return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                     mean_efficiency=1.0, n_delays=acc.n, trace=trace,
-                    info_packets=acc.n, received_packets=acc.n)
+                    info_packets=acc.n, received_packets=acc.n, delay_sums=acc)
 
 
 def replicate(config, reps, engine=run_coded):
     """Aggregate independent replications on spawned RNG streams.
 
-    Reports the pooled mean/std over all packets, efficiency over pooled
-    counts, and the standard error of the mean estimated across replications
-    (needs reps >= 2).
+    Reports the pooled mean/std over all packets, from the replications'
+    merged integer delay sums, so the pool is exact: equal delays give their
+    own value and zero std. Efficiency is over pooled counts, and the standard
+    error of the mean is estimated across replications (needs reps >= 2).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -589,20 +598,20 @@ def replicate(config, reps, engine=run_coded):
     for ss in children:
         sub = replace(config, seed=int(ss.generate_state(1)[0]), collect_records=False)
         stats.append(engine(sub))
-    n_total = sum(st.n_delays for st in stats)
-    mean = sum(st.mean_delay * st.n_delays for st in stats) / n_total
-    m2 = sum((st.std_delay ** 2 + st.mean_delay ** 2) * st.n_delays
-             for st in stats) / n_total
+    acc = _PairStats(config.channel.t_s, config.channel.t_p)
+    for st in stats:
+        acc.merge(st.delay_sums)
     info = sum(st.info_packets for st in stats)
     recv = sum(st.received_packets for st in stats)
     wasted = sum(st.non_innovative for st in stats)
     hist = sum((Counter(st.rounds_hist or {}) for st in stats), Counter())
-    se = float(np.std([st.mean_delay for st in stats], ddof=1) / math.sqrt(reps))
-    return SimStats(mean_delay=mean, std_delay=math.sqrt(max(m2 - mean * mean, 0.0)),
-                    mean_efficiency=info / recv, n_delays=n_total,
+    se = statistics.stdev(st.mean_delay for st in stats) / math.sqrt(reps)
+    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
+                    mean_efficiency=info / recv, n_delays=acc.n,
                     replications=reps, se_mean=se,
                     rounds_hist=dict(sorted(hist.items())) or None,
-                    info_packets=info, received_packets=recv, non_innovative=wasted)
+                    info_packets=info, received_packets=recv, non_innovative=wasted,
+                    delay_sums=acc)
 
 
 def trace_csv(stats, config, out):

@@ -80,13 +80,17 @@ CASES = {
 # schedule over the idealized engine's trajectories, which draws in
 # generation order (see CHANGES.md). Every idealized, hol-cap, chunk and
 # analytic digest was kept through that change, and through the earlier
-# shared delivery pass and GF(2^8) rank tracker.
+# shared delivery pass and GF(2^8) rank tracker. analyze and sweep were
+# re-recorded when p_z took its closed form and the power sums their binary
+# doubling (last-bit changes), and simulate-reps and simulate-hol-cap-reps
+# when replications began to pool their integer delay sums (see CHANGES.md);
+# kstar and every other simulator digest were kept.
 DIGESTS = {
-    "analyze": ("c29338a5deb7e6a766e66cf43e3738effce7b0c750bbe0e0b2368f464d575e2b", None),
+    "analyze": ("449a1ed85671726c602297b8600197c45bcdecab981dbe0f48cc5a6b90c8cf88", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
     "kstar": ("35876ba27b54372531188c3579199707204206086cd5d948de40c951fa302f28", None),
     "simulate-hol-cap-reps": (
-        "590ecfbbd229bd9be7f2c0ae46ada19ad53cbf618dde73e16926dc221ba8c5c6", None),
+        "8d5f0fdf1f2c509dc0b31938591178cc8e379cb329afd7fe5096811afaa4fc6b", None),
     "simulate-idealized": (
         "83a3dbbdd51c9d5887fe3eabce01c5eed5cdab12b19d55b82f21f86b29fb3df1",
         "ad4d517c14a75373425e3c27a949e2cc7b0782f0b2c7675beae8634e431e3c0f"),
@@ -123,8 +127,8 @@ DIGESTS = {
     "simulate-relaxed-k1": (
         "a4a86408fe469653482702b31747400db97d0fcbb619bfe5e2012884febcf37b",
         "60e113111766449ff503a258626a94edeb79106d4848ea00eeb7f9201dbf66ce"),
-    "simulate-reps": ("234b71608f9a772451b630a2a8f1c3d34703d950190c062cd0fc64c2234fc3b7", None),
-    "sweep": ("7484fcca11a3c0b53be2a8d027ac9e497ce3fb8d1b8ad2b7fa28bf05f18817fa", None),
+    "simulate-reps": ("4125374a201a2fb37fcabbf06577620ede090e30d87d9ff3afa7966f5bc9ba56", None),
+    "sweep": ("8587ce04c394dfb145303c25f57919acda14eb5bad5f043aab0fde51d99583f1", None),
 }
 
 

@@ -3,12 +3,13 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from codedelay.kernel import _binomial_rows, build_kernel
+from codedelay.kernel import TransitionKernel, _binomial_rows, build_kernel
 from codedelay.params import derive_channel, derive_coding
 
 from .helpers import brute_force_absorbed_received, brute_force_row, kernel_row, mixture_row
@@ -119,6 +120,27 @@ class TestBuildKernel:
         for i in (2, 5):
             total = sum(kern.p_z(i, z) for z in range(1, kern.horizon + 2))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    # a = cdf(z) in [0.5, 1], near 1 or not; b = cdf(z-1) = a * ratio with
+    # ratio near 1, uniform, exactly 0, or below a's resolution (2^-53)
+    @given(a=st.one_of(st.floats(-16.0, -0.31).map(lambda e: 1.0 - 10.0 ** e),
+                       st.floats(0.5, 1.0)),
+           ratio=st.one_of(st.floats(-17.0, 0.0).map(lambda e: 1.0 - 10.0 ** e),
+                           st.floats(0.0, 1.0),
+                           st.floats(53.0, 200.0).map(lambda e: 2.0 ** -e)),
+           i=st.integers(1, 300))
+    @example(a=1.0, ratio=0.0, i=1)
+    @example(a=0.75, ratio=0.0, i=300)
+    @example(a=0.999999999999, ratio=2.0 ** -60, i=7)
+    @example(a=1.0, ratio=1.0 - 2.0 ** -52, i=300)
+    @settings(max_examples=300, deadline=None)
+    def test_worst_of_matches_exact_difference(self, a, ratio, i):
+        b = a * ratio
+        kern = TransitionKernel(None, SimpleNamespace(k=1), None, None,
+                                {1: np.array([0.0, b, a])}, {})
+        got = kern.p_z(i, 2)
+        want = Fraction(a) ** i - Fraction(b) ** i
+        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want
 
     def test_worst_of_validation(self):
         kern = build_kernel(*make_pair(0.2, 6, 1.25))

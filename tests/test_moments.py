@@ -1,12 +1,15 @@
 """Closed-form prefix and straggler moments against direct pmf summation."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codedelay.kernel import build_kernel
 from codedelay.moments import (
+    _power_sums,
     prefix_mgf,
     prefix_moments,
     prefix_pmf,
@@ -20,6 +23,55 @@ def direct_prefix_moment(epsilon, k, first_round, power):
     top = k if first_round else k - 1
     return sum(s ** power * prefix_pmf(epsilon, k, first_round, s)
                for s in range(top + 1))
+
+
+def close_to(got, want, rel=1e-14):
+    """|got - want| <= rel * |want|, with want exact (Fraction or Decimal)."""
+    return abs(type(want)(got) - want) <= type(want)(rel) * abs(want)
+
+
+class TestPowerSums:
+    @given(d=st.one_of(st.just(1.0), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)),
+           n=st.integers(1, 300))
+    @example(d=1.0, n=1)
+    @example(d=1.0, n=300)
+    @example(d=0.3, n=1)
+    @example(d=1e-12, n=300)
+    @settings(max_examples=150, deadline=None)
+    def test_match_exact_sums(self, d, n):
+        # with rho = 1 - d = p/q, sum_s s^i rho^s = sum_s s^i p^s q^(n-1-s) / q^(n-1),
+        # summed in integers by Horner's rule from s = n-1 down
+        num, q = d.as_integer_ratio()
+        p = q - num
+        acc = [(n - 1) ** i for i in range(4)]
+        q_power = 1
+        for s in range(n - 2, -1, -1):
+            q_power *= q
+            acc = [a * p + s ** i * q_power for i, a in enumerate(acc)]
+        want = [Fraction(a, q_power) for a in acc]
+        got = _power_sums(d, n)
+        assert all(close_to(g, w) for g, w in zip(got, want))
+
+    def test_long_sum_with_small_decay(self):
+        # n*d = 0.041: the regime where the textbook closed forms cancel
+        n, d = 100_003, 4.1e-7
+        with localcontext() as ctx:
+            ctx.prec = 40
+            rho = 1 - Decimal(d)
+            want = [Decimal(0)] * 4
+            term = Decimal(1)
+            for s in range(n):
+                sd = Decimal(s)
+                want[0] += term
+                want[1] += sd * term
+                want[2] += sd * sd * term
+                want[3] += sd * sd * sd * term
+                term *= rho
+            got = _power_sums(d, n)
+            assert all(close_to(g, w) for g, w in zip(got, want))
+
+    def test_empty_range(self):
+        assert _power_sums(0.3, 0) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestPrefixMoments:

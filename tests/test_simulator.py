@@ -528,6 +528,19 @@ class TestReplicate:
         assert st.mean_delay == pytest.approx(single.mean_delay, rel=0.1)
         assert 0.0 < st.mean_efficiency <= 1.0
 
+    @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
+    @pytest.mark.parametrize("rtt, k, reps", [(0.013, 3, 5), (0.0731, 3, 7),
+                                              (0.1, 8, 3), (0.37, 8, 7)])
+    def test_lossless_pool_is_exact(self, mode, rtt, k, reps):
+        # every delay is one slot plus one hop, so pooling must not round
+        ch = derive_channel(0.0, rate=1e7, packet_size=1e4, rtt=rtt)
+        cd = derive_coding(ch, k, margin=0.1)
+        cfg = SimConfig(channel=ch, coding=cd, mode=mode, n_packets=12 * cd.b * k, seed=1)
+        pooled = replicate(cfg, reps)
+        assert pooled.mean_delay == replicate(cfg, 1).mean_delay == ch.t_s + ch.t_p
+        assert pooled.std_delay == 0.0
+        assert pooled.se_mean == 0.0
+
     def test_validation(self):
         cfg = make_config(k=8, n_packets=2000, seed=7)
         with pytest.raises(ValueError):
