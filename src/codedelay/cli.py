@@ -111,10 +111,10 @@ def _guard(f):
         try:
             return f(*args, **kwargs)
         except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            click.echo(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(3)
         except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
-            click.echo(f"numerical failure: {type(exc).__name__}: {exc}", err=True)
+            click.echo(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(3)
         except ValueError as exc:
             raise click.UsageError(str(exc))

@@ -31,9 +31,11 @@ blocker is the latest decode among a window of previous generations; in
 relaxed mode every decode is a slot count plus one hop, so the blocker is
 the running maximum of the integer decode slots.
 
-With the real codec, every round of a generation goes through its
-_RankTracker, which draws the round's coefficient block and finds the rank
-over GF(2^8) by one elimination per round, with no payloads, counting the
+With the real codec, the same rounds count dofs as ranks over GF(2^8)
+instead of arrivals: _CodecRanks draws one coefficient block per block of
+generations and round, right after the receive flags, and eliminates the
+received rows of all those generations together, sorted by width into
+sub-batches of bounded size, with no payloads; it counts the
 non-innovative packets that SimStats reports.
 
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
@@ -56,8 +58,11 @@ from .kernel import MAX_ROUNDS, NumericalError
 from .params import split_count
 
 _CHUNK = 4096
-_CHUNK_ELEMENTS = 1 << 22   # cap on one round-1 block of uniforms (32 MiB)
+_CHUNK_BYTES = 1 << 25      # cap on one block's uniforms and codec coefficients (32 MiB)
+_ELIM_CELLS = 1 << 16       # cap on one real-codec elimination sub-batch, in uint8 cells
+_SPREAD = 2                 # widest / narrowest generation of one sub-batch
 _WARMUP_FACTOR = 5
+_MUL_FLAT = MUL.ravel()     # MUL[a, b] at a*256 + b
 _NO_BLOCKER = -(1 << 60)    # blocker slot of a generation that nothing can block
 _ARQ_WARMUP_BDP = 10
 
@@ -176,84 +181,173 @@ class _PairStats:
         return math.sqrt(max(var, 0.0))
 
 
-class _RankTracker:
-    """Rank over GF(2^8) of the packets one generation has received, a round at a time.
+class _Arrivals:
+    """Dofs of a block's generations under rank counting: every arrival is one.
 
-    Systematic packets appear only in the first k slots of round 1, so they
-    set the rank to the number received and leave the set M of missing
-    columns; a coded row counts only through its projection onto M. Each
-    round stacks its received coded rows under the stored basis and
-    eliminates column by column, pivoting on the earliest row still free. A
-    row only ever gets earlier rows added to it, so the rank after row t is
-    the number of pivots at or before t, and the pivot that brings the rank
-    to k is the decode slot. The pivot rows are the next round's basis.
+    need holds the dofs each generation still lacks. round takes the receive
+    flags of one round of the generations in active (ascending, each still
+    short) and returns which of them decoded and, for those, the slot within
+    the round where the k-th dof arrived; _CodecRanks has the same interface.
     """
 
-    def __init__(self, k):
+    non_innovative = None
+
+    def __init__(self, k, g):
+        self.need = np.full(g, k, dtype=np.int64)
+
+    def round(self, rng, active, flags):
+        need = self.need[active]
+        cum = np.cumsum(flags, axis=1)
+        self.need[active] = np.maximum(need - cum[:, -1], 0)
+        return cum[:, -1] >= need, np.argmax(cum >= need[:, None], axis=1)
+
+
+class _CodecRanks:
+    """Ranks over GF(2^8) of a block's generations, fed one round of every active one at a time.
+
+    Each round draws one uint8 coefficient block for all its generations and
+    coded slots, received or not, right after their receive flags: the
+    sender draws coefficients before the channel acts. Systematic packets
+    fill only the first k slots of round 1, so they leave each generation
+    the set M of its missing columns, and a coded row counts only through
+    its projection onto M. The received rows are eliminated column by
+    column, pivoting on the earliest free row, under the basis kept from
+    earlier rounds. The basis is stored by pivot column; its rows stand
+    before the round's and never change, so a column that has one pivots
+    there. A row only ever gets earlier rows added to it, so the rank after
+    row t is the number of pivots at or before t, and when the rank reaches k
+    the latest new pivot is the decode slot. non_innovative counts received
+    rows fed before decode that left the rank as it was; the zero
+    combination carries nothing and is not fed.
+    """
+
+    def __init__(self, k, g):
         self.k = k
-        self.rank = 0
-        self.non_innovative = 0   # coded rows fed before decode that left the rank as it was
-        self._missing = None
-        self._basis = None
+        self.need = np.full(g, k, dtype=np.int64)
+        self.non_innovative = np.zeros(g, dtype=np.int64)
+        self.width = None   # |M| of each generation, set by round 1
 
-    def round(self, rng, flags, n_sys):
-        """Feed one round's receive flags; returns the slot where the rank reached k, or -1.
-
-        Slots below n_sys (k in round 1, 0 after) carry systematic packets
-        0..n_sys-1, the rest random combinations. Coefficients are drawn for
-        every coded slot, received or not, because the sender draws them
-        before the channel acts; the zero combination carries nothing.
-        """
+    def round(self, rng, active, flags):
         k = self.k
-        coeffs = rng.integers(0, 256, size=(flags.shape[0] - n_sys, k), dtype=np.uint8)
-        if n_sys:
-            sys_flags = flags[:n_sys]
-            self.rank = int(np.count_nonzero(sys_flags))
-            if self.rank == k:
-                return k - 1   # the k-th systematic arrival
-            self._missing = np.flatnonzero(~sys_flags)
-            self._basis = np.zeros((0, self._missing.size), dtype=np.uint8)
-        slots = flags[n_sys:].nonzero()[0]
-        rows = coeffs[slots]
-        fed = rows.any(axis=1)
-        if not fed.all():
-            slots, rows = slots[fed], rows[fed]
-        if not slots.size:
-            return -1
-        held = self._basis.shape[0]
-        a = np.concatenate((self._basis, rows[:, self._missing]))
-        n_rows, width = a.shape
-        basis = np.zeros((min(n_rows, width), width), dtype=np.uint8)
-        pivots = []
-        for col in range(width):
-            column = a[:, col]
-            nz = column.nonzero()[0]
-            if not nz.size:
-                continue
-            p = nz[0]
-            prow = basis[len(pivots), col:]
-            prow[:] = a[p, col:]
-            pivots.append(p)
-            if len(pivots) == n_rows:
-                break
-            # Rows above p that are still free are zero in this column, and
-            # earlier pivot rows were zeroed when chosen, so clearing the
-            # column from every row adds p only to later rows and zeroes p
-            # itself, which takes it out of the free rows.
-            a[:, col:] ^= MUL[MUL[INV[prow[0]], column][:, None], prow]
-        self.rank = k - width + len(pivots)
-        if self.rank == k:
-            last = max(pivots)
-            self.non_innovative += last + 1 - width
-            return int(slots[last - held]) + n_sys
-        self.non_innovative += n_rows - len(pivots)
-        self._basis = basis[:len(pivots)]
-        return -1
+        n_sys = k if self.width is None else 0
+        coeffs = rng.integers(0, 256, size=(active.size, flags.shape[1] - n_sys, k), dtype=np.uint8)
+        if n_sys:   # round 1 sends every generation of the block
+            sys_flags, flags = flags[:, :k], flags[:, k:]
+            self.width = k - np.count_nonzero(sys_flags, axis=1)
+            self.need = self.width.copy()
+            w = int(self.width.max())
+            self.missing = np.argsort(sys_flags, axis=1, kind="stable")[:, :w]
+            self.basis = np.zeros((active.size, w, w), dtype=np.uint8)
+            self.pivot = np.zeros((active.size, w), dtype=bool)
+        hit = np.full(active.size, k - 1)   # all k systematic packets: the k-th arrival
+        live = np.flatnonzero(self.need[active])
+        if live.size and flags.shape[1]:
+            gens = active[live]
+            fed = (flags & coeffs.any(axis=2))[live]   # the zero combination carries nothing
+            gain, last = self._eliminate(gens, live, coeffs, fed)
+            self.need[gens] -= gain
+            upto = np.where(self.need[gens] == 0, last, -1)   # decoded: rows up to the decode slot
+            self.non_innovative[gens] += np.cumsum(fed, axis=1)[np.arange(live.size), upto] - gain
+            hit[live] = last + n_sys
+        return self.need[active] == 0, hit
+
+    def _eliminate(self, gens, live, coeffs, fed):
+        """(rank gained, latest new pivot's slot or -1) of gens, whose coded rows are coeffs[live].
+
+        Only fed rows are eliminated, in slot order and in slabs of as many
+        rows as the neediest generation of a sub-batch lacks: the first slab
+        decodes nearly every generation that can, and later ones go only to
+        those still short with rows left. Generations run sorted by width, in
+        sub-batches that span at most a factor _SPREAD of widths and hold at
+        most _ELIM_CELLS cells of slab and basis at the widest one's width
+        (one generation at least).
+        """
+        order = np.argsort(self.width[gens], kind="stable")
+        width, need = self.width[gens][order], self.need[gens][order]
+        gens, live, fed = gens[order], live[order], fed[order]
+        n_fed = np.count_nonzero(fed, axis=1)
+        fed_slots = np.argsort(~fed, axis=1, kind="stable")   # fed slots first, in slot order
+        slots = fed.shape[1]
+        gain = np.zeros(gens.size, dtype=np.int64)
+        last = np.full(gens.size, -1, dtype=np.int64)
+        lo = 0
+        while lo < gens.size:
+            # rows of a slab times columns, plus the basis, at each candidate end
+            take = np.maximum.accumulate(need[lo:])
+            cells = np.arange(1, gens.size - lo + 1) * (take + width[lo:]) * width[lo:]
+            fits = (cells <= _ELIM_CELLS) & (width[lo:] <= _SPREAD * width[lo])
+            hi = lo + max(1, int(np.count_nonzero(fits)))
+            at = np.arange(lo, hi)
+            first, take = 0, int(take[hi - lo - 1])
+            while at.size:
+                top = int(width[at[-1]])
+                sub, slot = gens[at], fed_slots[at, first:first + take]
+                base = (live[at, None] * slots + slot) * self.k   # flat index of each row's column 0
+                rows = coeffs.take(base[:, :, None] + self.missing[sub, None, :top])
+                rows *= (np.arange(first, first + slot.shape[1]) < n_fed[at, None])[:, :, None]
+                basis, pivot = self.basis[sub, :top, :top], self.pivot[sub, :top]
+                g_at, p_at = _reduce(rows, basis, pivot, width[at])
+                self.basis[sub, :top, :top], self.pivot[sub, :top] = basis, pivot
+                gain[at] += g_at
+                new = p_at >= 0
+                last[at[new]] = slot[new, p_at[new]]   # a later slab's pivots come later
+                first += take
+                at = at[(gain[at] < need[at]) & (n_fed[at] > first)]
+            lo = hi
+        out_gain, out_last = np.empty_like(gain), np.empty_like(last)
+        out_gain[order], out_last[order] = gain, last
+        return out_gain, out_last
 
 
-def _chunk_rows(n_k_high):
-    """Generations per round-1 block: _CHUNK, fewer when R*k is large."""
-    return max(1, min(_CHUNK, _CHUNK_ELEMENTS // n_k_high))
+def _mul(a, b):
+    """Field products of two broadcast uint8 arrays, by one flat lookup."""
+    return _MUL_FLAT.take((a.astype(np.uint16) << 8) | b)
+
+
+def _reduce(rows, basis, pivot, width):
+    """Eliminate rows (g, slots, w) in place under basis (g, w, w); width ascends along g.
+
+    pivot[j, c] tells whether basis[j, c] holds a row led by column c.
+    Returns each generation's new pivot count and its latest new pivot's
+    slot (-1 when none). A generation's columns past its own width are
+    padding: written, never read.
+    """
+    g, _, w = rows.shape
+    gain = np.zeros(g, dtype=np.int64)
+    last = np.full(g, -1, dtype=np.int64)
+    wider = np.searchsorted(width, np.arange(w), side="right")   # first generation wider than c
+    for c in range(w):
+        j0 = wider[c]
+        column = rows[j0:, :, c]
+        nz = column != 0
+        free = nz.any(axis=1)
+        if not free.any():
+            continue
+        fresh = np.flatnonzero(free & ~pivot[j0:, c])
+        if fresh.size:
+            p = nz[fresh].argmax(axis=1)
+            j = j0 + fresh
+            basis[j, c, c:] = rows[j, p, c:]
+            pivot[j, c] = True
+            gain[j] += 1
+            last[j] = np.maximum(last[j], p)
+        # Earlier pivot columns are already zero in every row; clearing this
+        # one from every row zeroes a fresh pivot row too, taking it out of
+        # the free rows.
+        prow = basis[j0:, c, c:]
+        scale = _mul(INV[prow[:, 0]][:, None], column)
+        rows[j0:, :, c:] ^= _mul(scale[:, :, None], prow[:, None, :])
+    return gain, last
+
+
+def _chunk_rows(n_k_high, k=0):
+    """Generations per block: _CHUNK, fewer when one block would pass _CHUNK_BYTES.
+
+    A generation holds n_k_high 8-byte round-1 uniforms and, with the real
+    codec (k > 0), coefficient blocks of at most n_k_high rows and a basis of
+    at most k rows, k bytes a row.
+    """
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (8 * n_k_high + (n_k_high + k) * k)))
 
 
 class _Delivery:
@@ -351,15 +445,19 @@ def _trajectories(cfg, rng, n_gens):
     and non_innovative (real codec only, else None) the received coded
     packets that did not raise the rank before decode. retx lists the sizes
     of rounds 2..y, one generation after the other. Round 1 is one matrix of
-    uniforms per block; rank counting draws each retransmission round for
-    all generations still short of k dofs at once.
+    uniforms per block, and each retransmission round is drawn at once for
+    all generations still short of k dofs: one uniform each for its size,
+    then a matrix of slot uniforms. Their dofs are arrivals under rank
+    counting (_Arrivals) or ranks over GF(2^8) with the real codec
+    (_CodecRanks, which draws each round's coefficients after its flags).
     """
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
     counts = [split_count(cd.R, i) for i in range(k + 1)]   # (floor, fraction) per dofs needed
     count_lo, count_frac = (np.array(col) for col in zip(*counts))
-    rows = _chunk_rows(hi)
+    dofs_of = _CodecRanks if cfg.use_real_codec else _Arrivals
+    rows = _chunk_rows(hi, k if cfg.use_real_codec else 0)
     for done in range(0, n_gens, rows):
         g = min(rows, n_gens - done)
         if frac > 0.0:
@@ -372,54 +470,29 @@ def _trajectories(cfg, rng, n_gens):
         s = np.where(fails.any(axis=1), fails.argmax(axis=1), k)
         received = recv.sum(axis=1)
         y = np.ones(g, dtype=np.int64)
-        wasted = None
-        if cfg.use_real_codec:
-            hit = np.zeros(g, dtype=np.int64)
-            wasted = np.zeros(g, dtype=np.int64)
-            retx = []
-            for i in range(g):
-                tracker = _RankTracker(k)
-                hit[i] = tracker.round(rng, recv[i, :n[i]], k)
-                while tracker.rank < k:
-                    y[i] += 1
-                    if y[i] > MAX_ROUNDS:
-                        raise NumericalError("retransmission loop did not terminate")
-                    need = k - tracker.rank
-                    size = count_lo[need]
-                    if count_frac[need] > 0.0:   # a uniform only when R*need is fractional
-                        size += rng.random() < count_frac[need]
-                    flags = rng.random(size) >= eps
-                    received[i] += int(flags.sum())
-                    hit[i] = tracker.round(rng, flags, 0)
-                    retx.append(size)
-                wasted[i] = tracker.non_innovative
-            retx = np.array(retx, dtype=np.int64)
-        else:
-            hit = np.argmax(np.cumsum(recv, axis=1) >= k, axis=1)
-            l = np.maximum(k - received, 0)
-            active = np.flatnonzero(l)
-            sent = [(np.zeros(0, dtype=np.int64),) * 2]   # (generations, sizes) per round
-            r = 1
-            while active.size:
-                r += 1
-                if r > MAX_ROUNDS:
-                    raise NumericalError("retransmission loop did not terminate")
-                need = l[active]
-                nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
-                u2 = rng.random((active.size, int(nl.max())))
-                cum = np.cumsum((u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None]),
-                                axis=1)
-                got = cum[:, -1]
-                fin = got >= need
-                hit[active[fin]] = np.argmax(cum[fin] >= need[fin, None], axis=1)
-                received[active] += got
-                l[active] = np.maximum(need - got, 0)
-                y[active] = r
-                sent.append((active, nl))
-                active = active[~fin]
-            gens, sizes = (np.concatenate(col) for col in zip(*sent))
-            retx = sizes[np.argsort(gens, kind="stable")]
-        yield _Trajectories(n, s, y, hit, received, wasted, retx)
+        dofs = dofs_of(k, g)
+        active = np.arange(g)
+        fin, hit = dofs.round(rng, active, recv)
+        active = active[~fin]
+        sent = [(np.zeros(0, dtype=np.int64),) * 2]   # (generations, sizes) per round
+        r = 1
+        while active.size:
+            r += 1
+            if r > MAX_ROUNDS:
+                raise NumericalError("retransmission loop did not terminate")
+            need = dofs.need[active]
+            nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
+            u2 = rng.random((active.size, int(nl.max())))
+            flags = (u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None])
+            received[active] += flags.sum(axis=1)
+            fin, last = dofs.round(rng, active, flags)
+            hit[active[fin]] = last[fin]
+            y[active] = r
+            sent.append((active, nl))
+            active = active[~fin]
+        gens, sizes = (np.concatenate(col) for col in zip(*sent))
+        retx = sizes[np.argsort(gens, kind="stable")]
+        yield _Trajectories(n, s, y, hit, received, dofs.non_innovative, retx)
 
 
 def _run_idealized(cfg, rng):

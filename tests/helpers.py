@@ -3,9 +3,10 @@
 The oracles here are implemented independently of the module under test:
 transition rows by exhaustive loss-pattern enumeration, and conditional delay
 moments by direct Monte-Carlo of the timing model bucketed on (y, z), the
-simulator's real-codec rank by feeding every packet to the payload decoder,
-its rank-counting rounds by a scalar replay of their recorded uniforms, and
-the relaxed link schedule by a float event heap.
+simulator's rounds by a scalar replay, generation by generation, of the
+uniforms (and real-codec coefficient blocks) they drew, with the real-codec
+rank taken by feeding every packet to the payload decoder, and the relaxed
+link schedule by a float event heap.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
@@ -25,14 +26,26 @@ def kernel_row(i, n, p_success):
     return _pure_row(i, n, p_success, laws[n], laws[n - 1])
 
 
+class ScriptedCoefficients:
+    """Stands in for a generator's integers(): hands out prepared uint8 coefficient blocks."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+
+    def integers(self, low, high, size, dtype):
+        block = next(self._blocks)
+        assert (low, high, dtype, block.shape) == (0, 256, np.uint8, tuple(size))
+        return block.copy()
+
+
 class ReferenceTracker:
     """A generation's rank over GF(2^8), one `DecoderState.ingest` per packet.
 
-    The simulator's real-codec round before it tracked the rank itself, with
-    the same interface as `simulator._RankTracker`: `round` draws the round's
-    coefficients the same way and returns the slot at which the rank reached
-    k, or -1; `non_innovative` counts coded packets fed before decode that did
-    not raise the rank.
+    The simulator's real-codec round before it tracked ranks itself: `round`
+    draws one (coded slots, k) coefficient block from rng, feeds the received
+    packets in slot order (the zero combination is not fed) and returns the
+    slot at which the rank reached k, or -1; `non_innovative` counts coded
+    packets fed before decode that did not raise the rank.
     """
 
     def __init__(self, k):
@@ -60,10 +73,15 @@ class ReferenceTracker:
 
 
 class RecordingRng:
-    """Passes random() through to a numpy generator and keeps every array it returns."""
+    """Passes random() and integers() through to a numpy generator and keeps every array they return.
 
-    def __init__(self, rng):
+    coefficients, when given, maps each integers() block before it is
+    returned and kept, so a test can hand the simulator sparse or zero rows.
+    """
+
+    def __init__(self, rng, coefficients=None):
         self.rng = rng
+        self.coefficients = coefficients
         self.draws = []
 
     def random(self, size=None):
@@ -71,18 +89,32 @@ class RecordingRng:
         self.draws.append(out)
         return out
 
+    def integers(self, low, high, size=None, dtype=np.int64):
+        out = self.rng.integers(low, high, size=size, dtype=dtype)
+        if self.coefficients is not None:
+            out = self.coefficients(out)
+        self.draws.append(out)
+        return out
 
-def reference_trajectories(draws, coding, eps, g):
-    """(round sizes, hit, received, s) of each of g generations, from recorded uniforms.
 
-    Replays the uniforms the simulator's rank-counting rounds drew for one
-    block, generation by generation: the round-1 extra-slot uniforms (when
-    R*k is fractional) and slot matrix, then per retransmission round one
-    extra-slot uniform and one row of slot uniforms per generation still
-    short of k dofs, in generation order. Round 1 slots arrive when their
-    uniform is at least eps, retransmitted slots when it is below 1 - eps,
-    as the engine compares them. hit is the slot of the k-th dof within the
-    generation's last round.
+def reference_trajectories(draws, coding, eps, g, real_codec=False):
+    """(round sizes, hit, received, s, codec) of each of g generations, from recorded draws.
+
+    Replays the draws the simulator's rounds made for one block, generation
+    by generation: the round-1 extra-slot uniforms (when R*k is fractional)
+    and slot matrix, then per retransmission round one extra-slot uniform
+    and one row of slot uniforms per generation still short of k dofs, in
+    generation order. Round 1 slots arrive when their uniform is at least
+    eps, retransmitted slots when it is below 1 - eps, as the engine
+    compares them. hit is the slot of the k-th dof within the generation's
+    last round.
+
+    With real_codec, every round's slot uniforms are followed by one
+    coefficient block (round 1: rows for slots k..n_k_high-1), and each
+    generation's dofs are its rank in a ReferenceTracker fed its own rows of
+    each block; codec then holds per generation its non-innovative count and
+    its rank after each round. Otherwise every arrival is a dof, and codec is
+    None.
     """
     k = coding.k
     draws = iter(draws)
@@ -94,28 +126,42 @@ def reference_trajectories(draws, coding, eps, g):
     flags = [[bool(x >= eps) for x in u[j, :n[j]]] for j in range(g)]
     s = [(f[:k] + [False]).index(False) for f in flags]
     received = [sum(f) for f in flags]
-    need = [max(k - r, 0) for r in received]
     hit = [0] * g
+    dofs = [0] * g
+    if real_codec:
+        trackers = [ReferenceTracker(k) for _ in range(g)]
+        history = [[] for _ in range(g)]
 
-    def kth(f, m):
-        return [i for i, x in enumerate(f) if x][m - 1]
+    def feed(j, f, n_sys, block, row):
+        """Generation j's round with receive flags f; block[row] holds its coefficient rows."""
+        if real_codec:
+            coeffs = ScriptedCoefficients([block[row, :len(f) - n_sys]])
+            got = trackers[j].round(coeffs, np.array(f, dtype=bool), n_sys)
+            dofs[j] = trackers[j].rank
+            history[j].append(dofs[j])
+        else:
+            arrivals = [i for i, x in enumerate(f) if x]
+            got = arrivals[k - dofs[j] - 1] if dofs[j] + len(arrivals) >= k else -1
+            dofs[j] = min(dofs[j] + len(arrivals), k)
+        if got >= 0:
+            hit[j] = got
 
+    block = next(draws) if real_codec else None
     for j in range(g):
-        if not need[j]:
-            hit[j] = kth(flags[j], k)
-    while any(need):
-        active = [j for j in range(g) if need[j]]
+        feed(j, flags[j], k, block, j)
+    while min(dofs) < k:
+        active = [j for j in range(g) if dofs[j] < k]
         extra, slots = next(draws), next(draws)
+        block = next(draws) if real_codec else None
         for row, j in enumerate(active):
-            lo, frac = split_count(coding.R, need[j])
+            lo, frac = split_count(coding.R, k - dofs[j])
             size = lo + int(extra[row] < frac)
             f = [bool(x < 1.0 - eps) for x in slots[row, :size]]
             rounds[j].append(size)
             received[j] += sum(f)
-            if sum(f) >= need[j]:
-                hit[j] = kth(f, need[j])
-            need[j] = max(need[j] - sum(f), 0)
-    return rounds, hit, received, s
+            feed(j, f, 0, block, row)
+    codec = [(t.non_innovative, h) for t, h in zip(trackers, history)] if real_codec else None
+    return rounds, hit, received, s, codec
 
 
 def reference_relaxed_slots(rounds, hits, t_s, t_p):

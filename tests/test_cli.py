@@ -102,6 +102,20 @@ class TestAnalyze:
         gc.collect()
         assert ref() is None
 
+    def test_in_process_failures_release_their_stderr(self):
+        # the same caller, redirecting stderr per call, on a run that exits 3
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main.main(["analyze", "--epsilon", "0.9999", "--rate-bps", "1e7",
+                       "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "64",
+                       "--redundancy", "1.0"], standalone_mode=False)
+        assert exc.value.code == 3
+        assert err.getvalue().startswith("numerical failure:")
+        ref = weakref.ref(err)
+        del err
+        gc.collect()
+        assert ref() is None
+
     def test_numerical_failure_exits_3(self, runner):
         res = runner.invoke(main, ["analyze", "--epsilon", "0.9999",
                                    "--rate-bps", "1e7", "--packet-bits", "1e4",

@@ -84,7 +84,12 @@ CASES = {
 # re-recorded when p_z took its closed form and the power sums their binary
 # doubling (last-bit changes), and simulate-reps and simulate-hol-cap-reps
 # when replications began to pool their integer delay sums (see CHANGES.md);
-# kstar and every other simulator digest were kept.
+# kstar and every other simulator digest were kept. The five real-codec
+# cases (idealized-codec, relaxed-codec, relaxed-codec-seed21,
+# idealized-codec-k64 and relaxed-codec-k1) were re-recorded when the codec
+# moved onto the vectorized retransmission rounds, drawing one coefficient
+# block per block of generations and round (a new random stream; see
+# CHANGES.md); every other digest was kept.
 DIGESTS = {
     "analyze": ("449a1ed85671726c602297b8600197c45bcdecab981dbe0f48cc5a6b90c8cf88", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
@@ -95,14 +100,14 @@ DIGESTS = {
         "83a3dbbdd51c9d5887fe3eabce01c5eed5cdab12b19d55b82f21f86b29fb3df1",
         "ad4d517c14a75373425e3c27a949e2cc7b0782f0b2c7675beae8634e431e3c0f"),
     "simulate-idealized-codec": (
-        "a4ed993cbd2957fd77b8bde83940632e8dbddbf9ff2a935c299cc4bec8672570",
-        "81ebbda39d4bd0da23986c380263b3081e5c33c682259958fef7160e0050a421"),
+        "29222f565df2314da2bf4d73bb68b5d78ddaa8abca5ed9926ff909be0107ce96",
+        "1d62d76f9c3be699529d11d2e371328e06ec4768d45a1934344b62fdeb853741"),
     "simulate-relaxed": (
         "945df535f8f9032cd24dc6f8aa31b78c8feebac9936e1358b0f3192dc5d44010",
         "931287f96e7c62dd01dae39388e98f114fe253418e4d83d188b52c02fb40b666"),
     "simulate-relaxed-codec": (
-        "f05073fe1c6b0800341a3452b37b1cfab150af69fff78ee8176b237134c64654",
-        "5a74d5042189989dda252ea058c59fbb7742ceadc620beba467931e1ea07b530"),
+        "d3960bc2f3cd8b826dcea89097fa6a0bcf3063831e595d9c623c7ee407b81b4a",
+        "d6d39eabeff3751b7c6c5e1e4aefe442d7a0433873a4cc2a11557220dae199bc"),
     "simulate-idealized-b1": (
         "a206c18bf6bd8dea95669bac8c2313b62440ece17918cb8ccf3426aa11003716",
         "eb7a9572bb953fc3d99b83f0d406d5ed6e0872de40bbc19eced723fd046028a3"),
@@ -110,17 +115,17 @@ DIGESTS = {
         "89bf3cb6a3d0b6269df3e2a4bb9d5615104312cfb20ca76d4dfa9d4ef94a5861",
         "55f014d02bf2c7013fcaeaa23b89c0bed78afbbadcd3cb7a9da167541983b4dc"),
     "simulate-idealized-codec-k64": (
-        "438cd0394d7d85d31ab031d4aaccb47382034282247d8b67f2164cbbdb6c14bc",
-        "7550d87b2daf96e6614d4cdc8b3610597b7abd49c8ecb16dfcf71cfba2891085"),
+        "734f3df5211b4fff309934eadda7ab3b7ffad7fecd045602a57dacf8c9853c5c",
+        "8a936499a2f0a27ecf5f9695858536348e25b985265e356e1688d177a5afaefa"),
     "simulate-idealized-full-window": (
         "c8cc87b729d8a78f55a0c1095b4ea6b23310cc44efad16d84390d06c385c931f",
         "141588c591206493dd42bfb103dab2a881308a2cc8fe032967da294886e9d4cf"),
     "simulate-relaxed-codec-seed21": (
-        "3bd682f274a60c731887ab195f4b8bea867e185719184b659748e50b423eacd2",
-        "b58e7c5a9acd6ba2c69964234a3f9946c78e6faf362a7097ee1e9ee59ec64723"),
+        "1cb267170f6997ec5aae8ae16cc3f39ad918fbbcc4cc25c42a03c8bfb047c1f8",
+        "b0987836d92325236ab682d149ec434c823dc7fcde376b7bd615bb7523c462e1"),
     "simulate-relaxed-codec-k1": (
-        "25fa03d28c60372c1eb3915894abf10943a8ba1f7b7d275b59b9e2d22a651bfa",
-        "bd2aa8fbb71ee1bfd8d189dd64f1b1726ec1625715627d8c5b64091f680857cb"),
+        "a7fde3546bb6fb5af3c8731e9c43babbd0e3b84ab01502046c5092a339be8988",
+        "a9a5dfc4b0f2592d97db9d93eb19f28908fb9adc8dd8fe88238d3f71eeec4668"),
     "simulate-relaxed-eps03": (
         "05889009ab3973cf16d885088f21e718a2c04978ee09ea21933459e31d470bf5",
         "4bd1ec64f27e8891d64547ded18a433dbfd698e0e8a4a945a451d500aefb50bf"),

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from codedelay.simulator import (
 from .helpers import (
     RecordingRng,
     ReferenceTracker,
+    ScriptedCoefficients,
     reference_relaxed_slots,
     reference_trajectories,
 )
@@ -153,8 +156,12 @@ class TestChunking:
         # the seeded golden cases send at most ~20 packets in round 1
         assert simulator._chunk_rows(64) == simulator._CHUNK
         big = MAX_ROUND_PACKETS + 1
-        assert simulator._chunk_rows(big) * big <= simulator._CHUNK_ELEMENTS
+        assert simulator._chunk_rows(big) * 8 * big <= simulator._CHUNK_BYTES
         assert simulator._chunk_rows(10 ** 9) == 1
+        # with the real codec, a retransmission round's coefficient block
+        # (up to R*k rows of k bytes per generation) and the basis count too
+        hi, k = 1902, 1024
+        assert simulator._chunk_rows(hi, k) * (hi + k) * k <= simulator._CHUNK_BYTES
 
     @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
     def test_large_redundancy_runs_in_smaller_blocks(self):
@@ -163,6 +170,31 @@ class TestChunking:
         assert simulator._chunk_rows(cd.n_k_high) < simulator._CHUNK
         st = run_coded(SimConfig(channel=ch, coding=cd, n_packets=4000, seed=3))
         assert st.n_delays > 0 and math.isfinite(st.mean_delay)
+
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    def test_real_codec_at_large_k_stays_in_bounded_memory(self, monkeypatch):
+        # k = 1024 at margin 0.3 sends 1902 slots in round 1, 878 of them
+        # coded: a generation's coefficient block is 0.9 MB and its basis
+        # width about 310 columns. With a 4 MiB block cap every block holds
+        # one generation, so the peak is one generation's arrays plus one
+        # elimination sub-batch's temporaries.
+        ch = std_channel(0.3)
+        cd = derive_coding(ch, 1024, margin=0.3)
+        monkeypatch.setattr(simulator, "_CHUNK_BYTES", 4 << 20)
+        assert simulator._chunk_rows(cd.n_k_high, cd.k) == 1
+        cfg = SimConfig(channel=ch, coding=cd, n_packets=11 * 1024, seed=2, use_real_codec=True)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            st_ = run_coded(cfg)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.n_delays == 1024   # one generation past warm-up and cool-down
+        assert peak < 8 << 20
+        assert elapsed < 20.0
 
 
 class TestInOrderDelivery:
@@ -218,6 +250,52 @@ class TestInOrderDelivery:
         assert (st.trace.delay > 0).all()
 
 
+def _sparse_bytes(level):
+    """Coefficient map keeping only bytes below level: sparse rows, many zero or dependent."""
+    return lambda block: np.where(block < level, block, 0).astype(np.uint8)
+
+
+def _zero_rows(level):
+    """Coefficient map zeroing every row whose first byte is below level."""
+    return lambda block: block * (block[..., :1] >= level)
+
+
+def _codec_config(epsilon, k, R, seed):
+    ch = std_channel(epsilon)
+    return SimConfig(channel=ch, coding=derive_coding(ch, k, R=R), n_packets=k * 50, seed=seed,
+                     use_real_codec=True)
+
+
+@st.composite
+def _codec_blocks(draw):
+    """(config, generations, coefficient map or None, elimination cell cap or None) of one block."""
+    cfg = _codec_config(draw(st.floats(0.0, 0.45)), draw(st.integers(1, 64)),
+                        draw(st.floats(1.0, 2.0)), draw(st.integers(0, 2 ** 32 - 1)))
+    g = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["as drawn", "sparse", "zero rows"]))
+    level = draw(st.integers(8, 96))
+    coefficients = {"as drawn": None, "sparse": _sparse_bytes(level),
+                    "zero rows": _zero_rows(level)}[kind]
+    return cfg, g, coefficients, draw(st.sampled_from([None, 1, 64, 1024]))
+
+
+def _codec_replay(cfg, g, coefficients=None):
+    """Draw one block of g real-codec generations, replay its draws through the decoder
+    reference and compare; returns the draws and the replay's per-generation codec record."""
+    rng = RecordingRng(simulator._rng_for(cfg.seed), coefficients)
+    (tr,) = simulator._trajectories(cfg, rng, g)
+    rounds, hit, received, s, codec = reference_trajectories(
+        rng.draws, cfg.coding, cfg.channel.epsilon, g, real_codec=True)
+    assert tr.n.tolist() == [r[0] for r in rounds]
+    assert tr.y.tolist() == [len(r) for r in rounds]
+    assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
+    assert tr.hit.tolist() == hit
+    assert tr.received.tolist() == received
+    assert tr.s.tolist() == s
+    assert tr.non_innovative.tolist() == [wasted for wasted, _ in codec]
+    return rng.draws, codec
+
+
 class TestTrajectories:
     @pytest.mark.parametrize("epsilon, k, R", [(0.1, 8, 1.25), (0.3, 1, 1.5), (0.2, 16, 1.0),
                                                (0.35, 5, 1.1), (0.0, 4, 1.0)])
@@ -228,7 +306,8 @@ class TestTrajectories:
         rng = RecordingRng(simulator._rng_for(81))
         cfg = SimConfig(channel=ch, coding=cd, n_packets=k * g, seed=81)
         (tr,) = simulator._trajectories(cfg, rng, g)
-        rounds, hit, received, s = reference_trajectories(rng.draws, cd, epsilon, g)
+        rounds, hit, received, s, codec = reference_trajectories(rng.draws, cd, epsilon, g)
+        assert codec is None
         assert tr.n.tolist() == [r[0] for r in rounds]
         assert tr.y.tolist() == [len(r) for r in rounds]
         assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
@@ -247,6 +326,50 @@ class TestTrajectories:
         last = np.where(tr.y == 1, tr.n, tr.retx[np.maximum(ends - 1, 0)])
         assert np.all((tr.hit >= 0) & (tr.hit < last))
         assert tr.retx.size == ends[-1]
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_codec_blocks())
+    def test_real_codec_matches_a_decoder_replay(self, case):
+        cfg, g, coefficients, cells = case
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(simulator, "_ELIM_CELLS", cells)
+            _codec_replay(cfg, g, coefficients)
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @pytest.mark.parametrize("edge", ["widths 0 to k", "zero rows", "basis over 3 rounds",
+                                      "sub-batches"])
+    def test_decoder_replay_reaches_the_edges(self, monkeypatch, edge):
+        # each case is replayed like the drawn ones, and shows its edge
+        calls = []
+        if edge == "widths 0 to k":
+            cfg, g, coefficients = _codec_config(0.45, 2, 1.0, seed=91), 40, None
+        elif edge == "zero rows":
+            cfg, g, coefficients = _codec_config(0.3, 16, 1.2, seed=92), 40, _zero_rows(96)
+        elif edge == "basis over 3 rounds":
+            cfg, g, coefficients = _codec_config(0.45, 8, 1.5, seed=93), 40, _sparse_bytes(24)
+        else:
+            cfg, g, coefficients = _codec_config(0.3, 32, 1.5, seed=94), 30, None
+            reduce = simulator._reduce
+            monkeypatch.setattr(simulator, "_ELIM_CELLS", 2000)
+            monkeypatch.setattr(simulator, "_reduce",
+                                lambda rows, *a: calls.append(rows.shape[0]) or reduce(rows, *a))
+        draws, codec = _codec_replay(cfg, g, coefficients)
+        k, eps = cfg.coding.k, cfg.channel.epsilon
+        width = [int((row[:k] < eps).sum()) for row in draws[1 if cfg.coding.frac else 0]]
+        if edge == "widths 0 to k":
+            assert 0 in width and k in width
+        elif edge == "zero rows":
+            blocks = [d for d in draws if d.dtype == np.uint8]
+            assert any((b == 0).all(axis=-1).any() for b in blocks)
+        elif edge == "basis over 3 rounds":
+            # a coded row of round 1 entered the basis, which then went
+            # through rounds 2, 3 and 4
+            assert any(ranks[0] > k - w and len(ranks) >= 4
+                       for w, (_, ranks) in zip(width, codec))
+        else:
+            assert 1 < len(calls) and max(calls) < sum(w > 0 for w in width)
 
 
 @st.composite
@@ -349,18 +472,6 @@ class TestSeedPairedModes:
                                           use_real_codec=use_real_codec, seed=seed)
 
 
-class _ScriptedCoefficients:
-    """Stands in for the generator of a real-codec round: hands out prepared coefficient rows."""
-
-    def __init__(self, mats):
-        self._mats = iter(mats)
-
-    def integers(self, low, high, size, dtype):
-        mat = next(self._mats)
-        assert (low, high, dtype, mat.shape) == (0, 256, np.uint8, size)
-        return mat.copy()
-
-
 def _coefficient_row(draw, k, earlier):
     """One coded row: random, zero, sparse, or a scaled copy or combination of earlier rows."""
     kinds = ["random", "zero", "sparse"] + (["copy", "combination"] if earlier else [])
@@ -380,9 +491,8 @@ def _coefficient_row(draw, k, earlier):
 
 
 @st.composite
-def _generation_rounds(draw):
-    """(k, [(receive flags, systematic slots, coded coefficient rows)]) for one generation."""
-    k = draw(st.integers(1, 10))
+def _generation_rounds(draw, k):
+    """[(receive flags, systematic slots, coded coefficient rows)] of one generation, by round."""
     systematic = draw(st.sampled_from(["all", "none", "some"]))
     if systematic == "some":
         sys_flags = draw(st.lists(st.booleans(), min_size=k, max_size=k))
@@ -402,28 +512,55 @@ def _generation_rounds(draw):
             coded_flags = [received == "all"] * n_coded
         flags = np.array((sys_flags if n_sys else []) + coded_flags, dtype=bool)
         rounds.append((flags, n_sys, np.array(rows, dtype=np.uint8).reshape(n_coded, k)))
-    return k, rounds
+    return rounds
 
 
-def _feed_both(k, rounds):
-    """Feed the rounds to the rank tracker and the decoder reference; compare after each."""
-    mats = [mat for _, _, mat in rounds]
-    new, ref = simulator._RankTracker(k), ReferenceTracker(k)
-    new_rng, ref_rng = _ScriptedCoefficients(mats), _ScriptedCoefficients(mats)
-    fed = 0
-    for flags, n_sys, _ in rounds:
-        if ref.rank >= k:
+@st.composite
+def _generation_batches(draw):
+    """(k, one _generation_rounds list per generation) for a batch of up to three."""
+    k = draw(st.integers(1, 10))
+    return k, draw(st.lists(_generation_rounds(k), min_size=1, max_size=3))
+
+
+def _feed_both(k, gens):
+    """Feed the generations' rounds to one _CodecRanks and each to its decoder reference.
+
+    A round goes to every generation in round 1, then to those still short
+    of k that have one, stacked and padded with lost slots whose rows are
+    junk. Compares after each round; returns the rounds each generation was
+    fed and the _CodecRanks.
+    """
+    g = len(gens)
+    ranks, refs = simulator._CodecRanks(k, g), [ReferenceTracker(k) for _ in gens]
+    fed = [0] * g
+    for r in range(max(len(rounds) for rounds in gens)):
+        active = [j for j in range(g) if r == 0 or (refs[j].rank < k and r < len(gens[j]))]
+        if not active:
             break
-        hit = new.round(new_rng, flags, n_sys)
-        assert hit == ref.round(ref_rng, flags, n_sys)
-        assert (new.rank, new.non_innovative) == (ref.rank, ref.non_innovative)
-        fed += 1
-    return fed, new
+        n_sys = k if r == 0 else 0
+        slots = max(gens[j][r][0].size for j in active)
+        flags = np.zeros((len(active), slots), dtype=bool)
+        coeffs = np.full((len(active), slots - n_sys, k), 0xA5, dtype=np.uint8)
+        for row, j in enumerate(active):
+            f, _, mat = gens[j][r]
+            flags[row, :f.size] = f
+            coeffs[row, :mat.shape[0]] = mat
+        fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.array(active), flags)
+        for row, j in enumerate(active):
+            f, _, mat = gens[j][r]
+            want = refs[j].round(ScriptedCoefficients([mat]), f, n_sys)
+            assert fin[row] == (want >= 0)
+            if want >= 0:
+                assert hit[row] == want
+            assert (k - ranks.need[j], ranks.non_innovative[j]) == (refs[j].rank,
+                                                                    refs[j].non_innovative)
+            fed[j] += 1
+    return fed, ranks
 
 
 class TestRankTracker:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_generation_rounds())
+    @given(_generation_batches())
     def test_matches_the_payload_decoder(self, case):
         _feed_both(*case)
 
@@ -437,18 +574,19 @@ class TestRankTracker:
         for _ in range(7):
             row = rng.integers(1, 256, size=k, dtype=np.uint8)
             rounds.append((np.ones(2, dtype=bool), 0, np.stack([row, MUL[7][row]])))
-        fed, tracker = _feed_both(k, rounds)
-        assert fed == 7
-        assert tracker.rank == k
-        assert tracker.non_innovative == 5
+        fed, ranks = _feed_both(k, [rounds])
+        assert fed == [7]
+        assert ranks.need[0] == 0
+        assert ranks.non_innovative[0] == 5
 
     def test_every_systematic_packet_decodes_at_the_kth(self):
         k = 5
-        flags = np.ones(k + 3, dtype=bool)
-        coeffs = np.ones((3, k), dtype=np.uint8)
-        tracker = simulator._RankTracker(k)
-        assert tracker.round(_ScriptedCoefficients([coeffs]), flags, k) == k - 1
-        assert (tracker.rank, tracker.non_innovative) == (k, 0)
+        flags = np.ones((1, k + 3), dtype=bool)
+        coeffs = np.ones((1, 3, k), dtype=np.uint8)
+        ranks = simulator._CodecRanks(k, 1)
+        fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.arange(1), flags)
+        assert fin.tolist() == [True] and hit.tolist() == [k - 1]
+        assert (ranks.need[0], ranks.non_innovative[0]) == (0, 0)
 
     def test_rows_outside_the_missing_columns_carry_nothing(self):
         # packet 1 is missing; the first coded row touches only received
@@ -456,8 +594,28 @@ class TestRankTracker:
         k = 3
         flags = np.array([True, False, True, True, True, True])
         coeffs = np.array([[5, 0, 9], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
-        _, tracker = _feed_both(k, [(flags, k, coeffs)])
-        assert (tracker.rank, tracker.non_innovative) == (k, 1)
+        _, ranks = _feed_both(k, [[(flags, k, coeffs)]])
+        assert (k - ranks.need[0], ranks.non_innovative[0]) == (k, 1)
+
+
+_draw_trajectories = simulator._trajectories
+
+
+def _replayed_trajectories(cfg, rng, n_gens):
+    """_trajectories with every block's rounds and counts taken from the decoder replay of its draws."""
+    rec = RecordingRng(rng)
+    for tr in _draw_trajectories(cfg, rec, n_gens):
+        rounds, hit, received, s, codec = reference_trajectories(
+            rec.draws, cfg.coding, cfg.channel.epsilon, tr.n.size, real_codec=True)
+        rec.draws.clear()
+
+        def col(values):
+            return np.array(values, dtype=np.int64)
+
+        yield simulator._Trajectories(
+            n=col([r[0] for r in rounds]), s=col(s), y=col([len(r) for r in rounds]),
+            hit=col(hit), received=col(received), non_innovative=col([w for w, _ in codec]),
+            retx=col([size for r in rounds for size in r[1:]]))
 
 
 class TestRealCodec:
@@ -479,7 +637,7 @@ class TestRealCodec:
         cfg = make_config(epsilon=epsilon, k=k, margin=margin, mode=mode, n_packets=3000,
                           seed=43, use_real_codec=True, collect_records=True)
         got = run_coded(cfg)
-        monkeypatch.setattr(simulator, "_RankTracker", ReferenceTracker)
+        monkeypatch.setattr(simulator, "_trajectories", _replayed_trajectories)
         want = run_coded(cfg)
         assert dataclasses.replace(got, trace=None) == dataclasses.replace(want, trace=None)
         for field in dataclasses.fields(got.trace):
