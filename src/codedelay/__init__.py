@@ -22,7 +22,7 @@ from .moments import (PrefixMoments, StragglerMoments, prefix_mgf,
 from .optimizer import (SweepRecord, TradeoffPoint, default_k_range, k_star,
                         smooth_local_maxima, sweep, tradeoff_curve)
 from .params import (MAX_BDP, MAX_ROUND_PACKETS, AssumptionWarning, ChannelParams,
-                     CodingParams, coded_count_distribution, derive_channel,
+                     CodingParams, InputError, coded_count_distribution, derive_channel,
                      derive_coding, redundancy_from_margin, split_count)
 from .simulator import (PacketTrace, SimConfig, SimStats, replicate, run_arq,
                         run_coded, trace_csv)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionWarning", "ChannelParams", "CodingParams", "CodedPacket",
-    "DecoderState", "DelayMoments", "EfficiencyResult", "MAX_BDP", "MAX_K",
+    "DecoderState", "DelayMoments", "EfficiencyResult", "InputError", "MAX_BDP", "MAX_K",
     "MAX_ROUND_PACKETS",
     "NumericalError", "PacketTrace", "PrefixMoments", "SimConfig", "SimStats",
     "StragglerMoments", "SweepRecord", "TradeoffPoint", "TransitionKernel",

@@ -5,8 +5,10 @@ identical invocations produce byte-identical output. Columns carry unit
 suffixes (mean_s, rate_bps) and floats are printed with full round-trip
 precision so tables can be parsed back losslessly.
 
-Exit codes: 0 success, 2 flag or usage error, 3 numerical failure (including
-sweeps where any point failed; the partial table is still emitted).
+Exit codes: 0 success, 2 flag or usage error (click's own, or an InputError
+from an input check), 3 numerical failure (NumericalError, a float out of
+range, or any other ValueError, such as numpy's; also sweeps where any point
+failed, whose partial table is still emitted).
 """
 
 import csv
@@ -22,7 +24,7 @@ from .delay import expected_delay
 from .efficiency import efficiency
 from .kernel import NumericalError, build_kernel
 from .optimizer import default_k_range, k_star, smooth_local_maxima, sweep, tradeoff_curve
-from .params import derive_channel, derive_coding, redundancy_from_margin
+from .params import InputError, derive_channel, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, replicate, run_arq, run_coded, trace_csv
 
 
@@ -110,14 +112,14 @@ def _guard(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except NumericalError as exc:
+        except InputError as exc:
+            raise click.UsageError(str(exc))
+        except (NumericalError, ValueError) as exc:  # a ValueError that no input check raised
             click.echo(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(3)
         except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
             click.echo(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(3)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
 
     return wrapper
 
@@ -128,7 +130,7 @@ def _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s):
 
 def _require_one_redundancy(redundancy, margin):
     if (redundancy is None) == (margin is None):
-        raise click.UsageError("provide exactly one of --redundancy / --margin")
+        raise InputError("provide exactly one of --redundancy / --margin")
 
 
 def _resolve_r(redundancy, margin, epsilon):
@@ -148,7 +150,7 @@ def _open_output(path, option):
     try:
         return open(path, "w")
     except OSError as exc:
-        raise click.UsageError(f"cannot write {option} {path}: {exc.strerror}")
+        raise InputError(f"cannot write {option} {path}: {exc.strerror}")
 
 
 def _emit(table, fmt, out):
@@ -168,11 +170,11 @@ def _parse_k_grid(text, channel):
     try:
         ks = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise click.UsageError(f"--k-grid must be comma-separated integers, got {text!r}")
+        raise InputError(f"--k-grid must be comma-separated integers, got {text!r}")
     if not ks:
-        raise click.UsageError("--k-grid is empty")
+        raise InputError("--k-grid is empty")
     if min(ks) < 1:
-        raise click.UsageError(f"--k-grid sizes must be >= 1, got {min(ks)}")
+        raise InputError(f"--k-grid sizes must be >= 1, got {min(ks)}")
     return ks
 
 
@@ -263,9 +265,9 @@ def cmd_tradeoff(epsilon, rate_bps, packet_bits, tp_s, rtt_s, margins, k_grid,
     try:
         xs = [float(part) for part in margins.split(",") if part.strip()]
     except ValueError:
-        raise click.UsageError(f"--margins must be comma-separated numbers, got {margins!r}")
+        raise InputError(f"--margins must be comma-separated numbers, got {margins!r}")
     if not xs:
-        raise click.UsageError("--margins is empty")
+        raise InputError("--margins is empty")
     kg = _parse_k_grid(k_grid, ch)
     points = tradeoff_curve(ch, xs, k_range=kg, arq_packets=arq_packets, seed=seed)
     table = OutputTable(
@@ -296,7 +298,7 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
     ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
     coding = _build_coding(ch, k, redundancy, margin)
     if trace is not None and reps != 1:
-        raise click.UsageError("--trace requires --reps 1")
+        raise InputError("--trace requires --reps 1")
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets,
                     seed=seed, use_real_codec=real_codec, hol_cap=hol_cap,
                     collect_records=trace is not None)

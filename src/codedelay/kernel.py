@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .params import coded_count_distribution
+from .params import InputError, coded_count_distribution
 
 MAX_K = 4096
 ABSORPTION_TAIL = 1e-12
@@ -36,7 +36,7 @@ class NumericalError(RuntimeError):
 def check_generation_size(k):
     """Reject a generation size the kernel does not support."""
     if k > MAX_K:
-        raise ValueError(f"k = {k} exceeds the supported maximum {MAX_K}")
+        raise InputError(f"k = {k} exceeds the supported maximum {MAX_K}")
 
 
 class TransitionKernel:

@@ -17,7 +17,7 @@ import numpy as np
 from .delay import expected_delay
 from .efficiency import efficiency
 from .kernel import build_kernel, check_generation_size
-from .params import AssumptionWarning, derive_coding, redundancy_from_margin
+from .params import AssumptionWarning, InputError, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, run_arq
 
 DEFAULT_K_POINTS = 40
@@ -53,7 +53,7 @@ def default_k_range(channel, points=DEFAULT_K_POINTS):
     """Log-spaced generation sizes from 2 up to min(bdp - 1, 1024)."""
     hi = min(channel.bdp - 1, 1024)
     if hi < 2:
-        raise ValueError(f"bdp={channel.bdp} admits no generation size (need bdp > 2)")
+        raise InputError(f"bdp={channel.bdp} admits no generation size (need bdp > 2)")
     grid = np.logspace(math.log10(2.0), math.log10(float(hi)), points)
     return [int(v) for v in np.unique(np.round(grid).astype(np.int64))]
 
@@ -78,7 +78,7 @@ def _grid_codings(channel, R, ks):
                 coding = derive_coding(channel, k, R=R)
                 check_generation_size(k)
                 codings.append(coding)
-            except ValueError as exc:
+            except InputError as exc:
                 errors[k] = str(exc)
     loose = [c.k for c in codings if not c.within_bdp]
     if loose:
@@ -109,9 +109,9 @@ def sweep(channel, R, k_range=None):
     """
     ks = list(k_range) if k_range is not None else default_k_range(channel)
     if not ks:
-        raise ValueError("k_range must be nonempty")
+        raise InputError("k_range must be nonempty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_range must be strictly ascending")
+        raise InputError("k_range must be strictly ascending")
     codings, errors = _grid_codings(channel, R, ks)
     done = {}
     if codings:
@@ -168,7 +168,7 @@ def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):
     """
     margins = list(margins)
     if not margins:
-        raise ValueError("margins must be nonempty")
+        raise InputError("margins must be nonempty")
     points = []
     for x in margins:
         R = redundancy_from_margin(x, channel.epsilon)

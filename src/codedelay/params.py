@@ -20,6 +20,10 @@ MAX_BDP = 10_000_000
 MAX_ROUND_PACKETS = 1 << 16
 
 
+class InputError(ValueError):
+    """An input outside its accepted range; the CLI reports it as a usage error."""
+
+
 class AssumptionWarning(UserWarning):
     """A configuration violates an operating assumption; results may be loose."""
 
@@ -28,7 +32,7 @@ def _require_finite(**values):
     """Reject NaN and infinite inputs by name; None means not given."""
     for name, v in values.items():
         if v is not None and not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+            raise InputError(f"{name} must be finite, got {v}")
 
 
 def _ceil_snapped(x):
@@ -66,25 +70,25 @@ def derive_channel(epsilon, rate, packet_size, t_p=None, rtt=None):
     """
     _require_finite(epsilon=epsilon, rate=rate, packet_size=packet_size, t_p=t_p, rtt=rtt)
     if not (0.0 <= epsilon < 1.0):
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+        raise InputError(f"epsilon must be in [0, 1), got {epsilon}")
     if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+        raise InputError(f"rate must be positive, got {rate}")
     if packet_size <= 0:
-        raise ValueError(f"packet_size must be positive, got {packet_size}")
+        raise InputError(f"packet_size must be positive, got {packet_size}")
     t_s = packet_size / rate
     if (t_p is None) == (rtt is None):
-        raise ValueError("give exactly one of t_p and rtt")
+        raise InputError("give exactly one of t_p and rtt")
     if t_p is None:
         t_p = (rtt - t_s) / 2.0
         if t_p < -_INT_SNAP * t_s:
-            raise ValueError(f"rtt {rtt} is shorter than one slot time {t_s}")
+            raise InputError(f"rtt {rtt} is shorter than one slot time {t_s}")
         t_p = max(t_p, 0.0)
     if t_p < 0:
-        raise ValueError(f"t_p must be nonnegative, got {t_p}")
+        raise InputError(f"t_p must be nonnegative, got {t_p}")
     rtt = t_s + 2.0 * t_p
     bdp = rtt * rate / packet_size
     if not math.isfinite(bdp) or _ceil_snapped(bdp) > MAX_BDP:
-        raise ValueError(f"bandwidth-delay product must be at most {MAX_BDP} packets, got "
+        raise InputError(f"bandwidth-delay product must be at most {MAX_BDP} packets, got "
                          f"{bdp:.6g} (rate {rate}, packet_size {packet_size}, rtt {rtt})")
     bdp = max(_ceil_snapped(bdp), 1)
     return ChannelParams(epsilon=float(epsilon), rate=float(rate),
@@ -96,9 +100,9 @@ def redundancy_from_margin(x, epsilon):
     """Redundancy factor giving a fractional capacity margin x above the loss rate."""
     _require_finite(margin=x, epsilon=epsilon)
     if x < 0:
-        raise ValueError(f"margin must be nonnegative, got {x}")
+        raise InputError(f"margin must be nonnegative, got {x}")
     if not (0.0 <= epsilon < 1.0):
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+        raise InputError(f"epsilon must be in [0, 1), got {epsilon}")
     return (1.0 + x) / (1.0 - epsilon)
 
 
@@ -125,9 +129,9 @@ def coded_count_distribution(R, i):
     to probability (a single point mass when R*i is integral).
     """
     if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+        raise InputError(f"R must be >= 1, got {R}")
     if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
+        raise InputError(f"i must be >= 1, got {i}")
     lo, frac = split_count(R, i)
     if frac == 0.0:
         return {lo: 1.0}
@@ -162,18 +166,18 @@ def derive_coding(channel, k, R=None, margin=None):
     """
     _require_finite(k=k, R=R, margin=margin)
     if k != int(k):
-        raise ValueError(f"k must be an integer, got {k}")
+        raise InputError(f"k must be an integer, got {k}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
     if (R is None) == (margin is None):
-        raise ValueError("give exactly one of R and margin")
+        raise InputError("give exactly one of R and margin")
     if R is None:
         R = redundancy_from_margin(margin, channel.epsilon)
     if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+        raise InputError(f"R must be >= 1, got {R}")
     if R * k > MAX_ROUND_PACKETS:
         source = "" if margin is None else f" from margin {margin}"
-        raise ValueError(f"R*k must be at most {MAX_ROUND_PACKETS} packets per round, got "
+        raise InputError(f"R*k must be at most {MAX_ROUND_PACKETS} packets per round, got "
                          f"{R * k:.6g} (R = {R:.6g}{source}, k = {k})")
     n_lo, frac = split_count(R, k)
     n_hi = n_lo + 1 if frac else n_lo

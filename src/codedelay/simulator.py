@@ -41,7 +41,9 @@ non-innovative packets that SimStats reports.
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
 seed reproduces traces bit for bit; tests/test_golden.py pins the bytes of a
-set of seeded CLI runs.
+set of seeded CLI runs. trace_csv prints each float with repr, but calls it
+once per distinct bit pattern of a column rather than once per row, and
+streams the rows out in blocks.
 """
 
 import json
@@ -55,7 +57,7 @@ import numpy as np
 
 from .gf256 import INV, MUL
 from .kernel import MAX_ROUNDS, NumericalError
-from .params import split_count
+from .params import InputError, split_count
 
 _CHUNK = 4096
 _CHUNK_BYTES = 1 << 25      # cap on one block's uniforms and codec coefficients (32 MiB)
@@ -80,13 +82,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.mode not in ("idealized", "relaxed"):
-            raise ValueError(f"mode must be 'idealized' or 'relaxed', got {self.mode!r}")
+            raise InputError(f"mode must be 'idealized' or 'relaxed', got {self.mode!r}")
         if self.n_packets < self.coding.k:
-            raise ValueError("n_packets must cover at least one generation")
+            raise InputError("n_packets must cover at least one generation")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.hol_cap is not None and self.hol_cap < 0:
-            raise ValueError(f"hol_cap must be nonnegative, got {self.hol_cap}")
+            raise InputError(f"hol_cap must be nonnegative, got {self.hol_cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +371,7 @@ class _Delivery:
         self.n_gens = -(-cfg.n_packets // k)
         self.warm = _WARMUP_FACTOR * b
         if self.n_gens <= 2 * self.warm:
-            raise ValueError(
+            raise InputError(
                 f"need more than {2 * self.warm} generations for warm-up and cool-down "
                 f"at b={b}; got {self.n_gens}")
         self.k, self.t_s, self.t_p = k, cfg.channel.t_s, cfg.channel.t_p
@@ -645,7 +647,7 @@ def run_arq(config):
 
     warm_packets = _ARQ_WARMUP_BDP * ch.bdp
     if n <= warm_packets:
-        raise ValueError(f"need more than {warm_packets} packets at bdp={ch.bdp}")
+        raise InputError(f"need more than {warm_packets} packets at bdp={ch.bdp}")
     trace = PacketTrace.build(idx, delays, t_s, 1) if config.collect_records else None
     acc = _PairStats(t_s, t_p)
     acc.add((del_alpha - idx)[warm_packets:], del_beta[warm_packets:])
@@ -663,7 +665,7 @@ def replicate(config, reps, engine=run_coded):
     error of the mean is estimated across replications (needs reps >= 2).
     """
     if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        raise InputError(f"reps must be >= 1, got {reps}")
     if reps == 1:
         return engine(config)
     children = np.random.SeedSequence(config.seed).spawn(reps)
@@ -706,5 +708,19 @@ def trace_csv(stats, config, out):
     out.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
     out.write("packet_id,generation_id,first_tx_slot,delivered_slot,delay_s\n")
     t = stats.trace
-    columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
-    out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
+    delivered, delay = _float_text(t.delivered_slot), _float_text(t.delay)
+    for lo in range(0, delay.size, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        out.writelines(map("{},{},{},{},{}\n".format, t.packet_id[rows].tolist(),
+                           t.generation_id[rows].tolist(), t.first_tx_slot[rows].tolist(),
+                           delivered[rows].tolist(), delay[rows].tolist()))
+
+
+def _float_text(col):
+    """Each value's repr in a float64 column, as an object array; one repr per distinct value.
+
+    Values are told apart by bit pattern, not float equality, so 0.0 and -0.0
+    keep their own text.
+    """
+    bits, where = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[where]

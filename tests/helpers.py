@@ -5,12 +5,14 @@ transition rows by exhaustive loss-pattern enumeration, and conditional delay
 moments by direct Monte-Carlo of the timing model bucketed on (y, z), the
 simulator's rounds by a scalar replay, generation by generation, of the
 uniforms (and real-codec coefficient blocks) they drew, with the real-codec
-rank taken by feeding every packet to the payload decoder, and the relaxed
-link schedule by a float event heap.
+rank taken by feeding every packet to the payload decoder, the relaxed
+link schedule by a float event heap, and the trace file by a writer that
+calls repr on both float columns of every row.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
 import heapq
+import json
 import math
 
 import numpy as np
@@ -205,6 +207,27 @@ def reference_relaxed_slots(rounds, hits, t_s, t_p):
             send_round(nxt, 0)
             nxt += 1
     return start, dec
+
+
+def reference_trace_csv(stats, config, out):
+    """simulator.trace_csv as it was before it formatted each distinct float once."""
+    cfg = {
+        "epsilon": config.channel.epsilon,
+        "rate_bps": config.channel.rate,
+        "packet_size_bits": config.channel.packet_size,
+        "t_p_s": config.channel.t_p,
+        "k": config.coding.k,
+        "R": config.coding.R,
+        "b": config.coding.b,
+        "mode": config.mode,
+        "n_packets": config.n_packets,
+        "seed": config.seed,
+    }
+    out.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
+    out.write("packet_id,generation_id,first_tx_slot,delivered_slot,delay_s\n")
+    t = stats.trace
+    columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
+    out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
 
 
 def _loss_patterns(n, eps):

@@ -21,8 +21,11 @@ import codedelay
 from codedelay.cli import main
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
-from codedelay.kernel import build_kernel
-from codedelay.params import derive_channel, derive_coding
+from codedelay.kernel import build_kernel, check_generation_size
+from codedelay.optimizer import default_k_range, sweep
+from codedelay.params import (InputError, coded_count_distribution, derive_channel,
+                              derive_coding, redundancy_from_margin)
+from codedelay.simulator import SimConfig, replicate
 
 CH = ["--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4",
       "--rtt-s", "0.1"]
@@ -123,6 +126,18 @@ class TestAnalyze:
                                    "--redundancy", "1.0"])
         assert res.exit_code == 3
 
+    def test_value_error_off_the_input_checks_exits_3(self, runner, monkeypatch):
+        # a numerical path's ValueError (numpy raises these) is not a usage error
+        def fail(*args, **kwargs):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(codedelay.cli, "expected_delay", fail)
+        res = runner.invoke(main, ["analyze", *CH, "--k", "16", "--margin", "0.1"])
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: array must not contain infs or NaNs" in res.output
+        assert "Traceback" not in res.output
+        assert "Usage:" not in res.output
+
     def test_float_overflow_exits_3(self, runner):
         # a 1.3e154 s slot is accepted, but its square overflows in the delay model
         res = runner.invoke(main, ["analyze", "--epsilon", "0", "--rate-bps", "1e7",
@@ -219,6 +234,30 @@ class TestFlagValidation:
         assert huge.stdout_bytes == full.stdout_bytes
 
 
+def _std_channel(rtt=0.1):
+    return derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=rtt)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: derive_channel(1.5, rate=1e7, packet_size=1e4, rtt=0.1),
+    lambda: derive_coding(_std_channel(), 0, margin=0.1),
+    lambda: redundancy_from_margin(-1.0, 0.1),
+    lambda: coded_count_distribution(0.5, 3),
+    lambda: check_generation_size(5000),
+    lambda: sweep(_std_channel(), 1.2, []),
+    lambda: default_k_range(_std_channel(rtt=1.5e-3)),
+    lambda: SimConfig(channel=_std_channel(), coding=derive_coding(_std_channel(), 8, R=1.2),
+                      mode="exact"),
+    lambda: replicate(SimConfig(channel=_std_channel(),
+                                coding=derive_coding(_std_channel(), 8, R=1.2)), 0),
+], ids=["channel", "coding", "margin", "count", "kernel-size", "sweep-grid", "k-range",
+        "sim-config", "reps"])
+def test_input_checks_raise_input_error(check):
+    """The library's input checks raise InputError, the one ValueError the CLI exits 2 on."""
+    with pytest.raises(InputError):
+        check()
+
+
 class TestSweepCommand:
     def test_round_trips_through_csv(self, runner):
         res = runner.invoke(main, ["sweep", *CH, "--margin", "0.1",
@@ -254,6 +293,12 @@ class TestKstarCommand:
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert int(row["k"]) == 4
+
+    def test_no_valid_point_exits_3_like_sweep(self, runner):
+        # sweep reports a k above MAX_K as a failed point and exits 3; so does kstar
+        res = runner.invoke(main, ["kstar", *CH, "--margin", "0.1", "--k-grid", "5000"])
+        assert res.exit_code == 3, res.output
+        assert "numerical failure: every sweep point failed" in res.output
 
 
 class TestTradeoffCommand:

@@ -1,5 +1,6 @@
 """Simulator engines: exact lossless closure, determinism, ordering, baselines."""
 
+import collections
 import dataclasses
 import io
 import itertools
@@ -7,16 +8,18 @@ import json
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codedelay.simulator as simulator
 from codedelay.delay import expected_delay
 from codedelay.gf256 import MUL
 from codedelay.params import MAX_ROUND_PACKETS, derive_channel, derive_coding
 from codedelay.simulator import (
+    PacketTrace,
     SimConfig,
     replicate,
     run_arq,
@@ -29,6 +32,7 @@ from .helpers import (
     ReferenceTracker,
     ScriptedCoefficients,
     reference_relaxed_slots,
+    reference_trace_csv,
     reference_trajectories,
 )
 
@@ -762,7 +766,94 @@ class TestArq:
         assert st.mean_efficiency == 1.0
 
 
+# bit patterns of 0.0, -0.0, the smallest positive subnormal, the negative
+# subnormal of largest magnitude, +inf, -inf, and NaNs with three payloads
+# (one with the sign bit set)
+_SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF4000000000000]
+_SPECIALS = np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def _trace_float_columns(draw):
+    """(delivered_slot, delay) columns drawn with heavy repetition from a small pool.
+
+    The pool holds the special values above, a few drawn floats and the float
+    one ulp above each of them.
+    """
+    drawn = np.array(draw(st.lists(st.floats(), min_size=1, max_size=4)))
+    pool = np.concatenate([_SPECIALS, drawn, np.nextafter(drawn, np.inf)])
+    n = draw(st.integers(0, 60))
+    pick = st.lists(st.integers(0, pool.size - 1), min_size=n, max_size=n)
+    return pool[draw(pick)], pool[draw(pick)]
+
+
+def _trace_stats(delivered_slot, delay, k=8):
+    ids = np.arange(delay.size)
+    return SimpleNamespace(trace=PacketTrace(
+        packet_id=ids, generation_id=ids // k, first_tx_slot=3 * ids,
+        delivered_slot=delivered_slot, delay=delay))
+
+
+class _DiscardingSink:
+    """A text file that drops what it is given, line by line as it comes."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        collections.deque(lines, maxlen=0)
+
+
+def _written(writer, stats, cfg):
+    buf = io.StringIO()
+    writer(stats, cfg, buf)
+    return buf.getvalue()
+
+
 class TestTraceCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_trace_float_columns())
+    @example((np.zeros(0), np.zeros(0)))
+    @example((np.array([2.5]), np.array([-0.0])))
+    def test_matches_reference_writer(self, columns):
+        stats, cfg = _trace_stats(*columns), make_config(k=8)
+        assert _written(trace_csv, stats, cfg) == _written(reference_trace_csv, stats, cfg)
+
+    def test_signed_zeros_and_nan_payloads_keep_their_text(self):
+        col = np.concatenate([_SPECIALS, _SPECIALS[::-1]])
+        stats, cfg = _trace_stats(col, col[::-1].copy()), make_config(k=8)
+        text = _written(trace_csv, stats, cfg)
+        assert text == _written(reference_trace_csv, stats, cfg)
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert [r[3] for r in rows[:6]] == ["0.0", "-0.0", "5e-324", "-2.225073858507201e-308",
+                                            "inf", "-inf"]
+        assert {r[3] for r in rows[6:9]} == {"nan"}
+
+    @pytest.mark.parametrize("real_codec", [False, True], ids=["counting", "codec"])
+    @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
+    def test_seeded_run_matches_reference_writer(self, mode, real_codec):
+        cfg = make_config(epsilon=0.2, k=8, n_packets=3000, seed=63, mode=mode,
+                          use_real_codec=real_codec, collect_records=True)
+        st = run_coded(cfg)
+        assert _written(trace_csv, st, cfg) == _written(reference_trace_csv, st, cfg)
+
+    def test_peak_memory_within_the_reference_writers(self):
+        cfg = make_config(k=16, n_packets=200_000, seed=64, collect_records=True)
+        st = run_coded(cfg)
+        assert st.trace.delay.size == 200_000
+
+        def peak(writer):
+            tracemalloc.start()
+            try:
+                writer(st, cfg, _DiscardingSink())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(trace_csv) <= peak(reference_trace_csv)
+
     def test_layout_and_consistency(self):
         cfg = make_config(k=8, n_packets=2000, seed=61, collect_records=True)
         st = run_coded(cfg)
