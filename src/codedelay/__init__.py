@@ -24,15 +24,15 @@ from .optimizer import (SweepRecord, TradeoffPoint, default_k_range, k_star,
 from .params import (MAX_BDP, MAX_ROUND_PACKETS, AssumptionWarning, ChannelParams,
                      CodingParams, InputError, coded_count_distribution, derive_channel,
                      derive_coding, redundancy_from_margin, split_count)
-from .simulator import (PacketTrace, SimConfig, SimStats, replicate, run_arq,
-                        run_coded, trace_csv)
+from .simulator import (MAX_PACKETS, PacketTrace, SimConfig, SimStats, replicate,
+                        run_arq, run_coded, trace_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionWarning", "ChannelParams", "CodingParams", "CodedPacket",
     "DecoderState", "DelayMoments", "EfficiencyResult", "InputError", "MAX_BDP", "MAX_K",
-    "MAX_ROUND_PACKETS",
+    "MAX_PACKETS", "MAX_ROUND_PACKETS",
     "NumericalError", "PacketTrace", "PrefixMoments", "SimConfig", "SimStats",
     "StragglerMoments", "SweepRecord", "TradeoffPoint", "TransitionKernel",
     "build_kernel", "coded_count_distribution", "default_k_range", "derive_channel",

@@ -111,6 +111,11 @@ def expected_delay(channel, coding, kern=None, weight_threshold=WEIGHT_THRESHOLD
     blockers = coding.b - 1
     horizon = kern.horizon
 
+    # p_Y from the cdf, once; a z whose largest cell is under the threshold
+    # is skipped whole, since fl(p * wz) is monotone in p
+    cdf = [float(kern.absorption_cdf(r)) for r in range(horizon + 1)]
+    p_y = [cdf[y] - cdf[y - 1] for y in range(1, horizon + 1)]
+    p_y_max = max(p_y, default=0.0)
     mean_terms = []
     second_terms = []
     weight_total = 0.0
@@ -124,11 +129,11 @@ def expected_delay(channel, coding, kern=None, weight_threshold=WEIGHT_THRESHOLD
             wz = 1.0
         else:
             wz = kern.p_z(blockers, z)
-            if wz <= 0.0:
+            if wz <= 0.0 or p_y_max * wz < weight_threshold:
                 continue
         vm = straggler_moments(kern, blockers, z) if z > 1 else None
-        for y in range(1, horizon + 1):
-            w = kern.p_y(y) * wz
+        for y, py in enumerate(p_y, start=1):
+            w = py * wz
             if w < weight_threshold:
                 continue
             d1 = _case_mean(y, z, k, n_k, t_s, t_p, pm, vm)

@@ -29,9 +29,13 @@ class AssumptionWarning(UserWarning):
 
 
 def _require_finite(**values):
-    """Reject NaN and infinite inputs by name; None means not given."""
+    """Reject NaN and infinite inputs by name; None means not given.
+
+    An int is finite at any size (math.isfinite would overflow on one beyond
+    float range), so range checks further on reject an oversized integer.
+    """
     for name, v in values.items():
-        if v is not None and not math.isfinite(v):
+        if v is not None and not isinstance(v, int) and not math.isfinite(v):
             raise InputError(f"{name} must be finite, got {v}")
 
 
@@ -175,6 +179,9 @@ def derive_coding(channel, k, R=None, margin=None):
         R = redundancy_from_margin(margin, channel.epsilon)
     if R < 1:
         raise InputError(f"R must be >= 1, got {R}")
+    if k > MAX_ROUND_PACKETS:   # then R*k is too, and k may lie beyond float range
+        raise InputError(f"R*k must be at most {MAX_ROUND_PACKETS} packets per round, got "
+                         f"k above {MAX_ROUND_PACKETS}")
     if R * k > MAX_ROUND_PACKETS:
         source = "" if margin is None else f" from margin {margin}"
         raise InputError(f"R*k must be at most {MAX_ROUND_PACKETS} packets per round, got "

@@ -41,9 +41,17 @@ non-innovative packets that SimStats reports.
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
 seed reproduces traces bit for bit; tests/test_golden.py pins the bytes of a
-set of seeded CLI runs. trace_csv prints each float with repr, but calls it
-once per distinct bit pattern of a column rather than once per row, and
-streams the rows out in blocks.
+set of seeded CLI runs. trace_csv prints each float with repr and each
+integer as str would, one block of _CHUNK rows at a time. A block is one
+fixed-width uint8 character matrix with a boolean keep-mask of the same
+shape: the integer fields are right-aligned digit columns whose leading zeros
+the mask drops, each float field is a row gather from a padded table of the
+reprs of its column's distinct values (by bit pattern, with repr called once
+per value), and the separators are constant columns. The kept characters,
+read row by row, are the block's text.
+
+A run is bounded: n_packets, and reps * n_packets across replications, may
+not exceed MAX_PACKETS.
 """
 
 import json
@@ -68,6 +76,14 @@ _MUL_FLAT = MUL.ravel()     # MUL[a, b] at a*256 + b
 _NO_BLOCKER = -(1 << 60)    # blocker slot of a generation that nothing can block
 _ARQ_WARMUP_BDP = 10
 
+# Largest run accepted, in source packets: n_packets, or reps * n_packets
+# across replications. At the engines' rates with the default head-of-line
+# window (0.7-8 M packets/s) that is seconds to a few minutes of simulation.
+# Memory also grows with the run: the relaxed engine keeps per-generation
+# arrays (about 39 bytes per packet at k = 2) and a trace keeps 40 bytes per
+# packet. The largest run in the tests and benchmark has about 4 M packets.
+MAX_PACKETS = 100_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -83,6 +99,8 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in ("idealized", "relaxed"):
             raise InputError(f"mode must be 'idealized' or 'relaxed', got {self.mode!r}")
+        if self.n_packets > MAX_PACKETS:
+            raise InputError(f"n_packets must be at most {MAX_PACKETS}, got {self.n_packets}")
         if self.n_packets < self.coding.k:
             raise InputError("n_packets must cover at least one generation")
         if self.seed < 0:
@@ -666,6 +684,9 @@ def replicate(config, reps, engine=run_coded):
     """
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
+    if reps * config.n_packets > MAX_PACKETS:
+        raise InputError(f"reps * n_packets must be at most {MAX_PACKETS}, got "
+                         f"{reps} * {config.n_packets}")
     if reps == 1:
         return engine(config)
     children = np.random.SeedSequence(config.seed).spawn(reps)
@@ -690,9 +711,17 @@ def replicate(config, reps, engine=run_coded):
 
 
 def trace_csv(stats, config, out):
-    """Write the per-packet trace as CSV with a config echo comment line."""
+    """Write the per-packet trace as CSV with a config echo comment line.
+
+    Raises ValueError without records, or when an integer column holds a
+    negative value, which no simulator trace does.
+    """
     if stats.trace is None:
         raise ValueError("run with collect_records=True to produce a trace")
+    t = stats.trace
+    ints = (t.packet_id, t.generation_id, t.first_tx_slot)
+    if any(col.size and col.min() < 0 for col in ints):
+        raise ValueError("trace integer columns must be nonnegative")
     cfg = {
         "epsilon": config.channel.epsilon,
         "rate_bps": config.channel.rate,
@@ -707,20 +736,55 @@ def trace_csv(stats, config, out):
     }
     out.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
     out.write("packet_id,generation_id,first_tx_slot,delivered_slot,delay_s\n")
-    t = stats.trace
-    delivered, delay = _float_text(t.delivered_slot), _float_text(t.delay)
-    for lo in range(0, delay.size, _CHUNK):
+    floats = [_repr_table(t.delivered_slot), _repr_table(t.delay)]
+    for lo in range(0, t.delay.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        out.writelines(map("{},{},{},{},{}\n".format, t.packet_id[rows].tolist(),
-                           t.generation_id[rows].tolist(), t.first_tx_slot[rows].tolist(),
-                           delivered[rows].tolist(), delay[rows].tolist()))
+        block = [col[rows] for col in ints]
+        widths = [len(str(int(col.max()))) for col in block] + [f[1].shape[1] for f in floats]
+        ends = (np.cumsum(widths) + np.arange(len(widths))).tolist()   # each field's separator
+        chars = np.empty((block[0].size, ends[-1] + 1), np.uint8)
+        keep = np.ones(chars.shape, bool)
+        for col, end, width in zip(block, ends, widths):
+            _decimal_digits(col, chars[:, end - width:end], keep[:, end - width:end])
+        for (where, text, fits), end, width in zip(floats, ends[3:], widths[3:]):
+            codes = where[rows]   # in range; mode="clip" lets take write the views unbuffered
+            np.take(text, codes, axis=0, out=chars[:, end - width:end], mode="clip")
+            np.take(fits, codes, axis=0, out=keep[:, end - width:end], mode="clip")
+        for end in ends:
+            chars[:, end] = ord(",")
+        chars[:, -1] = ord("\n")
+        out.write(chars[keep].tobytes().decode("ascii"))
 
 
-def _float_text(col):
-    """Each value's repr in a float64 column, as an object array; one repr per distinct value.
+def _decimal_digits(col, chars, keep):
+    """Write nonnegative integers right-aligned as ASCII digits; clear keep on leading zeros.
 
-    Values are told apart by bit pattern, not float equality, so 0.0 and -0.0
-    keep their own text.
+    The last digit is always kept, so a zero prints as 0.
+    """
+    last = chars.shape[1] - 1
+    for j in range(last, -1, -1):
+        if j < last:
+            np.greater(col, 0, out=keep[:, j])
+        quotient = col // 10
+        tens = quotient * 10
+        tens -= ord("0")
+        np.subtract(col, tens, out=chars[:, j], casting="unsafe")   # digit + ord("0")
+        col = quotient
+
+
+def _repr_table(col):
+    """(where, text, fits): the reprs of a float64 column's distinct values, padded.
+
+    text[where[i]] is row i's repr in ASCII codes, padded to a common width,
+    and fits[where[i]] marks its characters. Values are told apart by bit
+    pattern, not float equality, so 0.0 and -0.0 keep their own text.
     """
     bits, where = np.unique(col.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[where]
+    joined = np.frombuffer(",".join(map(repr, bits.view(np.float64).tolist())).encode("ascii"),
+                           np.uint8)
+    comma = joined == ord(",")
+    lengths = np.diff(np.flatnonzero(np.concatenate(([True], comma, [True])))) - 1
+    fits = np.arange(lengths.max()) < lengths[:, None]
+    text = np.zeros(fits.shape, np.uint8)
+    text[fits] = joined[~comma]
+    return where, text, fits

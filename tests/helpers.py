@@ -6,8 +6,9 @@ moments by direct Monte-Carlo of the timing model bucketed on (y, z), the
 simulator's rounds by a scalar replay, generation by generation, of the
 uniforms (and real-codec coefficient blocks) they drew, with the real-codec
 rank taken by feeding every packet to the payload decoder, the relaxed
-link schedule by a float event heap, and the trace file by a writer that
-calls repr on both float columns of every row.
+link schedule by a float event heap, the trace file by a writer that
+calls repr on both float columns of every row, and the delay sums by the
+cell loop that reads p_Y from the kernel for every (z, y) cell.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
@@ -18,7 +19,9 @@ import math
 import numpy as np
 
 from codedelay.codec import CodedPacket, DecoderState
+from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
 from codedelay.kernel import _binomial_rows, _pure_row
+from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import coded_count_distribution, split_count
 
 
@@ -228,6 +231,47 @@ def reference_trace_csv(stats, config, out):
     t = stats.trace
     columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
     out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
+
+
+def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRESHOLD):
+    """delay.expected_delay as it was before it took p_Y once and skipped whole z rows."""
+    k = coding.k
+    n_k = coding.R * k
+    t_s, t_p = channel.t_s, channel.t_p
+    pm = prefix_moments(channel.epsilon, k)
+    blockers = coding.b - 1
+    horizon = kern.horizon
+
+    mean_terms = []
+    second_terms = []
+    weight_total = 0.0
+    evaluated = 0
+    for z in range(1, horizon + 1):
+        if blockers == 0:
+            if z > 1:
+                break
+            wz = 1.0
+        else:
+            wz = kern.p_z(blockers, z)
+            if wz <= 0.0:
+                continue
+        vm = straggler_moments(kern, blockers, z) if z > 1 else None
+        for y in range(1, horizon + 1):
+            w = kern.p_y(y) * wz
+            if w < weight_threshold:
+                continue
+            d1 = _case_mean(y, z, k, n_k, t_s, t_p, pm, vm)
+            d2 = _case_second(y, z, k, n_k, t_s, t_p, pm, vm)
+            mean_terms.append(w * d1)
+            second_terms.append(w * d2)
+            weight_total += w
+            evaluated += 1
+    mean = math.fsum(mean_terms)
+    second = math.fsum(second_terms)
+    return DelayMoments(mean=mean, second_moment=second,
+                        variance=max(second - mean * mean, 0.0),
+                        truncated_mass=float(1.0 - weight_total),
+                        terms_evaluated=evaluated)
 
 
 def _loss_patterns(n, eps):

@@ -25,7 +25,7 @@ from codedelay.kernel import build_kernel, check_generation_size
 from codedelay.optimizer import default_k_range, sweep
 from codedelay.params import (InputError, coded_count_distribution, derive_channel,
                               derive_coding, redundancy_from_margin)
-from codedelay.simulator import SimConfig, replicate
+from codedelay.simulator import MAX_PACKETS, SimConfig, replicate
 
 CH = ["--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4",
       "--rtt-s", "0.1"]
@@ -213,6 +213,20 @@ class TestFlagValidation:
                       "--out", "missing/x.csv"], "--out missing/x.csv", id="out-unwritable"),
         pytest.param(SIM + ["--trace", "missing/x.csv"], "--trace missing/x.csv",
                      id="trace-unwritable"),
+        pytest.param(["analyze", *CH, "--k", str(10**400), "--margin", "0.1"],
+                     "R*k must be at most", id="k-beyond-float-range"),
+        pytest.param(["simulate", *CH, "--k", str(10**400), "--margin", "0.1",
+                      "--n-packets", "2000", "--seed", "7"],
+                     "R*k must be at most", id="simulate-k-beyond-float-range"),
+        pytest.param(SIM[:13] + ["--n-packets", str(MAX_PACKETS + 1), "--seed", "7"],
+                     f"n_packets must be at most {MAX_PACKETS}", id="n-packets-above-bound"),
+        pytest.param(SIM[:13] + ["--n-packets", str(10**400), "--seed", "7"],
+                     f"n_packets must be at most {MAX_PACKETS}", id="n-packets-beyond-float-range"),
+        pytest.param(SIM + ["--reps", str(MAX_PACKETS // 2000 + 1)],
+                     f"reps * n_packets must be at most {MAX_PACKETS}", id="reps-above-bound"),
+        pytest.param(SIM + ["--reps", str(10**400)],
+                     f"reps * n_packets must be at most {MAX_PACKETS}",
+                     id="reps-beyond-float-range"),
     ])
     def test_bad_input_exits_2_without_traceback(self, runner, argv, names, tmp_path,
                                                  monkeypatch):
@@ -250,8 +264,14 @@ def _std_channel(rtt=0.1):
                       mode="exact"),
     lambda: replicate(SimConfig(channel=_std_channel(),
                                 coding=derive_coding(_std_channel(), 8, R=1.2)), 0),
+    lambda: derive_coding(_std_channel(), 10**400, R=1.0),
+    lambda: SimConfig(channel=_std_channel(), coding=derive_coding(_std_channel(), 8, R=1.2),
+                      n_packets=MAX_PACKETS + 1),
+    lambda: replicate(SimConfig(channel=_std_channel(),
+                                coding=derive_coding(_std_channel(), 8, R=1.2),
+                                n_packets=MAX_PACKETS), 2),
 ], ids=["channel", "coding", "margin", "count", "kernel-size", "sweep-grid", "k-range",
-        "sim-config", "reps"])
+        "sim-config", "reps", "k-beyond-float-range", "n-packets", "reps-times-n-packets"])
 def test_input_checks_raise_input_error(check):
     """The library's input checks raise InputError, the one ValueError the CLI exits 2 on."""
     with pytest.raises(InputError):
@@ -400,24 +420,28 @@ def _pick(draw, first, second):
 @st.composite
 def _cli_argv(draw):
     number = st.floats()  # NaN, +-inf, zero, negative and subnormal included
-    count = st.integers(-(2**70), 2**70)
+    # integers beyond float range; each integer flag must reject them, or
+    # (--seed, --hol-cap) take them, before any oversized work starts
+    beyond = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+    count = st.integers(-(2**70), 2**70) | beyond
     command = draw(st.sampled_from(["analyze", "simulate"]))
     argv = [command,
             "--epsilon", str(_either(draw, [0.0, 0.1, 0.3], number)),
             "--rate-bps", str(_either(draw, [1e7], number)),
             "--packet-bits", str(_either(draw, [1e4], number)),
-            "--k", str(_either(draw, [1, 2, 8, 16, 64], st.integers(-3, 64)))]
+            "--k", str(_either(draw, [1, 2, 8, 16, 64], st.integers(-3, 64) | beyond))]
     argv += _pick(draw, ("--rtt-s", lambda: _either(draw, [0.1, 0.02], number)),
                   ("--tp-s", lambda: _either(draw, [0.05], number)))
     argv += _pick(draw, ("--margin", lambda: _either(draw, [0.0, 0.1], number)),
                   ("--redundancy", lambda: _either(draw, [1.0, 1.25, 2.0], number)))
     if command == "simulate":
-        argv += ["--n-packets", str(_either(draw, [2000, 20_000], st.integers(-10, 20_000))),
+        argv += ["--n-packets", str(_either(draw, [2000, 20_000],
+                                            st.integers(-10, 20_000) | beyond)),
                  "--seed", str(_either(draw, [0, 7], count))]
         argv += draw(st.sampled_from([[], ["--mode", "idealized"], ["--mode", "relaxed"]]))
         argv += draw(st.sampled_from([[], ["--real-codec"]]))
         if draw(st.booleans()):
-            argv += ["--reps", str(_either(draw, [1, 2], st.integers(-2, 3)))]
+            argv += ["--reps", str(_either(draw, [1, 2], st.integers(-2, 3) | beyond))]
         if draw(st.booleans()):
             argv += ["--hol-cap", str(_either(draw, [0, 10**12], count))]
     return argv

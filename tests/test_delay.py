@@ -3,13 +3,14 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codedelay.delay import _case_mean, _case_second, expected_delay
 from codedelay.kernel import build_kernel
 from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import AssumptionWarning, derive_channel, derive_coding
 
-from .helpers import conditional_delay_mc
+from .helpers import conditional_delay_mc, reference_expected_delay
 
 MC_TRIALS = 250_000
 MIN_CELL_GENS = 2000
@@ -119,3 +120,17 @@ def test_single_generation_in_flight():
     assert dm.mean > 0.0
     assert dm.variance >= 0.0
     assert dm.truncated_mass < 1e-3
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bdp=st.floats(3.0, 1e7), epsilon=st.floats(0.0, 0.9), k=st.integers(1, 80),
+       margin=st.floats(0.0, 0.5), threshold=st.sampled_from([1e-6, 1e-9, 1e-3]))
+def test_matches_reference_cell_loop(bdp, epsilon, k, margin, threshold):
+    """Taking p_Y once and skipping z rows below the threshold changes no bit."""
+    ch = derive_channel(epsilon, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        cd = derive_coding(ch, k, margin=margin)
+    kern = build_kernel(ch, cd)
+    assert (expected_delay(ch, cd, kern, weight_threshold=threshold)
+            == reference_expected_delay(ch, cd, kern, weight_threshold=threshold))

@@ -9,6 +9,7 @@ from codedelay.params import (
     MAX_BDP,
     MAX_ROUND_PACKETS,
     AssumptionWarning,
+    InputError,
     coded_count_distribution,
     derive_channel,
     derive_coding,
@@ -210,6 +211,13 @@ class TestDeriveCoding:
             derive_coding(ch, 16, margin=1e300)
         with pytest.raises(ValueError, match=r"R\*k must be at most"):
             derive_coding(ch, MAX_ROUND_PACKETS + 1, R=1.0)
+
+    def test_integer_beyond_float_range_is_an_input_error(self):
+        # math.isfinite would overflow on it; the size bound rejects it instead
+        with pytest.raises(InputError, match=r"R\*k must be at most"):
+            derive_coding(std_channel(), 10**400, margin=0.1)
+        with pytest.raises(InputError, match="k must be >= 1"):
+            derive_coding(std_channel(), -(10**400), margin=0.1)
 
     def test_integral_float_k_accepted(self):
         ch = std_channel()

@@ -17,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 import codedelay.simulator as simulator
 from codedelay.delay import expected_delay
 from codedelay.gf256 import MUL
-from codedelay.params import MAX_ROUND_PACKETS, derive_channel, derive_coding
+from codedelay.params import MAX_ROUND_PACKETS, InputError, derive_channel, derive_coding
 from codedelay.simulator import (
+    MAX_PACKETS,
     PacketTrace,
     SimConfig,
     replicate,
@@ -59,6 +60,14 @@ class TestConfigValidation:
         cd = derive_coding(ch, 8, margin=0.1)
         with pytest.raises(ValueError):
             SimConfig(channel=ch, coding=cd, n_packets=4)
+
+    def test_run_length_is_bounded(self):
+        ch = std_channel()
+        cd = derive_coding(ch, 8, margin=0.1)
+        assert SimConfig(channel=ch, coding=cd, n_packets=MAX_PACKETS).n_packets == MAX_PACKETS
+        for n in (MAX_PACKETS + 1, 10**400):
+            with pytest.raises(InputError, match=f"n_packets must be at most {MAX_PACKETS}"):
+                SimConfig(channel=ch, coding=cd, n_packets=n)
 
     @pytest.mark.parametrize("field, value", [("hol_cap", -3), ("seed", -1)])
     def test_negative_value_rejected(self, field, value):
@@ -708,6 +717,16 @@ class TestReplicate:
         with pytest.raises(ValueError):
             replicate(cfg, 0)
 
+    def test_total_run_length_is_bounded_before_seeds_are_spawned(self, monkeypatch):
+        def no_seeds(*args):
+            raise AssertionError("made seeds for a run above MAX_PACKETS")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+        cfg = make_config(k=8, n_packets=2000, seed=7)
+        for reps in (MAX_PACKETS // 2000 + 1, 10**400):
+            with pytest.raises(InputError, match="reps \\* n_packets must be at most"):
+                replicate(cfg, reps)
+
     def test_replications_keep_every_field_but_the_seed(self):
         cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
                           use_real_codec=True, collect_records=True)
@@ -789,11 +808,25 @@ def _trace_float_columns(draw):
     return pool[draw(pick)], pool[draw(pick)]
 
 
-def _trace_stats(delivered_slot, delay, k=8):
+def _trace_stats(delivered_slot, delay, k=8, ints=None):
+    """A stats stand-in holding the given float columns; ints, if given, are the integer ones."""
     ids = np.arange(delay.size)
+    packet_id, generation_id, first_tx_slot = ints or (ids, ids // k, 3 * ids)
     return SimpleNamespace(trace=PacketTrace(
-        packet_id=ids, generation_id=ids // k, first_tx_slot=3 * ids,
+        packet_id=packet_id, generation_id=generation_id, first_tx_slot=first_tx_slot,
         delivered_slot=delivered_slot, delay=delay))
+
+
+def _repeating_floats(n, seed):
+    """Two float columns of n rows drawn with repetition from a few hundred values."""
+    rng = np.random.default_rng(seed)
+    pool = rng.random(300) * 10.0 ** rng.integers(-5, 8, 300)
+    return pool[rng.integers(0, 300, n)], pool[rng.integers(0, 300, n)]
+
+
+# 0, 2**63 - 1 and both sides of every power of ten an int64 can hold
+_DIGIT_BOUNDARIES = np.array(
+    [0, 2**63 - 1] + [v for p in range(1, 19) for v in (10**p - 1, 10**p)], dtype=np.int64)
 
 
 class _DiscardingSink:
@@ -812,6 +845,20 @@ def _written(writer, stats, cfg):
     return buf.getvalue()
 
 
+def _matches_reference(stats, cfg):
+    """trace_csv's text, checked against the reference writer's; a mismatch names its first line.
+
+    (A plain assert on two traces makes pytest diff them, which takes minutes.)
+    """
+    text, expected = _written(trace_csv, stats, cfg), _written(reference_trace_csv, stats, cfg)
+    if text != expected:
+        got, want = text.splitlines(True), expected.splitlines(True)
+        line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                    min(len(got), len(want)))
+        raise AssertionError(f"line {line}: {got[line:line + 1]} != {want[line:line + 1]}")
+    return text
+
+
 class TestTraceCsv:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_trace_float_columns())
@@ -819,13 +866,12 @@ class TestTraceCsv:
     @example((np.array([2.5]), np.array([-0.0])))
     def test_matches_reference_writer(self, columns):
         stats, cfg = _trace_stats(*columns), make_config(k=8)
-        assert _written(trace_csv, stats, cfg) == _written(reference_trace_csv, stats, cfg)
+        _matches_reference(stats, cfg)
 
     def test_signed_zeros_and_nan_payloads_keep_their_text(self):
         col = np.concatenate([_SPECIALS, _SPECIALS[::-1]])
         stats, cfg = _trace_stats(col, col[::-1].copy()), make_config(k=8)
-        text = _written(trace_csv, stats, cfg)
-        assert text == _written(reference_trace_csv, stats, cfg)
+        text = _matches_reference(stats, cfg)
         rows = [line.split(",") for line in text.splitlines()[2:]]
         assert [r[3] for r in rows[:6]] == ["0.0", "-0.0", "5e-324", "-2.225073858507201e-308",
                                             "inf", "-inf"]
@@ -837,7 +883,48 @@ class TestTraceCsv:
         cfg = make_config(epsilon=0.2, k=8, n_packets=3000, seed=63, mode=mode,
                           use_real_codec=real_codec, collect_records=True)
         st = run_coded(cfg)
-        assert _written(trace_csv, st, cfg) == _written(reference_trace_csv, st, cfg)
+        _matches_reference(st, cfg)
+
+    @pytest.mark.parametrize("rows", [simulator._CHUNK - 1, simulator._CHUNK,
+                                      simulator._CHUNK + 1, 2 * simulator._CHUNK + 1])
+    def test_block_edges_match_reference_writer(self, rows):
+        stats, cfg = _trace_stats(*_repeating_floats(rows, seed=rows)), make_config(k=8)
+        _matches_reference(stats, cfg)
+
+    def test_digit_width_boundaries_match_reference_writer(self):
+        # in the first column, the first block holds one-digit values only,
+        # the second every width up to 19 digits, the third each boundary
+        # once and a few one-digit values; the other two columns reverse and
+        # rotate it, so every field's width changes from block to block
+        chunk = simulator._CHUNK
+        rng = np.random.default_rng(66)
+        small = rng.integers(0, 10, chunk)
+        wide = _DIGIT_BOUNDARIES[rng.integers(0, _DIGIT_BOUNDARIES.size, chunk)]
+        column = np.concatenate([small, wide, _DIGIT_BOUNDARIES, small[:7]])
+        ints = (column, column[::-1].copy(), np.roll(column, chunk // 3))
+        stats = _trace_stats(*_repeating_floats(column.size, seed=66), ints=ints)
+        cfg = make_config(k=8)
+        text = _matches_reference(stats, cfg)
+        lines = text.splitlines()[2:]
+        assert lines[2 * chunk].startswith("0,")
+        assert lines[2 * chunk + 1].startswith("9223372036854775807,")
+
+    def test_float_column_with_one_distinct_value(self):
+        delay = np.full(simulator._CHUNK + 5, 0.1)
+        stats = _trace_stats(np.full(delay.size, 7.0), delay)
+        cfg = make_config(k=8)
+        text = _matches_reference(stats, cfg)
+        assert text.splitlines()[2] == "0,0,0,7.0,0.1"
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_negative_integers_are_rejected(self, column):
+        # no simulator trace holds one; the writer refuses rather than guess a layout
+        ids = np.arange(10)
+        ints = [ids, ids // 8, 3 * ids]
+        ints[column] = ints[column] - 5
+        stats = _trace_stats(np.ones(10), np.ones(10), ints=tuple(ints))
+        with pytest.raises(ValueError, match="nonnegative"):
+            trace_csv(stats, make_config(k=8), io.StringIO())
 
     def test_peak_memory_within_the_reference_writers(self):
         cfg = make_config(k=16, n_packets=200_000, seed=64, collect_records=True)
