@@ -12,13 +12,11 @@ parameterization.
 from .codec import (CodedPacket, DecoderState, encode, pack_packet,
                     systematic_packet, unpack_packet)
 from .delay import DelayMoments, expected_delay
-from .efficiency import EfficiencyResult, efficiency, expected_received, \
-    received_on_transition
-from .gf256 import gf_axpy, gf_dot_rows, gf_inv, gf_mul
+from .efficiency import EfficiencyResult, efficiency
+from .gf256 import gf_dot_rows, gf_inv, gf_mul
 from .kernel import (MAX_K, NumericalError, TransitionKernel, build_kernel)
-from .moments import (PrefixMoments, StragglerMoments, prefix_mgf,
-                      prefix_moments, prefix_pmf, straggler_moments,
-                      straggler_pmf)
+from .moments import (PrefixMoments, StragglerMoments, prefix_moments,
+                      straggler_moments, straggler_pmf)
 from .optimizer import (SweepRecord, TradeoffPoint, default_k_range, k_star,
                         smooth_local_maxima, sweep, tradeoff_curve)
 from .params import (MAX_BDP, MAX_ROUND_PACKETS, AssumptionWarning, ChannelParams,
@@ -37,9 +35,8 @@ __all__ = [
     "StragglerMoments", "SweepRecord", "TradeoffPoint", "TransitionKernel",
     "build_kernel", "coded_count_distribution", "default_k_range", "derive_channel",
     "derive_coding", "efficiency", "encode", "expected_delay",
-    "expected_received", "gf_axpy", "gf_dot_rows", "gf_inv", "gf_mul",
-    "k_star", "pack_packet", "prefix_mgf", "prefix_moments",
-    "prefix_pmf", "received_on_transition", "redundancy_from_margin",
+    "gf_dot_rows", "gf_inv", "gf_mul", "k_star", "pack_packet", "prefix_moments",
+    "redundancy_from_margin",
     "replicate", "run_arq", "run_coded", "smooth_local_maxima", "split_count",
     "straggler_moments", "straggler_pmf", "sweep", "systematic_packet",
     "trace_csv", "tradeoff_curve", "unpack_packet",

@@ -2,9 +2,16 @@
 
 A generation holds k equal-length payloads. Systematic packets carry one
 payload unchanged; coded packets carry a random linear combination with the
-k coefficients attached. The decoder runs incremental Gaussian elimination so
-every ingest reports whether the packet was innovative, and tracks which
-packets arrived in systematic form for pre-decode in-order delivery.
+k coefficients attached. The decoder keeps one (k, k + L) byte matrix
+[coefficients | payload] in reduced row-echelon form. Each arrival, a
+systematic packet as the unit row e_i, is reduced against every stored row
+by one `gf_dot_rows`, scaled to 1 at its first nonzero column, and cleared
+from the other rows by one `gf_mul`, so every ingest reports whether the
+packet was innovative; at rank k the coefficient block is the identity and
+decoding copies the payload columns. The decoder also tracks which packets
+arrived in systematic form for pre-decode in-order delivery, and rejects a
+packet whose index, coefficient count or payload length does not fit the
+generation before it touches any state.
 
 Wire format (big-endian), used for traces and documented byte-exactly:
 
@@ -24,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf256 import MUL, INV, gf_dot_rows
+from .gf256 import INV, gf_dot_rows, gf_mul
 
 KIND_SYSTEMATIC = 0x00
 KIND_CODED = 0x01
@@ -101,77 +108,68 @@ def unpack_packet(blob, k):
 
 
 class DecoderState:
-    """Incremental Gaussian elimination for one generation.
+    """Incremental Gauss-Jordan elimination for one generation.
 
-    Systematic arrivals are stored directly (no unit coefficient row, O(L)
-    ingest); coded rows live in an echelon list and are reduced against
-    current knowledge when they arrive. rank reaching k makes the generation
-    decodable.
+    Holds one (k, k + L) byte matrix [coefficients | payload] in reduced
+    row-echelon form: row c is stored when pivot[c] is set, has a 1 in
+    column c and a 0 in every other pivot column; the other rows are zero.
+    A systematic packet enters as the unit row e_i. rank reaching k makes
+    the coefficient block the identity, so the payload columns are decoded.
     """
 
     def __init__(self, generation_id, k, payload_len):
         self.generation_id = generation_id
         self.k = k
         self.payload_len = payload_len
-        self.sys = {}                 # index -> payload, stored systematic values
-        self.rows = []                # (coeffs, payload) echelon rows, pivot normalized to 1
-        self.pivots = []              # pivot column of each row, insertion order
+        self.rows = np.zeros((k, k + payload_len), dtype=np.uint8)
+        self.pivot = np.zeros(k, dtype=bool)
+        self.rank = 0
         self.seen_systematic = set()  # indices that arrived in systematic form
-        self._decoded = None
 
-    @property
-    def rank(self):
-        return len(self.sys) + len(self.rows)
-
-    def _reduce(self, coeffs, payload):
-        # Eliminate against echelon rows first (insertion order reaches a
-        # fixpoint in one sweep), then against stored systematic values whose
-        # columns no row can reintroduce.
-        for (rc, rp), piv in zip(self.rows, self.pivots):
-            c = coeffs[piv]
-            if c:
-                coeffs ^= MUL[c][rc]
-                payload = payload ^ MUL[c][rp]
-        for idx, val in self.sys.items():
-            c = coeffs[idx]
-            if c:
-                coeffs[idx] = 0
-                payload = payload ^ MUL[c][val]
-        return coeffs, payload
-
-    def ingest(self, pkt):
-        """Feed one packet in; returns True when it increased the rank."""
+    def _check(self, pkt):
         if pkt.generation_id != self.generation_id:
             raise ValueError(
                 f"packet belongs to generation {pkt.generation_id}, "
                 f"decoder handles {self.generation_id}")
-        if self.rank >= self.k:
-            if pkt.is_systematic:
-                self.seen_systematic.add(pkt.sys_index)
-            return False
         if pkt.is_systematic:
-            i = pkt.sys_index
-            self.seen_systematic.add(i)
-            if i in self.sys:
-                return False
-            if i not in self.pivots:
-                self.sys[i] = pkt.payload.astype(np.uint8, copy=True)
-                self._decoded = None
-                return True
-            coeffs = np.zeros(self.k, dtype=np.uint8)
-            coeffs[i] = 1
-            payload = pkt.payload.astype(np.uint8, copy=True)
-        else:
-            coeffs = pkt.coeffs.astype(np.uint8, copy=True)
-            payload = pkt.payload.astype(np.uint8, copy=True)
-        coeffs, payload = self._reduce(coeffs, payload)
-        if not coeffs.any():
+            if not 0 <= pkt.sys_index < self.k:
+                raise ValueError(f"systematic index {pkt.sys_index} is outside [0, {self.k})")
+        elif np.shape(pkt.coeffs) != (self.k,):
+            raise ValueError(f"expected {self.k} coefficients, got shape {np.shape(pkt.coeffs)}")
+        if np.shape(pkt.payload) != (self.payload_len,):
+            raise ValueError(
+                f"expected a {self.payload_len}-byte payload, got shape {np.shape(pkt.payload)}")
+
+    def ingest(self, pkt):
+        """Feed one packet in; returns True when it increased the rank."""
+        self._check(pkt)
+        k = self.k
+        if pkt.is_systematic:
+            self.seen_systematic.add(pkt.sys_index)
+        if self.rank >= k:
             return False
-        piv = int(np.flatnonzero(coeffs)[0])
-        inv = INV[coeffs[piv]]
-        self.rows.append((MUL[inv][coeffs], MUL[inv][payload]))
-        self.pivots.append(piv)
-        self._decoded = None
+        x = np.zeros(k + self.payload_len, dtype=np.uint8)
+        if pkt.is_systematic:
+            x[pkt.sys_index] = 1
+        else:
+            x[:k] = pkt.coeffs
+        x[k:] = pkt.payload
+        # every stored row is zero in the other pivot columns, so one
+        # combination clears all of them
+        hit = np.flatnonzero((x[:k] != 0) & self.pivot)
+        if hit.size:
+            x ^= gf_dot_rows(x[hit], self.rows[hit])
+        free = np.flatnonzero(x[:k])
+        if not free.size:
+            return False
+        p = free[0]
+        x = gf_mul(INV[x[p]], x)
+        hit = np.flatnonzero(self.rows[:, p])
+        if hit.size:
+            self.rows[hit] ^= gf_mul(self.rows[hit, p][:, None], x)
+        self.rows[p] = x
+        self.pivot[p] = True
+        self.rank += 1
         return True
 
     def deliverable_prefix(self):
@@ -187,31 +185,4 @@ class DecoderState:
         """Recover all k payloads; requires rank == k."""
         if self.rank < self.k:
             raise ValueError(f"rank {self.rank} of {self.k}, not yet decodable")
-        if self._decoded is not None:
-            return self._decoded
-        k, L = self.k, self.payload_len
-        aug = np.zeros((k, k + L), dtype=np.uint8)
-        r = 0
-        for idx, val in self.sys.items():
-            aug[r, idx] = 1
-            aug[r, k:] = val
-            r += 1
-        for rc, rp in self.rows:
-            aug[r, :k] = rc
-            aug[r, k:] = rp
-            r += 1
-        # full reduction to the identity
-        for col in range(k):
-            piv_rows = np.flatnonzero(aug[col:, col]) + col
-            if len(piv_rows) == 0:
-                raise AssertionError("rank bookkeeping disagrees with the matrix")
-            p = piv_rows[0]
-            if p != col:
-                aug[[col, p]] = aug[[p, col]]
-            inv = INV[aug[col, col]]
-            aug[col] = MUL[inv][aug[col]]
-            for rr in range(k):
-                if rr != col and aug[rr, col]:
-                    aug[rr] ^= MUL[aug[rr, col]][aug[col]]
-        self._decoded = aug[:, k:].copy()
-        return self._decoded
+        return self.rows[:, self.k:].copy()

@@ -27,24 +27,6 @@ class EfficiencyResult:
         return _result(self.by_state, k)
 
 
-def received_on_transition(kern, i, j):
-    """Expected packets received at the sink on a single transition i -> j.
-
-    Deterministic (i - j) while the chain stays unabsorbed; conditioned on
-    absorbing, at least i of the n_i transmissions got through and the mean
-    over that truncated binomial applies.
-    """
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    if not (0 <= j <= i):
-        raise ValueError(f"j must be in [0, {i}], got {j}")
-    if kern.matrix[i, j] <= 0.0:
-        raise ValueError(f"transition {i} -> {j} has zero probability")
-    if j >= 1:
-        return float(i - j)
-    return float(kern.absorbed_received[i] / kern.matrix[i, 0])
-
-
 def _received_by_state(kern):
     """Expected packets received from each state until absorption.
 
@@ -71,11 +53,6 @@ def _received_by_state(kern):
 def _result(em, k):
     m = float(em[k])
     return EfficiencyResult(expected_received=m, eta=k / m, by_state=em[:k + 1])
-
-
-def expected_received(kern):
-    """Expected packets received at the sink per generation of size k."""
-    return efficiency(kern).expected_received
 
 
 def efficiency(kern):

@@ -2,8 +2,9 @@
 
 Addition is XOR. Multiplication goes through exp/log tables built on the
 generator 3 (the element 2 does not generate the multiplicative group of this
-field), plus a full 256x256 product table so vectorized row operations are a
-single fancy-indexed lookup.
+field), plus a full 256x256 product table. `gf_mul`, the one field product of
+the package, reads that table flat, so a vectorized row operation is a single
+`take`.
 """
 
 import numpy as np
@@ -39,10 +40,12 @@ MUL[1:, 1:] = EXP[(_la[:, None] + _la[None, :]) % 255]
 INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[(255 - _la) % 255]
 
+_MUL_FLAT = MUL.ravel()     # MUL[a, b] at a*256 + b
+
 
 def gf_mul(a, b):
-    """Elementwise field product; accepts scalars or uint8 arrays."""
-    return MUL[a, b]
+    """Elementwise field product of two broadcast uint8 arrays or scalars, by one flat lookup."""
+    return _MUL_FLAT.take((np.asarray(a, dtype=np.uint16) << 8) | b)
 
 
 def gf_inv(a):
@@ -52,16 +55,8 @@ def gf_inv(a):
     return INV[a]
 
 
-def gf_axpy(c, x, y):
-    """Return y + c*x over the field (XOR accumulate), without touching inputs."""
-    if c == 0:
-        return y.copy()
-    return y ^ MUL[c][x]
-
-
 def gf_dot_rows(coeffs, rows):
     """Field linear combination sum_i coeffs[i] * rows[i] for a (k, L) byte matrix."""
     coeffs = np.asarray(coeffs, dtype=np.uint8)
     rows = np.asarray(rows, dtype=np.uint8)
-    prods = MUL[coeffs[:, None], rows]
-    return np.bitwise_xor.reduce(prods, axis=0)
+    return np.bitwise_xor.reduce(gf_mul(coeffs[:, None], rows), axis=0)

@@ -3,21 +3,13 @@
 The prefix length S is the number of systematic packets received before the
 first loss in a generation's first round. The straggler position V_N locates
 the last-finishing of N concurrent generations, counted from the end. Both
-have closed-form moments that the delay model consumes; the pmfs are kept
-around so tests can check the closed forms by direct summation.
+have closed-form moments that the delay model consumes; the straggler pmf is
+kept so the closed forms can be checked by direct summation.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-
-def _q_k(epsilon, k):
-    # (1 - epsilon)^k computed in log space; exact for epsilon = 0 and
-    # accurate for small epsilon or large k.
-    if epsilon == 0.0:
-        return 1.0
-    return math.exp(k * math.log1p(-epsilon))
 
 
 def _power_sums(d, n):
@@ -51,40 +43,6 @@ def _power_sums(d, n):
         if bit == "1":
             g, m = join(g, one, m), m + 1
     return g
-
-
-def prefix_pmf(epsilon, k, first_round, s):
-    """Probability that the pre-loss prefix has length s.
-
-    Parameters
-    ----------
-    epsilon : float
-        Packet erasure probability.
-    k : int
-        Generation size; s ranges over [0, k].
-    first_round : bool
-        Whether the generation decodes within its first round. s = k (no
-        systematic loss at all) is only possible in that case; otherwise the
-        distribution is renormalized over s in [0, k-1].
-    """
-    if not (0 <= s <= k):
-        raise ValueError(f"s must be in [0, {k}], got {s}")
-    if first_round:
-        if s == k:
-            return _q_k(epsilon, k)
-        return epsilon * _q_k(epsilon, s)
-    if epsilon == 0.0:
-        raise ValueError("the multi-round case has probability zero on a lossless channel")
-    if s == k:
-        return 0.0
-    return epsilon * _q_k(epsilon, s) / (1.0 - _q_k(epsilon, k))
-
-
-def prefix_mgf(epsilon, k, t):
-    """Moment generating function of the prefix length in the first-round case."""
-    q = _q_k(epsilon, k)
-    ekt = math.exp(k * t)
-    return epsilon * (1.0 - ekt * q) / (1.0 - math.exp(t) * (1.0 - epsilon)) + ekt * q
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf256 import INV, MUL
+from .gf256 import INV, gf_mul
 from .kernel import MAX_ROUNDS, NumericalError
 from .params import InputError, split_count
 
@@ -72,7 +72,6 @@ _CHUNK_BYTES = 1 << 25      # cap on one block's uniforms and codec coefficients
 _ELIM_CELLS = 1 << 16       # cap on one real-codec elimination sub-batch, in uint8 cells
 _SPREAD = 2                 # widest / narrowest generation of one sub-batch
 _WARMUP_FACTOR = 5
-_MUL_FLAT = MUL.ravel()     # MUL[a, b] at a*256 + b
 _NO_BLOCKER = -(1 << 60)    # blocker slot of a generation that nothing can block
 _ARQ_WARMUP_BDP = 10
 
@@ -319,11 +318,6 @@ class _CodecRanks:
         return out_gain, out_last
 
 
-def _mul(a, b):
-    """Field products of two broadcast uint8 arrays, by one flat lookup."""
-    return _MUL_FLAT.take((a.astype(np.uint16) << 8) | b)
-
-
 def _reduce(rows, basis, pivot, width):
     """Eliminate rows (g, slots, w) in place under basis (g, w, w); width ascends along g.
 
@@ -355,8 +349,8 @@ def _reduce(rows, basis, pivot, width):
         # one from every row zeroes a fresh pivot row too, taking it out of
         # the free rows.
         prow = basis[j0:, c, c:]
-        scale = _mul(INV[prow[:, 0]][:, None], column)
-        rows[j0:, :, c:] ^= _mul(scale[:, :, None], prow[:, None, :])
+        scale = gf_mul(INV[prow[:, 0]][:, None], column)
+        rows[j0:, :, c:] ^= gf_mul(scale[:, :, None], prow[:, None, :])
     return gain, last
 
 

@@ -5,10 +5,13 @@ transition rows by exhaustive loss-pattern enumeration, and conditional delay
 moments by direct Monte-Carlo of the timing model bucketed on (y, z), the
 simulator's rounds by a scalar replay, generation by generation, of the
 uniforms (and real-codec coefficient blocks) they drew, with the real-codec
-rank taken by feeding every packet to the payload decoder, the relaxed
-link schedule by a float event heap, the trace file by a writer that
-calls repr on both float columns of every row, and the delay sums by the
-cell loop that reads p_Y from the kernel for every (z, y) cell.
+rank taken by feeding every packet to the reference payload decoder (an
+echelon list with systematic payloads kept apart, and a Gauss-Jordan pass
+at decode), the relaxed link schedule by a float event heap, the trace file
+by a writer that calls repr on both float columns of every row, the delay
+sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
+the prefix-length moments by the pmf and mgf of the prefix, and the
+efficiency pass by the received count of a single transition.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
@@ -18,8 +21,9 @@ import math
 
 import numpy as np
 
-from codedelay.codec import CodedPacket, DecoderState
+from codedelay.codec import CodedPacket
 from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
+from codedelay.gf256 import INV, MUL
 from codedelay.kernel import _binomial_rows, _pure_row
 from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import coded_count_distribution, split_count
@@ -43,8 +47,127 @@ class ScriptedCoefficients:
         return block.copy()
 
 
+class ReferenceDecoder:
+    """Incremental Gaussian elimination for one generation.
+
+    `codec.DecoderState` as it was before it kept one matrix in reduced
+    row-echelon form, with no check of the packet's shape. Systematic
+    arrivals are stored directly (no unit coefficient row, O(L) ingest);
+    coded rows live in an echelon list and are reduced against current
+    knowledge when they arrive. rank reaching k makes the generation
+    decodable.
+    """
+
+    def __init__(self, generation_id, k, payload_len):
+        self.generation_id = generation_id
+        self.k = k
+        self.payload_len = payload_len
+        self.sys = {}                 # index -> payload, stored systematic values
+        self.rows = []                # (coeffs, payload) echelon rows, pivot normalized to 1
+        self.pivots = []              # pivot column of each row, insertion order
+        self.seen_systematic = set()  # indices that arrived in systematic form
+        self._decoded = None
+
+    @property
+    def rank(self):
+        return len(self.sys) + len(self.rows)
+
+    def _reduce(self, coeffs, payload):
+        # Eliminate against echelon rows first (insertion order reaches a
+        # fixpoint in one sweep), then against stored systematic values whose
+        # columns no row can reintroduce.
+        for (rc, rp), piv in zip(self.rows, self.pivots):
+            c = coeffs[piv]
+            if c:
+                coeffs ^= MUL[c][rc]
+                payload = payload ^ MUL[c][rp]
+        for idx, val in self.sys.items():
+            c = coeffs[idx]
+            if c:
+                coeffs[idx] = 0
+                payload = payload ^ MUL[c][val]
+        return coeffs, payload
+
+    def ingest(self, pkt):
+        """Feed one packet in; returns True when it increased the rank."""
+        if pkt.generation_id != self.generation_id:
+            raise ValueError(
+                f"packet belongs to generation {pkt.generation_id}, "
+                f"decoder handles {self.generation_id}")
+        if self.rank >= self.k:
+            if pkt.is_systematic:
+                self.seen_systematic.add(pkt.sys_index)
+            return False
+        if pkt.is_systematic:
+            i = pkt.sys_index
+            self.seen_systematic.add(i)
+            if i in self.sys:
+                return False
+            if i not in self.pivots:
+                self.sys[i] = pkt.payload.astype(np.uint8, copy=True)
+                self._decoded = None
+                return True
+            coeffs = np.zeros(self.k, dtype=np.uint8)
+            coeffs[i] = 1
+            payload = pkt.payload.astype(np.uint8, copy=True)
+        else:
+            coeffs = pkt.coeffs.astype(np.uint8, copy=True)
+            payload = pkt.payload.astype(np.uint8, copy=True)
+        coeffs, payload = self._reduce(coeffs, payload)
+        if not coeffs.any():
+            return False
+        piv = int(np.flatnonzero(coeffs)[0])
+        inv = INV[coeffs[piv]]
+        self.rows.append((MUL[inv][coeffs], MUL[inv][payload]))
+        self.pivots.append(piv)
+        self._decoded = None
+        return True
+
+    def deliverable_prefix(self):
+        """Packets deliverable before decoding: the systematic run 1..s, or k once decodable."""
+        if self.rank >= self.k:
+            return self.k
+        s = 0
+        while s in self.seen_systematic:
+            s += 1
+        return s
+
+    def decode(self):
+        """Recover all k payloads; requires rank == k."""
+        if self.rank < self.k:
+            raise ValueError(f"rank {self.rank} of {self.k}, not yet decodable")
+        if self._decoded is not None:
+            return self._decoded
+        k, L = self.k, self.payload_len
+        aug = np.zeros((k, k + L), dtype=np.uint8)
+        r = 0
+        for idx, val in self.sys.items():
+            aug[r, idx] = 1
+            aug[r, k:] = val
+            r += 1
+        for rc, rp in self.rows:
+            aug[r, :k] = rc
+            aug[r, k:] = rp
+            r += 1
+        # full reduction to the identity
+        for col in range(k):
+            piv_rows = np.flatnonzero(aug[col:, col]) + col
+            if len(piv_rows) == 0:
+                raise AssertionError("rank bookkeeping disagrees with the matrix")
+            p = piv_rows[0]
+            if p != col:
+                aug[[col, p]] = aug[[p, col]]
+            inv = INV[aug[col, col]]
+            aug[col] = MUL[inv][aug[col]]
+            for rr in range(k):
+                if rr != col and aug[rr, col]:
+                    aug[rr] ^= MUL[aug[rr, col]][aug[col]]
+        self._decoded = aug[:, k:].copy()
+        return self._decoded
+
+
 class ReferenceTracker:
-    """A generation's rank over GF(2^8), one `DecoderState.ingest` per packet.
+    """A generation's rank over GF(2^8), one `ReferenceDecoder.ingest` per packet.
 
     The simulator's real-codec round before it tracked ranks itself: `round`
     draws one (coded slots, k) coefficient block from rng, feeds the received
@@ -55,7 +178,7 @@ class ReferenceTracker:
 
     def __init__(self, k):
         self.k = k
-        self.dec = DecoderState(0, k, 0)
+        self.dec = ReferenceDecoder(0, k, 0)
         self.non_innovative = 0
 
     @property
@@ -272,6 +395,66 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
                         variance=max(second - mean * mean, 0.0),
                         truncated_mass=float(1.0 - weight_total),
                         terms_evaluated=evaluated)
+
+
+def received_on_transition(kern, i, j):
+    """Expected packets received at the sink on a single transition i -> j.
+
+    Deterministic (i - j) while the chain stays unabsorbed; conditioned on
+    absorbing, at least i of the n_i transmissions got through and the mean
+    over that truncated binomial applies.
+    """
+    if i < 1:
+        raise ValueError(f"i must be >= 1, got {i}")
+    if not (0 <= j <= i):
+        raise ValueError(f"j must be in [0, {i}], got {j}")
+    if kern.matrix[i, j] <= 0.0:
+        raise ValueError(f"transition {i} -> {j} has zero probability")
+    if j >= 1:
+        return float(i - j)
+    return float(kern.absorbed_received[i] / kern.matrix[i, 0])
+
+
+def _q_k(epsilon, k):
+    # (1 - epsilon)^k computed in log space; exact for epsilon = 0 and
+    # accurate for small epsilon or large k.
+    if epsilon == 0.0:
+        return 1.0
+    return math.exp(k * math.log1p(-epsilon))
+
+
+def prefix_pmf(epsilon, k, first_round, s):
+    """Probability that the pre-loss prefix has length s.
+
+    Parameters
+    ----------
+    epsilon : float
+        Packet erasure probability.
+    k : int
+        Generation size; s ranges over [0, k].
+    first_round : bool
+        Whether the generation decodes within its first round. s = k (no
+        systematic loss at all) is only possible in that case; otherwise the
+        distribution is renormalized over s in [0, k-1].
+    """
+    if not (0 <= s <= k):
+        raise ValueError(f"s must be in [0, {k}], got {s}")
+    if first_round:
+        if s == k:
+            return _q_k(epsilon, k)
+        return epsilon * _q_k(epsilon, s)
+    if epsilon == 0.0:
+        raise ValueError("the multi-round case has probability zero on a lossless channel")
+    if s == k:
+        return 0.0
+    return epsilon * _q_k(epsilon, s) / (1.0 - _q_k(epsilon, k))
+
+
+def prefix_mgf(epsilon, k, t):
+    """Moment generating function of the prefix length in the first-round case."""
+    q = _q_k(epsilon, k)
+    ekt = math.exp(k * t)
+    return epsilon * (1.0 - ekt * q) / (1.0 - math.exp(t) * (1.0 - epsilon)) + ekt * q
 
 
 def _loss_patterns(n, eps):

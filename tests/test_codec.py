@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codedelay.codec import (
     CodedPacket,
@@ -14,6 +15,9 @@ from codedelay.codec import (
     systematic_packet,
     unpack_packet,
 )
+from codedelay.gf256 import gf_dot_rows
+
+from .helpers import ReferenceDecoder
 
 
 def rng_for(seed):
@@ -132,6 +136,94 @@ class TestInnovation:
         dec = DecoderState(5, 3, 4)
         with pytest.raises(ValueError):
             dec.ingest(systematic_packet(6, payloads, 0))
+
+
+def _malformed(k, L):
+    """Packets that do not fit a (k, L) generation, by what is wrong with them."""
+    payload, coeffs = np.arange(L, dtype=np.uint8), np.arange(1, k + 1, dtype=np.uint8)
+    return {
+        "wire index past k": unpack_packet(struct.pack(">IBH", 0, 0x00, 9) + payload.tobytes(), k),
+        "index k": CodedPacket(0, k, None, payload),
+        "index -1": CodedPacket(0, -1, None, payload),
+        "1-byte systematic payload": CodedPacket(0, 1, None, payload[:1]),
+        "1-byte coded payload": CodedPacket(0, None, coeffs, payload[:1]),
+        "long payload": CodedPacket(0, 1, None, np.zeros(L + 1, dtype=np.uint8)),
+        "2 coefficients": CodedPacket(0, None, coeffs[:2], payload),
+        "k + 1 coefficients": CodedPacket(0, None, np.ones(k + 1, dtype=np.uint8), payload),
+        "no coefficients": CodedPacket(0, None, None, payload),
+    }
+
+
+class TestMalformedPackets:
+    @staticmethod
+    def assert_rejected(dec, pkt):
+        before = dec.rank, dec.rows.copy(), dec.pivot.copy(), set(dec.seen_systematic)
+        with pytest.raises(ValueError):
+            dec.ingest(pkt)
+        rank, rows, pivot, seen = before
+        assert dec.rank == rank and dec.seen_systematic == seen
+        np.testing.assert_array_equal(dec.rows, rows)
+        np.testing.assert_array_equal(dec.pivot, pivot)
+
+    @pytest.mark.parametrize("kind", list(_malformed(4, 8)))
+    def test_rejected_before_touching_state(self, kind):
+        rng = rng_for(30)
+        k, L = 4, 8
+        payloads = random_generation(rng, k, L)
+        dec = DecoderState(0, k, L)
+        dec.ingest(systematic_packet(0, payloads, 0))
+        dec.ingest(encode(0, payloads, 0, rng))
+        self.assert_rejected(dec, _malformed(k, L)[kind])
+        assert dec.rank == 2
+        fill_with_coded(dec, payloads, rng)
+        # at rank k a systematic index is still recorded, so check again
+        self.assert_rejected(dec, _malformed(k, L)[kind])
+        np.testing.assert_array_equal(dec.decode(), payloads)
+
+
+class TestAgainstReference:
+    """The decoder and ReferenceDecoder agree packet for packet."""
+
+    KINDS = ["systematic", "leads a coded row", "coded", "sparse", "zero", "combination"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_flags_ranks_prefixes_and_bytes(self, data):
+        k = data.draw(st.integers(1, 64), label="k")
+        L = data.draw(st.integers(0, 48), label="L")
+        rng = rng_for(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        payloads = random_generation(rng, k, L)
+        dec, ref = DecoderState(0, k, L), ReferenceDecoder(0, k, L)
+        coded = []
+        after = data.draw(st.integers(0, 8), label="packets after rank k")
+        for m in range(6 * k + 20):
+            if dec.rank == k:
+                if after == 0:
+                    break
+                after -= 1
+            kind = data.draw(st.sampled_from(self.KINDS))
+            if kind == "systematic":
+                pkt = systematic_packet(0, payloads, data.draw(st.integers(0, k - 1)))
+            elif kind == "leads a coded row" and ref.pivots:
+                pkt = systematic_packet(0, payloads, data.draw(st.sampled_from(ref.pivots)))
+            elif kind == "zero":
+                pkt = CodedPacket(0, None, np.zeros(k, np.uint8), np.zeros(L, np.uint8))
+            elif kind == "combination" and coded:
+                c = rng.integers(0, 256, len(coded), dtype=np.uint8)
+                pkt = CodedPacket(0, None, gf_dot_rows(c, np.stack([p.coeffs for p in coded])),
+                                  gf_dot_rows(c, np.stack([p.payload for p in coded])))
+            else:
+                pkt = encode(0, payloads, m, rng)
+                if kind == "sparse":
+                    pkt.coeffs *= rng.random(k) < 2.0 / k
+                    pkt.payload = gf_dot_rows(pkt.coeffs, payloads)
+                coded.append(pkt)
+            assert dec.ingest(pkt) == ref.ingest(pkt)
+            assert dec.rank == ref.rank
+            assert dec.deliverable_prefix() == ref.deliverable_prefix()
+            if dec.rank == k:
+                np.testing.assert_array_equal(dec.decode(), ref.decode())
+                np.testing.assert_array_equal(dec.decode(), payloads)
 
 
 class TestDeliverablePrefix:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from codedelay.efficiency import efficiency, expected_received, received_on_transition
+from codedelay.efficiency import efficiency
 from codedelay.kernel import build_kernel
 from codedelay.params import derive_channel, derive_coding
+
+from .helpers import received_on_transition
 
 
 def make_kernel(epsilon, k, R):
@@ -61,7 +63,7 @@ class TestExpectedReceived:
     @pytest.mark.parametrize("eps,k,R", [(0.1, 4, 1.25), (0.3, 6, 1.5)])
     def test_matches_monte_carlo(self, eps, k, R):
         kern = make_kernel(eps, k, R)
-        m = expected_received(kern)
+        m = efficiency(kern).expected_received
         counts = mc_received(eps, k, R, trials=200_000, seed=hash((k, R)) % 2**32)
         se = counts.std(ddof=1) / np.sqrt(counts.size)
         assert abs(counts.mean() - m) <= 3.0 * se
@@ -69,7 +71,7 @@ class TestExpectedReceived:
     def test_at_least_generation_size(self):
         for eps, k, R in [(0.05, 2, 1.0), (0.1, 8, 1.25), (0.3, 16, 1.5)]:
             kern = make_kernel(eps, k, R)
-            assert expected_received(kern) >= k
+            assert efficiency(kern).expected_received >= k
 
 
 def loop_received(kern):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from codedelay.gf256 import EXP, INV, LOG, MUL, gf_axpy, gf_dot_rows, gf_inv, gf_mul
+from codedelay.gf256 import EXP, INV, LOG, MUL, gf_dot_rows, gf_inv, gf_mul
 
 byte = st.integers(0, 255)
 
@@ -75,14 +75,10 @@ def test_axpy_matches_manual_loop():
     x = rng.integers(0, 256, 64, dtype=np.uint8)
     y = rng.integers(0, 256, 64, dtype=np.uint8)
     for c in (0, 1, 7, 255):
-        got = gf_axpy(c, x, y)
+        got = y ^ gf_mul(c, x)
         want = np.array([y[i] ^ slow_mul(c, int(x[i])) for i in range(64)],
                         dtype=np.uint8)
         np.testing.assert_array_equal(got, want)
-    # inputs untouched and c = 0 returns a fresh copy
-    out = gf_axpy(0, x, y)
-    assert out is not y
-    np.testing.assert_array_equal(out, y)
 
 
 def test_dot_rows_matches_manual_loop():
@@ -93,3 +89,9 @@ def test_dot_rows_matches_manual_loop():
     for c, row in zip(coeffs, rows):
         want ^= np.array([slow_mul(int(c), int(v)) for v in row], dtype=np.uint8)
     np.testing.assert_array_equal(gf_dot_rows(coeffs, rows), want)
+
+
+def test_mul_broadcasts_to_the_full_table():
+    a = np.arange(256, dtype=np.uint8)
+    np.testing.assert_array_equal(gf_mul(a[:, None], a[None, :]), MUL)
+    np.testing.assert_array_equal(gf_mul(7, a), MUL[7])

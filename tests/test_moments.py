@@ -8,15 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedelay.kernel import build_kernel
-from codedelay.moments import (
-    _power_sums,
-    prefix_mgf,
-    prefix_moments,
-    prefix_pmf,
-    straggler_moments,
-    straggler_pmf,
-)
+from codedelay.moments import _power_sums, prefix_moments, straggler_moments, straggler_pmf
 from codedelay.params import derive_channel, derive_coding
+
+from .helpers import prefix_mgf, prefix_pmf
 
 
 def direct_prefix_moment(epsilon, k, first_round, power):
