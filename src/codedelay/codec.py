@@ -11,7 +11,9 @@ packet was innovative; at rank k the coefficient block is the identity and
 decoding copies the payload columns. The decoder also tracks which packets
 arrived in systematic form for pre-decode in-order delivery, and rejects a
 packet whose index, coefficient count or payload length does not fit the
-generation before it touches any state.
+generation before it touches any state. The sender and the wire format
+reject a systematic index outside [0, k) too, and the parser a frame too
+short for the header of its kind.
 
 Wire format (big-endian), used for traces and documented byte-exactly:
 
@@ -56,8 +58,14 @@ def _as_matrix(payloads):
     return mat
 
 
+def _check_index(i, k):
+    if not 0 <= i < k:
+        raise ValueError(f"systematic index {i} is outside [0, {k})")
+
+
 def systematic_packet(generation_id, payloads, i):
     mat = _as_matrix(payloads)
+    _check_index(i, mat.shape[0])
     return CodedPacket(generation_id=generation_id, sys_index=int(i),
                        coeffs=None, payload=mat[i].copy())
 
@@ -81,30 +89,41 @@ def encode(generation_id, payloads, m, rng):
 
 
 def pack_packet(pkt, k):
-    """Serialize a packet to the wire format."""
+    """Serialize a packet of a k-packet generation to the wire format."""
     head = struct.pack(">IB", pkt.generation_id,
                        KIND_SYSTEMATIC if pkt.is_systematic else KIND_CODED)
     if pkt.is_systematic:
+        _check_index(pkt.sys_index, k)
         body = struct.pack(">H", pkt.sys_index)
     else:
-        if len(pkt.coeffs) != k:
-            raise ValueError(f"expected {k} coefficients, got {len(pkt.coeffs)}")
+        if np.shape(pkt.coeffs) != (k,):
+            raise ValueError(f"expected {k} coefficients, got shape {np.shape(pkt.coeffs)}")
         body = pkt.coeffs.tobytes()
     return head + body + pkt.payload.tobytes()
 
 
 def unpack_packet(blob, k):
-    """Parse the wire format back into a CodedPacket."""
+    """Parse the wire format of a k-packet generation back into a CodedPacket.
+
+    Raises ValueError for an unknown kind, a frame shorter than the header of
+    its kind, or a systematic index outside [0, k).
+    """
+    if len(blob) < 5:
+        raise ValueError(f"a {len(blob)}-byte frame is shorter than the 5-byte header")
     gen_id, kind = struct.unpack_from(">IB", blob, 0)
-    if kind == KIND_SYSTEMATIC:
-        (idx,) = struct.unpack_from(">H", blob, 5)
-        payload = np.frombuffer(blob, dtype=np.uint8, offset=7).copy()
-        return CodedPacket(gen_id, idx, None, payload)
-    if kind != KIND_CODED:
+    if kind not in (KIND_SYSTEMATIC, KIND_CODED):
         raise ValueError(f"unknown packet kind {kind:#x}")
-    coeffs = np.frombuffer(blob, dtype=np.uint8, offset=5, count=k).copy()
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=5 + k).copy()
-    return CodedPacket(gen_id, None, coeffs, payload)
+    head = 7 if kind == KIND_SYSTEMATIC else 5 + k
+    if len(blob) < head:
+        raise ValueError(f"a {len(blob)}-byte frame is shorter than the {head}-byte header "
+                         f"of a {'systematic' if kind == KIND_SYSTEMATIC else 'coded'} packet")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=head).copy()
+    if kind == KIND_CODED:
+        coeffs = np.frombuffer(blob, dtype=np.uint8, offset=5, count=k).copy()
+        return CodedPacket(gen_id, None, coeffs, payload)
+    (idx,) = struct.unpack_from(">H", blob, 5)
+    _check_index(idx, k)
+    return CodedPacket(gen_id, idx, None, payload)
 
 
 class DecoderState:
@@ -132,8 +151,7 @@ class DecoderState:
                 f"packet belongs to generation {pkt.generation_id}, "
                 f"decoder handles {self.generation_id}")
         if pkt.is_systematic:
-            if not 0 <= pkt.sys_index < self.k:
-                raise ValueError(f"systematic index {pkt.sys_index} is outside [0, {self.k})")
+            _check_index(pkt.sys_index, self.k)
         elif np.shape(pkt.coeffs) != (self.k,):
             raise ValueError(f"expected {self.k} coefficients, got shape {np.shape(pkt.coeffs)}")
         if np.shape(pkt.payload) != (self.payload_len,):

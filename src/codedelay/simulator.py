@@ -19,17 +19,20 @@ draws them in generation order, and the same seed gives the same rounds in
 both modes; the modes differ only in their timing map. The idealized map
 adds 2*t_p per extra round. The relaxed map, _link_slots, is an integer
 schedule: a round ending at slot e frees its retransmission from slot
-e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue.
+e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue. It
+streams: each block of generations is handed on once it and every earlier
+block have decoded, so a run holds only the blocks with generations in
+flight.
 
 Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
 times are integer pairs converted to floats only for comparisons and
 reporting; the lossless case stays exact and a run spanning millions of
 slots loses nothing to cancellation. Both maps feed one delivery pass,
-_Delivery, which turns decode and blocker instants into per-packet delays,
-statistics and the trace, and owns the warm-up margins. The idealized
-blocker is the latest decode among a window of previous generations; in
-relaxed mode every decode is a slot count plus one hop, so the blocker is
-the running maximum of the integer decode slots.
+_Delivery, block by block; it turns decode and blocker instants into
+per-packet delays, statistics and the trace, and owns the warm-up margins.
+The idealized blocker is the latest decode among a window of previous
+generations; in relaxed mode every decode is a slot count plus one hop, so
+the blocker is the running maximum of the integer decode slots.
 
 With the real codec, the same rounds count dofs as ranks over GF(2^8)
 instead of arrivals: _CodecRanks draws one coefficient block per block of
@@ -78,9 +81,8 @@ _ARQ_WARMUP_BDP = 10
 # Largest run accepted, in source packets: n_packets, or reps * n_packets
 # across replications. At the engines' rates with the default head-of-line
 # window (0.7-8 M packets/s) that is seconds to a few minutes of simulation.
-# Memory also grows with the run: the relaxed engine keeps per-generation
-# arrays (about 39 bytes per packet at k = 2) and a trace keeps 40 bytes per
-# packet. The largest run in the tests and benchmark has about 4 M packets.
+# Only a trace grows with the run, by 40 bytes per packet. The largest run in
+# the tests and benchmark has about 4 M packets.
 MAX_PACKETS = 100_000_000
 
 
@@ -367,13 +369,13 @@ def _chunk_rows(n_k_high, k=0):
 class _Delivery:
     """In-order delivery of one coded run, fed blocks of generations in order.
 
-    For each generation a block gives its start slot, systematic prefix s,
-    decode instant, the instant of the earlier generation that can block it
-    (_NO_BLOCKER when none can), its round count and its received count;
-    instants are an absolute slot and a hop count. Packet i < s arrives
-    (i+1)*t_s + t_p after the start, the rest are ready at decode, and a
-    packet whose own instant is earlier than the blocker's waits for it. The
-    comparison is in floats in the generation's own frame; delays stay
+    A _Trajectories block gives each generation's systematic prefix s, round
+    count and received count; the engine gives its start slot, decode instant
+    and the instant of the earlier generation that can block it (_NO_BLOCKER
+    when none can), each an absolute slot and a hop count. Packet i < s
+    arrives (i+1)*t_s + t_p after the start, the rest are ready at decode, and
+    a packet whose own instant is earlier than the blocker's waits for it.
+    The comparison is in floats in the generation's own frame; delays stay
     integer (slot, hop) pairs. Generations inside the warm-up and cool-down
     margins count only in the trace.
     """
@@ -395,17 +397,16 @@ class _Delivery:
         self.done = 0
         self.trace_parts = [] if cfg.collect_records else None
 
-    def add(self, start, s, dec_slot, dec_hops, blk_slot, blk_hops, rounds, received,
-            non_innovative=None):
-        """Deliver the next start.size generations; hop counts may be scalars.
+    def add(self, block, start, dec_slot, dec_hops, blk_slot, blk_hops):
+        """Deliver the generations of one _Trajectories block; hop counts may be scalars.
 
-        non_innovative, given only by real-codec runs, holds each generation's
-        received coded packets that did not raise its rank before decode.
+        The block gives the systematic prefixes, round counts, received counts
+        and, in real-codec runs, the non-innovative counts.
         """
         g = start.size
         t_s, t_p = self.t_s, self.t_p
         cols = np.arange(self.k)
-        prefix = cols[None, :] < s[:, None]
+        prefix = cols[None, :] < block.s[:, None]
         dec_rel = (dec_slot - start)[:, None]
         dec_hops = np.broadcast_to(dec_hops, (g,))[:, None]
         own_f = np.where(prefix, (cols[None, :] + 1) * t_s + t_p, dec_rel * t_s + dec_hops * t_p)
@@ -421,11 +422,11 @@ class _Delivery:
         window = (ids >= self.warm) & (ids < self.n_gens - self.warm)
         if window.any():
             self.acc.add(d_slot[window], d_hops[window])
-            self.received += int(received[window].sum())
-            if non_innovative is not None:
-                self.non_innovative += int(non_innovative[window].sum())
+            self.received += int(block.received[window].sum())
+            if block.non_innovative is not None:
+                self.non_innovative += int(block.non_innovative[window].sum())
             self.gens += int(window.sum())
-            counts = np.bincount(rounds[window])
+            counts = np.bincount(block.y[window])
             if counts.size > self.rounds.size:
                 self.rounds = np.pad(self.rounds, (0, counts.size - self.rounds.size))
             self.rounds[:counts.size] += counts
@@ -522,13 +523,13 @@ def _run_idealized(cfg, rng):
     carry_slot = np.full(blockers, _NO_BLOCKER, dtype=np.int64)
     carry_beta = np.ones(blockers, dtype=np.int64)
     slot_offset = 0
-    for n, s, y, hit, received, wasted, _ in _trajectories(cfg, rng, n_gens):
-        g = n.size
-        start = slot_offset + np.concatenate(([0], np.cumsum(n[:-1])))
+    for tr in _trajectories(cfg, rng, n_gens):
+        g = tr.n.size
+        start = slot_offset + np.concatenate(([0], np.cumsum(tr.n[:-1])))
         # y = 1 decodes at the k-th dof's arrival, later rounds land as bursts
         # costing 2*t_p each (retransmission slots are free in this mode).
-        dec_slot = start + np.where(y == 1, hit + 1, n)
-        dec_beta = 2 * y - 1
+        dec_slot = start + np.where(tr.y == 1, tr.hit + 1, tr.n)
+        dec_beta = 2 * tr.y - 1
 
         # head-of-line bound: the latest decode of the previous `blockers`
         # generations, compared in each generation's own frame
@@ -549,75 +550,73 @@ def _run_idealized(cfg, rng):
             carry_slot = all_slot[-blockers:]
             carry_beta = all_beta[-blockers:]
 
-        out.add(start, s, dec_slot, dec_beta, wa, wb, y, received, wasted)
-        slot_offset += int(n.sum())
+        out.add(tr, start, dec_slot, dec_beta, wa, wb)
+        slot_offset += int(tr.n.sum())
     return out.stats()
 
 
-def _link_slots(blocks, n_gens, t_s, t_p):
-    """Start and decode slot of every generation on relaxed mode's shared link.
+def _link_slots(blocks, t_s, t_p):
+    """Schedule relaxed mode's shared link, yielding (block, start, dec_slot) per block.
 
-    blocks yields the generations' _Trajectories in order. Feedback on a
-    round ending at slot e is back 2*t_p later, so the next round may start
-    from slot e + hold, hold = ceil(2*t_p/t_s - 1e-9). Each new generation
-    waits for every retransmission ready by its turn; once none is left the
-    link idles up to the next ready one. Ready slots rise in queueing order
-    (a later end slot plus the same hold), so the queue is a FIFO.
+    blocks yields the generations' _Trajectories in order; start and dec_slot
+    hold each generation's start and decode slot. A block is yielded once it
+    and every earlier block have decoded, so only the blocks with generations
+    in flight are held, each with a count of those. Feedback on a round
+    ending at slot e is back 2*t_p later, so the next round may start from
+    slot e + hold, hold = ceil(2*t_p/t_s - 1e-9). Each new generation waits
+    for every retransmission ready by its turn; once none is left the link
+    idles up to the next ready one. Ready slots rise in queueing order (a
+    later end slot plus the same hold), so the queue is a FIFO.
     """
     hold = math.ceil(2.0 * t_p / t_s - 1e-9)
-    start = np.zeros(n_gens, dtype=np.int64)
-    dec_slot = np.zeros(n_gens, dtype=np.int64)
-    queue = deque()   # (first slot it may start, generation, its rounds 2..y, next round, hit)
+    queue = deque()   # (first slot it may start, held entry, index in it, rounds 2..y, next round, hit)
+    held = deque()    # entries [block, start, dec_slot, generations still retransmitting]
 
     def retransmit(cursor):
-        _, j, sizes, r, hit = queue.popleft()
+        _, entry, j, sizes, r, hit = queue.popleft()
         if r + 1 == len(sizes):
-            dec_slot[j] = cursor + hit + 1
+            entry[2][j] = cursor + hit + 1
+            entry[3] -= 1
         else:
-            queue.append((cursor + sizes[r] + hold, j, sizes, r + 1, hit))
+            queue.append((cursor + sizes[r] + hold, entry, j, sizes, r + 1, hit))
         return cursor + sizes[r]
 
-    cursor = lo = 0
+    cursor = 0
     for tr in blocks:
-        part = slice(lo, lo + tr.n.size)
-        retx = tr.retx.tolist()
-        first = []
-        prev = 0
-        for j, size, last, hit in zip(range(lo, part.stop), tr.n.tolist(),
+        first, retx, prev = [], tr.retx.tolist(), 0
+        entry = [tr, None, np.zeros(tr.n.size, dtype=np.int64), int(np.count_nonzero(tr.y > 1))]
+        held.append(entry)
+        for j, size, last, hit in zip(range(tr.n.size), tr.n.tolist(),
                                       np.cumsum(tr.y - 1).tolist(), tr.hit.tolist()):
             while queue and queue[0][0] <= cursor:
                 cursor = retransmit(cursor)
             first.append(cursor)
             cursor += size
             if last > prev:
-                queue.append((cursor + hold, j, retx[prev:last], 0, hit))
+                queue.append((cursor + hold, entry, j, retx[prev:last], 0, hit))
                 prev = last
-        start[part] = first
+        entry[1] = start = np.array(first, dtype=np.int64)
         one = tr.y == 1
-        dec_slot[part][one] = start[part][one] + tr.hit[one] + 1
-        lo = part.stop
+        entry[2][one] = start[one] + tr.hit[one] + 1
+        while held and not held[0][3]:
+            yield tuple(held.popleft()[:3])
     while queue:
         cursor = retransmit(max(cursor, queue[0][0]))
-    return start, dec_slot
+        while held and not held[0][3]:
+            yield tuple(held.popleft()[:3])
 
 
 def _run_relaxed(cfg, rng):
     out = _Delivery(cfg)
-    kept = []   # what delivery needs of each block; the rest goes once it is scheduled
-
-    def blocks():
-        for tr in _trajectories(cfg, rng, out.n_gens):
-            kept.append((tr.s, tr.y, tr.received, tr.non_innovative))
-            yield tr
-
-    start, dec_slot = _link_slots(blocks(), out.n_gens, cfg.channel.t_s, cfg.channel.t_p)
     # Every decode and first arrival is a slot count plus one hop, so the
     # latest of all earlier decodes, the instant that blocks a generation,
     # is the running maximum of the integer decode slots.
-    blk_slot = np.maximum.accumulate(np.concatenate(([_NO_BLOCKER], dec_slot[:-1])))
-    for s, y, received, wasted in kept:
-        part = slice(out.done, out.done + s.size)
-        out.add(start[part], s, dec_slot[part], 1, blk_slot[part], 1, y, received, wasted)
+    blocker = _NO_BLOCKER
+    for tr, start, dec_slot in _link_slots(_trajectories(cfg, rng, out.n_gens),
+                                           cfg.channel.t_s, cfg.channel.t_p):
+        blk_slot = np.maximum.accumulate(np.concatenate(([blocker], dec_slot[:-1])))
+        blocker = max(int(blk_slot[-1]), int(dec_slot[-1]))
+        out.add(tr, start, dec_slot, 1, blk_slot, 1)
     return out.stats()
 
 

@@ -142,7 +142,8 @@ def _malformed(k, L):
     """Packets that do not fit a (k, L) generation, by what is wrong with them."""
     payload, coeffs = np.arange(L, dtype=np.uint8), np.arange(1, k + 1, dtype=np.uint8)
     return {
-        "wire index past k": unpack_packet(struct.pack(">IBH", 0, 0x00, 9) + payload.tobytes(), k),
+        # a frame that parses under a larger generation size
+        "wire index past k": unpack_packet(struct.pack(">IBH", 0, 0x00, 9) + payload.tobytes(), 16),
         "index k": CodedPacket(0, k, None, payload),
         "index -1": CodedPacket(0, -1, None, payload),
         "1-byte systematic payload": CodedPacket(0, 1, None, payload[:1]),
@@ -297,11 +298,26 @@ class TestWireFormat:
             unpack_packet(blob, 4)
 
     def test_truncated_blob_rejected(self):
-        with pytest.raises((ValueError, struct.error)):
+        with pytest.raises(ValueError, match="3-byte frame"):
             unpack_packet(b"\x00\x00\x00", 4)
         # coded frame cut inside the coefficient block
-        with pytest.raises((ValueError, struct.error)):
+        with pytest.raises(ValueError, match="7-byte frame .* 9-byte header of a coded"):
             unpack_packet(struct.pack(">IB", 0, 0x01) + b"\x01\x02", 4)
+        # systematic frame cut inside the index
+        with pytest.raises(ValueError, match="6-byte frame .* 7-byte header of a systematic"):
+            unpack_packet(struct.pack(">IB", 0, 0x00) + b"\x00", 4)
+
+    def test_frames_at_their_header_length_carry_an_empty_payload(self):
+        sys_pkt = unpack_packet(struct.pack(">IBH", 5, 0x00, 3), 4)
+        coded = unpack_packet(struct.pack(">IB", 5, 0x01) + bytes([1, 2, 3, 4]), 4)
+        assert sys_pkt.sys_index == 3 and sys_pkt.payload.size == 0
+        assert coded.coeffs.tolist() == [1, 2, 3, 4] and coded.payload.size == 0
+
+    @pytest.mark.parametrize("index", [4, 9, 0xFFFF])
+    def test_systematic_index_past_k_rejected_on_unpack(self, index):
+        blob = struct.pack(">IBH", 0, 0x00, index) + bytes(8)
+        with pytest.raises(ValueError, match=f"systematic index {index} is outside"):
+            unpack_packet(blob, 4)
 
     def test_coefficient_count_enforced_on_pack(self):
         rng = rng_for(20)
@@ -309,6 +325,33 @@ class TestWireFormat:
         pkt = encode(0, payloads, 0, rng)
         with pytest.raises(ValueError):
             pack_packet(pkt, 5)
+
+
+class TestSenderChecks:
+    @pytest.mark.parametrize("index", [-1, 4, 70_000])
+    def test_systematic_packet_rejects_an_index_outside_k(self, index):
+        payloads = random_generation(rng_for(22), 4, 8)
+        with pytest.raises(ValueError, match=f"systematic index {index} is outside"):
+            systematic_packet(0, payloads, index)
+
+    @pytest.mark.parametrize("index", [-1, 4, 9, 70_000])
+    def test_pack_packet_rejects_an_index_outside_k(self, index):
+        pkt = CodedPacket(0, index, None, np.arange(8, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"systematic index {index} is outside"):
+            pack_packet(pkt, 4)
+
+    @pytest.mark.parametrize("coeffs", [None, np.ones(3, np.uint8), np.ones((1, 4), np.uint8)])
+    def test_pack_packet_rejects_coefficients_that_do_not_fit_k(self, coeffs):
+        pkt = CodedPacket(0, None, coeffs, np.arange(8, dtype=np.uint8))
+        with pytest.raises(ValueError, match="expected 4 coefficients"):
+            pack_packet(pkt, 4)
+
+    def test_every_index_inside_k_is_sent(self):
+        payloads = random_generation(rng_for(23), 4, 8)
+        for i in range(4):
+            back = unpack_packet(pack_packet(systematic_packet(0, payloads, i), 4), 4)
+            assert back.sys_index == i
+            np.testing.assert_array_equal(back.payload, payloads[i])
 
 
 def test_encode_never_emits_the_zero_combination():

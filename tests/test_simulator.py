@@ -238,8 +238,10 @@ class TestInOrderDelivery:
         s = rng.integers(0, k + 1, n_gens)
         out = simulator._Delivery(cfg)
         blk = np.maximum.accumulate(np.concatenate(([simulator._NO_BLOCKER], dec_slot[:-1])))
-        out.add(start, s, dec_slot, 1, blk, 1, rng.integers(1, 4, n_gens),
-                rng.integers(k, 9, n_gens))
+        block = simulator._Trajectories(
+            n=None, s=s, y=rng.integers(1, 4, n_gens), hit=None,
+            received=rng.integers(k, 9, n_gens), non_innovative=None, retx=None)
+        out.add(block, start, dec_slot, 1, blk, 1)
 
         want = []
         chain = None
@@ -439,11 +441,42 @@ class TestRelaxedSchedule:
         # cursors stay below 60 * 5 * (12 + 75) slots, where the heap's float
         # instants are exact enough for its tolerance to decide every tie
         ch, rounds, hits, chunks = case
-        start, dec_slot = simulator._link_slots(_schedule_blocks(rounds, hits, chunks),
-                                                len(rounds), ch.t_s, ch.t_p)
+        blocks = _schedule_blocks(rounds, hits, chunks)
+        got = list(simulator._link_slots(iter(blocks), ch.t_s, ch.t_p))
+        assert all(tr is block for (tr, _, _), block in zip(got, blocks, strict=True))
         want_start, want_dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
-        assert start.tolist() == want_start
-        assert dec_slot.tolist() == want_dec
+        assert np.concatenate([start for _, start, _ in got]).tolist() == want_start
+        assert np.concatenate([dec for _, _, dec in got]).tolist() == want_dec
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_link_runs())
+    def test_holds_only_the_blocks_in_flight(self, case):
+        # When block j is drawn, the link has sent every first round of the
+        # earlier blocks and stands at the end of the last one. A generation
+        # is still in flight there when its last round starts at or after
+        # that slot; every block before the first one holding such a
+        # generation must already have been yielded.
+        ch, rounds, hits, chunks = case
+        blocks = _schedule_blocks(rounds, hits, chunks)
+        start, dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
+        last_start = [d - h - 1 for d, h in zip(dec, hits)]
+        ends = np.cumsum([tr.n.size for tr in blocks]).tolist()
+        yielded, seen = [], []
+
+        def source():
+            for j, tr in enumerate(blocks):
+                if j:
+                    g = ends[j - 1] - 1
+                    cursor = start[g] + rounds[g][0]
+                    in_flight = (i for i in range(j)
+                                 if max(last_start[ends[i] - blocks[i].n.size:ends[i]]) >= cursor)
+                    seen.append((len(yielded), next(in_flight, j)))
+                yield tr
+
+        for tr, _, _ in simulator._link_slots(source(), ch.t_s, ch.t_p):
+            yielded.append(tr)
+        assert all(tr is block for tr, block in zip(yielded, blocks, strict=True))
+        assert all(done >= first_busy for done, first_busy in seen)
 
 
 def _paired_config(epsilon, k, mode, use_real_codec, seed, R=None, margin=None):
