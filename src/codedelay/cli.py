@@ -9,6 +9,14 @@ Exit codes: 0 success, 2 flag or usage error (click's own, or an InputError
 from an input check), 3 numerical failure (NumericalError, a float out of
 range, or any other ValueError, such as numpy's; also sweeps where any point
 failed, whose partial table is still emitted).
+
+Each shared flag is declared once, in an option group (`_CHANNEL`, `_CODING`,
+`_GRID`, `_RUN`, `_OUTPUT`). A command is a `_command(name, *groups and own
+options)` over a body that returns the table to print. Inside the exit-code
+guard, `_command` turns the shared flags into library objects, checked in
+this order: the channel `ch`, the --redundancy/--margin choice, then `coding`
+(with --k) or `R`, then `ks` from --k-grid. The body takes those objects and
+its own flags, and makes its own checks last.
 """
 
 import csv
@@ -64,86 +72,48 @@ class OutputTable:
         return json.dumps(rows, indent=2) + "\n"
 
 
-def _channel_options(f):
-    opts = [
-        click.option("--epsilon", type=float, required=True,
-                     help="packet erasure probability in [0, 1)"),
-        click.option("--rate-bps", type=float, required=True,
-                     help="link rate in bits per second"),
-        click.option("--packet-bits", type=float, required=True,
-                     help="packet size in bits"),
-        click.option("--tp-s", type=float, default=None,
-                     help="one-way propagation delay in seconds"),
-        click.option("--rtt-s", type=float, default=None,
-                     help="round-trip time in seconds (alternative to --tp-s)"),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
+def _options(*decls):
+    """One decorator applying click options (or other _options) in the order given."""
+    def apply(f):
+        for decl in reversed(decls):
+            f = decl(f)
+        return f
+
+    return apply
 
 
-def _coding_options(f):
-    opts = [
-        click.option("--k", type=int, required=True, help="generation size in packets"),
-        click.option("--redundancy", type=float, default=None,
-                     help="redundancy factor R >= 1"),
-        click.option("--margin", type=float, default=None,
-                     help="rate margin x; R = (1+x)/(1-epsilon)"),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
-
-
-def _output_options(f):
-    opts = [
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", help="output format"),
-        click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                     default=None, help="write output to this file instead of stdout"),
-    ]
-    for o in reversed(opts):
-        f = o(f)
-    return f
-
-
-def _guard(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except InputError as exc:
-            raise click.UsageError(str(exc))
-        except (NumericalError, ValueError) as exc:  # a ValueError that no input check raised
-            click.echo(f"numerical failure: {exc}", file=sys.stderr)
-            sys.exit(3)
-        except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
-            click.echo(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-            sys.exit(3)
-
-    return wrapper
-
-
-def _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s):
-    return derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
-
-
-def _require_one_redundancy(redundancy, margin):
-    if (redundancy is None) == (margin is None):
-        raise InputError("provide exactly one of --redundancy / --margin")
-
-
-def _resolve_r(redundancy, margin, epsilon):
-    _require_one_redundancy(redundancy, margin)
-    if redundancy is not None:
-        return redundancy
-    return redundancy_from_margin(margin, epsilon)
-
-
-def _build_coding(channel, k, redundancy, margin):
-    # margin goes through as given, so derive_coding's messages can name it
-    _require_one_redundancy(redundancy, margin)
-    return derive_coding(channel, k, R=redundancy, margin=margin)
+_CHANNEL = _options(
+    click.option("--epsilon", type=float, required=True,
+                 help="packet erasure probability in [0, 1)"),
+    click.option("--rate-bps", type=float, required=True,
+                 help="link rate in bits per second"),
+    click.option("--packet-bits", type=float, required=True,
+                 help="packet size in bits"),
+    click.option("--tp-s", type=float, default=None,
+                 help="one-way propagation delay in seconds"),
+    click.option("--rtt-s", type=float, default=None,
+                 help="round-trip time in seconds (alternative to --tp-s)"))
+_REDUNDANCY = _options(
+    click.option("--redundancy", type=float, default=None, help="redundancy factor R >= 1"),
+    click.option("--margin", type=float, default=None,
+                 help="rate margin x; R = (1+x)/(1-epsilon)"))
+_K_GRID = click.option("--k-grid", type=str, default=None,
+                       help="comma-separated generation sizes "
+                            "(default: log grid 2..min(bdp-1,1024))")
+_CODING = _options(
+    click.option("--k", type=int, required=True, help="generation size in packets"),
+    _REDUNDANCY)
+_GRID = _options(_REDUNDANCY, _K_GRID)
+_RUN = _options(
+    click.option("--mode", type=click.Choice(["idealized", "relaxed"]),
+                 default="idealized", help="coded simulation mode"),
+    click.option("--n-packets", type=int, default=100_000, help="source packets to simulate"),
+    click.option("--seed", type=int, required=True, help="RNG seed"))
+_OUTPUT = _options(
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                 default="csv", help="output format"),
+    click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                 default=None, help="write output to this file instead of stdout"))
 
 
 def _open_output(path, option):
@@ -184,119 +154,110 @@ def main():
     """Closed-form delay and efficiency of coded transport, with simulators."""
 
 
-@main.command()
-@_channel_options
-@_coding_options
-@_output_options
-@_guard
-def analyze(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, margin, fmt, out):
+def _command(name, *decls):
+    """Register body as subcommand `name` with the channel flags, decls and --format/--out.
+
+    A table with any filled `error` cell (a failed sweep point) exits 3 once
+    it is written.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(epsilon, rate_bps, packet_bits, tp_s, rtt_s, fmt, out, **flags):
+            try:
+                ch = derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
+                if "redundancy" in flags:
+                    r, x = flags.pop("redundancy"), flags.pop("margin")
+                    if (r is None) == (x is None):
+                        raise InputError("provide exactly one of --redundancy / --margin")
+                    if "k" in flags:
+                        # margin goes through as given, so derive_coding's messages can name it
+                        flags["coding"] = derive_coding(ch, flags.pop("k"), R=r, margin=x)
+                    else:
+                        flags["R"] = r if x is None else redundancy_from_margin(x, epsilon)
+                if "k_grid" in flags:
+                    flags["ks"] = _parse_k_grid(flags.pop("k_grid"), ch)
+                table = body(ch, **flags)
+                _emit(table, fmt, out)
+            except InputError as exc:
+                raise click.UsageError(str(exc))
+            except (NumericalError, ValueError) as exc:  # a ValueError that no input check raised
+                click.echo(f"numerical failure: {exc}", file=sys.stderr)
+                sys.exit(3)
+            except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
+                click.echo(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+                sys.exit(3)
+            if "error" in table.columns:
+                col = table.columns.index("error")
+                if any(row[col] is not None for row in table.rows):
+                    sys.exit(3)
+
+        return main.command(name)(_options(_CHANNEL, *decls, _OUTPUT)(run))
+
+    return register
+
+
+@_command("analyze", _CODING)
+def analyze(ch, coding):
     """Mean/std in-order delay and efficiency at one operating point."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    coding = _build_coding(ch, k, redundancy, margin)
     kern = build_kernel(ch, coding)
     dm = expected_delay(ch, coding, kern)
     eff = efficiency(kern)
-    table = OutputTable(
+    return OutputTable(
         ["mean_s", "std_s", "eta", "b", "truncated_mass"],
         [[dm.mean, math.sqrt(dm.variance), eff.eta, coding.b, dm.truncated_mass]])
-    _emit(table, fmt, out)
 
 
-_SWEEP_COLUMNS = ["k", "R", "epsilon", "bdp", "b", "mean_s", "std_s",
-                  "smoothed_mean_s", "eta", "error"]
+def _sweep_table(records):
+    return OutputTable(
+        ["k", "R", "epsilon", "bdp", "b", "mean_s", "std_s", "smoothed_mean_s", "eta", "error"],
+        [[rec.k, rec.R, rec.epsilon, rec.bdp, rec.b, rec.mean, rec.std,
+          rec.smoothed_mean, rec.eta, rec.error] for rec in records])
 
 
-def _sweep_row(rec):
-    return [rec.k, rec.R, rec.epsilon, rec.bdp, rec.b, rec.mean, rec.std,
-            rec.smoothed_mean, rec.eta, rec.error]
-
-
-@main.command("sweep")
-@_channel_options
-@click.option("--redundancy", type=float, default=None, help="redundancy factor R >= 1")
-@click.option("--margin", type=float, default=None, help="rate margin x; R = (1+x)/(1-epsilon)")
-@click.option("--k-grid", type=str, default=None,
-              help="comma-separated generation sizes (default: log grid 2..min(bdp-1,1024))")
-@_output_options
-@_guard
-def cmd_sweep(epsilon, rate_bps, packet_bits, tp_s, rtt_s, redundancy, margin, k_grid, fmt, out):
+@_command("sweep", _GRID)
+def cmd_sweep(ch, R, ks):
     """Delay/efficiency as a function of generation size k."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    r = _resolve_r(redundancy, margin, epsilon)
-    records = smooth_local_maxima(sweep(ch, r, _parse_k_grid(k_grid, ch)))
-    table = OutputTable(_SWEEP_COLUMNS, [_sweep_row(rec) for rec in records])
-    _emit(table, fmt, out)
-    if any(rec.error is not None for rec in records):
-        sys.exit(3)
+    return _sweep_table(smooth_local_maxima(sweep(ch, R, ks)))
 
 
-@main.command("kstar")
-@_channel_options
-@click.option("--redundancy", type=float, default=None, help="redundancy factor R >= 1")
-@click.option("--margin", type=float, default=None, help="rate margin x; R = (1+x)/(1-epsilon)")
-@click.option("--k-grid", type=str, default=None,
-              help="comma-separated generation sizes (default: log grid 2..min(bdp-1,1024))")
-@_output_options
-@_guard
-def cmd_kstar(epsilon, rate_bps, packet_bits, tp_s, rtt_s, redundancy, margin, k_grid, fmt, out):
+@_command("kstar", _GRID)
+def cmd_kstar(ch, R, ks):
     """Generation size minimizing the smoothed mean delay."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    r = _resolve_r(redundancy, margin, epsilon)
-    _, rec = k_star(ch, r, _parse_k_grid(k_grid, ch))
-    table = OutputTable(_SWEEP_COLUMNS, [_sweep_row(rec)])
-    _emit(table, fmt, out)
+    return _sweep_table([k_star(ch, R, ks)[1]])
 
 
-@main.command("tradeoff")
-@_channel_options
-@click.option("--margins", type=str, required=True,
-              help="comma-separated rate margins, e.g. 0.02,0.05,0.1,0.2")
-@click.option("--k-grid", type=str, default=None,
-              help="comma-separated generation sizes (default: log grid)")
-@click.option("--arq-packets", type=int, default=200_000,
-              help="packets for the simulated ARQ reference point")
-@click.option("--seed", type=int, default=0, help="seed for the ARQ reference simulation")
-@_output_options
-@_guard
-def cmd_tradeoff(epsilon, rate_bps, packet_bits, tp_s, rtt_s, margins, k_grid,
-                 arq_packets, seed, fmt, out):
+@_command("tradeoff",
+          click.option("--margins", type=str, required=True,
+                       help="comma-separated rate margins, e.g. 0.02,0.05,0.1,0.2"),
+          _K_GRID,
+          click.option("--arq-packets", type=int, default=200_000,
+                       help="packets for the simulated ARQ reference point"),
+          click.option("--seed", type=int, default=0,
+                       help="seed for the ARQ reference simulation"))
+def cmd_tradeoff(ch, margins, ks, arq_packets, seed):
     """Delay vs efficiency frontier over margins, with the ARQ corner."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
     try:
         xs = [float(part) for part in margins.split(",") if part.strip()]
     except ValueError:
         raise InputError(f"--margins must be comma-separated numbers, got {margins!r}")
     if not xs:
         raise InputError("--margins is empty")
-    kg = _parse_k_grid(k_grid, ch)
-    points = tradeoff_curve(ch, xs, k_range=kg, arq_packets=arq_packets, seed=seed)
-    table = OutputTable(
+    points = tradeoff_curve(ch, xs, k_range=ks, arq_packets=arq_packets, seed=seed)
+    return OutputTable(
         ["kind", "margin", "R", "k", "eta", "mean_s", "std_s"],
         [[p.kind, p.margin, p.R, p.k, p.eta, p.mean, p.std] for p in points])
-    _emit(table, fmt, out)
 
 
-@main.command("simulate")
-@_channel_options
-@_coding_options
-@click.option("--mode", type=click.Choice(["idealized", "relaxed"]),
-              default="idealized", help="simulation mode")
-@click.option("--n-packets", type=int, default=100_000, help="source packets to simulate")
-@click.option("--seed", type=int, required=True, help="RNG seed")
-@click.option("--reps", type=int, default=1, help="independent replications to pool")
-@click.option("--real-codec", is_flag=True, default=False,
-              help="decode with the true GF(256) codec instead of rank counting")
-@click.option("--hol-cap", type=int, default=None,
-              help="override the idealized head-of-line window (default b-1)")
-@click.option("--trace", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="write a per-packet CSV trace to this file (reps must be 1)")
-@_output_options
-@_guard
-def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, margin,
-                 mode, n_packets, seed, reps, real_codec, hol_cap, trace, fmt, out):
+@_command("simulate", _CODING, _RUN,
+          click.option("--reps", type=int, default=1, help="independent replications to pool"),
+          click.option("--real-codec", is_flag=True, default=False,
+                       help="decode with the true GF(256) codec instead of rank counting"),
+          click.option("--hol-cap", type=int, default=None,
+                       help="override the idealized head-of-line window (default b-1)"),
+          click.option("--trace", type=click.Path(dir_okay=False, writable=True), default=None,
+                       help="write a per-packet CSV trace to this file (reps must be 1)"))
+def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, trace):
     """Monte-Carlo run of the coded transport."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    coding = _build_coding(ch, k, redundancy, margin)
     if trace is not None and reps != 1:
         raise InputError("--trace requires --reps 1")
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets,
@@ -306,36 +267,23 @@ def cmd_simulate(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, mar
     if trace is not None:
         with _open_output(trace, "--trace") as fh:
             trace_csv(stats, cfg, fh)
-    table = OutputTable(
+    return OutputTable(
         ["mode", "k", "R", "n_packets", "seed", "reps", "mean_s", "std_s",
          "efficiency", "se_mean_s"],
-        [[mode, k, coding.R, n_packets, seed, reps, stats.mean_delay, stats.std_delay,
+        [[mode, coding.k, coding.R, n_packets, seed, reps, stats.mean_delay, stats.std_delay,
           stats.mean_efficiency, stats.se_mean]])
-    _emit(table, fmt, out)
 
 
-@main.command("compare-arq")
-@_channel_options
-@_coding_options
-@click.option("--mode", type=click.Choice(["idealized", "relaxed"]),
-              default="idealized", help="coded simulation mode")
-@click.option("--n-packets", type=int, default=100_000, help="source packets to simulate")
-@click.option("--seed", type=int, required=True, help="RNG seed")
-@_output_options
-@_guard
-def cmd_compare_arq(epsilon, rate_bps, packet_bits, tp_s, rtt_s, k, redundancy, margin,
-                    mode, n_packets, seed, fmt, out):
+@_command("compare-arq", _CODING, _RUN)
+def cmd_compare_arq(ch, coding, mode, n_packets, seed):
     """Coded transport and idealized SR-ARQ on one configuration."""
-    ch = _build_channel(epsilon, rate_bps, packet_bits, tp_s, rtt_s)
-    coding = _build_coding(ch, k, redundancy, margin)
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets, seed=seed)
     coded = run_coded(cfg)
     arq = run_arq(cfg)
-    table = OutputTable(
+    return OutputTable(
         ["scheme", "mean_s", "std_s", "efficiency"],
         [["coded", coded.mean_delay, coded.std_delay, coded.mean_efficiency],
          ["arq", arq.mean_delay, arq.std_delay, arq.mean_efficiency]])
-    _emit(table, fmt, out)
 
 
 if __name__ == "__main__":

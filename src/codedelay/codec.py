@@ -12,8 +12,9 @@ decoding copies the payload columns. The decoder also tracks which packets
 arrived in systematic form for pre-decode in-order delivery, and rejects a
 packet whose index, coefficient count or payload length does not fit the
 generation before it touches any state. The sender and the wire format
-reject a systematic index outside [0, k) too, and the parser a frame too
-short for the header of its kind.
+reject a systematic index outside [0, k) too, the sender a generation id
+outside the u32 field, and the parser a frame too short for the header of
+its kind.
 
 Wire format (big-endian), used for traces and documented byte-exactly:
 
@@ -63,7 +64,13 @@ def _check_index(i, k):
         raise ValueError(f"systematic index {i} is outside [0, {k})")
 
 
+def _check_generation(generation_id):
+    if not 0 <= generation_id < 1 << 32:
+        raise ValueError(f"generation id {generation_id} is outside the u32 range [0, 2^32)")
+
+
 def systematic_packet(generation_id, payloads, i):
+    _check_generation(generation_id)
     mat = _as_matrix(payloads)
     _check_index(i, mat.shape[0])
     return CodedPacket(generation_id=generation_id, sys_index=int(i),
@@ -78,6 +85,7 @@ def encode(generation_id, payloads, m, rng):
     coded-packet sequence index within the generation; it does not influence
     the combination, which is determined by the RNG stream.
     """
+    _check_generation(generation_id)
     mat = _as_matrix(payloads)
     k = mat.shape[0]
     while True:
@@ -90,6 +98,7 @@ def encode(generation_id, payloads, m, rng):
 
 def pack_packet(pkt, k):
     """Serialize a packet of a k-packet generation to the wire format."""
+    _check_generation(pkt.generation_id)
     head = struct.pack(">IB", pkt.generation_id,
                        KIND_SYSTEMATIC if pkt.is_systematic else KIND_CODED)
     if pkt.is_systematic:

@@ -639,6 +639,9 @@ def run_arq(config):
     ch = config.channel
     eps, t_s, t_p = ch.epsilon, ch.t_s, ch.t_p
     n = config.n_packets
+    warm_packets = _ARQ_WARMUP_BDP * ch.bdp
+    if n <= warm_packets:
+        raise InputError(f"need more than {warm_packets} packets at bdp={ch.bdp}")
     rng = _rng_for(config.seed)
     u = rng.random(n)
     if eps == 0.0:
@@ -656,9 +659,6 @@ def run_arq(config):
     del_beta = comp_beta[latest]
     delays = (del_alpha - idx) * t_s + del_beta * t_p
 
-    warm_packets = _ARQ_WARMUP_BDP * ch.bdp
-    if n <= warm_packets:
-        raise InputError(f"need more than {warm_packets} packets at bdp={ch.bdp}")
     trace = PacketTrace.build(idx, delays, t_s, 1) if config.collect_records else None
     acc = _PairStats(t_s, t_p)
     acc.add((del_alpha - idx)[warm_packets:], del_beta[warm_packets:])

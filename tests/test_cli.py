@@ -248,6 +248,33 @@ class TestFlagValidation:
         assert huge.stdout_bytes == full.stdout_bytes
 
 
+_CHANNEL_FLAGS = [("epsilon", "required"), ("rate_bps", "required"),
+                  ("packet_bits", "required"), ("tp_s", None), ("rtt_s", None)]
+_CODING_FLAGS = [("k", "required"), ("redundancy", None), ("margin", None)]
+_OUTPUT_FLAGS = [("fmt", "csv"), ("out", None)]
+_RUN_FLAGS = [("mode", "idealized"), ("n_packets", 100_000), ("seed", "required")]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", _CODING_FLAGS),
+    ("sweep", [("redundancy", None), ("margin", None), ("k_grid", None)]),
+    ("kstar", [("redundancy", None), ("margin", None), ("k_grid", None)]),
+    ("tradeoff", [("margins", "required"), ("k_grid", None), ("arq_packets", 200_000),
+                  ("seed", 0)]),
+    ("simulate", _CODING_FLAGS + _RUN_FLAGS + [("reps", 1), ("real_codec", False),
+                                               ("hol_cap", None), ("trace", None)]),
+    ("compare-arq", _CODING_FLAGS + _RUN_FLAGS),
+])
+def test_flag_names_order_and_defaults(runner, command, flags):
+    """Each command declares the channel flags, its own flags, then the output flags."""
+    params = main.commands[command].params
+    declared = [(p.name, "required" if p.required else p.default) for p in params]
+    assert declared == _CHANNEL_FLAGS + flags + _OUTPUT_FLAGS
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0, res.output
+    assert res.output.index("--epsilon") < res.output.index("--format")
+
+
 def _std_channel(rtt=0.1):
     return derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=rtt)
 

@@ -346,6 +346,28 @@ class TestSenderChecks:
         with pytest.raises(ValueError, match="expected 4 coefficients"):
             pack_packet(pkt, 4)
 
+    @pytest.mark.parametrize("generation_id", [-1, 2**32])
+    def test_a_generation_id_outside_u32_is_rejected(self, generation_id):
+        payloads = random_generation(rng_for(24), 4, 8)
+        match = f"generation id {generation_id} is outside"
+        with pytest.raises(ValueError, match=match):
+            systematic_packet(generation_id, payloads, 0)
+        rng = rng_for(25)
+        with pytest.raises(ValueError, match=match):
+            encode(generation_id, payloads, 0, rng)
+        assert rng.integers(0, 256, 4).tolist() == rng_for(25).integers(0, 256, 4).tolist()
+        for pkt in (CodedPacket(generation_id, 0, None, payloads[0]),
+                    CodedPacket(generation_id, None, np.ones(4, np.uint8), payloads[0])):
+            with pytest.raises(ValueError, match=match):
+                pack_packet(pkt, 4)
+
+    @pytest.mark.parametrize("generation_id", [0, 2**32 - 1])
+    def test_every_generation_id_inside_u32_is_sent(self, generation_id):
+        payloads = random_generation(rng_for(26), 4, 8)
+        coded = encode(generation_id, payloads, 0, rng_for(27))
+        for pkt in (systematic_packet(generation_id, payloads, 1), coded):
+            assert unpack_packet(pack_packet(pkt, 4), 4).generation_id == generation_id
+
     def test_every_index_inside_k_is_sent(self):
         payloads = random_generation(rng_for(23), 4, 8)
         for i in range(4):

@@ -90,6 +90,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             run_arq(cfg)
 
+    def test_arq_warmup_guard_draws_nothing(self, monkeypatch):
+        # at BDP 10^5, 10^6 packets are all warm-up; drawing them first took
+        # 97 MB, and a BDP-10^7 channel at MAX_PACKETS would take 100x that
+        def no_draws(seed):
+            raise AssertionError("run_arq drew its uniforms before its warm-up check")
+
+        monkeypatch.setattr(simulator, "_rng_for", no_draws)
+        ch = derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=100.0)
+        cfg = SimConfig(channel=ch, coding=derive_coding(ch, 8, margin=0.1),
+                        n_packets=10**6, seed=1)
+        with pytest.raises(InputError, match="need more than 1000000 packets"):
+            run_arq(cfg)
+
 
 class TestLosslessClosure:
     @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
