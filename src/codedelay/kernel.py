@@ -9,24 +9,35 @@ redundancy.
 Row i depends only on (i, R, epsilon), never on the generation size k, so
 the kernel of any k is the leading (k+1) x (k+1) block of the kernel of a
 larger k. build_kernel therefore serves a whole grid of generation sizes
-with one matrix: binomial rows come from the Pascal recurrence as n sweeps
-0..ceil(R*k), and absorption cdfs for every start state come from one pass
-of u_r = P u_{r-1}. Besides the rows, the recurrence yields the
-received-count-weighted mass of the absorbing transition, which the kernel
-stores per state so that the efficiency module can read packets-received
-expectations without evaluating a pmf.
+with one matrix, and absorption cdfs for every start state come from one
+pass of u_r = P u_{r-1}.
+
+The rows are built from the Binomial(n, 1 - epsilon) laws of n = 0..
+ceil(R*k) + 1, taken by the Pascal recurrence in one sweep over n. Each law
+is written reversed into a table that holds a fixed number of consecutive
+laws, so that a row's pmf entries are one contiguous slice of it. Whenever
+the table is full, every state whose laws it holds gets its row from one
+gather over a strided window view; no Python code runs per state. Besides
+the rows, the laws yield the received-count-weighted mass of the absorbing
+transition, which the kernel stores per state so that the efficiency module
+can read packets-received expectations without evaluating a pmf.
 """
 
 import math
 
 import numpy as np
 
-from .params import InputError, coded_count_distribution
+from .params import InputError, split_count
 
 MAX_K = 4096
 ABSORPTION_TAIL = 1e-12
 MAX_ROUNDS = 10_000
 _ABSORPTION_BLOCK = 128   # states per reduction block in the absorption pass
+_FILL_STEPS = 32          # binomial laws the row fill holds at once
+# the tails a state reads, as (law - lo, m - i): lo and lo + 1 at m = i,
+# lo - 1 and lo at m = i - 1
+_TAIL_LAWS = np.array([[0], [1], [-1], [0]])
+_TAIL_COLUMNS = np.array([[0], [0], [-1], [-1]])
 
 
 class NumericalError(RuntimeError):
@@ -127,57 +138,79 @@ class TransitionKernel:
         return a ** i * -math.expm1(i * math.log1p(-(a - b) / a))
 
 
-def _binomial_rows(n_max, width, p_success):
-    """Binomial(n, p_success) laws for n = 0..n_max, by the Pascal recurrence.
-
-    Yields one fresh (2, width) array per n: row 0 is the pmf P(X = m) and
-    row 1 the tail P(X >= m), for m = 0..width-1. Both obey
-    B(n, m) = q*B(n-1, m) + p*B(n-1, m-1), so every entry depends only on
-    (n, m, p), not on width, and no entry is a sum or difference over m.
-    """
-    q = 1.0 - p_success
-    cur = np.zeros((2, width))
-    cur[:, 0] = 1.0
-    yield cur
-    for _ in range(n_max):
-        nxt = q * cur
-        nxt[:, 1:] += p_success * cur[:, :-1]
-        nxt[1, 0] = 1.0   # P(X >= 0)
-        cur = nxt
-        yield cur
-
-
-def _pure_row(i, n, p_success, law, prev_law):
-    """Transition row for state i when exactly n >= i packets are sent.
-
-    law and prev_law are the _binomial_rows entries of n and n - 1. Entry j
-    (0 < j <= i) of the row is the probability of receiving i-j packets;
-    entry 0 collects every outcome with at least i received. Returns
-    (row, absorbed_received), the second being the sum of received count times
-    probability over those absorbing outcomes, n*p*P(Bin(n-1, p) >= i-1).
-    """
-    row = np.empty(i + 1)
-    row[1:] = law[0, i - 1::-1]   # receiving m < i packets leaves state i - m
-    row[0] = law[1, i]
-    return row, n * p_success * float(prev_law[1, i - 1])
-
-
 def _transition_rows(R, k, p_success):
-    """Matrix rows and absorbed_received of states 0..k, filled as n sweeps up."""
-    users = {}  # transmit count n -> [(state, weight)]
-    for i in range(1, k + 1):
-        for n, w in coded_count_distribution(R, i).items():
-            users.setdefault(n, []).append((i, w))
+    """Matrix rows and absorbed_received of states 0..k, filled as n sweeps up.
+
+    State i sends n = lo or lo + 1 packets (split_count), with weights w_lo
+    and w_hi, and its row is w_lo*row(lo) + w_hi*row(lo + 1). In row(n),
+    entry j > 0 is the Binomial(n, p_success) pmf at i - j and entry 0 the
+    tail P(X >= i); absorbed_received[i] sums n*p*P(Bin(n - 1, p) >= i - 1)
+    over the same two counts. Pmf and tail both follow the Pascal recurrence
+    B(n, m) = q*B(n-1, m) + p*B(n-1, m-1), so every entry depends only on
+    (n, m, p_success), never on k, and none is a sum over m.
+
+    The recurrence writes each law reversed into one table slot: the tail
+    at index k - m, then the pmf at 2k + 1 - m, then zeros. Row i's pmf
+    entries are thus one slice ending at the pmf's m = 0, and the zeros after
+    it pad every row of a pass to the same length. The table holds
+    _FILL_STEPS consecutive laws whatever R is. Once it is full, every state
+    whose laws lo - 1..lo + 1 all lie in it gets its rows from one gather
+    over a strided window view, and the last two laws carry over to the next
+    pass. Raises InputError for R < 1, as coded_count_distribution does.
+    """
+    if not R >= 1.0:
+        raise InputError(f"R must be >= 1, got {R}")
+    q, p = np.array(1.0 - p_success), np.array(p_success)   # 0-d: cheaper ufunc operands
+    states = np.arange(1, k + 1)
+    lo, frac = split_count(R, states)
+    weights = np.empty((2, k))          # of lo and lo + 1 packets
+    np.subtract(1.0, frac, out=weights[0])
+    weights[1] = frac
+    n_top = int(lo[-1]) + 1             # the last law any state reads
+    steps = min(_FILL_STEPS, n_top + 1)
+    laws = 2 * (k + 1)                  # tail and pmf; the zeros past them stay 0
+    table = np.zeros((steps, laws + steps))
+    table[0, k] = table[0, laws - 1] = 1.0      # n = 0
+    rows = list(table)
+    # p * law n - 1, shifted down one index by reading it from carry[1:]; this
+    # carries the pmf at m = k into the tail at m = 0, which is then reset
+    carry = np.zeros(laws + steps + 1)
+    scaled, shifted = carry[:-1], carry[1:]
+    start = 2 * k + 2 - states          # the pmf at m = i - 1
+    at_i = k - states                   # the tail at m = i
+    tails = np.empty((4, k))            # see _TAIL_LAWS
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 1.0
+    base, first, done = 0, 1, 0         # slot s holds law base + s
+    while True:
+        top = min(steps - 1, n_top - base)
+        for s in range(first, top + 1):
+            np.multiply(rows[s - 1], q, out=rows[s])
+            np.multiply(rows[s - 1], p, out=scaled)
+            np.add(rows[s], shifted, out=rows[s])
+            rows[s][k] = 1.0            # P(X >= 0)
+        end = int(np.searchsorted(lo, base + top - 1, side="right"))
+        if end > done:
+            sl, span = slice(done, end), end   # states done + 1..end, columns 1..end
+            s = lo[sl] - base
+            # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
+            win = np.ndarray((steps, laws + steps - span + 1, span), buffer=table,
+                             strides=(table.strides[0], table.itemsize, table.itemsize))
+            block = mat[done + 1:end + 1, 1:span + 1]
+            np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
+            high = win[s + 1, start[sl]]
+            high *= weights[1, sl, None]
+            block += high
+            tails[:, sl] = table[s + _TAIL_LAWS, at_i[sl] - _TAIL_COLUMNS]
+            done = end
+        if base + top == n_top:
+            break
+        table[:2] = table[top - 1:top + 1]
+        base, first = base + top - 1, 2
+    w_lo, w_hi = weights
+    mat[1:, 0] = w_lo * tails[0] + w_hi * tails[1]
     absorbed_received = np.zeros(k + 1)
-    prev = None
-    for n, law in enumerate(_binomial_rows(max(users), k + 1, p_success)):
-        for i, w in users.get(n, ()):
-            row, received = _pure_row(i, n, p_success, law, prev)
-            mat[i, :i + 1] += w * row
-            absorbed_received[i] += w * received
-        prev = law
+    absorbed_received[1:] = w_lo * (lo * p * tails[2]) + w_hi * ((lo + 1) * p * tails[3])
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
     return mat, absorbed_received
 

@@ -4,6 +4,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 # Snap tolerance for quantities that are analytically integral but carry float
 # fuzz (e.g. 0.1 * 1e7 / 1e4 evaluates to 100.00000000000001).
 _INT_SNAP = 1e-9
@@ -115,9 +117,15 @@ def split_count(R, i):
 
     The count is floor(R*i), plus one with probability `fraction`. Values
     within float fuzz of an integer snap to it with fraction 0. This is the
-    only place R*i is rounded.
+    only place R*i is rounded. For an integer array i both parts are arrays,
+    each entry equal to the scalar result for that i.
     """
     ri = R * i
+    if isinstance(ri, np.ndarray):
+        r = np.rint(ri)    # half to even, as round() does
+        snap = np.abs(ri - r) < _INT_SNAP
+        lo = np.where(snap, r, np.floor(ri))
+        return lo.astype(np.int64), np.where(snap, 0.0, ri - lo)
     r = round(ri)
     if abs(ri - r) < _INT_SNAP:
         return int(r), 0.0

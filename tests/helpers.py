@@ -10,8 +10,10 @@ echelon list with systematic payloads kept apart, and a Gauss-Jordan pass
 at decode), the relaxed link schedule by a float event heap, the trace file
 by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
-the prefix-length moments by the pmf and mgf of the prefix, and the
-efficiency pass by the received count of a single transition.
+the prefix-length moments by the pmf and mgf of the prefix, the
+efficiency pass by the received count of a single transition, and the
+kernel's row fill by a loop over the (n, state) pairs that fresh binomial
+laws from a generator serve one by one.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
@@ -24,15 +26,82 @@ import numpy as np
 from codedelay.codec import CodedPacket
 from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
 from codedelay.gf256 import INV, MUL
-from codedelay.kernel import _binomial_rows, _pure_row
+from codedelay.kernel import _transition_rows
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.params import coded_count_distribution, split_count
+from codedelay.params import coded_count_distribution, redundancy_from_margin, split_count
+
+
+# (R, p_success) of the four Latin-square cells of the `design` benchmark
+# workload at their centres: epsilon 0.1187, 0.2637, 0.0462, 0.1913 with
+# margins 0.195, 0.055, 0.265, 0.125, R = (1 + margin) / (1 - epsilon)
+DESIGN_CHANNELS = [(redundancy_from_margin(m, e), 1.0 - e)
+                   for e, m in ((0.1187, 0.195), (0.2637, 0.055), (0.0462, 0.265),
+                                (0.1913, 0.125))]
 
 
 def kernel_row(i, n, p_success):
-    """(row, absorbed_received) the kernel builds for state i when n >= i packets are sent."""
-    laws = list(_binomial_rows(n, n + 1, p_success))
-    return _pure_row(i, n, p_success, laws[n], laws[n - 1])
+    """(row, absorbed_received) the kernel builds for state i when n >= i packets are sent.
+
+    A kernel of size i at R = n/i, which split_count snaps to exactly n
+    packets for state i, so its last row is the pure row of n.
+    """
+    mat, absorbed_received = _transition_rows(n / i, i, p_success)
+    return mat[i], float(absorbed_received[i])
+
+
+def _binomial_rows(n_max, width, p_success):
+    """Binomial(n, p_success) laws for n = 0..n_max, by the Pascal recurrence.
+
+    Yields one fresh (2, width) array per n: row 0 is the pmf P(X = m) and
+    row 1 the tail P(X >= m), for m = 0..width-1. Both obey
+    B(n, m) = q*B(n-1, m) + p*B(n-1, m-1), so every entry depends only on
+    (n, m, p), not on width, and no entry is a sum or difference over m.
+    """
+    q = 1.0 - p_success
+    cur = np.zeros((2, width))
+    cur[:, 0] = 1.0
+    yield cur
+    for _ in range(n_max):
+        nxt = q * cur
+        nxt[:, 1:] += p_success * cur[:, :-1]
+        nxt[1, 0] = 1.0   # P(X >= 0)
+        cur = nxt
+        yield cur
+
+
+def _pure_row(i, n, p_success, law, prev_law):
+    """Transition row for state i when exactly n >= i packets are sent.
+
+    law and prev_law are the _binomial_rows entries of n and n - 1. Entry j
+    (0 < j <= i) of the row is the probability of receiving i-j packets;
+    entry 0 collects every outcome with at least i received. Returns
+    (row, absorbed_received), the second being the sum of received count times
+    probability over those absorbing outcomes, n*p*P(Bin(n-1, p) >= i-1).
+    """
+    row = np.empty(i + 1)
+    row[1:] = law[0, i - 1::-1]   # receiving m < i packets leaves state i - m
+    row[0] = law[1, i]
+    return row, n * p_success * float(prev_law[1, i - 1])
+
+
+def reference_transition_rows(R, k, p_success):
+    """Matrix rows and absorbed_received of states 0..k, filled as n sweeps up."""
+    users = {}  # transmit count n -> [(state, weight)]
+    for i in range(1, k + 1):
+        for n, w in coded_count_distribution(R, i).items():
+            users.setdefault(n, []).append((i, w))
+    mat = np.zeros((k + 1, k + 1))
+    mat[0, 0] = 1.0
+    absorbed_received = np.zeros(k + 1)
+    prev = None
+    for n, law in enumerate(_binomial_rows(max(users), k + 1, p_success)):
+        for i, w in users.get(n, ()):
+            row, received = _pure_row(i, n, p_success, law, prev)
+            mat[i, :i + 1] += w * row
+            absorbed_received[i] += w * received
+        prev = law
+    # Row sums are 1 up to recurrence roundoff; keep them as computed.
+    return mat, absorbed_received
 
 
 class ScriptedCoefficients:

@@ -1,7 +1,9 @@
 """Transition kernel against exhaustive loss-pattern enumeration and exact binomials."""
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from codedelay.kernel import TransitionKernel, _binomial_rows, build_kernel
-from codedelay.params import derive_channel, derive_coding
+from codedelay.kernel import (_FILL_STEPS, TransitionKernel, _transition_rows,
+                              build_kernel)
+from codedelay.params import MAX_ROUND_PACKETS, InputError, derive_channel, derive_coding
 
-from .helpers import brute_force_absorbed_received, brute_force_row, kernel_row, mixture_row
+from .helpers import (DESIGN_CHANNELS, _binomial_rows, brute_force_absorbed_received,
+                      brute_force_row, kernel_row, mixture_row, reference_transition_rows)
 
 
 def make_pair(epsilon, k, R):
@@ -60,6 +64,15 @@ def exact_binomial(n, p_success):
 
 
 class TestBinomialRecurrence:
+    """The binomial laws behind the kernel: the reference recurrence against
+    exact values, and the same laws read back from the rows production builds.
+
+    TestRowFill pins production's rows bit-equal to the reference's, so the
+    reference's accuracy here is production's too. In production's rows,
+    state n sending n packets shows law n's pmf at m = 0..n-1 in entries
+    n..1, and state m's entry 0 is the tail P(X >= m) of the law it sends.
+    """
+
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
     def test_matches_exact_values(self, eps):
         laws = list(_binomial_rows(600, 601, 1.0 - eps))
@@ -71,11 +84,85 @@ class TestBinomialRecurrence:
             np.testing.assert_allclose(laws[n][1, :n + 1], tail, rtol=0, atol=1e-14)
             assert not laws[n][:, n + 1:].any()
 
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
+    def test_kernel_rows_match_exact_values(self, eps):
+        for n in [*range(1, 12), 50, 100, 200, 300, 400, 500, 600]:
+            pmf, tail = exact_binomial(n, 1.0 - eps)
+            row, _ = kernel_row(n, n, 1.0 - eps)
+            np.testing.assert_allclose(row[:0:-1], pmf[:n], rtol=0, atol=1e-15)
+            # every m for small n; near 0, the mean, and n for the rest
+            mean = round(n * (1.0 - eps))
+            ms = sorted({m for m in (*range(1, 12), n // 4, mean - 1, mean, mean + 1,
+                                     n // 2, 3 * n // 4, n - 1, n) if 1 <= m <= n})
+            tails = [kernel_row(m, n, 1.0 - eps)[0][0] for m in ms]
+            np.testing.assert_allclose(tails, tail[ms], rtol=0, atol=1e-14)
+
     def test_entries_do_not_depend_on_width(self):
         wide = list(_binomial_rows(80, 81, 0.8))
         narrow = list(_binomial_rows(80, 9, 0.8))
         for w, nr in zip(wide, narrow):
             np.testing.assert_array_equal(w[:, :9], nr)
+
+    def test_kernel_of_k_is_leading_block(self):
+        # whatever passes over the laws either fill makes
+        for R in (1.0, 1.3, 7.5):
+            wide = _transition_rows(R, 2 * _FILL_STEPS + 3, 0.8)
+            for k in (1, 8, _FILL_STEPS - 2, _FILL_STEPS - 1, _FILL_STEPS, _FILL_STEPS + 1):
+                mat, absorbed_received = _transition_rows(R, k, 0.8)
+                np.testing.assert_array_equal(wide[0][:k + 1, :k + 1], mat)
+                np.testing.assert_array_equal(wide[1][:k + 1], absorbed_received)
+
+
+def _r_values():
+    """R in [1, 64]: 1, integers, ratios that make R*i integral for some i, and any float."""
+    return st.one_of(st.just(1.0), st.integers(2, 64).map(float),
+                     st.sampled_from([1.25, 1.5, 2.5, 1.125, 33.75]),
+                     st.floats(1.0, 64.0))
+
+
+def _p_values():
+    """p_success in (0, 1]: 1, below 1/2 where q + p need not round to 1, and any."""
+    return st.one_of(st.just(1.0), st.floats(1e-3, 0.5), st.floats(0.0, 1.0, exclude_min=True))
+
+
+class TestRowFill:
+    """The production row fill against the per-state reference fill, bit for bit."""
+
+    @given(R=_r_values(), p=_p_values(), k=st.integers(1, 300))
+    @example(R=1.0, p=0.9, k=_FILL_STEPS - 2)
+    @example(R=1.0, p=0.9, k=_FILL_STEPS - 1)
+    @example(R=1.0, p=0.45, k=_FILL_STEPS)
+    @example(R=1.0, p=0.9, k=_FILL_STEPS + 1)
+    @example(R=1.3, p=0.7, k=_FILL_STEPS - 1)
+    @example(R=1.3, p=0.7, k=_FILL_STEPS)
+    @example(R=1.3, p=0.7, k=_FILL_STEPS + 1)
+    @example(R=1.3, p=0.7, k=2 * _FILL_STEPS)
+    @example(R=64.0, p=0.3, k=2 * _FILL_STEPS)
+    @example(R=1.5, p=1.0, k=300)
+    @example(R=DESIGN_CHANNELS[0][0], p=DESIGN_CHANNELS[0][1], k=1024)
+    @example(R=DESIGN_CHANNELS[1][0], p=DESIGN_CHANNELS[1][1], k=1024)
+    @example(R=DESIGN_CHANNELS[2][0], p=DESIGN_CHANNELS[2][1], k=1024)
+    @example(R=DESIGN_CHANNELS[3][0], p=DESIGN_CHANNELS[3][1], k=1024)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_bit_for_bit(self, R, p, k):
+        mat, absorbed_received = _transition_rows(R, k, p)
+        ref_mat, ref_absorbed = reference_transition_rows(R, k, p)
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, ref_mat)
+        assert np.array_equal(absorbed_received, ref_absorbed)
+
+    def test_memory_does_not_grow_with_r(self):
+        # R*k at the largest first round accepted: the fill holds a fixed
+        # number of laws, not one per packet sent
+        k = 1024
+        R = MAX_ROUND_PACKETS / k
+        tracemalloc.start()
+        try:
+            mat, _ = _transition_rows(R, k, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mat.nbytes + 4 * 2 ** 20
 
 
 class TestBuildKernel:
@@ -158,3 +245,9 @@ class TestBuildKernel:
         ch = derive_channel(0.1, rate=1e9, packet_size=1e3, rtt=0.1)
         with pytest.raises(ValueError):
             build_kernel(ch, derive_coding(ch, 5000, R=1.25))
+
+    def test_redundancy_below_one_rejected(self):
+        # a CodingParams not made by derive_coding still meets the R >= 1 check
+        ch, coding = make_pair(0.1, 8, 1.25)
+        with pytest.raises(InputError, match="R must be >= 1"):
+            build_kernel(ch, dataclasses.replace(coding, R=0.9))

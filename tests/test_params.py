@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from codedelay.params import (
     MAX_BDP,
@@ -131,6 +132,20 @@ class TestCodedCountDistribution:
         lo, frac = split_count(1.1, 5)
         assert lo == 5 and frac == pytest.approx(0.5)
         assert coded_count_distribution(1.1, 5) == {5: 1.0 - frac, 6: frac}
+
+    # R near a ratio whose products land within the snap tolerance of an
+    # integer, on it, or exactly half way (where round() goes to even)
+    @given(st.one_of(st.floats(1.0, 64.0),
+                     st.sampled_from([1.1, 1.25, 1.5, 2.5, 1.0 + 1e-10, 1.0 + 2e-9, 3.0 - 1e-10])),
+           st.integers(1, 4096))
+    @example(1.1, 1000)
+    @example(2.5, 4096)
+    def test_array_split_matches_scalar(self, R, k):
+        states = np.arange(1, k + 1)
+        lo, frac = split_count(R, states)
+        assert lo.dtype == np.int64 and frac.dtype == np.float64
+        assert [(int(a), float(b)) for a, b in zip(lo, frac)] == [
+            split_count(R, i) for i in range(1, k + 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
