@@ -1,9 +1,8 @@
 """Throughput efficiency: information packets per packet received at the sink.
 
-Everything here reads the transition kernel: the non-absorbing entries of
-each row give deterministic received counts, and the absorbing transition's
-received-count-weighted mass comes from `TransitionKernel.absorbed_received`,
-computed from the same binomial law as the row. No pmf is evaluated here.
+A round from state i receives p*n_i packets on average, where n_i is the mean
+transmit count R*i as split_count realizes it and p = 1 - epsilon; the rest
+comes from the kernel's rows. No pmf is evaluated here.
 
 One bottom-up pass yields the expected received count from every state, and
 row i does not depend on the generation size, so the pass over a kernel
@@ -13,6 +12,8 @@ built for the largest size of a grid serves every size in it (`at`).
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .params import split_count
 
 
 @dataclass(frozen=True)
@@ -31,22 +32,22 @@ def _received_by_state(kern):
     """Expected packets received from each state until absorption.
 
     Bottom-up over states: the expected count for a path from state i to
-    absorption decomposes over the first transition.
+    absorption is the mean received in its first round plus the expected
+    count from wherever that round leaves it.
     """
     k = kern.k
     mat = kern.matrix
-    steps = np.arange(k, 0, -1, dtype=float)  # steps[k - i + j] = i - j
+    lo, frac = split_count(kern.coding.R, np.arange(k + 1))
+    received = (lo + frac) * (1.0 - kern.channel.epsilon)
     em = np.zeros(k + 1)
     for i in range(1, k + 1):
         row = mat[i, 1:i]
-        # denom is 1 - a_ii assembled from the same entries as the weighted
-        # sum, so the conditional mean is exact even when the row carries a
-        # few ulps of rounding.
+        # denom is 1 - a_ii summed from the entries that leave state i,
+        # which keeps its digits where a_ii is near 1 and 1 - a_ii cancels.
         denom = mat[i, 0] + row.sum()
         if denom <= 0.0:
             raise ValueError(f"state {i} cannot progress (self-transition probability 1)")
-        total = kern.absorbed_received[i] + row @ (em[1:i] + steps[k - i + 1:])
-        em[i] = total / denom
+        em[i] = (received[i] + row @ em[1:i]) / denom
     return em
 
 

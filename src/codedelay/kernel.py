@@ -17,10 +17,7 @@ ceil(R*k) + 1, taken by the Pascal recurrence in one sweep over n. Each law
 is written reversed into a table that holds a fixed number of consecutive
 laws, so that a row's pmf entries are one contiguous slice of it. Whenever
 the table is full, every state whose laws it holds gets its row from one
-gather over a strided window view; no Python code runs per state. Besides
-the rows, the laws yield the received-count-weighted mass of the absorbing
-transition, which the kernel stores per state so that the efficiency module
-can read packets-received expectations without evaluating a pmf.
+gather over a strided window view; no Python code runs per state.
 """
 
 import math
@@ -34,10 +31,6 @@ ABSORPTION_TAIL = 1e-12
 MAX_ROUNDS = 10_000
 _ABSORPTION_BLOCK = 128   # states per reduction block in the absorption pass
 _FILL_STEPS = 32          # binomial laws the row fill holds at once
-# the tails a state reads, as (law - lo, m - i): lo and lo + 1 at m = i,
-# lo - 1 and lo at m = i - 1
-_TAIL_LAWS = np.array([[0], [1], [-1], [0]])
-_TAIL_COLUMNS = np.array([[0], [0], [-1], [-1]])
 
 
 class NumericalError(RuntimeError):
@@ -59,22 +52,15 @@ class TransitionKernel:
     the tail 1 - [P^r]_{k0} drops below ABSORPTION_TAIL, so the object is
     immutable afterwards and safe to share between threads.
 
-    absorbed_received[i] is the sum, over the outcomes of one round from state
-    i that absorb, of packets received times probability, averaged over the
-    randomized transmit count like the row itself; matrix[i, 0] is the matching
-    total probability, so their ratio is the mean received count given
-    absorption.
-
     A kernel built for a grid of generation sizes also holds the absorption
     cdf of every size in the grid; `block` cuts out the kernel of one of them.
     """
 
-    def __init__(self, channel, coding, matrix, absorbed_received, cdfs, failures):
+    def __init__(self, channel, coding, matrix, cdfs, failures):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
         self.matrix = matrix
-        self.absorbed_received = absorbed_received
         self._cdfs = cdfs            # size -> absorption cdf (partial where it failed)
         self._failures = failures    # size -> why its absorption did not converge
         self._absorption = cdfs[self.k]
@@ -93,7 +79,7 @@ class TransitionKernel:
         if k in self._failures:
             raise NumericalError(self._failures[k])
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                self.absorbed_received[:k + 1], {k: self._cdfs[k]}, {})
+                                {k: self._cdfs[k]}, {})
 
     @property
     def horizon(self):
@@ -139,13 +125,12 @@ class TransitionKernel:
 
 
 def _transition_rows(R, k, p_success):
-    """Matrix rows and absorbed_received of states 0..k, filled as n sweeps up.
+    """Matrix rows of states 0..k, filled as n sweeps up.
 
     State i sends n = lo or lo + 1 packets (split_count), with weights w_lo
     and w_hi, and its row is w_lo*row(lo) + w_hi*row(lo + 1). In row(n),
     entry j > 0 is the Binomial(n, p_success) pmf at i - j and entry 0 the
-    tail P(X >= i); absorbed_received[i] sums n*p*P(Bin(n - 1, p) >= i - 1)
-    over the same two counts. Pmf and tail both follow the Pascal recurrence
+    tail P(X >= i). Pmf and tail both follow the Pascal recurrence
     B(n, m) = q*B(n-1, m) + p*B(n-1, m-1), so every entry depends only on
     (n, m, p_success), never on k, and none is a sum over m.
 
@@ -154,8 +139,8 @@ def _transition_rows(R, k, p_success):
     entries are thus one slice ending at the pmf's m = 0, and the zeros after
     it pad every row of a pass to the same length. The table holds
     _FILL_STEPS consecutive laws whatever R is. Once it is full, every state
-    whose laws lo - 1..lo + 1 all lie in it gets its rows from one gather
-    over a strided window view, and the last two laws carry over to the next
+    whose laws lo and lo + 1 both lie in it gets its row from one gather
+    over a strided window view, and the last law carries over to the next
     pass. Raises InputError for R < 1, as coded_count_distribution does.
     """
     if not R >= 1.0:
@@ -178,7 +163,7 @@ def _transition_rows(R, k, p_success):
     scaled, shifted = carry[:-1], carry[1:]
     start = 2 * k + 2 - states          # the pmf at m = i - 1
     at_i = k - states                   # the tail at m = i
-    tails = np.empty((4, k))            # see _TAIL_LAWS
+    tails = np.empty((2, k))            # P(X >= i) under lo and lo + 1
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 1.0
     base, first, done = 0, 1, 0         # slot s holds law base + s
@@ -201,18 +186,15 @@ def _transition_rows(R, k, p_success):
             high = win[s + 1, start[sl]]
             high *= weights[1, sl, None]
             block += high
-            tails[:, sl] = table[s + _TAIL_LAWS, at_i[sl] - _TAIL_COLUMNS]
+            tails[:, sl] = table[[s, s + 1], at_i[sl]]
             done = end
         if base + top == n_top:
             break
-        table[:2] = table[top - 1:top + 1]
-        base, first = base + top - 1, 2
-    w_lo, w_hi = weights
-    mat[1:, 0] = w_lo * tails[0] + w_hi * tails[1]
-    absorbed_received = np.zeros(k + 1)
-    absorbed_received[1:] = w_lo * (lo * p * tails[2]) + w_hi * ((lo + 1) * p * tails[3])
+        table[:1] = table[top:top + 1]
+        base, first = base + top, 1
+    mat[1:, 0] = weights[0] * tails[0] + weights[1] * tails[1]
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
-    return mat, absorbed_received
+    return mat
 
 
 def _absorption(mat, ks):
@@ -266,11 +248,11 @@ def build_kernel(channel, coding, ks=None):
     grid = sorted({k, *(ks or ())})
     if grid[0] < 1 or grid[-1] > k:
         raise ValueError(f"grid sizes must lie in [1, {k}], got {grid[0]}..{grid[-1]}")
-    mat, absorbed_received = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
+    mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
     cdfs, tails = _absorption(mat, grid)
     failures = {
         g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")
         for g, tail in tails.items()}
-    kern = TransitionKernel(channel, coding, mat, absorbed_received, cdfs, failures)
+    kern = TransitionKernel(channel, coding, mat, cdfs, failures)
     return kern if ks is not None else kern.block(coding)

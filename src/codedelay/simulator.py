@@ -469,8 +469,7 @@ def _trajectories(cfg, rng, n_gens):
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
-    counts = [split_count(cd.R, i) for i in range(k + 1)]   # (floor, fraction) per dofs needed
-    count_lo, count_frac = (np.array(col) for col in zip(*counts))
+    count_lo, count_frac = split_count(cd.R, np.arange(k + 1))   # (floor, fraction) per dofs needed
     dofs_of = _CodecRanks if cfg.use_real_codec else _Arrivals
     rows = _chunk_rows(hi, k if cfg.use_real_codec else 0)
     for done in range(0, n_gens, rows):

@@ -11,8 +11,8 @@ at decode), the relaxed link schedule by a float event heap, the trace file
 by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
 the prefix-length moments by the pmf and mgf of the prefix, the
-efficiency pass by the received count of a single transition, and the
-kernel's row fill by a loop over the (n, state) pairs that fresh binomial
+efficiency pass by exact rational arithmetic over each round's whole law
+of arrivals, and the kernel's row fill by a loop over the (n, state) pairs that fresh binomial
 laws from a generator serve one by one.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
@@ -20,6 +20,7 @@ laws from a generator serve one by one.
 import heapq
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,13 +41,12 @@ DESIGN_CHANNELS = [(redundancy_from_margin(m, e), 1.0 - e)
 
 
 def kernel_row(i, n, p_success):
-    """(row, absorbed_received) the kernel builds for state i when n >= i packets are sent.
+    """The row the kernel builds for state i when n >= i packets are sent.
 
     A kernel of size i at R = n/i, which split_count snaps to exactly n
     packets for state i, so its last row is the pure row of n.
     """
-    mat, absorbed_received = _transition_rows(n / i, i, p_success)
-    return mat[i], float(absorbed_received[i])
+    return _transition_rows(n / i, i, p_success)[i]
 
 
 def _binomial_rows(n_max, width, p_success):
@@ -466,22 +466,28 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
                         terms_evaluated=evaluated)
 
 
-def received_on_transition(kern, i, j):
-    """Expected packets received at the sink on a single transition i -> j.
+def exact_received_by_state(R, k, p_success):
+    """Expected packets received from each state 0..k until decode, as Fractions.
 
-    Deterministic (i - j) while the chain stays unabsorbed; conditioned on
-    absorbing, at least i of the n_i transmissions got through and the mean
-    over that truncated binomial applies.
+    A round from state i sends n = lo or lo + 1 packets with the weights of
+    split_count's float fraction, and receives m of them with the exact
+    Binomial(n, p) probability of the float p_success. The round's mean
+    received count sums m over that whole law, and the expectation from i
+    follows from the first round: em[i] = (mean + sum_j a_ij em[j]) / (1 - a_ii).
     """
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    if not (0 <= j <= i):
-        raise ValueError(f"j must be in [0, {i}], got {j}")
-    if kern.matrix[i, j] <= 0.0:
-        raise ValueError(f"transition {i} -> {j} has zero probability")
-    if j >= 1:
-        return float(i - j)
-    return float(kern.absorbed_received[i] / kern.matrix[i, 0])
+    p = Fraction(p_success)
+    em = [Fraction(0)]
+    for i in range(1, k + 1):
+        lo, frac = split_count(R, i)
+        mean, stay = Fraction(0), [Fraction(0)] * (i + 1)   # stay[j]: j dofs left, j >= 1
+        for n, w in ((lo, 1 - Fraction(frac)), (lo + 1, Fraction(frac))):
+            for m in range(n + 1):
+                prob = w * math.comb(n, m) * p ** m * (1 - p) ** (n - m)
+                mean += m * prob
+                if m < i:
+                    stay[i - m] += prob
+        em.append((mean + sum(stay[j] * em[j] for j in range(1, i))) / (1 - stay[i]))
+    return em
 
 
 def _q_k(epsilon, k):
@@ -547,13 +553,6 @@ def brute_force_row(i, n, eps):
     out = np.zeros(row.shape[0])
     out[: i + 1] = row
     return out
-
-
-def brute_force_absorbed_received(i, n, eps):
-    """Sum of arrivals times probability over the 2^n patterns with >= i arrivals."""
-    arrivals, prob = _loss_patterns(n, eps)
-    absorbed = arrivals >= i
-    return float((arrivals[absorbed] * prob[absorbed]).sum())
 
 
 def mixture_row(i, R, eps):

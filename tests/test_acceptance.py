@@ -61,7 +61,7 @@ def test_criterion_02_kernel_rows_against_enumeration():
     for eps in (0.05, 0.1, 0.3):
         for i in range(1, 7):
             for n in range(i, 17):
-                got, _ = kernel_row(i, n, 1.0 - eps)
+                got = kernel_row(i, n, 1.0 - eps)
                 want = brute_force_row(i, n, eps)
                 assert np.abs(got - want).max() <= 1e-12, (eps, i, n)
     # the assembled kernel averages rows over the fractional transmit count

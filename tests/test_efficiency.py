@@ -1,4 +1,6 @@
-"""Efficiency recursion against direct Monte-Carlo packet counting."""
+"""Efficiency recursion against direct Monte-Carlo packet counting and exact rationals."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from codedelay.efficiency import efficiency
 from codedelay.kernel import build_kernel
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import received_on_transition
+from .helpers import exact_received_by_state
 
 
 def make_kernel(epsilon, k, R):
@@ -35,30 +37,6 @@ def mc_received(epsilon, k, R, trials, seed):
     return total
 
 
-class TestReceivedOnTransition:
-    def test_unabsorbed_is_deterministic(self):
-        kern = make_kernel(0.3, 6, 1.25)
-        for i in range(1, 7):
-            for j in range(1, i + 1):
-                if kern.matrix[i, j] <= 0.0:
-                    continue
-                assert received_on_transition(kern, i, j) == float(i - j)
-
-    def test_absorbing_mean_is_at_least_i(self):
-        kern = make_kernel(0.3, 6, 1.25)
-        for i in range(1, 7):
-            assert received_on_transition(kern, i, 0) >= i
-
-    def test_validation(self):
-        kern = make_kernel(0.1, 4, 1.25)
-        with pytest.raises(ValueError):
-            received_on_transition(kern, 0, 0)
-        with pytest.raises(ValueError):
-            received_on_transition(kern, 2, 3)
-        with pytest.raises(ValueError):
-            received_on_transition(kern, 2, -1)
-
-
 class TestExpectedReceived:
     @pytest.mark.parametrize("eps,k,R", [(0.1, 4, 1.25), (0.3, 6, 1.5)])
     def test_matches_monte_carlo(self, eps, k, R):
@@ -74,28 +52,17 @@ class TestExpectedReceived:
             assert efficiency(kern).expected_received >= k
 
 
-def loop_received(kern):
-    """Reference: the bottom-up recursion as a plain double loop over states."""
-    mat = kern.matrix
-    em = [0.0] * (kern.k + 1)
-    for i in range(1, kern.k + 1):
-        total = kern.absorbed_received[i]
-        denom = mat[i, 0]
-        for j in range(1, i):
-            total += (float(i - j) + em[j]) * mat[i, j]
-            denom += mat[i, j]
-        em[i] = total / denom
-    return em
-
-
 class TestReceivedByState:
-    @pytest.mark.parametrize("eps,k,R", [(0.01, 40, 1.05), (0.1, 64, 1.25), (0.3, 200, 1.5)])
-    def test_matches_the_loop(self, eps, k, R):
-        kern = make_kernel(eps, k, R)
-        res = efficiency(kern)
-        np.testing.assert_allclose(res.by_state, loop_received(kern), rtol=1e-13, atol=0)
-        for j in (1, k // 2, k):
-            assert res.at(j).eta == j / res.by_state[j]
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.6])
+    def test_matches_exact_rationals(self, eps):
+        for R in (1.0, 1.25, 1.1 / 0.9):
+            exact = exact_received_by_state(R, 12, 1.0 - eps)
+            for k in range(1, 13):
+                res = efficiency(make_kernel(eps, k, R))
+                for got, want in zip(res.by_state[1:], exact[1:]):
+                    assert abs(Fraction(got) - want) <= 1e-14 * want, (R, k)
+                for j in range(1, k + 1):
+                    assert res.at(j).eta == j / res.by_state[j]
 
 
 class TestEfficiency:

@@ -39,9 +39,6 @@ CASES = {
                                "--reps", "3", "--format", "json"], False),
     "compare-arq": (["compare-arq", *CH, "--k", "16", "--margin", "0.1",
                      "--n-packets", "5000", "--seed", "5"], False),
-    "simulate-relaxed-blocks": (
-        "a0e22b7304b29822a3ed17460f8be4f45366390f20963b64bc76ef52ad43b1b8",
-        "5a016279062d4db1f9cb9f5923c1fdc27909d1ba8724b57a774c1df4d32c5291"),
     "simulate-relaxed-k1": (["simulate", *CH, "--k", "1", "--margin", "0.1",
                              "--mode", "relaxed", "--n-packets", "2000",
                              "--seed", "17"], True),
@@ -99,10 +96,15 @@ CASES = {
 # relaxed case spanning several 4096-generation blocks (10 000 generations),
 # was recorded before the relaxed link schedule began to hand each block on
 # as soon as it had decoded, and that change kept it and every other digest.
+# analyze, sweep and kstar were re-recorded when the efficiency pass began to
+# take each round's mean received count as (1 - epsilon) times the mean
+# transmit count, not from the kernel's absorbing mass: only their eta column
+# moved, by at most 3.8e-16 relative (see CHANGES.md); every simulator digest
+# was kept.
 DIGESTS = {
-    "analyze": ("449a1ed85671726c602297b8600197c45bcdecab981dbe0f48cc5a6b90c8cf88", None),
+    "analyze": ("0fcdf88f9049e9b801fca7321cdef2e10f362967a124118cb86ed1fd2ff316d0", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
-    "kstar": ("35876ba27b54372531188c3579199707204206086cd5d948de40c951fa302f28", None),
+    "kstar": ("a360e2e84772fe62a00f7905470b028358f9464ef68c10f2deba2e60b333bf6d", None),
     "simulate-hol-cap-reps": (
         "8d5f0fdf1f2c509dc0b31938591178cc8e379cb329afd7fe5096811afaa4fc6b", None),
     "simulate-idealized": (
@@ -145,7 +147,7 @@ DIGESTS = {
         "a4a86408fe469653482702b31747400db97d0fcbb619bfe5e2012884febcf37b",
         "60e113111766449ff503a258626a94edeb79106d4848ea00eeb7f9201dbf66ce"),
     "simulate-reps": ("4125374a201a2fb37fcabbf06577620ede090e30d87d9ff3afa7966f5bc9ba56", None),
-    "sweep": ("8587ce04c394dfb145303c25f57919acda14eb5bad5f043aab0fde51d99583f1", None),
+    "sweep": ("b3898ae6ec162d1b7cf934a0dac685004ce9ea1bb5eb49fd74f451d9e84fed10", None),
 }
 
 

@@ -144,7 +144,6 @@ class TestSharedKernel:
                 continue
             sliced = shared.block(cd)
             np.testing.assert_array_equal(sliced.matrix, alone.matrix)
-            np.testing.assert_array_equal(sliced.absorbed_received, alone.absorbed_received)
             assert sliced.horizon == alone.horizon
             dm = expected_delay(ch, cd, alone)
             assert rec.error is None
