@@ -18,6 +18,14 @@ is written reversed into a table that holds a fixed number of consecutive
 laws, so that a row's pmf entries are one contiguous slice of it. Whenever
 the table is full, every state whose laws it holds gets its row from one
 gather over a strided window view; no Python code runs per state.
+
+Far from its mean a binomial pmf underflows to exact zeros, so the entries
+of row i past some column last[i] are 0 (at k = 1024 only 25-69% of the
+lower triangle is nonzero). The fill records that band and skips those
+columns; the absorption pass reads each row in place only up to its band,
+and only the rows the still-open sizes' cdfs depend on. Every skipped term
+is an exact 0.0 * u that an in-order sum of non-negative terms would add,
+so the cdfs are the same to the bit as those of full rows.
 """
 
 import math
@@ -125,7 +133,7 @@ class TransitionKernel:
 
 
 def _transition_rows(R, k, p_success):
-    """Matrix rows of states 0..k, filled as n sweeps up.
+    """Matrix rows of states 0..k, filled as n sweeps up, and each row's band.
 
     State i sends n = lo or lo + 1 packets (split_count), with weights w_lo
     and w_hi, and its row is w_lo*row(lo) + w_hi*row(lo + 1). In row(n),
@@ -141,7 +149,18 @@ def _transition_rows(R, k, p_success):
     _FILL_STEPS consecutive laws whatever R is. Once it is full, every state
     whose laws lo and lo + 1 both lie in it gets its row from one gather
     over a strided window view, and the last law carries over to the next
-    pass. Raises InputError for R < 1, as coded_count_distribution does.
+    pass.
+
+    Far below its mean a law's pmf underflows to exact zeros. Where law
+    n - 1 is 0 at every m below some m0, both terms of the recurrence are 0
+    there for law n too, so m_min, the smallest m with a nonzero pmf, never
+    falls as n grows. A pass takes m_min of the first law it reads (0 if its
+    pmf at m = 0 is nonzero, else one argmax), which bounds every later law
+    of the pass; its gather writes only columns 1..end - m_min, for its
+    largest state end, and the other entries keep np.zeros' zeros. Returns
+    (mat, last): last[i] = max(i - m_min, 0) bounds the last nonzero column
+    >= 1 of row i. Raises InputError for R < 1, as coded_count_distribution
+    does.
     """
     if not R >= 1.0:
         raise InputError(f"R must be >= 1, got {R}")
@@ -157,6 +176,7 @@ def _transition_rows(R, k, p_success):
     table = np.zeros((steps, laws + steps))
     table[0, k] = table[0, laws - 1] = 1.0      # n = 0
     rows = list(table)
+    pmf_up = slice(laws - 1, k, -1)     # a slot's pmf at m = 0, 1, ..., k
     # p * law n - 1, shifted down one index by reading it from carry[1:]; this
     # carries the pmf at m = k into the tail at m = 0, which is then reset
     carry = np.zeros(laws + steps + 1)
@@ -166,6 +186,7 @@ def _transition_rows(R, k, p_success):
     tails = np.empty((2, k))            # P(X >= i) under lo and lo + 1
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 1.0
+    m_mins, counts = [0], [1]           # m_min of each pass and its state count
     base, first, done = 0, 1, 0         # slot s holds law base + s
     while True:
         top = min(steps - 1, n_top - base)
@@ -176,61 +197,120 @@ def _transition_rows(R, k, p_success):
             rows[s][k] = 1.0            # P(X >= 0)
         end = int(np.searchsorted(lo, base + top - 1, side="right"))
         if end > done:
-            sl, span = slice(done, end), end   # states done + 1..end, columns 1..end
+            sl = slice(done, end)       # states done + 1..end
             s = lo[sl] - base
-            # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
-            win = np.ndarray((steps, laws + steps - span + 1, span), buffer=table,
-                             strides=(table.strides[0], table.itemsize, table.itemsize))
-            block = mat[done + 1:end + 1, 1:span + 1]
-            np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
-            high = win[s + 1, start[sl]]
-            high *= weights[1, sl, None]
-            block += high
+            law = rows[s[0]]
+            # q^n at m = 0 underflows only for large n; a pmf with no nonzero
+            # m <= k gives 0, a valid if loose bound
+            m_min = 0 if law[laws - 1] else int(np.argmax(law[pmf_up] > 0.0))
+            span = end - m_min          # columns 1..span hold every nonzero pmf entry
+            if span > 0:
+                # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
+                win = np.ndarray((steps, laws + steps - span + 1, span), buffer=table,
+                                 strides=(table.strides[0], table.itemsize, table.itemsize))
+                block = mat[done + 1:end + 1, 1:span + 1]
+                np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
+                high = win[s + 1, start[sl]]
+                high *= weights[1, sl, None]
+                block += high
             tails[:, sl] = table[[s, s + 1], at_i[sl]]
+            m_mins.append(m_min)
+            counts.append(end - done)
             done = end
         if base + top == n_top:
             break
         table[:1] = table[top:top + 1]
         base, first = base + top, 1
     mat[1:, 0] = weights[0] * tails[0] + weights[1] * tails[1]
+    last = np.arange(k + 1)
+    if m_mins[-1]:                      # m_min never falls, so this is the largest
+        last -= np.repeat(m_mins, counts)
+        np.maximum(last, 0, out=last)
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
-    return mat
+    return mat, last
 
 
-def _absorption(mat, ks):
+def _blocks(n):
+    """(lo, hi) runs of _ABSORPTION_BLOCK covering 0..n-1; the last takes the
+    remainder, so none is one wide unless n is 1."""
+    lo, runs = 0, []
+    while lo < n:
+        hi = n if n - lo < 2 * _ABSORPTION_BLOCK else lo + _ABSORPTION_BLOCK
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
+def _round_plan(mat, u, terms, last, reach, open_ks):
+    """The (rows, u, terms, out) blocks one round of _absorption computes while open_ks stay open.
+
+    J, the largest last[k] over the open sizes, bounds every column their
+    rows read, and row j <= J reads only columns up to j, so rows 0..J and
+    the open sizes above J are all a round needs. Rows 0..J come as views of
+    the matrix, last block first, each writing into u through `out`: a block
+    reads u only up to its own last row, never the rows of a block after it.
+    The open sizes above J read only u[:J + 1]; their rows are gathered once
+    here (a lone one twice, so that no block is one column wide) and come
+    first, their sums written back by index. Row 0 is e_0, so u[0] stays 1
+    and rows 0..J are left out when J is 0.
+    """
+    J = max(last[k] for k in open_ks)
+    above = [k for k in open_ks if k > J]
+    plan = []
+    for lo, hi in _blocks(len(above)):
+        idx = above[lo:hi] * (2 if hi - lo == 1 else 1)
+        jh = max(last[k] for k in idx) + 1
+        plan.append((mat[idx, :jh].T, u[:jh, None], terms[:jh, :len(idx)], idx))
+    for lo, hi in reversed(_blocks(J + 1 if J else 0)):
+        jh = reach[hi - 1] + 1
+        plan.append((mat[lo:hi, :jh].T, u[:jh, None], terms[:jh, :hi - lo], u[lo:hi]))
+    return plan
+
+
+def _absorption(mat, ks, last):
     """Absorption cdf [u_0[k], ..., u_h[k]] of each k in ks, from u_r = P u_{r-1}, u_0 = e_0.
 
-    u_r[i] = [P^r]_{i0} for every start state i at once; k's horizon h is the
-    first r with 1 - u_r[k] < ABSORPTION_TAIL. Row i of the product is summed
-    in column order 0..i (a numpy reduction over the outer axis of a block at
-    least two columns wide adds its rows in order), so u_r[i] does not depend
-    on how far the matrix extends past i. Each round touches only the states
-    up to the largest size still open, in blocks of rows that skip the zero
-    upper triangle. Returns the cdfs and the sizes left open after MAX_ROUNDS
+    u_r[i] = [P^r]_{i0}; k's horizon h is the first r with
+    1 - u_r[k] < ABSORPTION_TAIL. last[i] bounds the last nonzero column
+    >= 1 of row i, as _transition_rows returns it. Row i of the product is
+    summed in column order 0..last[i] and no further: a numpy reduction over
+    the outer axis of a block at least two columns wide adds its rows in
+    order, and each term past last[i] would be an exact 0.0 * u[j] added to
+    a sum of non-negative terms. So u_r[i] does not depend on how far a block
+    reaches past it. Each round reads the rows in place, only the ones the
+    open sizes' cdfs depend on (_round_plan), and the plan changes only when
+    a size closes. Returns the cdfs and the sizes left open after MAX_ROUNDS
     rounds.
     """
-    cols = np.ascontiguousarray(mat.T)
     terms = np.empty((len(mat), 2 * _ABSORPTION_BLOCK))
     u = np.zeros(len(mat))
     u[0] = 1.0
-    cdfs = {k: [0.0] for k in ks}
+    reach = np.maximum.accumulate(last).tolist()   # largest last of rows 0..i
+    last = last.tolist()
     open_ks = sorted(ks)
+    plan = _round_plan(mat, u, terms, last, reach, open_ks)
+    at = np.array(open_ks)
+    phases = [(open_ks, [])]            # each open set, with u at its sizes per round
     for _ in range(MAX_ROUNDS):
-        a = open_ks[-1] + 1
-        new = np.empty(a)
-        lo = 0
-        while lo < a:
-            # the last block takes the remainder, so none is one column wide
-            hi = a if a - lo < 2 * _ABSORPTION_BLOCK else lo + _ABSORPTION_BLOCK
-            block = np.multiply(cols[:hi, lo:hi], u[:hi, None], out=terms[:hi, :hi - lo])
-            new[lo:hi] = block.sum(axis=0)
-            lo = hi
-        u[:a] = new
-        for k in open_ks:
-            cdfs[k].append(float(u[k]))
-        open_ks = [k for k in open_ks if 1.0 - u[k] >= ABSORPTION_TAIL]
-        if not open_ks:
-            break
+        for rows, ucol, block, out in plan:
+            np.multiply(rows, ucol, out=block)
+            if isinstance(out, list):
+                u[out] = block.sum(axis=0)
+            else:
+                block.sum(axis=0, out=out)
+        vals = u[at].tolist()
+        phases[-1][1].append(vals)
+        if 1.0 - max(vals) < ABSORPTION_TAIL:
+            open_ks = [k for k, v in zip(open_ks, vals) if 1.0 - v >= ABSORPTION_TAIL]
+            if not open_ks:
+                break
+            plan = _round_plan(mat, u, terms, last, reach, open_ks)
+            at = np.array(open_ks)
+            phases.append((open_ks, []))
+    cdfs = {k: [0.0] for k in ks}
+    for sizes, rounds in phases:
+        for k, col in zip(sizes, zip(*rounds)):
+            cdfs[k].extend(col)
     return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
 
 
@@ -248,8 +328,8 @@ def build_kernel(channel, coding, ks=None):
     grid = sorted({k, *(ks or ())})
     if grid[0] < 1 or grid[-1] > k:
         raise ValueError(f"grid sizes must lie in [1, {k}], got {grid[0]}..{grid[-1]}")
-    mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
-    cdfs, tails = _absorption(mat, grid)
+    mat, last = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
+    cdfs, tails = _absorption(mat, grid, last)
     failures = {
         g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")

@@ -12,8 +12,9 @@ by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
 the prefix-length moments by the pmf and mgf of the prefix, the
 efficiency pass by exact rational arithmetic over each round's whole law
-of arrivals, and the kernel's row fill by a loop over the (n, state) pairs that fresh binomial
-laws from a generator serve one by one.
+of arrivals, the kernel's row fill by a loop over the (n, state) pairs that fresh binomial
+laws from a generator serve one by one, and the absorption pass by whole
+column blocks of a transposed copy of the matrix.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 """
 
@@ -27,7 +28,8 @@ import numpy as np
 from codedelay.codec import CodedPacket
 from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
 from codedelay.gf256 import INV, MUL
-from codedelay.kernel import _transition_rows
+from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
+                              _transition_rows)
 from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import coded_count_distribution, redundancy_from_margin, split_count
 
@@ -46,7 +48,7 @@ def kernel_row(i, n, p_success):
     A kernel of size i at R = n/i, which split_count snaps to exactly n
     packets for state i, so its last row is the pure row of n.
     """
-    return _transition_rows(n / i, i, p_success)[i]
+    return _transition_rows(n / i, i, p_success)[0][i]
 
 
 def _binomial_rows(n_max, width, p_success):
@@ -102,6 +104,43 @@ def reference_transition_rows(R, k, p_success):
         prev = law
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
     return mat, absorbed_received
+
+
+def reference_absorption(mat, ks):
+    """Absorption cdf [u_0[k], ..., u_h[k]] of each k in ks, from u_r = P u_{r-1}, u_0 = e_0.
+
+    u_r[i] = [P^r]_{i0} for every start state i at once; k's horizon h is the
+    first r with 1 - u_r[k] < ABSORPTION_TAIL. Row i of the product is summed
+    in column order 0..i (a numpy reduction over the outer axis of a block at
+    least two columns wide adds its rows in order), so u_r[i] does not depend
+    on how far the matrix extends past i. Each round touches only the states
+    up to the largest size still open, in blocks of rows that skip the zero
+    upper triangle. Returns the cdfs and the sizes left open after MAX_ROUNDS
+    rounds.
+    """
+    cols = np.ascontiguousarray(mat.T)
+    terms = np.empty((len(mat), 2 * _ABSORPTION_BLOCK))
+    u = np.zeros(len(mat))
+    u[0] = 1.0
+    cdfs = {k: [0.0] for k in ks}
+    open_ks = sorted(ks)
+    for _ in range(MAX_ROUNDS):
+        a = open_ks[-1] + 1
+        new = np.empty(a)
+        lo = 0
+        while lo < a:
+            # the last block takes the remainder, so none is one column wide
+            hi = a if a - lo < 2 * _ABSORPTION_BLOCK else lo + _ABSORPTION_BLOCK
+            block = np.multiply(cols[:hi, lo:hi], u[:hi, None], out=terms[:hi, :hi - lo])
+            new[lo:hi] = block.sum(axis=0)
+            lo = hi
+        u[:a] = new
+        for k in open_ks:
+            cdfs[k].append(float(u[k]))
+        open_ks = [k for k in open_ks if 1.0 - u[k] >= ABSORPTION_TAIL]
+        if not open_ks:
+            break
+    return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
 
 
 class ScriptedCoefficients:

@@ -145,6 +145,9 @@ class TestSharedKernel:
             sliced = shared.block(cd)
             np.testing.assert_array_equal(sliced.matrix, alone.matrix)
             assert sliced.horizon == alone.horizon
+            rounds = range(alone.horizon + 1)
+            assert ([sliced.absorption_cdf(r) for r in rounds]
+                    == [alone.absorption_cdf(r) for r in rounds])
             dm = expected_delay(ch, cd, alone)
             assert rec.error is None
             assert rec.mean == pytest.approx(dm.mean, rel=1e-12)
