@@ -5,29 +5,29 @@ identical invocations produce byte-identical output. Columns carry unit
 suffixes (mean_s, rate_bps) and floats are printed with full round-trip
 precision so tables can be parsed back losslessly.
 
-Exit codes: 0 success, 2 flag or usage error (click's own, or an InputError
-from an input check), 3 numerical failure (NumericalError, a float out of
-range, or any other ValueError, such as numpy's; also sweeps where any point
-failed, whose partial table is still emitted).
+Exit codes: 0 success, 2 flag or usage error (the parser's own, or an InputError
+from an input check), 3 numerical failure (NumericalError, a float out of range,
+or any other ValueError, such as numpy's; also sweeps where any point failed,
+whose partial table is still emitted).
 
-Each shared flag is declared once, in an option group (`_CHANNEL`, `_CODING`,
-`_GRID`, `_RUN`, `_OUTPUT`). A command is a `_command(name, *groups and own
-options)` over a body that returns the table to print. Inside the exit-code
-guard, `_command` turns the shared flags into library objects, checked in
-this order: the channel `ch`, the --redundancy/--margin choice, then `coding`
-(with --k) or `R`, then `ks` from --k-grid. The body takes those objects and
-its own flags, and makes its own checks last.
+One argparse parser, built at import, has a subparser per command. Each shared
+flag is declared once, in an option group (`_CHANNEL`, `_CODING`, `_GRID`,
+`_RUN`, `_OUTPUT`: lists that `+` joins). A command is a `_command(name, groups
++ own options)` over a body that returns the table to print. Inside the
+exit-code guard, `_command` turns the shared flags into the channel `ch`, the
+--redundancy/--margin choice, `coding` (with --k) or `R`, then `ks` from
+--k-grid, checked in that order; the body makes its own checks last.
 """
 
+import argparse
 import csv
-import functools
 import io
 import json
 import math
+import os
 import sys
 
-import click
-
+from . import __version__
 from .delay import expected_delay
 from .efficiency import efficiency
 from .kernel import NumericalError, build_kernel
@@ -42,78 +42,59 @@ class OutputTable:
     def __init__(self, columns, rows):
         self.columns = list(columns)
         self.rows = [list(r) for r in rows]
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("ragged table row")
+        if any(len(r) != len(self.columns) for r in self.rows):
+            raise ValueError("ragged table row")
 
     @staticmethod
     def _csv_cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(float(v))  # plain repr even for numpy float subclasses
-        return v
+        # plain repr even for numpy float subclasses; csv writes None as ""
+        return repr(float(v)) if isinstance(v, float) else v
 
     def to_csv(self):
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.columns)
-        for row in self.rows:
-            w.writerow([self._csv_cell(v) for v in row])
+        csv.writer(buf, lineterminator="\n").writerows(
+            [self.columns, *([self._csv_cell(v) for v in row] for row in self.rows)])
         return buf.getvalue()
 
     def to_json(self):
         def jv(v):
-            if isinstance(v, float):
-                return None if not math.isfinite(v) else float(v)
-            return v
+            return (float(v) if math.isfinite(v) else None) if isinstance(v, float) else v
 
         rows = [{c: jv(v) for c, v in zip(self.columns, row)} for row in self.rows]
         return json.dumps(rows, indent=2) + "\n"
 
 
-def _options(*decls):
-    """One decorator applying click options (or other _options) in the order given."""
-    def apply(f):
-        for decl in reversed(decls):
-            f = decl(f)
-        return f
-
-    return apply
+def _option(*names, **kw):
+    """A group of one flag: the arguments of its `add_argument` call."""
+    return [(names, kw)]
 
 
-_CHANNEL = _options(
-    click.option("--epsilon", type=float, required=True,
-                 help="packet erasure probability in [0, 1)"),
-    click.option("--rate-bps", type=float, required=True,
-                 help="link rate in bits per second"),
-    click.option("--packet-bits", type=float, required=True,
-                 help="packet size in bits"),
-    click.option("--tp-s", type=float, default=None,
-                 help="one-way propagation delay in seconds"),
-    click.option("--rtt-s", type=float, default=None,
-                 help="round-trip time in seconds (alternative to --tp-s)"))
-_REDUNDANCY = _options(
-    click.option("--redundancy", type=float, default=None, help="redundancy factor R >= 1"),
-    click.option("--margin", type=float, default=None,
-                 help="rate margin x; R = (1+x)/(1-epsilon)"))
-_K_GRID = click.option("--k-grid", type=str, default=None,
-                       help="comma-separated generation sizes "
-                            "(default: log grid 2..min(bdp-1,1024))")
-_CODING = _options(
-    click.option("--k", type=int, required=True, help="generation size in packets"),
-    _REDUNDANCY)
-_GRID = _options(_REDUNDANCY, _K_GRID)
-_RUN = _options(
-    click.option("--mode", type=click.Choice(["idealized", "relaxed"]),
-                 default="idealized", help="coded simulation mode"),
-    click.option("--n-packets", type=int, default=100_000, help="source packets to simulate"),
-    click.option("--seed", type=int, required=True, help="RNG seed"))
-_OUTPUT = _options(
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="csv", help="output format"),
-    click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                 default=None, help="write output to this file instead of stdout"))
+def _file_path(text):  # a directory or an unwritable file is refused before the command runs
+    if os.path.isdir(text) or (os.path.exists(text) and not os.access(text, os.R_OK | os.W_OK)):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory or cannot be written")
+    return text
+
+
+_CHANNEL = (
+    _option("--epsilon", type=float, required=True, help="packet erasure probability in [0, 1)")
+    + _option("--rate-bps", type=float, required=True, help="link rate in bits per second")
+    + _option("--packet-bits", type=float, required=True, help="packet size in bits")
+    + _option("--tp-s", type=float, help="one-way propagation delay in seconds")
+    + _option("--rtt-s", type=float, help="round-trip time in seconds (alternative to --tp-s)"))
+_REDUNDANCY = (_option("--redundancy", type=float, help="redundancy factor R >= 1")
+               + _option("--margin", type=float, help="rate margin x; R = (1+x)/(1-epsilon)"))
+_K_GRID = _option("--k-grid", help="comma-separated generation sizes "
+                                   "(default: log grid 2..min(bdp-1,1024))")
+_CODING = _option("--k", type=int, required=True, help="generation size in packets") + _REDUNDANCY
+_GRID = _REDUNDANCY + _K_GRID
+_RUN = (_option("--mode", choices=["idealized", "relaxed"], default="idealized",
+                help="coded simulation mode")
+        + _option("--n-packets", type=int, default=100_000, help="source packets to simulate")
+        + _option("--seed", type=int, required=True, help="RNG seed"))
+_OUTPUT = (_option("--format", dest="fmt", choices=["csv", "json"], default="csv",
+                   help="output format")
+           + _option("--out", type=_file_path, help="write output to this file instead of stdout"))
+_HELP = _option("--help", action="help", help="show this message and exit")
 
 
 def _open_output(path, option):
@@ -129,9 +110,7 @@ def _emit(table, fmt, out):
         with _open_output(out, "--out") as fh:
             fh.write(text)
     else:
-        # with no file, click caches a wrapper that keeps every stdout it
-        # wrote to alive, which leaks each redirect of an in-process caller
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
 
 
 def _parse_k_grid(text, channel):
@@ -148,20 +127,26 @@ def _parse_k_grid(text, channel):
     return ks
 
 
-@click.group()
-@click.version_option(package_name="codedelay")
-def main():
-    """Closed-form delay and efficiency of coded transport, with simulators."""
+parser = argparse.ArgumentParser(
+    prog="codedelay", add_help=False, allow_abbrev=False,
+    description="Closed-form delay and efficiency of coded transport, with simulators.")
+parser.add_argument("--version", action="version", version=f"codedelay {__version__}",
+                    help="show the version and exit")
+parser.add_argument("--help", action="help", help="show this message and exit")
+commands = parser.add_subparsers(metavar="COMMAND", required=True)
+_TAKES_VALUE = set()  # option strings of the commands' flags that take a value
 
 
-def _command(name, *decls):
-    """Register body as subcommand `name` with the channel flags, decls and --format/--out.
-
-    A table with any filled `error` cell (a failed sweep point) exits 3 once
-    it is written.
-    """
+def _command(name, options):
+    """Register body as command `name` with the channel flags, options and --format/--out.
+    A table with any filled `error` cell (a failed sweep point) exits 3 once it is written."""
     def register(body):
-        @functools.wraps(body)
+        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        for names, kw in _CHANNEL + options + _OUTPUT + _HELP:
+            if sub.add_argument(*names, **kw).nargs is None:  # takes one value
+                _TAKES_VALUE.update(names)
+
         def run(epsilon, rate_bps, packet_bits, tp_s, rtt_s, fmt, out, **flags):
             try:
                 ch = derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
@@ -179,19 +164,20 @@ def _command(name, *decls):
                 table = body(ch, **flags)
                 _emit(table, fmt, out)
             except InputError as exc:
-                raise click.UsageError(str(exc))
+                sub.error(str(exc))
             except (NumericalError, ValueError) as exc:  # a ValueError that no input check raised
-                click.echo(f"numerical failure: {exc}", file=sys.stderr)
+                print(f"numerical failure: {exc}", file=sys.stderr)
                 sys.exit(3)
             except ArithmeticError as exc:  # a float out of range, e.g. t_s**2 at t_s = 1e160
-                click.echo(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+                print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
                 sys.exit(3)
             if "error" in table.columns:
                 col = table.columns.index("error")
                 if any(row[col] is not None for row in table.rows):
                     sys.exit(3)
 
-        return main.command(name)(_options(_CHANNEL, *decls, _OUTPUT)(run))
+        sub.set_defaults(run=run)
+        return body
 
     return register
 
@@ -226,14 +212,11 @@ def cmd_kstar(ch, R, ks):
     return _sweep_table([k_star(ch, R, ks)[1]])
 
 
-@_command("tradeoff",
-          click.option("--margins", type=str, required=True,
-                       help="comma-separated rate margins, e.g. 0.02,0.05,0.1,0.2"),
-          _K_GRID,
-          click.option("--arq-packets", type=int, default=200_000,
-                       help="packets for the simulated ARQ reference point"),
-          click.option("--seed", type=int, default=0,
-                       help="seed for the ARQ reference simulation"))
+@_command("tradeoff", _option("--margins", required=True,
+                              help="comma-separated rate margins, e.g. 0.02,0.05,0.1,0.2")
+          + _K_GRID + _option("--arq-packets", type=int, default=200_000,
+                              help="packets for the simulated ARQ reference point")
+          + _option("--seed", type=int, default=0, help="seed for the ARQ reference simulation"))
 def cmd_tradeoff(ch, margins, ks, arq_packets, seed):
     """Delay vs efficiency frontier over margins, with the ARQ corner."""
     try:
@@ -248,14 +231,14 @@ def cmd_tradeoff(ch, margins, ks, arq_packets, seed):
         [[p.kind, p.margin, p.R, p.k, p.eta, p.mean, p.std] for p in points])
 
 
-@_command("simulate", _CODING, _RUN,
-          click.option("--reps", type=int, default=1, help="independent replications to pool"),
-          click.option("--real-codec", is_flag=True, default=False,
-                       help="decode with the true GF(256) codec instead of rank counting"),
-          click.option("--hol-cap", type=int, default=None,
-                       help="override the idealized head-of-line window (default b-1)"),
-          click.option("--trace", type=click.Path(dir_okay=False, writable=True), default=None,
-                       help="write a per-packet CSV trace to this file (reps must be 1)"))
+@_command("simulate", _CODING + _RUN
+          + _option("--reps", type=int, default=1, help="independent replications to pool")
+          + _option("--real-codec", action="store_true",
+                    help="decode with the true GF(256) codec instead of rank counting")
+          + _option("--hol-cap", type=int,
+                    help="override the idealized head-of-line window (default b-1)")
+          + _option("--trace", type=_file_path,
+                    help="write a per-packet CSV trace to this file (reps must be 1)"))
 def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, trace):
     """Monte-Carlo run of the coded transport."""
     if trace is not None and reps != 1:
@@ -274,7 +257,7 @@ def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, t
           stats.mean_efficiency, stats.se_mean]])
 
 
-@_command("compare-arq", _CODING, _RUN)
+@_command("compare-arq", _CODING + _RUN)
 def cmd_compare_arq(ch, coding, mode, n_packets, seed):
     """Coded transport and idealized SR-ARQ on one configuration."""
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets, seed=seed)
@@ -285,6 +268,23 @@ def cmd_compare_arq(ch, coding, mode, n_packets, seed):
         [["coded", coded.mean_delay, coded.std_delay, coded.mean_efficiency],
          ["arq", arq.mean_delay, arq.std_delay, arq.mean_efficiency]])
 
+
+def main(argv=None, standalone_mode=True):
+    """Run the command in argv (default: sys.argv[1:]); a failure raises SystemExit(2 or 3).
+
+    `main.main` is main, as perfbench calls it; standalone_mode is unused."""
+    # `--flag value` as `--flag=value`, or argparse would read a value such as -0e0 as a flag
+    tokens, joined = iter(sys.argv[1:] if argv is None else argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in _TAKES_VALUE else None
+        joined.append(token if value is None else f"{token}={value}")
+    if "--help" in joined[1:] and joined[0] in commands.choices:  # before any flag is checked
+        joined = [joined[0], "--help"]
+    flags = vars(parser.parse_args(joined))
+    flags.pop("run")(**flags)
+
+
+main.main = main
 
 if __name__ == "__main__":
     main()

@@ -16,15 +16,20 @@ of arrivals, the kernel's row fill by a loop over the (n, state) pairs that fres
 laws from a generator serve one by one, and the absorption pass by whole
 column blocks of a transposed copy of the matrix.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
+Nor is `invoke_cli`, which runs one CLI command in-process.
 """
 
+import contextlib
 import heapq
+import io
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from codedelay.cli import main
 from codedelay.codec import CodedPacket
 from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
 from codedelay.gf256 import INV, MUL
@@ -683,3 +688,36 @@ def conditional_delay_mc(channel, coding, trials, seed):
         cell = delays[mask]
         out[(yy, zz)] = (cell.size, float(cell.mean()), float((cell ** 2).mean()))
     return out
+
+
+@dataclass
+class CliResult:
+    """Exit code and captured streams of one in-process CLI call."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self):
+        return self.stdout.encode()
+
+
+def invoke_cli(argv):
+    """Run `codedelay argv` in-process, as perfbench does; SystemExit becomes the exit code.
+
+    Any other exception propagates, so a crash fails the calling test with its traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue())

@@ -14,10 +14,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import codedelay
+from codedelay import cli
 from codedelay.cli import main
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
@@ -27,13 +27,10 @@ from codedelay.params import (InputError, coded_count_distribution, derive_chann
                               derive_coding, redundancy_from_margin)
 from codedelay.simulator import MAX_PACKETS, SimConfig, replicate
 
+from .helpers import invoke_cli
+
 CH = ["--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4",
       "--rtt-s", "0.1"]
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def parse_csv(text):
@@ -43,8 +40,8 @@ def parse_csv(text):
 
 
 class TestAnalyze:
-    def test_matches_library_values(self, runner):
-        res = runner.invoke(main, ["analyze", *CH, "--k", "16", "--margin", "0.1"])
+    def test_matches_library_values(self):
+        res = invoke_cli(["analyze", *CH, "--k", "16", "--margin", "0.1"])
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         ch = derive_channel(0.1, 1e7, 1e4, rtt=0.1)
@@ -56,12 +53,12 @@ class TestAnalyze:
         assert float(row["eta"]) == efficiency(kern).eta
         assert int(row["b"]) == cd.b
 
-    def test_largest_bdp_is_fast(self, runner):
+    def test_largest_bdp_is_fast(self):
         # BDP 10^7 at k = 1, R = 1: b = 10^7 generations in flight
         start = time.perf_counter()
-        res = runner.invoke(main, ["analyze", "--epsilon", "0.3", "--rate-bps", "1e7",
-                                   "--packet-bits", "1e4", "--rtt-s", "10000", "--k", "1",
-                                   "--redundancy", "1.0"])
+        res = invoke_cli(["analyze", "--epsilon", "0.3", "--rate-bps", "1e7",
+                          "--packet-bits", "1e4", "--rtt-s", "10000", "--k", "1",
+                          "--redundancy", "1.0"])
         elapsed = time.perf_counter() - start
         assert res.exit_code == 0, res.output
         row = parse_csv(res.output)[0]
@@ -69,27 +66,27 @@ class TestAnalyze:
         assert math.isfinite(float(row["mean_s"])) and math.isfinite(float(row["std_s"]))
         assert elapsed < 2.0
 
-    def test_margin_equals_equivalent_redundancy(self, runner):
-        a = runner.invoke(main, ["analyze", *CH, "--k", "16", "--margin", "0.1"])
-        b = runner.invoke(main, ["analyze", *CH, "--k", "16",
-                                 "--redundancy", repr(1.1 / 0.9)])
+    def test_margin_equals_equivalent_redundancy(self):
+        a = invoke_cli(["analyze", *CH, "--k", "16", "--margin", "0.1"])
+        b = invoke_cli(["analyze", *CH, "--k", "16",
+                        "--redundancy", repr(1.1 / 0.9)])
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
-    def test_json_format(self, runner):
-        res = runner.invoke(main, ["analyze", *CH, "--k", "16", "--margin", "0.1",
-                                   "--format", "json"])
+    def test_json_format(self):
+        res = invoke_cli(["analyze", *CH, "--k", "16", "--margin", "0.1",
+                          "--format", "json"])
         assert res.exit_code == 0
         rows = json.loads(res.output)
         assert len(rows) == 1
         assert rows[0]["b"] == 6
         assert rows[0]["mean_s"] > 0
 
-    def test_out_file_matches_stdout(self, runner, tmp_path):
+    def test_out_file_matches_stdout(self, tmp_path):
         target = tmp_path / "table.csv"
-        direct = runner.invoke(main, ["analyze", *CH, "--k", "8", "--margin", "0.1"])
-        filed = runner.invoke(main, ["analyze", *CH, "--k", "8", "--margin", "0.1",
-                                     "--out", str(target)])
+        direct = invoke_cli(["analyze", *CH, "--k", "8", "--margin", "0.1"])
+        filed = invoke_cli(["analyze", *CH, "--k", "8", "--margin", "0.1",
+                            "--out", str(target)])
         assert direct.exit_code == filed.exit_code == 0
         assert filed.output == ""
         assert target.read_text() == direct.output
@@ -119,57 +116,57 @@ class TestAnalyze:
         gc.collect()
         assert ref() is None
 
-    def test_numerical_failure_exits_3(self, runner):
-        res = runner.invoke(main, ["analyze", "--epsilon", "0.9999",
-                                   "--rate-bps", "1e7", "--packet-bits", "1e4",
-                                   "--rtt-s", "0.1", "--k", "64",
-                                   "--redundancy", "1.0"])
+    def test_numerical_failure_exits_3(self):
+        res = invoke_cli(["analyze", "--epsilon", "0.9999",
+                          "--rate-bps", "1e7", "--packet-bits", "1e4",
+                          "--rtt-s", "0.1", "--k", "64",
+                          "--redundancy", "1.0"])
         assert res.exit_code == 3
 
-    def test_value_error_off_the_input_checks_exits_3(self, runner, monkeypatch):
+    def test_value_error_off_the_input_checks_exits_3(self, monkeypatch):
         # a numerical path's ValueError (numpy raises these) is not a usage error
         def fail(*args, **kwargs):
             raise ValueError("array must not contain infs or NaNs")
 
         monkeypatch.setattr(codedelay.cli, "expected_delay", fail)
-        res = runner.invoke(main, ["analyze", *CH, "--k", "16", "--margin", "0.1"])
+        res = invoke_cli(["analyze", *CH, "--k", "16", "--margin", "0.1"])
         assert res.exit_code == 3, res.output
         assert "numerical failure: array must not contain infs or NaNs" in res.output
         assert "Traceback" not in res.output
         assert "Usage:" not in res.output
 
-    def test_float_overflow_exits_3(self, runner):
+    def test_float_overflow_exits_3(self):
         # a 1.3e154 s slot is accepted, but its square overflows in the delay model
-        res = runner.invoke(main, ["analyze", "--epsilon", "0", "--rate-bps", "1e7",
-                                   "--packet-bits", "1.3407807929942597e+161", "--tp-s", "0.05",
-                                   "--k", "1", "--margin", "0"])
+        res = invoke_cli(["analyze", "--epsilon", "0", "--rate-bps", "1e7",
+                          "--packet-bits", "1.3407807929942597e+161", "--tp-s", "0.05",
+                          "--k", "1", "--margin", "0"])
         assert res.exit_code == 3, res.output
         assert "numerical failure: OverflowError" in res.output
 
 
 class TestFlagValidation:
-    def test_redundancy_and_margin_are_exclusive(self, runner):
-        both = runner.invoke(main, ["analyze", *CH, "--k", "16",
-                                    "--margin", "0.1", "--redundancy", "1.2"])
-        neither = runner.invoke(main, ["analyze", *CH, "--k", "16"])
+    def test_redundancy_and_margin_are_exclusive(self):
+        both = invoke_cli(["analyze", *CH, "--k", "16",
+                           "--margin", "0.1", "--redundancy", "1.2"])
+        neither = invoke_cli(["analyze", *CH, "--k", "16"])
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
-    def test_tp_and_rtt_are_exclusive(self, runner):
+    def test_tp_and_rtt_are_exclusive(self):
         args = ["analyze", "--epsilon", "0.1", "--rate-bps", "1e7",
                 "--packet-bits", "1e4", "--k", "16", "--margin", "0.1"]
-        both = runner.invoke(main, args + ["--tp-s", "0.0495", "--rtt-s", "0.1"])
-        neither = runner.invoke(main, args)
+        both = invoke_cli(args + ["--tp-s", "0.0495", "--rtt-s", "0.1"])
+        neither = invoke_cli(args)
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
-    def test_simulate_requires_seed(self, runner):
-        res = runner.invoke(main, ["simulate", *CH, "--k", "8", "--margin", "0.1",
-                                   "--n-packets", "2000"])
+    def test_simulate_requires_seed(self):
+        res = invoke_cli(["simulate", *CH, "--k", "8", "--margin", "0.1",
+                          "--n-packets", "2000"])
         assert res.exit_code == 2
 
-    def test_missing_channel_flag(self, runner):
-        res = runner.invoke(main, ["analyze", "--k", "16", "--margin", "0.1"])
+    def test_missing_channel_flag(self):
+        res = invoke_cli(["analyze", "--k", "16", "--margin", "0.1"])
         assert res.exit_code == 2
 
     SIM = ["simulate", *CH, "--k", "8", "--margin", "0.1", "--n-packets", "2000",
@@ -201,7 +198,7 @@ class TestFlagValidation:
         pytest.param(["kstar", *CH, "--margin", "0.1", "--k-grid", "0,5"],
                      "--k-grid", id="kstar-k-0"),
         pytest.param(["sweep", *CH, "--margin", "0.1", "--k-grid", "-4,8"],
-                     "--k-grid", id="sweep-k-negative"),
+                     "--k-grid sizes must be >= 1", id="sweep-k-negative"),
         pytest.param(["simulate", *CH, "--k", "16", "--margin", "1e6", "--n-packets", "2000",
                       "--seed", "7"], "from margin 1000000.0", id="simulate-margin-huge"),
         pytest.param(["analyze", *CH, "--k", "16", "--margin", "1e300"],
@@ -228,24 +225,64 @@ class TestFlagValidation:
                      f"reps * n_packets must be at most {MAX_PACKETS}",
                      id="reps-beyond-float-range"),
     ])
-    def test_bad_input_exits_2_without_traceback(self, runner, argv, names, tmp_path,
+    def test_bad_input_exits_2_without_traceback(self, argv, names, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)  # where "missing/" does not exist
         t0 = time.perf_counter()
-        res = runner.invoke(main, argv)
+        res = invoke_cli(argv)
         assert time.perf_counter() - t0 < 2.0
         assert res.exit_code == 2, res.output
         assert "Traceback" not in res.output
         assert names in res.output
 
-    def test_hol_cap_beyond_the_run_is_the_full_window(self, runner):
+    def test_hol_cap_beyond_the_run_is_the_full_window(self):
         # 2000 packets at k = 8 are 250 generations, so at most 249 earlier ones
         t0 = time.perf_counter()
-        huge = runner.invoke(main, self.SIM + ["--hol-cap", str(10**12)])
+        huge = invoke_cli(self.SIM + ["--hol-cap", str(10**12)])
         assert time.perf_counter() - t0 < 2.0
-        full = runner.invoke(main, self.SIM + ["--hol-cap", "249"])
+        full = invoke_cli(self.SIM + ["--hol-cap", "249"])
         assert huge.exit_code == full.exit_code == 0, huge.output
         assert huge.stdout_bytes == full.stdout_bytes
+
+
+class TestParser:
+    """The parser's own rules: values, flag prefixes, commands, --help, --version.
+
+    Each command's --help is run by test_flag_names_order_and_defaults, and a
+    --k-grid value of -4,8 by TestFlagValidation's sweep-k-negative case.
+    """
+
+    def test_value_that_looks_like_a_flag_is_a_value(self):
+        res = invoke_cli(["analyze", "--epsilon", "-0e0", "--rate-bps", "1e7", "--packet-bits",
+                          "1e4", "--rtt-s", "0.1", "--k", "16", "--margin", "0.1"])
+        assert res.exit_code == 0, res.output
+
+    def test_flag_prefix_is_rejected(self):
+        res = invoke_cli(["analyze", "--eps", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4",
+                          "--rtt-s", "0.1", "--k", "16", "--margin", "0.1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("argv", [["bogus", *CH], []], ids=["unknown", "none"])
+    def test_unknown_or_missing_command_exits_2(self, argv):
+        res = invoke_cli(argv)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+
+    def test_command_help_comes_before_flag_checks(self):
+        res = invoke_cli(["analyze", "--epsilon", "x", "--k", "-1", "--help"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout.startswith("usage: codedelay analyze")
+
+    def test_help_lists_every_command(self):
+        res = invoke_cli(["--help"])
+        assert res.exit_code == 0, res.output
+        assert all(name in res.stdout for name in cli.commands.choices)
+
+    def test_version_from_a_source_checkout(self):
+        res = invoke_cli(["--version"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == f"codedelay {codedelay.__version__}\n"
 
 
 _CHANNEL_FLAGS = [("epsilon", "required"), ("rate_bps", "required"),
@@ -265,12 +302,15 @@ _RUN_FLAGS = [("mode", "idealized"), ("n_packets", 100_000), ("seed", "required"
                                                ("hol_cap", None), ("trace", None)]),
     ("compare-arq", _CODING_FLAGS + _RUN_FLAGS),
 ])
-def test_flag_names_order_and_defaults(runner, command, flags):
+def test_flag_names_order_and_defaults(command, flags):
     """Each command declares the channel flags, its own flags, then the output flags."""
-    params = main.commands[command].params
-    declared = [(p.name, "required" if p.required else p.default) for p in params]
+    actions = [a for a in cli.commands.choices[command]._actions if a.dest != "help"]
+    declared = [(a.dest, "required" if a.required else a.default) for a in actions]
     assert declared == _CHANNEL_FLAGS + flags + _OUTPUT_FLAGS
-    res = runner.invoke(main, [command, "--help"])
+    res = invoke_cli([command, "--help"])
+    assert res.exit_code == 0, res.output
+    assert res.output.index("--epsilon") < res.output.index("--format")
+    res = invoke_cli([command, "--help"])
     assert res.exit_code == 0, res.output
     assert res.output.index("--epsilon") < res.output.index("--format")
 
@@ -306,9 +346,9 @@ def test_input_checks_raise_input_error(check):
 
 
 class TestSweepCommand:
-    def test_round_trips_through_csv(self, runner):
-        res = runner.invoke(main, ["sweep", *CH, "--margin", "0.1",
-                                   "--k-grid", "4,8,16,32"])
+    def test_round_trips_through_csv(self):
+        res = invoke_cli(["sweep", *CH, "--margin", "0.1",
+                          "--k-grid", "4,8,16,32"])
         assert res.exit_code == 0
         rows = parse_csv(res.output)
         assert [int(r["k"]) for r in rows] == [4, 8, 16, 32]
@@ -317,50 +357,50 @@ class TestSweepCommand:
             assert float(r["smoothed_mean_s"]) >= float(r["mean_s"]) - 1e-15
             assert 0.0 < float(r["eta"]) <= 1.0
 
-    def test_failed_point_exits_3_with_table(self, runner):
-        res = runner.invoke(main, ["sweep", *CH, "--margin", "0.1",
-                                   "--k-grid", "8,5000"])
+    def test_failed_point_exits_3_with_table(self):
+        res = invoke_cli(["sweep", *CH, "--margin", "0.1",
+                          "--k-grid", "8,5000"])
         assert res.exit_code == 3
         rows = parse_csv(res.output)
         assert len(rows) == 2
         assert rows[0]["error"] == ""
         assert rows[1]["error"] != ""
 
-    def test_bad_grid_exits_2(self, runner):
-        res = runner.invoke(main, ["sweep", *CH, "--margin", "0.1",
-                                   "--k-grid", "4,eight"])
+    def test_bad_grid_exits_2(self):
+        res = invoke_cli(["sweep", *CH, "--margin", "0.1",
+                          "--k-grid", "4,eight"])
         assert res.exit_code == 2
 
 
 class TestKstarCommand:
-    def test_lossless_prefers_smallest_k(self, runner):
-        res = runner.invoke(main, ["kstar", "--epsilon", "0", "--rate-bps", "1e7",
-                                   "--packet-bits", "1e4", "--rtt-s", "0.1",
-                                   "--redundancy", "1.25", "--k-grid", "4,5,8"])
+    def test_lossless_prefers_smallest_k(self):
+        res = invoke_cli(["kstar", "--epsilon", "0", "--rate-bps", "1e7",
+                          "--packet-bits", "1e4", "--rtt-s", "0.1",
+                          "--redundancy", "1.25", "--k-grid", "4,5,8"])
         assert res.exit_code == 0
         row = parse_csv(res.output)[0]
         assert int(row["k"]) == 4
 
-    def test_no_valid_point_exits_3_like_sweep(self, runner):
+    def test_no_valid_point_exits_3_like_sweep(self):
         # sweep reports a k above MAX_K as a failed point and exits 3; so does kstar
-        res = runner.invoke(main, ["kstar", *CH, "--margin", "0.1", "--k-grid", "5000"])
+        res = invoke_cli(["kstar", *CH, "--margin", "0.1", "--k-grid", "5000"])
         assert res.exit_code == 3, res.output
         assert "numerical failure: every sweep point failed" in res.output
 
 
 class TestTradeoffCommand:
-    def test_json_renders_nan_as_null(self, runner):
-        res = runner.invoke(main, ["tradeoff", *CH, "--margins", "0.05,0.1",
-                                   "--k-grid", "8,16,32", "--arq-packets", "5000",
-                                   "--seed", "3", "--format", "json"])
+    def test_json_renders_nan_as_null(self):
+        res = invoke_cli(["tradeoff", *CH, "--margins", "0.05,0.1",
+                          "--k-grid", "8,16,32", "--arq-packets", "5000",
+                          "--seed", "3", "--format", "json"])
         assert res.exit_code == 0
         rows = json.loads(res.output)
         assert [r["kind"] for r in rows] == ["coded", "coded", "arq"]
         assert rows[-1]["margin"] is None  # the ARQ corner has no margin
         assert rows[-1]["eta"] == 1.0
 
-    def test_bad_margins_exit_2(self, runner):
-        res = runner.invoke(main, ["tradeoff", *CH, "--margins", "a,b"])
+    def test_bad_margins_exit_2(self):
+        res = invoke_cli(["tradeoff", *CH, "--margins", "a,b"])
         assert res.exit_code == 2
 
 
@@ -368,14 +408,14 @@ class TestSimulateCommand:
     SIM = ["simulate", *CH, "--k", "8", "--margin", "0.1",
            "--n-packets", "2000", "--seed", "7"]
 
-    def test_byte_determinism(self, runner):
-        a = runner.invoke(main, self.SIM)
-        b = runner.invoke(main, self.SIM)
+    def test_byte_determinism(self):
+        a = invoke_cli(self.SIM)
+        b = invoke_cli(self.SIM)
         assert a.exit_code == b.exit_code == 0
         assert a.output == b.output
 
-    def test_row_contents(self, runner):
-        res = runner.invoke(main, self.SIM)
+    def test_row_contents(self):
+        res = invoke_cli(self.SIM)
         row = parse_csv(res.output)[0]
         assert row["mode"] == "idealized"
         assert int(row["n_packets"]) == 2000
@@ -383,15 +423,15 @@ class TestSimulateCommand:
         assert row["se_mean_s"] == ""  # single run has no across-rep error
         assert float(row["mean_s"]) > 0
 
-    def test_reps_report_standard_error(self, runner):
-        res = runner.invoke(main, self.SIM + ["--reps", "4"])
+    def test_reps_report_standard_error(self):
+        res = invoke_cli(self.SIM + ["--reps", "4"])
         row = parse_csv(res.output)[0]
         assert int(row["reps"]) == 4
         assert float(row["se_mean_s"]) > 0
 
-    def test_trace_file(self, runner, tmp_path):
+    def test_trace_file(self, tmp_path):
         target = tmp_path / "trace.csv"
-        res = runner.invoke(main, self.SIM + ["--trace", str(target)])
+        res = invoke_cli(self.SIM + ["--trace", str(target)])
         assert res.exit_code == 0
         lines = target.read_text().splitlines()
         header = json.loads(lines[0][2:])
@@ -399,37 +439,47 @@ class TestSimulateCommand:
         assert lines[1].startswith("packet_id,")
         assert len(lines) == 2 + 2000
 
-    def test_trace_needs_single_replication(self, runner, tmp_path):
-        res = runner.invoke(main, self.SIM + ["--reps", "2", "--trace",
-                                              str(tmp_path / "t.csv")])
+    def test_trace_needs_single_replication(self, tmp_path):
+        res = invoke_cli(self.SIM + ["--reps", "2", "--trace",
+                                     str(tmp_path / "t.csv")])
         assert res.exit_code == 2
 
-    def test_relaxed_mode_runs(self, runner):
-        res = runner.invoke(main, self.SIM + ["--mode", "relaxed"])
+    def test_relaxed_mode_runs(self):
+        res = invoke_cli(self.SIM + ["--mode", "relaxed"])
         assert res.exit_code == 0
         assert parse_csv(res.output)[0]["mode"] == "relaxed"
 
 
 class TestCompareArqCommand:
-    def test_coded_beats_arq_on_mean_delay(self, runner):
-        res = runner.invoke(main, ["compare-arq", *CH, "--k", "16",
-                                   "--margin", "0.1", "--n-packets", "20000",
-                                   "--seed", "5"])
+    def test_coded_beats_arq_on_mean_delay(self):
+        res = invoke_cli(["compare-arq", *CH, "--k", "16",
+                          "--margin", "0.1", "--n-packets", "20000",
+                          "--seed", "5"])
         assert res.exit_code == 0
         rows = {r["scheme"]: r for r in parse_csv(res.output)}
         assert float(rows["coded"]["mean_s"]) < float(rows["arq"]["mean_s"])
         assert float(rows["arq"]["efficiency"]) == 1.0
 
 
-def test_cli_import_leaves_scipy_out():
+def _imported_by_cli(module):
+    """Whether a fresh interpreter's `import codedelay.cli` brings in `module`."""
     src = str(Path(codedelay.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import codedelay.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import codedelay.cli, sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not _imported_by_cli("scipy")
+
+
+@pytest.mark.parametrize("module", ["click", "importlib.metadata"])
+def test_cli_import_leaves_click_and_package_metadata_out(module):
+    assert not _imported_by_cli(module)
 
 
 def _either(draw, typical, wild):
@@ -481,6 +531,6 @@ def _cli_argv(draw):
 @given(argv=_cli_argv())
 def test_any_flags_exit_0_2_or_3_without_traceback(argv):
     """Random analyze and simulate flags, valid or not, end in exit 0, 2 or 3."""
-    res = CliRunner().invoke(main, argv)
-    assert res.exit_code in (0, 2, 3), (res.output, repr(res.exception))
+    res = invoke_cli(argv)
+    assert res.exit_code in (0, 2, 3), res.output
     assert "Traceback" not in res.output

@@ -11,9 +11,8 @@ entry that says why.
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
-from codedelay.cli import main
+from .helpers import invoke_cli
 
 CH = ["--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4",
       "--rtt-s", "0.1"]
@@ -157,7 +156,7 @@ def run_case(name, tmp_path):
     trace = tmp_path / f"{name}.csv"
     if traced:
         argv = argv + ["--trace", str(trace)]
-    res = CliRunner().invoke(main, argv)
+    res = invoke_cli(argv)
     assert res.exit_code == 0, res.output
     out = hashlib.sha256(res.stdout_bytes).hexdigest()
     return out, hashlib.sha256(trace.read_bytes()).hexdigest() if traced else None
