@@ -28,8 +28,10 @@ Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
 times are integer pairs converted to floats only for comparisons and
 reporting; the lossless case stays exact and a run spanning millions of
 slots loses nothing to cancellation. Both maps feed one delivery pass,
-_Delivery, block by block; it turns decode and blocker instants into
-per-packet delays, statistics and the trace, and owns the warm-up margins.
+_Delivery, block by block, which owns the warm-up margins. It takes the
+statistics from integer delay sums per generation, in closed form: each
+generation's delays are three runs of columns, and it sums over each run at
+once. Per-packet delays are built, from the same runs, only for a trace.
 The idealized blocker is the latest decode among a window of previous
 generations; in relaxed mode every decode is a slot count plus one hop, so
 the blocker is the running maximum of the integer decode slots.
@@ -174,16 +176,19 @@ class _PairStats:
     def add(self, alpha, beta):
         a = np.asarray(alpha, dtype=np.int64)
         b = np.asarray(beta, dtype=np.int64)
-        self.n += a.size
-        self.sa += int(a.sum())
-        self.sb += int(b.sum())
-        self.saa += int((a * a).sum())
-        self.sab += int((a * b).sum())
-        self.sbb += int((b * b).sum())
+        self.add_sums(a.size, a.sum(), b.sum(), (a * a).sum(), (a * b).sum(), (b * b).sum())
+
+    def add_sums(self, n, sa, sb, saa, sab, sbb):
+        """Add the count and the five sums of further delays."""
+        self.n += int(n)
+        self.sa += int(sa)
+        self.sb += int(sb)
+        self.saa += int(saa)
+        self.sab += int(sab)
+        self.sbb += int(sbb)
 
     def merge(self, other):
-        for name in ("n", "sa", "sb", "saa", "sab", "sbb"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.add_sums(other.n, other.sa, other.sb, other.saa, other.sab, other.sbb)
 
     def mean(self):
         if not self.n:
@@ -372,12 +377,22 @@ class _Delivery:
     A _Trajectories block gives each generation's systematic prefix s, round
     count and received count; the engine gives its start slot, decode instant
     and the instant of the earlier generation that can block it (_NO_BLOCKER
-    when none can), each an absolute slot and a hop count. Packet i < s
-    arrives (i+1)*t_s + t_p after the start, the rest are ready at decode, and
-    a packet whose own instant is earlier than the blocker's waits for it.
-    The comparison is in floats in the generation's own frame; delays stay
-    integer (slot, hop) pairs. Generations inside the warm-up and cool-down
-    margins count only in the trace.
+    when none can), each an absolute slot and a hop count. Packet c < s
+    arrives (c+1)*t_s + t_p after the start, the rest are ready at decode, and
+    a packet whose own instant is earlier than the blocker's waits for it. Its
+    delay is the instant it is delivered at less c slots, an integer (slot,
+    hop) pair. The comparison is in floats in the generation's own frame.
+
+    The prefix instants rise with c, so the blocked prefix columns are a
+    leading run, of length m: the count of prefix instants below the blocker,
+    by one searchsorted over the same floats. A generation's delays are then
+    three runs: (blocker - c, blocker hops) for c < m, (1, 1) for m <= c < s,
+    and for c >= s one instant, decode or a later blocker, less c. So the
+    statistics take _PairStats' count and five integer sums per generation
+    from sums of c and c**2 over each run, read from tables of k + 1 entries
+    built once per run, with no per-packet array. The per-packet delays are
+    built, from the same runs, only for a trace. Generations inside the
+    warm-up and cool-down margins count only in the trace.
     """
 
     def __init__(self, cfg):
@@ -389,6 +404,11 @@ class _Delivery:
                 f"need more than {2 * self.warm} generations for warm-up and cool-down "
                 f"at b={b}; got {self.n_gens}")
         self.k, self.t_s, self.t_p = k, cfg.channel.t_s, cfg.channel.t_p
+        self.prefix_f = (np.arange(k) + 1) * self.t_s + self.t_p   # arrival of prefix packet c
+        # sums of c and of c**2 over c < n, and over n <= c < k, for n = 0..k
+        n = np.arange(k + 1)
+        self.below = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+        self.after = tuple(col[k] - col for col in self.below)
         self.acc = _PairStats(self.t_s, self.t_p)
         self.rounds = np.zeros(0, dtype=np.int64)
         self.received = 0
@@ -403,36 +423,52 @@ class _Delivery:
         The block gives the systematic prefixes, round counts, received counts
         and, in real-codec runs, the non-innovative counts.
         """
-        g = start.size
+        g, s = start.size, block.s
         t_s, t_p = self.t_s, self.t_p
-        cols = np.arange(self.k)
-        prefix = cols[None, :] < block.s[:, None]
-        dec_rel = (dec_slot - start)[:, None]
-        dec_hops = np.broadcast_to(dec_hops, (g,))[:, None]
-        own_f = np.where(prefix, (cols[None, :] + 1) * t_s + t_p, dec_rel * t_s + dec_hops * t_p)
-        own_slot = np.where(prefix, cols[None, :] + 1, dec_rel)
-        own_hops = np.where(prefix, 1, dec_hops)
-        blk_rel = (blk_slot - start)[:, None]
-        blk_hops = np.broadcast_to(blk_hops, (g,))[:, None]
-        blocked = blk_rel * t_s + blk_hops * t_p > own_f
-        d_slot = np.where(blocked, blk_rel, own_slot) - cols[None, :]
-        d_hops = np.where(blocked, blk_hops, own_hops)
+        dec_rel, blk_rel = dec_slot - start, blk_slot - start
+        dec_hops, blk_hops = np.broadcast_to(dec_hops, (g,)), np.broadcast_to(blk_hops, (g,))
+        blk_f = blk_rel * t_s + blk_hops * t_p
+        m = np.minimum(np.searchsorted(self.prefix_f, blk_f, side="left"), s)
+        late = blk_f > dec_rel * t_s + dec_hops * t_p
+        tail, tail_hops = np.where(late, blk_rel, dec_rel), np.where(late, blk_hops, dec_hops)
 
-        ids = np.arange(self.done, self.done + g)
-        window = (ids >= self.warm) & (ids < self.n_gens - self.warm)
-        if window.any():
-            self.acc.add(d_slot[window], d_hops[window])
-            self.received += int(block.received[window].sum())
+        w = slice(max(self.warm - self.done, 0), min(self.n_gens - self.warm - self.done, g))
+        if w.start < w.stop:
+            self.acc.add_sums(*self._sums(m[w], s[w], blk_rel[w], blk_hops[w], tail[w],
+                                          tail_hops[w]))
+            self.received += int(block.received[w].sum())
             if block.non_innovative is not None:
-                self.non_innovative += int(block.non_innovative[window].sum())
-            self.gens += int(window.sum())
-            counts = np.bincount(block.y[window])
+                self.non_innovative += int(block.non_innovative[w].sum())
+            self.gens += w.stop - w.start
+            counts = np.bincount(block.y[w])
             if counts.size > self.rounds.size:
                 self.rounds = np.pad(self.rounds, (0, counts.size - self.rounds.size))
             self.rounds[:counts.size] += counts
         if self.trace_parts is not None:
-            self.trace_parts.append((start[:, None] + cols[None, :], d_slot * t_s + d_hops * t_p))
+            cols = np.arange(self.k)
+            blocked, prefix = cols < m[:, None], cols < s[:, None]
+            d_slot = np.where(blocked, blk_rel[:, None],
+                              np.where(prefix, cols + 1, tail[:, None])) - cols
+            d_hops = np.where(blocked, blk_hops[:, None], np.where(prefix, 1, tail_hops[:, None]))
+            self.trace_parts.append((start[:, None] + cols, d_slot * t_s + d_hops * t_p))
         self.done += g
+
+    def _sums(self, m, s, blk, blk_hops, tail, tail_hops):
+        """Count and sums a, b, a*a, a*b, b*b over the delays (a, b) of these generations."""
+        below, after = self.below, self.after
+        blk = np.where(m > 0, blk, 0)   # read by no column when m = 0; _NO_BLOCKER**2 overflows
+        free = int(s.sum() - m.sum())   # columns m..s-1, at (1, 1)
+        rest = self.k - s
+        c1, t1 = below[0][m], after[0][s]
+        a_blk, a_tail = m * blk - c1, rest * tail - t1
+        hb, ht = m * blk_hops, rest * tail_hops
+        return (m.size * self.k,
+                a_blk.sum() + free + a_tail.sum(),
+                hb.sum() + free + ht.sum(),
+                (blk @ (a_blk - c1) + tail @ (a_tail - t1) + below[1][m].sum() + after[1][s].sum()
+                 + free),
+                blk_hops @ a_blk + free + tail_hops @ a_tail,
+                hb @ blk_hops + free + ht @ tail_hops)
 
     def stats(self):
         trace = None

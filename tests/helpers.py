@@ -7,7 +7,8 @@ simulator's rounds by a scalar replay, generation by generation, of the
 uniforms (and real-codec coefficient blocks) they drew, with the real-codec
 rank taken by feeding every packet to the reference payload decoder (an
 echelon list with systematic payloads kept apart, and a Gauss-Jordan pass
-at decode), the relaxed link schedule by a float event heap, the trace file
+at decode), the relaxed link schedule by a float event heap, the in-order
+delivery by a per-packet comparison over (generations, k) arrays, the trace file
 by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
 the prefix-length moments by the pmf and mgf of the prefix, the
@@ -37,6 +38,7 @@ from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
                               _transition_rows)
 from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.params import coded_count_distribution, redundancy_from_margin, split_count
+from codedelay.simulator import _Delivery
 
 
 # (R, p_success) of the four Latin-square cells of the `design` benchmark
@@ -446,6 +448,53 @@ def reference_relaxed_slots(rounds, hits, t_s, t_p):
             send_round(nxt, 0)
             nxt += 1
     return start, dec
+
+
+class ReferenceDelivery(_Delivery):
+    """simulator._Delivery as it was before it took its sums per generation.
+
+    add compares every packet's own instant with its blocker's in floats, in
+    (generations, k) arrays, and feeds the resulting per-packet (slot, hop)
+    delays to _PairStats.add.
+    """
+
+    def add(self, block, start, dec_slot, dec_hops, blk_slot, blk_hops):
+        g = start.size
+        t_s, t_p = self.t_s, self.t_p
+        cols = np.arange(self.k)
+        prefix = cols[None, :] < block.s[:, None]
+        dec_rel = (dec_slot - start)[:, None]
+        dec_hops = np.broadcast_to(dec_hops, (g,))[:, None]
+        own_f = np.where(prefix, (cols[None, :] + 1) * t_s + t_p, dec_rel * t_s + dec_hops * t_p)
+        own_slot = np.where(prefix, cols[None, :] + 1, dec_rel)
+        own_hops = np.where(prefix, 1, dec_hops)
+        blk_rel = (blk_slot - start)[:, None]
+        blk_hops = np.broadcast_to(blk_hops, (g,))[:, None]
+        blocked = blk_rel * t_s + blk_hops * t_p > own_f
+        d_slot = np.where(blocked, blk_rel, own_slot) - cols[None, :]
+        d_hops = np.where(blocked, blk_hops, own_hops)
+
+        ids = np.arange(self.done, self.done + g)
+        window = (ids >= self.warm) & (ids < self.n_gens - self.warm)
+        if window.any():
+            self.acc.add(d_slot[window], d_hops[window])
+            self.received += int(block.received[window].sum())
+            if block.non_innovative is not None:
+                self.non_innovative += int(block.non_innovative[window].sum())
+            self.gens += int(window.sum())
+            counts = np.bincount(block.y[window])
+            if counts.size > self.rounds.size:
+                self.rounds = np.pad(self.rounds, (0, counts.size - self.rounds.size))
+            self.rounds[:counts.size] += counts
+        if self.trace_parts is not None:
+            self.trace_parts.append((start[:, None] + cols[None, :], d_slot * t_s + d_hops * t_p))
+        self.done += g
+
+
+def delay_sums(stats):
+    """The count and five integer sums of a SimStats' delays, as a tuple."""
+    acc = stats.delay_sums
+    return acc.n, acc.sa, acc.sb, acc.saa, acc.sab, acc.sbb
 
 
 def reference_trace_csv(stats, config, out):

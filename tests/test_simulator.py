@@ -30,8 +30,10 @@ from codedelay.simulator import (
 
 from .helpers import (
     RecordingRng,
+    ReferenceDelivery,
     ReferenceTracker,
     ScriptedCoefficients,
+    delay_sums,
     reference_relaxed_slots,
     reference_trace_csv,
     reference_trajectories,
@@ -242,32 +244,42 @@ class TestInOrderDelivery:
         # reference: the per-generation float chain the relaxed engine kept
         # before its blocker became a running max, on decodes far apart
         k, n_gens = 4, 400
-        cfg = make_config(k=k, n_packets=k * n_gens, seed=0, mode="relaxed",
-                          collect_records=True)
+        cfg = make_config(k=k, n_packets=k * n_gens, seed=0, mode="relaxed")
         t_s, t_p = cfg.channel.t_s, cfg.channel.t_p
         rng = np.random.default_rng(5)
         start = np.cumsum(rng.integers(4, 9, n_gens))
         dec_slot = start + rng.integers(1, 200, n_gens)
         s = rng.integers(0, k + 1, n_gens)
-        out = simulator._Delivery(cfg)
         blk = np.maximum.accumulate(np.concatenate(([simulator._NO_BLOCKER], dec_slot[:-1])))
         block = simulator._Trajectories(
             n=None, s=s, y=rng.integers(1, 4, n_gens), hit=None,
             received=rng.integers(k, 9, n_gens), non_innovative=None, retx=None)
-        out.add(block, start, dec_slot, 1, blk, 1)
 
-        want = []
+        want = []   # (slots, hops) of every packet's delay
         chain = None
         for j in range(n_gens):
             for i in range(k):
                 own = i + 1 if i < s[j] else dec_slot[j] - start[j]
                 if chain is not None and (chain - start[j]) * t_s + t_p > own * t_s + t_p:
                     own = chain - start[j]
-                want.append((own - i) * t_s + t_p)
+                want.append((int(own) - i, 1))
             dec_f = (dec_slot[j] - start[j]) * t_s + t_p
             if chain is None or dec_f >= (chain - start[j]) * t_s + t_p:
                 chain = dec_slot[j]
-        assert out.stats().trace.delay.tolist() == want
+        warm = simulator._WARMUP_FACTOR * cfg.coding.b
+        counted = want[k * warm:k * (n_gens - warm)]
+        sums = (len(counted), sum(a for a, _ in counted), sum(b for _, b in counted),
+                sum(a * a for a, _ in counted), sum(a * b for a, b in counted),
+                sum(b * b for _, b in counted))
+        for collect_records in (True, False):
+            out = simulator._Delivery(dataclasses.replace(cfg, collect_records=collect_records))
+            out.add(block, start, dec_slot, 1, blk, 1)
+            stats = out.stats()
+            assert delay_sums(stats) == sums
+            if collect_records:
+                assert stats.trace.delay.tolist() == [a * t_s + b * t_p for a, b in want]
+            else:
+                assert stats.trace is None
 
     @pytest.mark.parametrize("mode", ["idealized", "relaxed"])
     def test_delivery_after_first_transmission(self, mode):
@@ -276,6 +288,115 @@ class TestInOrderDelivery:
         st = run_coded(cfg)
         assert (st.trace.delivered_slot > st.trace.first_tx_slot).all()
         assert (st.trace.delay > 0).all()
+
+
+@st.composite
+def _delivery_run(draw):
+    """(config, blocks) of a _Delivery run of hand-drawn generations cut into blocks.
+
+    Blockers are drawn as none (_NO_BLOCKER), an exact tie with a prefix
+    packet's arrival or with the decode, one to three slots either side of a
+    prefix arrival, or any slot up to past the decode. Relaxed runs pass
+    scalar hop counts, idealized ones per-generation arrays; an idealized
+    run may have no blocker at all, with zero hops, as hol_cap=0 gives. The
+    blocks are cut anywhere, so the warm-up and cool-down margins fall inside
+    them as often as between them.
+    """
+    k, b = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    warm = simulator._WARMUP_FACTOR * b
+    n_gens = 2 * warm + draw(st.integers(1, 24))
+    t_s, t_p = draw(st.sampled_from([(1.0, 0.5), (1e-3, 0.05), (0.1, 1 / 3), (0.008, 0.0125)]))
+    relaxed = draw(st.booleans())
+    capped = not relaxed and draw(st.booleans())   # hol_cap=0: nothing blocks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    s = rng.integers(0, k + 1, n_gens)
+    s[rng.integers(0, n_gens, 2)] = (0, k)
+    start = np.cumsum(rng.integers(1, 2 * k + 3, n_gens)) + draw(st.integers(0, 10**9))
+    y = rng.integers(1, 5, n_gens)
+    dec_hops = np.ones(n_gens, dtype=np.int64) if relaxed else 2 * y - 1
+    dec_rel = rng.integers(1, 3 * k + 20, n_gens)
+    col = rng.integers(0, k, n_gens)
+    kind = rng.integers(0, 5, n_gens)
+    blk_hops = np.ones(n_gens, dtype=np.int64) if relaxed else 2 * rng.integers(1, 4, n_gens) - 1
+    blk_rel = np.select(
+        [kind == 1, kind == 2, kind == 3],
+        [col + 1, dec_rel, col + 1 + rng.integers(-3, 4, n_gens)],
+        rng.integers(-5, dec_rel + 6))
+    blk_hops[kind == 1] = 1
+    blk_hops[kind == 2] = dec_hops[kind == 2]
+    blk_slot = start + blk_rel
+    none = (kind == 0) | capped
+    blk_slot[none] = simulator._NO_BLOCKER
+    if not relaxed:
+        blk_hops[none] = 0 if capped else rng.integers(0, 2, int(none.sum()))
+
+    with_codec = draw(st.booleans())
+    cuts = sorted(set(draw(st.lists(st.integers(1, n_gens - 1), max_size=6))))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [n_gens]):
+        g = slice(lo, hi)
+        block = simulator._Trajectories(
+            n=None, s=s[g], y=y[g], hit=None, received=k + rng.integers(0, 2 * k, hi - lo),
+            non_innovative=rng.integers(0, 3, hi - lo) if with_codec else None, retx=None)
+        hops = (1, 1) if relaxed else (dec_hops[g], blk_hops[g])
+        blocks.append((block, start[g], start[g] + dec_rel[g], hops[0], blk_slot[g], hops[1]))
+    cfg = SimpleNamespace(coding=SimpleNamespace(k=k, b=b), n_packets=n_gens * k,
+                          channel=SimpleNamespace(t_s=t_s, t_p=t_p), collect_records=True)
+    return cfg, blocks
+
+
+def _delivered(cls, cfg, blocks):
+    out = cls(cfg)
+    for args in blocks:
+        out.add(*args)
+    return out.stats()
+
+
+class TestDeliverySums:
+    @settings(max_examples=300, deadline=None)
+    @given(run=_delivery_run())
+    def test_match_the_per_packet_reference(self, run):
+        cfg, blocks = run
+        ref = _delivered(ReferenceDelivery, cfg, blocks)
+        got = _delivered(simulator._Delivery, cfg, blocks)
+        assert delay_sums(got) == delay_sums(ref)
+        assert np.array_equal(got.trace.delay, ref.trace.delay)
+        assert np.array_equal(got.trace.first_tx_slot, ref.trace.first_tx_slot)
+        assert dataclasses.replace(got, trace=None) == dataclasses.replace(ref, trace=None)
+        untraced = _delivered(simulator._Delivery, SimpleNamespace(**{**vars(cfg),
+                                                                  "collect_records": False}),
+                              blocks)
+        assert delay_sums(untraced) == delay_sums(ref) and untraced.trace is None
+
+    def test_unblockable_generation_sums_exactly(self):
+        # the sums must not read _NO_BLOCKER, whose square is past int64
+        cfg = SimpleNamespace(coding=SimpleNamespace(k=4, b=1), n_packets=44,
+                              channel=SimpleNamespace(t_s=1e-3, t_p=0.05), collect_records=False)
+        n_gens = 11
+        block = simulator._Trajectories(n=None, s=np.full(n_gens, 2), y=np.ones(n_gens, int),
+                                        hit=None, received=np.full(n_gens, 4),
+                                        non_innovative=None, retx=None)
+        start = 10 * np.arange(n_gens)
+        stats = _delivered(simulator._Delivery, cfg, [
+            (block, start, start + 6, 1, np.full(n_gens, simulator._NO_BLOCKER), 0)])
+        # window generation 5 only: columns 0, 1 at (1, 1), columns 2, 3 at (6 - c, 1)
+        assert delay_sums(stats) == (4, 1 + 1 + 4 + 3, 4, 1 + 1 + 16 + 9, 9, 4)
+
+    @pytest.mark.parametrize("mode, k, hol_cap, real_codec", [
+        ("idealized", 1, None, False), ("relaxed", 1, None, False),
+        ("idealized", 8, None, False), ("relaxed", 8, None, True),
+        ("idealized", 16, 0, False), ("idealized", 4, 10**12, False),
+        ("relaxed", 64, None, False), ("idealized", 16, None, True)])
+    def test_engine_runs_match_the_reference(self, monkeypatch, mode, k, hol_cap, real_codec):
+        cfg = make_config(k=k, n_packets=max(6_000, 200 * k), seed=k, mode=mode,
+                          hol_cap=hol_cap, use_real_codec=real_codec, collect_records=True)
+        got = run_coded(cfg)
+        monkeypatch.setattr(simulator, "_Delivery", ReferenceDelivery)
+        ref = run_coded(cfg)
+        assert delay_sums(got) == delay_sums(ref)
+        assert np.array_equal(got.trace.delay, ref.trace.delay)
+        assert (got.mean_delay, got.std_delay) == (ref.mean_delay, ref.std_delay)
 
 
 def _sparse_bytes(level):
