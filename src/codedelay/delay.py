@@ -21,8 +21,9 @@ truncated_mass.
 import math
 from dataclasses import dataclass
 
-from .kernel import build_kernel
-from .moments import prefix_moments, straggler_moments
+from .kernel import build_kernel, slowest_pmf
+from .moments import prefix_moments, straggler_moments_at
+from .moments import straggler_moments  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 WEIGHT_THRESHOLD = 1e-6
 
@@ -111,9 +112,10 @@ def expected_delay(channel, coding, kern=None, weight_threshold=WEIGHT_THRESHOLD
     blockers = coding.b - 1
     horizon = kern.horizon
 
-    # p_Y from the cdf, once; a z whose largest cell is under the threshold
-    # is skipped whole, since fl(p * wz) is monotone in p
-    cdf = [float(kern.absorption_cdf(r)) for r in range(horizon + 1)]
+    # p_Y, p_Z and the straggler moments from one read of the cdf, by the
+    # same helpers as kern.p_z and straggler_moments; a z whose largest cell
+    # is under the threshold is skipped whole, since fl(p * wz) is monotone in p
+    cdf = kern.absorption_list()
     p_y = [cdf[y] - cdf[y - 1] for y in range(1, horizon + 1)]
     p_y_max = max(p_y, default=0.0)
     mean_terms = []
@@ -128,10 +130,11 @@ def expected_delay(channel, coding, kern=None, weight_threshold=WEIGHT_THRESHOLD
                 break
             wz = 1.0
         else:
-            wz = kern.p_z(blockers, z)
+            wz = slowest_pmf(blockers, cdf[z], cdf[z - 1])
             if wz <= 0.0 or p_y_max * wz < weight_threshold:
                 continue
-        vm = straggler_moments(kern, blockers, z) if z > 1 else None
+        # wz > 0 makes p_y[z - 1] > 0, the condition straggler_moments checks
+        vm = straggler_moments_at(cdf[z], p_y[z - 1], blockers) if z > 1 else None
         for y, py in enumerate(p_y, start=1):
             w = py * wz
             if w < weight_threshold:

@@ -26,6 +26,12 @@ columns; the absorption pass reads each row in place only up to its band,
 and only the rows the still-open sizes' cdfs depend on. Every skipped term
 is an exact 0.0 * u that an in-order sum of non-negative terms would add,
 so the cdfs are the same to the bit as those of full rows.
+
+A grid's outputs read the rows of only some states: every state up to J,
+the largest last[g] over the grid, and the grid sizes above J, whose rows
+read no column past J. The kernel records those states as (J, sizes above
+J), which `needed_states` lists, so that a pass over states (efficiency)
+can skip the rest.
 """
 
 import math
@@ -62,9 +68,11 @@ class TransitionKernel:
 
     A kernel built for a grid of generation sizes also holds the absorption
     cdf of every size in the grid; `block` cuts out the kernel of one of them.
+    `needed` is (J, sizes above J) of the grid it was built for (see the
+    module docstring); without it every state counts as needed.
     """
 
-    def __init__(self, channel, coding, matrix, cdfs, failures):
+    def __init__(self, channel, coding, matrix, cdfs, failures, needed=None):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
@@ -72,6 +80,7 @@ class TransitionKernel:
         self._cdfs = cdfs            # size -> absorption cdf (partial where it failed)
         self._failures = failures    # size -> why its absorption did not converge
         self._absorption = cdfs[self.k]
+        self._needed = needed if needed is not None else (self.k, ())
 
     def block(self, coding):
         """Kernel for coding.k, one of the sizes this kernel was built for.
@@ -87,12 +96,27 @@ class TransitionKernel:
         if k in self._failures:
             raise NumericalError(self._failures[k])
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                {k: self._cdfs[k]}, {})
+                                {k: self._cdfs[k]}, {}, self._needed)
+
+    def needed_states(self):
+        """The states 1..k whose rows an output of this kernel's grid reads, as an ascending list.
+
+        These are 1..J and the grid sizes above J, for J the largest band
+        over the grid: their rows have no nonzero entry in a column outside
+        this set, so a bottom-up pass over states (efficiency) may skip the
+        others. A block lists those up to its own size.
+        """
+        J, above = self._needed
+        return [*range(1, min(J, self.k) + 1), *(g for g in above if g <= self.k)]
 
     @property
     def horizon(self):
         """Largest round index with a stored absorption probability."""
         return len(self._absorption) - 1
+
+    def absorption_list(self):
+        """The stored absorption cdf, [P(Y <= r) for r = 0..horizon], as a list."""
+        return self._absorption.tolist()
 
     def absorption_cdf(self, r):
         """Probability that a generation decodes in at most r rounds.
@@ -124,12 +148,18 @@ class TransitionKernel:
             raise ValueError(f"generation count must be >= 1, got {i}")
         if z < 1:
             return 0.0
-        a = self.absorption_cdf(z)
-        b = self.absorption_cdf(z - 1)
-        if a - b == a:
-            # b is 0 or below a's resolution, where (a-b)/a is exactly 1
-            return a ** i
-        return a ** i * -math.expm1(i * math.log1p(-(a - b) / a))
+        return slowest_pmf(i, self.absorption_cdf(z), self.absorption_cdf(z - 1))
+
+
+def slowest_pmf(i, a, b):
+    """a^i - b^i, the law of the slowest of i generations at z, for the cdf a at z and b at z-1.
+
+    Evaluated as a^i * -expm1(i * log1p(-(a-b)/a)); see TransitionKernel.p_z.
+    """
+    if a - b == a:
+        # b is 0 or below a's resolution, where (a-b)/a is exactly 1
+        return a ** i
+    return a ** i * -math.expm1(i * math.log1p(-(a - b) / a))
 
 
 def _transition_rows(R, k, p_success):
@@ -334,5 +364,7 @@ def build_kernel(channel, coding, ks=None):
         g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")
         for g, tail in tails.items()}
-    kern = TransitionKernel(channel, coding, mat, cdfs, failures)
+    J = int(last[grid].max())
+    needed = (J, tuple(g for g in grid if g > J))
+    kern = TransitionKernel(channel, coding, mat, cdfs, failures, needed)
     return kern if ks is not None else kern.block(coding)

@@ -139,11 +139,17 @@ def straggler_moments(kern, N, z):
     pz = kern.p_z(N, z)
     if pz <= 0.0 or py <= 0.0:
         raise ValueError(f"conditioning event has zero probability (N={N}, z={z})")
-    # Position v carries weight a^(N-1-v) * b^v, a geometric in b/a
-    # truncated to [0, N). Its moments are ratios of the same power sums
-    # used for the prefix length, with 1 - b/a = p_y(z)/a. With one
-    # generation, or when finishing in under z rounds is impossible (b = 0,
-    # so the ratio is 1), only v = 0 carries weight and V_N is 0.
-    a = kern.absorption_cdf(z)
+    return straggler_moments_at(kern.absorption_cdf(z), py, N)
+
+
+def straggler_moments_at(a, py, N):
+    """Straggler moments from the cdf a = P(Y <= z) and py = P(Y = z), both positive.
+
+    Position v carries weight a^(N-1-v) * b^v, a geometric in b/a
+    truncated to [0, N). Its moments are ratios of the same power sums
+    used for the prefix length, with 1 - b/a = py/a. With one generation,
+    or when finishing in under z rounds is impossible (b = 0, so the ratio
+    is 1), only v = 0 carries weight and V_N is 0.
+    """
     g0, g1, g2, _ = _power_sums(py / a, N)
     return StragglerMoments(v1=g1 / g0, v2=g2 / g0)

@@ -13,9 +13,10 @@ by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
 the prefix-length moments by the pmf and mgf of the prefix, the
 efficiency pass by exact rational arithmetic over each round's whole law
-of arrivals, the kernel's row fill by a loop over the (n, state) pairs that fresh binomial
-laws from a generator serve one by one, and the absorption pass by whole
-column blocks of a transposed copy of the matrix.
+of arrivals and by the float pass over every state 1..k, the kernel's row
+fill by a loop over the (n, state) pairs that fresh binomial laws from a
+generator serve one by one, and the absorption pass by whole column blocks
+of a transposed copy of the matrix.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 Nor is `invoke_cli`, which runs one CLI command in-process.
 """
@@ -557,6 +558,22 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
                         variance=max(second - mean * mean, 0.0),
                         truncated_mass=float(1.0 - weight_total),
                         terms_evaluated=evaluated)
+
+
+def reference_received_by_state(kern):
+    """efficiency._received_by_state as it was before it skipped states: every state 1..k."""
+    k = kern.k
+    mat = kern.matrix
+    lo, frac = split_count(kern.coding.R, np.arange(k + 1))
+    received = (lo + frac) * (1.0 - kern.channel.epsilon)
+    em = np.zeros(k + 1)
+    for i in range(1, k + 1):
+        row = mat[i, 1:i]
+        denom = mat[i, 0] + row.sum()
+        if denom <= 0.0:
+            raise ValueError(f"state {i} cannot progress (self-transition probability 1)")
+        em[i] = (received[i] + row @ em[1:i]) / denom
+    return em
 
 
 def exact_received_by_state(R, k, p_success):

@@ -3,7 +3,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codedelay.delay import _case_mean, _case_second, expected_delay
 from codedelay.kernel import build_kernel
@@ -124,13 +124,24 @@ def test_single_generation_in_flight():
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(bdp=st.floats(3.0, 1e7), epsilon=st.floats(0.0, 0.9), k=st.integers(1, 80),
-       margin=st.floats(0.0, 0.5), threshold=st.sampled_from([1e-6, 1e-9, 1e-3]))
-def test_matches_reference_cell_loop(bdp, epsilon, k, margin, threshold):
-    """Taking p_Y once and skipping z rows below the threshold changes no bit."""
+       margin=st.floats(0.0, 0.5), threshold=st.sampled_from([1e-6, 1e-9, 1e-3]),
+       grid=st.one_of(st.none(), st.lists(st.integers(1, 300), min_size=1, max_size=3)))
+@example(bdp=5000.0, epsilon=0.1, k=1, margin=0.1, threshold=1e-6, grid=[2, 37, 300])
+@example(bdp=1e6, epsilon=0.02, k=1, margin=0.05, threshold=1e-9, grid=[5, 300])
+def test_matches_reference_cell_loop(bdp, epsilon, k, margin, threshold, grid):
+    """Reading the cdf once, taking p_Y once and skipping z rows below the
+    threshold changes no bit, for a standalone kernel of size k or for each
+    block of a kernel shared by a grid of sizes up to 300."""
     ch = derive_channel(epsilon, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
+    ks = [k] if grid is None else sorted(set(grid))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AssumptionWarning)
-        cd = derive_coding(ch, k, margin=margin)
-    kern = build_kernel(ch, cd)
-    assert (expected_delay(ch, cd, kern, weight_threshold=threshold)
-            == reference_expected_delay(ch, cd, kern, weight_threshold=threshold))
+        codings = [derive_coding(ch, g, margin=margin) for g in ks]
+    if grid is None:
+        kernels = [build_kernel(ch, codings[0])]
+    else:
+        shared = build_kernel(ch, codings[-1], ks)
+        kernels = [shared.block(cd) for cd in codings]
+    for cd, kern in zip(codings, kernels):
+        assert (expected_delay(ch, cd, kern, weight_threshold=threshold)
+                == reference_expected_delay(ch, cd, kern, weight_threshold=threshold))
