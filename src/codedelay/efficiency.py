@@ -22,7 +22,7 @@ from .params import split_count
 @dataclass(frozen=True)
 class EfficiencyResult:
     expected_received: float
-    eta: float
+    eta: float                  # k / expected_received, clamped to at most 1
     # expected packets received from state i until absorption, i = 0..k; NaN
     # at the states the pass did not visit (outside the kernel's needed states)
     by_state: np.ndarray = field(repr=False, compare=False)
@@ -73,9 +73,11 @@ def _received_by_state(kern):
 
 def _result(em, k):
     m = float(em[k])
-    return EfficiencyResult(expected_received=m, eta=k / m, by_state=em[:k + 1])
+    # A generation needs at least k packets, so eta <= 1; the float pass can
+    # land a few ulp below k where every received packet counts (R = 1)
+    return EfficiencyResult(expected_received=m, eta=min(k / m, 1.0), by_state=em[:k + 1])
 
 
 def efficiency(kern):
-    """Efficiency eta = k / expected packets received."""
+    """Efficiency eta = k / expected packets received, in (0, 1]."""
     return _result(_received_by_state(kern), kern.k)

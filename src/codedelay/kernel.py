@@ -189,8 +189,7 @@ def _transition_rows(R, k, p_success):
     of the pass; its gather writes only columns 1..end - m_min, for its
     largest state end, and the other entries keep np.zeros' zeros. Returns
     (mat, last): last[i] = max(i - m_min, 0) bounds the last nonzero column
-    >= 1 of row i. Raises InputError for R < 1, as coded_count_distribution
-    does.
+    >= 1 of row i. Raises InputError for R < 1.
     """
     if not R >= 1.0:
         raise InputError(f"R must be >= 1, got {R}")

@@ -3,8 +3,7 @@
 The prefix length S is the number of systematic packets received before the
 first loss in a generation's first round. The straggler position V_N locates
 the last-finishing of N concurrent generations, counted from the end. Both
-have closed-form moments that the delay model consumes; the straggler pmf is
-kept so the closed forms can be checked by direct summation.
+have closed-form moments that the delay model consumes.
 """
 
 import math
@@ -107,26 +106,6 @@ class StragglerMoments:
 
     v1: float
     v2: float
-
-
-def straggler_pmf(kern, N, z, v):
-    """Probability that the last finisher of N generations sits v positions from the end.
-
-    Conditions on the slowest of the N needing exactly z rounds; that event
-    must have positive probability.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
-    if not (0 <= v <= N - 1):
-        raise ValueError(f"v must be in [0, {N - 1}], got {v}")
-    pz = kern.p_z(N, z)
-    if pz <= 0.0:
-        raise ValueError(f"conditioning event has zero probability (N={N}, z={z})")
-    a = kern.absorption_cdf(z)
-    b = kern.absorption_cdf(z - 1)
-    return a ** (N - v - 1) * b ** v * kern.p_y(z) / pz
 
 
 def straggler_moments(kern, N, z):

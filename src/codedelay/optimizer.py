@@ -7,6 +7,7 @@ the dips to the local upper envelope so k* selection is not fooled by them;
 raw means are always kept alongside.
 """
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -22,6 +23,8 @@ from .simulator import SimConfig, run_arq
 
 DEFAULT_K_POINTS = 40
 _TIE_REL = 1e-12
+_FIRST_STAGE_TOP = 64   # k_star: the first stage's largest size; each later stage doubles it
+_MASS_MARGIN = 1e-3     # k_star: the truncated mass a pruned point is taken to stay under
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,7 @@ class SweepRecord:
     b: int
     smoothed_mean: Optional[float] = None
     error: Optional[str] = None
+    truncated_mass: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -94,25 +98,39 @@ def _evaluate_point(channel, R, coding, kern, eff):
         dm = expected_delay(channel, coding, kern.block(coding))
         return SweepRecord(k=coding.k, R=R, epsilon=channel.epsilon,
                            bdp=channel.bdp, mean=dm.mean, std=math.sqrt(dm.variance),
-                           eta=eff.at(coding.k).eta, b=coding.b)
+                           eta=eff.at(coding.k).eta, b=coding.b,
+                           truncated_mass=dm.truncated_mass)
     except Exception as exc:  # per-point failures become markers, not aborts
         return _failed_record(channel, R, coding.k, str(exc))
 
 
-def sweep(channel, R, k_range=None):
+def _grid(channel, k_range):
+    """k_range as a list, or the default grid; rejects an empty or unsorted one."""
+    ks = list(k_range) if k_range is not None else default_k_range(channel)
+    if not ks:
+        raise InputError("k_range must be nonempty")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise InputError("k_range must be strictly ascending")
+    return ks
+
+
+def sweep(channel, R, k_range=None, codings=None):
     """Evaluate mean/std delay and efficiency at each k, in order.
 
     One kernel, built at the largest k, serves every point: each k reads its
     leading block, its own absorption cdf and its entry of one efficiency
     pass. A failing point yields a record with its error message instead of
     aborting the sweep.
+
+    `codings` stands in for k_range: CodingParams that `_grid_codings`
+    derived, evaluated as given, with no warning. k_star evaluates its grid
+    in stages this way.
     """
-    ks = list(k_range) if k_range is not None else default_k_range(channel)
-    if not ks:
-        raise InputError("k_range must be nonempty")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise InputError("k_range must be strictly ascending")
-    codings, errors = _grid_codings(channel, R, ks)
+    if codings is None:
+        ks = _grid(channel, k_range)
+        codings, errors = _grid_codings(channel, R, ks)
+    else:
+        ks, errors = [c.k for c in codings], {}
     done = {}
     if codings:
         kern = build_kernel(channel, codings[-1], [c.k for c in codings])
@@ -147,10 +165,124 @@ def smooth_local_maxima(records):
     return out
 
 
+def _lower_bound(channel, k):
+    """(LB(k), m, f(m)): the kernel-free lower bound on the mean delay at k (see k_star)."""
+    eps = channel.epsilon
+    m = float(k) if eps == 0.0 else min(float(k), (1.0 - eps) / eps)
+    f = (k - m) * (k - m + 1.0) / (2.0 * k)
+    return channel.t_p + channel.t_s * (1.0 + f), m, f
+
+
+def _bound_holds(channel, coding):
+    """Whether the premises under which every delay cell at coding is >= LB(k) hold (see k_star)."""
+    t_s, t_p = channel.t_s, channel.t_p
+    if 2.0 * t_p < t_s:     # case 2
+        return False
+    b = coding.b
+    if b < 2:               # no generation ahead: cases 1 and 2 only
+        return True
+    k = coding.k
+    n_k = coding.R * k
+    _, m, f = _lower_bound(channel, k)
+    case3 = 2.0 * t_p - t_s * ((b - 2) * n_k / 2.0 + (k + 1) / 2.0 + f)
+    case4 = 2.0 * t_p + t_s * (n_k - (k + 1) / 2.0 - b * n_k * m / (2.0 * k) - f)
+    return case3 >= 0.0 and case4 >= 0.0
+
+
+def _cut(channel, codings, limit):
+    """Index of the first of the trailing codings whose points provably stay above `limit`."""
+    cut = len(codings)
+    while cut:
+        coding = codings[cut - 1]
+        lb = _lower_bound(channel, coding.k)[0]
+        if not ((1.0 - _MASS_MARGIN) * lb > limit and _bound_holds(channel, coding)):
+            break
+        cut -= 1
+    return cut
+
+
 def k_star(channel, R, k_range=None):
-    """Smallest k minimizing the smoothed mean delay; returns (k, record)."""
-    records = smooth_local_maxima(sweep(channel, R, k_range))
-    valid = [r for r in records if r.error is None]
+    """Smallest k minimizing the smoothed mean delay; returns (k, record).
+
+    The result is that of the selection over
+    smooth_local_maxima(sweep(channel, R, k_range)), bit for bit, but the
+    grid is evaluated in stages and the search stops where a lower bound on
+    the mean delay passes the best smoothed mean.
+
+    Stages. Each stage evaluates, with one `sweep` and so one kernel, the
+    grid sizes not yet evaluated up to a top of 64, 128, 256, ... in turn.
+    Rows, absorption cdfs and efficiency values do not depend on the
+    kernel's size, and smooth_local_maxima reads only earlier records, so
+    every record of the evaluated prefix equals the full sweep's. After a
+    stage, best is the least smoothed mean so far, limit = best + tol as in
+    the selection, and the cut is the first of the grid's trailing sizes
+    with (1 - tau)*LB(k) > limit whose premises (below) hold. The search
+    stops once the prefix reaches the cut, and no stage passes it.
+
+    The bound. With m = min(k, (1 - eps)/eps) (k at eps = 0) and
+    f(s) = (k - s)(k - s + 1)/(2k), which is convex and decreasing on
+    [0, k], LB(k) = t_p + t_s*(1 + f(m)). Every (y, z) cell that
+    expected_delay evaluates at k has a conditional mean >= LB(k):
+
+    1. y = 1, z = 1. Expanding the case formula gives t_p + t_s*(1 + E[f(S)])
+       under S's first-round law, a geometric truncated at k, with
+       E[S] <= min(k, (1 - eps)/eps) = m. Jensen's inequality and the
+       monotonicity of f give E[f(S)] >= f(E[S]) >= f(m).
+    2. y > 1, z = 1. The formula equals t_p + t_s*(1 + E2[f(S)]), with E2
+       the s2 law (S given S < k, so E2[S] <= m as in case 1), plus
+       (1 - s2_1/k)*((n_k - k - 1)*t_s + 2(y - 1)*t_p). There s2_1 < k,
+       n_k >= k and y >= 2, so the added term is >= 0 when 2*t_p >= t_s.
+    3. z > y, so z >= 2. mean - LB = 2(z - 1)*t_p
+       - t_s*(v1*n_k + (k + 1)/2 + f(m)). The straggler weights
+       a^(N-1-v) * b^v of the N = b - 1 generations ahead do not grow with
+       v, so v1 <= (N - 1)/2 = (b - 2)/2, and mean - LB >=
+       2*t_p - t_s*((b - 2)*n_k/2 + (k + 1)/2 + f(m)).
+    4. y >= z >= 2. mean - LB = (2(z - 1) + 2(y - z)(1 - s2_1/k))*t_p
+       + t_s*(n_k - (k + 1)/2 - (n_k/k)*(v1 + 1)*s2_1 - f(m)). The t_p
+       factor is >= 2, and with v1 + 1 <= b/2 (as in case 3) and
+       s2_1 <= m (as in case 2) this is >=
+       2*t_p + t_s*(n_k - (k + 1)/2 - b*n_k*m/(2k) - f(m)).
+
+    The premises, checked at every pruned k by _bound_holds, are
+    2*t_p >= t_s, and, where b >= 2 (b = 1 pins z at 1), that the bounds of
+    cases 3 and 4 are >= 0. They can fail: at eps 0.5, k 2, R 1, BDP 3 and
+    t_p = 0.6*t_s, a case-3 cell lies below LB. The evaluated cells' weights
+    sum to 1 - tm, tm the truncated mass, so mean >= (1 - tm)*LB(k), and the
+    smoothed mean is >= the mean.
+
+    The one step not proved: a pruned point's tm is not known. The search
+    takes it to be <= tau = _MASS_MARGIN, and evaluates the rest of the grid
+    in one stage as soon as an evaluated point reports tm > tau. A pruned
+    point then has smoothed >= (1 - tau)*LB(k) > limit, so it can neither
+    tie nor lower the best. The argument is about exact values; the few ulp
+    by which the computed sums round are taken to fit in the same margin.
+
+    When nothing is pruned, the stages' kernels cost about 1.33 times one
+    kernel to the grid's top (64^2 + 128^2 + ... + 1024^2 over 1024^2).
+    """
+    codings, _ = _grid_codings(channel, R, _grid(channel, k_range))
+    sizes = [c.k for c in codings]
+    bounded = 2.0 * channel.t_p >= channel.t_s
+    records, smoothed, done, cut, top = [], [], 0, len(codings), _FIRST_STAGE_TOP
+    while done < cut:
+        end = min(bisect.bisect_right(sizes, top), cut) if bounded else cut
+        top *= 2
+        if end == done:
+            continue
+        stage = sweep(channel, R, codings=codings[done:end])
+        records += stage
+        done = end
+        smoothed = smooth_local_maxima(records)
+        if not bounded:
+            continue
+        if any(r.error is None and r.truncated_mass > _MASS_MARGIN for r in stage):
+            bounded, cut = False, len(codings)
+            continue
+        means = [r.smoothed_mean for r in smoothed if r.error is None]
+        if means:
+            best = min(means)
+            cut = _cut(channel, codings, best + _TIE_REL * abs(best))
+    valid = [r for r in smoothed if r.error is None]
     if not valid:
         raise ValueError("every sweep point failed; no k* exists")
     best = min(r.smoothed_mean for r in valid)

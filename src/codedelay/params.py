@@ -133,23 +133,6 @@ def split_count(R, i):
     return lo, ri - lo
 
 
-def coded_count_distribution(R, i):
-    """Distribution of the per-round transmit count for a state needing i dofs.
-
-    R*i packets are sent on average; the fractional part is realized by
-    randomizing between floor(R*i) and ceil(R*i). Returns a dict mapping count
-    to probability (a single point mass when R*i is integral).
-    """
-    if R < 1:
-        raise InputError(f"R must be >= 1, got {R}")
-    if i < 1:
-        raise InputError(f"i must be >= 1, got {i}")
-    lo, frac = split_count(R, i)
-    if frac == 0.0:
-        return {lo: 1.0}
-    return {lo: 1.0 - frac, lo + 1: frac}
-
-
 @dataclass(frozen=True)
 class CodingParams:
     """Generation size, redundancy and the derived in-flight generation count.

@@ -15,8 +15,10 @@ the prefix-length moments by the pmf and mgf of the prefix, the
 efficiency pass by exact rational arithmetic over each round's whole law
 of arrivals and by the float pass over every state 1..k, the kernel's row
 fill by a loop over the (n, state) pairs that fresh binomial laws from a
-generator serve one by one, and the absorption pass by whole column blocks
-of a transposed copy of the matrix.
+generator serve one by one, the absorption pass by whole column blocks
+of a transposed copy of the matrix, the bounded k* search by the selection
+over the whole grid's sweep, and the straggler moments by sums of the
+straggler pmf.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 Nor is `invoke_cli`, which runs one CLI command in-process.
 """
@@ -38,7 +40,8 @@ from codedelay.gf256 import INV, MUL
 from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
                               _transition_rows)
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.params import coded_count_distribution, redundancy_from_margin, split_count
+from codedelay.optimizer import _TIE_REL, smooth_local_maxima, sweep
+from codedelay.params import InputError, redundancy_from_margin, split_count
 from codedelay.simulator import _Delivery
 
 
@@ -48,6 +51,44 @@ from codedelay.simulator import _Delivery
 DESIGN_CHANNELS = [(redundancy_from_margin(m, e), 1.0 - e)
                    for e, m in ((0.1187, 0.195), (0.2637, 0.055), (0.0462, 0.265),
                                 (0.1913, 0.125))]
+
+
+def coded_count_distribution(R, i):
+    """Distribution of the per-round transmit count for a state needing i dofs.
+
+    R*i packets are sent on average; the fractional part is realized by
+    randomizing between floor(R*i) and ceil(R*i). Returns a dict mapping count
+    to probability (a single point mass when R*i is integral).
+    """
+    if R < 1:
+        raise InputError(f"R must be >= 1, got {R}")
+    if i < 1:
+        raise InputError(f"i must be >= 1, got {i}")
+    lo, frac = split_count(R, i)
+    if frac == 0.0:
+        return {lo: 1.0}
+    return {lo: 1.0 - frac, lo + 1: frac}
+
+
+def straggler_pmf(kern, N, z, v):
+    """Probability that the last finisher of N generations sits v positions from the end.
+
+    Conditions on the slowest of the N needing exactly z rounds; that event
+    must have positive probability. The closed-form straggler moments are
+    checked against sums of this pmf.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if z < 1:
+        raise ValueError(f"z must be >= 1, got {z}")
+    if not (0 <= v <= N - 1):
+        raise ValueError(f"v must be in [0, {N - 1}], got {v}")
+    pz = kern.p_z(N, z)
+    if pz <= 0.0:
+        raise ValueError(f"conditioning event has zero probability (N={N}, z={z})")
+    a = kern.absorption_cdf(z)
+    b = kern.absorption_cdf(z - 1)
+    return a ** (N - v - 1) * b ** v * kern.p_y(z) / pz
 
 
 def kernel_row(i, n, p_success):
@@ -519,19 +560,17 @@ def reference_trace_csv(stats, config, out):
     out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
 
 
-def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRESHOLD):
-    """delay.expected_delay as it was before it took p_Y once and skipped whole z rows."""
+def reference_delay_cells(channel, coding, kern, weight_threshold=WEIGHT_THRESHOLD):
+    """(y, z, weight, mean, second moment) of each cell the delay sums evaluate, in order.
+
+    The mean and second moment are the delay's, conditioned on (Y=y, Z=z).
+    """
     k = coding.k
     n_k = coding.R * k
     t_s, t_p = channel.t_s, channel.t_p
     pm = prefix_moments(channel.epsilon, k)
     blockers = coding.b - 1
     horizon = kern.horizon
-
-    mean_terms = []
-    second_terms = []
-    weight_total = 0.0
-    evaluated = 0
     for z in range(1, horizon + 1):
         if blockers == 0:
             if z > 1:
@@ -546,18 +585,40 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
             w = kern.p_y(y) * wz
             if w < weight_threshold:
                 continue
-            d1 = _case_mean(y, z, k, n_k, t_s, t_p, pm, vm)
-            d2 = _case_second(y, z, k, n_k, t_s, t_p, pm, vm)
-            mean_terms.append(w * d1)
-            second_terms.append(w * d2)
-            weight_total += w
-            evaluated += 1
+            yield (y, z, w, _case_mean(y, z, k, n_k, t_s, t_p, pm, vm),
+                   _case_second(y, z, k, n_k, t_s, t_p, pm, vm))
+
+
+def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRESHOLD):
+    """delay.expected_delay as it was before it took p_Y once and skipped whole z rows."""
+    mean_terms = []
+    second_terms = []
+    weight_total = 0.0
+    evaluated = 0
+    for _, _, w, d1, d2 in reference_delay_cells(channel, coding, kern, weight_threshold):
+        mean_terms.append(w * d1)
+        second_terms.append(w * d2)
+        weight_total += w
+        evaluated += 1
     mean = math.fsum(mean_terms)
     second = math.fsum(second_terms)
     return DelayMoments(mean=mean, second_moment=second,
                         variance=max(second - mean * mean, 0.0),
                         truncated_mass=float(1.0 - weight_total),
                         terms_evaluated=evaluated)
+
+
+def reference_k_star(channel, R, k_range=None):
+    """optimizer.k_star as it was before it stopped early: the selection over the whole sweep."""
+    records = smooth_local_maxima(sweep(channel, R, k_range))
+    valid = [r for r in records if r.error is None]
+    if not valid:
+        raise ValueError("every sweep point failed; no k* exists")
+    best = min(r.smoothed_mean for r in valid)
+    tol = _TIE_REL * abs(best)
+    winner = min((r for r in valid if r.smoothed_mean <= best + tol),
+                 key=lambda r: r.k)
+    return winner.k, winner
 
 
 def reference_received_by_state(kern):

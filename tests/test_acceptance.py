@@ -18,12 +18,12 @@ from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
 from codedelay.gf256 import MUL
 from codedelay.kernel import build_kernel
-from codedelay.moments import prefix_moments, straggler_moments, straggler_pmf
+from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.optimizer import k_star, tradeoff_curve
 from codedelay.params import derive_channel, derive_coding
 from codedelay.simulator import SimConfig, run_arq, run_coded
 
-from .helpers import brute_force_row, kernel_row, mixture_row
+from .helpers import brute_force_row, kernel_row, mixture_row, straggler_pmf
 
 
 def std_channel(epsilon):

@@ -21,10 +21,9 @@ from codedelay import cli
 from codedelay.cli import main
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
-from codedelay.kernel import build_kernel, check_generation_size
+from codedelay.kernel import _transition_rows, build_kernel, check_generation_size
 from codedelay.optimizer import default_k_range, sweep
-from codedelay.params import (InputError, coded_count_distribution, derive_channel,
-                              derive_coding, redundancy_from_margin)
+from codedelay.params import InputError, derive_channel, derive_coding, redundancy_from_margin
 from codedelay.simulator import MAX_PACKETS, SimConfig, replicate
 
 from .helpers import invoke_cli
@@ -323,7 +322,7 @@ def _std_channel(rtt=0.1):
     lambda: derive_channel(1.5, rate=1e7, packet_size=1e4, rtt=0.1),
     lambda: derive_coding(_std_channel(), 0, margin=0.1),
     lambda: redundancy_from_margin(-1.0, 0.1),
-    lambda: coded_count_distribution(0.5, 3),
+    lambda: _transition_rows(0.5, 3, 0.9),
     lambda: check_generation_size(5000),
     lambda: sweep(_std_channel(), 1.2, []),
     lambda: default_k_range(_std_channel(rtt=1.5e-3)),

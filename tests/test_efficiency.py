@@ -63,7 +63,7 @@ class TestReceivedByState:
                 for got, want in zip(res.by_state[1:], exact[1:]):
                     assert abs(Fraction(got) - want) <= 1e-14 * want, (R, k)
                 for j in range(1, k + 1):
-                    assert res.at(j).eta == j / res.by_state[j]
+                    assert res.at(j).eta == min(j / res.by_state[j], 1.0)
 
 
 class TestEfficiency:
@@ -80,6 +80,21 @@ class TestEfficiency:
             res = efficiency(make_kernel(eps, k, R))
             assert 0.0 < res.eta <= 1.0
             assert res.eta == pytest.approx(k / res.expected_received)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.3])
+    def test_no_redundancy_never_prints_above_one(self, eps):
+        """At R = 1 every received packet is innovative, so eta is 1 up to rounding.
+
+        The pass lands a few ulp either side of k at some sizes; eta is
+        clamped, so it never exceeds 1.
+        """
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, rtt=1.0)
+        ks = list(range(1, 201))
+        res = efficiency(build_kernel(ch, derive_coding(ch, 200, R=1.0), ks))
+        assert any(k / res.by_state[k] > 1.0 for k in ks)
+        for k in ks:
+            assert 1.0 - 1e-14 <= res.at(k).eta <= 1.0
+            assert res.at(k).eta == min(k / res.by_state[k], 1.0)
 
     def test_more_redundancy_costs_efficiency(self):
         etas = [efficiency(make_kernel(0.1, 8, R)).eta for R in (1.0, 1.25, 1.5, 2.0)]
@@ -105,7 +120,7 @@ class TestNeededStates:
         ref = reference_received_by_state(kern)
         for g in ks:
             assert res.at(g).expected_received == ref[g]
-            assert res.at(g).eta == g / ref[g]
+            assert res.at(g).eta == min(g / ref[g], 1.0)
         visited = kern.needed_states()
         assert np.array_equal(res.by_state[visited], ref[visited])
         skipped = np.ones(k + 1, dtype=bool)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedelay.kernel import build_kernel
-from codedelay.moments import _power_sums, prefix_moments, straggler_moments, straggler_pmf
+from codedelay.moments import _power_sums, prefix_moments, straggler_moments
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import prefix_mgf, prefix_pmf
+from .helpers import prefix_mgf, prefix_pmf, straggler_pmf
 
 
 def direct_prefix_moment(epsilon, k, first_round, power):

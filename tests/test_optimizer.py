@@ -2,23 +2,30 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from codedelay import optimizer
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
 from codedelay.kernel import MAX_K, NumericalError, build_kernel
 from codedelay.optimizer import (
     SweepRecord,
+    _bound_holds,
+    _lower_bound,
     default_k_range,
     k_star,
     smooth_local_maxima,
     sweep,
     tradeoff_curve,
 )
-from codedelay.params import AssumptionWarning, derive_channel, derive_coding
+from codedelay.params import (AssumptionWarning, derive_channel, derive_coding,
+                              redundancy_from_margin)
+
+from .helpers import reference_delay_cells, reference_k_star
 
 
 def std_channel(epsilon=0.1):
@@ -203,6 +210,144 @@ class TestKStar:
         ch = std_channel()
         with pytest.raises(ValueError):
             k_star(ch, 1.25, k_range=[4097, 5000])
+
+
+def bdp_channel(epsilon, bdp):
+    """A 1 ms-slot channel whose rtt is bdp slots (the BDP is its ceiling)."""
+    return derive_channel(epsilon, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
+
+
+def _outcome(search, channel, R, k_range):
+    """search's result (None if it raised), and the repr of it or of the error, with the warnings."""
+    result = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = search(channel, R, k_range)
+            out = repr(result)
+        except ValueError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return result, (out, [(w.category, str(w.message)) for w in caught])
+
+
+class TestBoundedKStar:
+    """k_star stops where LB(k) passes the best; it must select what the full grid does."""
+
+    @given(eps=st.floats(0.0, 0.5), log_bdp=st.floats(math.log10(2.5), 4.0),
+           margin=st.floats(0.0, 0.5),
+           grid=st.one_of(st.none(),
+                          st.tuples(st.lists(st.integers(1, 1200), min_size=1, max_size=12,
+                                             unique=True),
+                                    st.lists(st.sampled_from([5000, 70_000]), unique=True))))
+    @example(eps=0.5, log_bdp=math.log10(2.2), margin=0.0, grid=([1, 2, 3, 4], []))
+    @example(eps=0.1187, log_bdp=math.log10(178), margin=0.195, grid=None)
+    @example(eps=0.0462, log_bdp=4.0, margin=0.265, grid=None)
+    @example(eps=0.0, log_bdp=2.0, margin=0.0, grid=([2, 8, 64, 99], [5000]))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_matches_the_full_grid_bit_for_bit(self, eps, log_bdp, margin, grid):
+        ch = bdp_channel(eps, 10 ** log_bdp)
+        R = redundancy_from_margin(margin, eps)
+        ks = None if grid is None else sorted(grid[0]) + sorted(grid[1])
+        if ks is None and ch.bdp < 3:
+            return
+        seen = []
+        with mock.patch.object(optimizer, "sweep", self._counting(seen)):
+            result, got = _outcome(k_star, ch, R, ks)
+        assert got == _outcome(reference_k_star, ch, R, ks)[1]
+        if result is None:
+            return
+        # every point it skipped provably sits above the winner
+        winner = result[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            codings, _ = optimizer._grid_codings(ch, R, ks or default_k_range(ch))
+        for cd in codings[len(seen):]:
+            assert _bound_holds(ch, cd)
+            assert (1.0 - optimizer._MASS_MARGIN) * _lower_bound(ch, cd.k)[0] > winner.smoothed_mean
+
+    @staticmethod
+    def _counting(seen, full=optimizer.sweep):
+        """optimizer.sweep, adding the sizes it evaluates to `seen`."""
+        def counting(*args, **kwargs):
+            records = full(*args, **kwargs)
+            seen.extend(r.k for r in records)
+            return records
+        return counting
+
+    def _evaluated(self, monkeypatch, channel, R, k_range=None):
+        """The sizes k_star evaluates, in the order it evaluates them."""
+        seen = []
+        monkeypatch.setattr(optimizer, "sweep", self._counting(seen))
+        k_star(channel, R, k_range)
+        return seen
+
+    def test_stops_past_k_star_in_doubling_stages(self, monkeypatch):
+        ch = bdp_channel(0.0462, 10_000)
+        R = redundancy_from_margin(0.265, 0.0462)
+        grid = default_k_range(ch)
+        seen = self._evaluated(monkeypatch, ch, R)
+        assert seen == grid[:len(seen)]
+        assert max(seen) <= 64 < grid[-1]
+        assert k_star(ch, R)[0] < max(seen)
+
+    def test_mass_over_the_margin_evaluates_the_whole_grid(self, monkeypatch):
+        ch = bdp_channel(0.0462, 10_000)
+        R = redundancy_from_margin(0.265, 0.0462)
+        monkeypatch.setattr(optimizer, "_MASS_MARGIN", 0.0)
+        assert self._evaluated(monkeypatch, ch, R) == default_k_range(ch)
+
+    def test_the_cut_stops_below_a_point_whose_premises_fail(self):
+        ch = bdp_channel(0.5, 40.5)     # 2*t_p = 39.5*t_s; at k 40, R 1, b is 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            codings = [derive_coding(ch, k, R=1.0) for k in (8, 16, 32, 40)]
+        assert [_bound_holds(ch, cd) for cd in codings] == [True, True, True, False]
+        assert optimizer._cut(ch, codings, 0.0) == 4
+        assert optimizer._cut(ch, codings[:3], 0.0) == 0
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    def test_no_pruning_where_a_premise_fails(self, monkeypatch):
+        ch = bdp_channel(0.1, 1.5)      # 2*t_p = 0.5*t_s < t_s
+        assert 2.0 * ch.t_p < ch.t_s
+        assert self._evaluated(monkeypatch, ch, 1.25, [1, 2, 4, 8]) == [1, 2, 4, 8]
+
+
+class TestLowerBound:
+    """LB(k) bounds every evaluated delay cell from below where its premises hold."""
+
+    @given(eps=st.floats(0.0, 0.5), log_bdp=st.floats(math.log10(2.5), 4.0),
+           margin=st.floats(0.0, 0.5), k=st.integers(1, 300))
+    @example(eps=0.3, log_bdp=2.0, margin=0.3, k=40)
+    @example(eps=0.01, log_bdp=4.0, margin=0.02, k=300)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_cells_and_mean_sit_above_the_bound(self, eps, log_bdp, margin, k):
+        ch = bdp_channel(eps, 10 ** log_bdp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            cd = derive_coding(ch, k, margin=margin)
+        if not _bound_holds(ch, cd):
+            return
+        lb = _lower_bound(ch, k)[0]
+        kern = build_kernel(ch, cd)
+        for y, z, _, mean, _ in reference_delay_cells(ch, cd, kern):
+            assert mean >= lb * (1.0 - 1e-12), (y, z)
+        dm = expected_delay(ch, cd, kern)
+        assert dm.mean >= (1.0 - dm.truncated_mass) * lb * (1.0 - 1e-12)
+
+    def test_a_cell_falls_below_where_the_premises_fail(self):
+        ch = bdp_channel(0.5, 2.2)      # t_p = 0.6 * t_s, BDP 3
+        cd = derive_coding(ch, 2, R=1.0)
+        assert (ch.bdp, cd.b) == (3, 2)
+        assert not _bound_holds(ch, cd)
+        lb = _lower_bound(ch, 2)[0]
+        cells = list(reference_delay_cells(ch, cd, build_kernel(ch, cd)))
+        assert any(z > y and mean < lb for y, z, _, mean, _ in cells)
+
+    def test_rises_with_k(self):
+        ch = bdp_channel(0.1, 10_000)
+        bounds = [_lower_bound(ch, k)[0] for k in range(1, 1025)]
+        assert bounds[:9] == [ch.t_p + ch.t_s] * 9   # k <= (1 - eps)/eps = 9
+        assert all(b >= a for a, b in zip(bounds, bounds[1:]))
 
 
 class TestTradeoffCurve:

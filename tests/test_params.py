@@ -11,12 +11,13 @@ from codedelay.params import (
     MAX_ROUND_PACKETS,
     AssumptionWarning,
     InputError,
-    coded_count_distribution,
     derive_channel,
     derive_coding,
     redundancy_from_margin,
     split_count,
 )
+
+from .helpers import coded_count_distribution
 
 INF, NAN = float("inf"), float("nan")
 
