@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-def _power_sums(d, n):
+def _power_sums(d, n, cubes=True):
     """Sums of s^i * (1-d)^s over s in [0, n), for i = 0, 1, 2, 3.
 
     The textbook closed forms for these truncated geometric sums subtract
@@ -21,27 +21,38 @@ def _power_sums(d, n):
     set bit of n appends the single term s = m. Every term is nonnegative,
     rho^m is computed directly as exp(m * log1p(-d)), and the cost is
     O(log n). At d = 1, log1p(-d) is -inf and only s = 0 carries weight.
+
+    The loop updates the four sums in place, the cube sum first, since each
+    sum's step reads only the lower ones. The appended term is rho^m times
+    1, m, m^2 and m^3, the shift formula's products with the sums over
+    [0, 1) = (1, 0, 0, 0) taken exactly. With cubes false the cube sum is
+    skipped and returned as 0.0.
     """
     if n <= 0:
         return 0.0, 0.0, 0.0, 0.0
     ld = math.log1p(-d) if d < 1.0 else -math.inf
-
-    def join(lo, hi, m):
-        # sums of lo over [0, m) followed by those of hi shifted to start at m
-        r, mf = math.exp(m * ld), float(m)
-        h0, h1, h2, h3 = hi
-        return (lo[0] + r * h0,
-                lo[1] + r * (h1 + mf * h0),
-                lo[2] + r * (h2 + mf * (2.0 * h1 + mf * h0)),
-                lo[3] + r * (h3 + mf * (3.0 * h2 + mf * (3.0 * h1 + mf * h0))))
-
-    one = (1.0, 0.0, 0.0, 0.0)   # the sums over [0, 1), for the leading bit of n
-    g, m = one, 1
+    exp = math.exp
+    g0, g1, g2, g3 = 1.0, 0.0, 0.0, 0.0   # the sums over [0, 1), for the leading bit of n
+    m = 1
     for bit in bin(n)[3:]:
-        g, m = join(g, g, m), 2 * m
+        # [0, m) followed by itself shifted to start at m
+        r, mf = exp(m * ld), float(m)
+        if cubes:
+            g3 = g3 + r * (g3 + mf * (3.0 * g2 + mf * (3.0 * g1 + mf * g0)))
+        g2 = g2 + r * (g2 + mf * (2.0 * g1 + mf * g0))
+        g1 = g1 + r * (g1 + mf * g0)
+        g0 = g0 + r * g0
+        m *= 2
         if bit == "1":
-            g, m = join(g, one, m), m + 1
-    return g
+            r, mf = exp(m * ld), float(m)
+            mm = mf * mf
+            if cubes:
+                g3 = g3 + r * (mf * mm)
+            g2 = g2 + r * mm
+            g1 = g1 + r * mf
+            g0 = g0 + r
+            m += 1
+    return g0, g1, g2, g3
 
 
 @dataclass(frozen=True)
@@ -118,17 +129,18 @@ def straggler_moments(kern, N, z):
     pz = kern.p_z(N, z)
     if pz <= 0.0 or py <= 0.0:
         raise ValueError(f"conditioning event has zero probability (N={N}, z={z})")
-    return straggler_moments_at(kern.absorption_cdf(z), py, N)
+    return StragglerMoments(*straggler_moments_at(kern.absorption_cdf(z), py, N))
 
 
 def straggler_moments_at(a, py, N):
-    """Straggler moments from the cdf a = P(Y <= z) and py = P(Y = z), both positive.
+    """E[V_N] and E[V_N^2], as two floats, from a = P(Y <= z) and py = P(Y = z), both positive.
 
     Position v carries weight a^(N-1-v) * b^v, a geometric in b/a
     truncated to [0, N). Its moments are ratios of the same power sums
-    used for the prefix length, with 1 - b/a = py/a. With one generation,
-    or when finishing in under z rounds is impossible (b = 0, so the ratio
-    is 1), only v = 0 carries weight and V_N is 0.
+    used for the prefix length, with 1 - b/a = py/a; the cube sum is not
+    needed. With one generation, or when finishing in under z rounds is
+    impossible (b = 0, so the ratio is 1), only v = 0 carries weight and
+    V_N is 0.
     """
-    g0, g1, g2, _ = _power_sums(py / a, N)
-    return StragglerMoments(v1=g1 / g0, v2=g2 / g0)
+    g0, g1, g2, _ = _power_sums(py / a, N, False)
+    return g1 / g0, g2 / g0

@@ -10,15 +10,16 @@ echelon list with systematic payloads kept apart, and a Gauss-Jordan pass
 at decode), the relaxed link schedule by a float event heap, the in-order
 delivery by a per-packet comparison over (generations, k) arrays, the trace file
 by a writer that calls repr on both float columns of every row, the delay
-sums by the cell loop that reads p_Y from the kernel for every (z, y) cell,
-the prefix-length moments by the pmf and mgf of the prefix, the
-efficiency pass by exact rational arithmetic over each round's whole law
-of arrivals and by the float pass over every state 1..k, the kernel's row
-fill by a loop over the (n, state) pairs that fresh binomial laws from a
-generator serve one by one, the absorption pass by whole column blocks
-of a transposed copy of the matrix, the bounded k* search by the selection
-over the whole grid's sweep, and the straggler moments by sums of the
-straggler pmf.
+sums by the cell loop that reads p_Y from the kernel for every (z, y) cell
+and evaluates each cell's case formula whole, the power-sum doubling by a
+join of per-step tuples, the prefix-length moments by the pmf and mgf of
+the prefix, the efficiency pass by exact rational arithmetic over each
+round's whole law of arrivals and by the float pass over every state 1..k,
+the kernel's row fill by a loop over the (n, state) pairs that fresh
+binomial laws from a generator serve one by one, the absorption pass by
+whole column blocks of a transposed copy of the matrix, the bounded k*
+search by the selection over the whole grid's sweep, and the straggler
+moments by sums of the straggler pmf.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 Nor is `invoke_cli`, which runs one CLI command in-process.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from codedelay.cli import main
 from codedelay.codec import CodedPacket
-from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, _case_mean, _case_second
+from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments
 from codedelay.gf256 import INV, MUL
 from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
                               _transition_rows)
@@ -558,6 +559,86 @@ def reference_trace_csv(stats, config, out):
     t = stats.trace
     columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
     out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
+
+
+def reference_power_sums(d, n):
+    """moments._power_sums as it was before it updated the sums in place: a join of tuples."""
+    if n <= 0:
+        return 0.0, 0.0, 0.0, 0.0
+    ld = math.log1p(-d) if d < 1.0 else -math.inf
+
+    def join(lo, hi, m):
+        # sums of lo over [0, m) followed by those of hi shifted to start at m
+        r, mf = math.exp(m * ld), float(m)
+        h0, h1, h2, h3 = hi
+        return (lo[0] + r * h0,
+                lo[1] + r * (h1 + mf * h0),
+                lo[2] + r * (h2 + mf * (2.0 * h1 + mf * h0)),
+                lo[3] + r * (h3 + mf * (3.0 * h2 + mf * (3.0 * h1 + mf * h0))))
+
+    one = (1.0, 0.0, 0.0, 0.0)   # the sums over [0, 1), for the leading bit of n
+    g, m = one, 1
+    for bit in bin(n)[3:]:
+        g, m = join(g, g, m), 2 * m
+        if bit == "1":
+            g, m = join(g, one, m), m + 1
+    return g
+
+
+def _case_mean(y, z, k, n_k, t_s, t_p, pm, vm):
+    """Mean delay conditioned on (Y=y, Z=z). vm is needed only when z > 1."""
+    if z == 1:
+        if y == 1:
+            return (t_s / (2.0 * k)) * (pm.s1_2 - (2.0 * k + 1.0) * pm.s1_1
+                                        + k * (k + 3.0)) + t_p
+        return (((1.0 / (2.0 * k)) * pm.s2_2
+                 - ((2.0 * n_k - 1.0) / (2.0 * k)) * pm.s2_1
+                 + n_k - 0.5 * k + 0.5) * t_s
+                - ((2.0 / k) * (y - 1.0) * pm.s2_1 - 2.0 * y + 1.0) * t_p)
+    if z > y:
+        return (2.0 * z - 1.0) * t_p - (vm.v1 * n_k + (k - 1.0) / 2.0) * t_s
+    return (((2.0 * (z - y) / k) * pm.s2_1 + 2.0 * y - 1.0) * t_p
+            - ((n_k / k) * (vm.v1 + 1.0) * pm.s2_1 - n_k + 0.5 * k - 0.5) * t_s)
+
+
+def _case_second(y, z, k, n_k, t_s, t_p, pm, vm):
+    """Second moment of the delay conditioned on (Y=y, Z=z)."""
+    if z == 1:
+        if y == 1:
+            return (t_p ** 2 + (k + 3.0) * t_p * t_s
+                    + (2.0 * k * k + 9.0 * k + 13.0) / 6.0 * t_s ** 2
+                    - ((k + 3.0 + 7.0 / (6.0 * k)) * t_s ** 2
+                       + ((2.0 * k + 1.0) / k) * t_p * t_s) * pm.s1_1
+                    + (((2.0 * k + 3.0) / (2.0 * k)) * t_s ** 2
+                       + (1.0 / k) * t_p * t_s) * pm.s1_2
+                    - t_s ** 2 / (3.0 * k) * pm.s1_3)
+        return ((n_k * (n_k - k + 1.0)
+                 + (2.0 * k ** 3 - 3.0 * k * k + k + 6.0) / (6.0 * k)) * t_s ** 2
+                + (2.0 * n_k * (2.0 * y - 1.0) - 2.0 * y * (k - 1.0)
+                   + k - 1.0 + 2.0 / k) * t_p * t_s
+                + (1.0 / (2.0 * k)) * ((2.0 * n_k + 1.0) * t_s ** 2
+                                       + 2.0 * (2.0 * y - 1.0) * t_p * t_s) * pm.s2_2
+                - t_s ** 2 / (3.0 * k) * pm.s2_3
+                - (1.0 / k) * ((n_k * n_k + n_k + 1.0 / 6.0) * t_s ** 2
+                               + (2.0 * y - 1.0) * (2.0 * n_k + 1.0) * t_p * t_s
+                               + (2.0 * y - 1.0) ** 2 * t_p ** 2) * pm.s2_1
+                + ((2.0 * y - 1.0) ** 2 + 1.0 / k) * t_p ** 2)
+    if z > y:
+        return ((n_k * n_k * vm.v2
+                 + (k - 1.0) * (n_k * vm.v1 + k / 3.0 - 1.0 / 6.0)) * t_s ** 2
+                - (2.0 * z - 1.0) * (2.0 * n_k * vm.v1 + k - 1.0) * t_p * t_s
+                + (2.0 * z - 1.0) ** 2 * t_p ** 2)
+    return ((2.0 * y - 1.0) * ((2.0 * n_k - k + 1.0) * t_s * t_p
+                               + (2.0 * y - 1.0) * t_p ** 2)
+            + (n_k * (n_k - k + 1.0)
+               + (2.0 * k * k - 3.0 * k + 1.0) / 6.0) * t_s ** 2
+            + (1.0 / k) * (n_k * (vm.v1 + 1.0) * t_s ** 2
+                           + 2.0 * (y - z) * t_p * t_s) * pm.s2_2
+            + (1.0 / k) * (n_k * (n_k * (vm.v2 - 1.0) - vm.v1 - 1.0) * t_s ** 2
+                           - 2.0 * (n_k * (vm.v1 * (2.0 * z - 1.0)
+                                           + (2.0 * y - 1.0)) + y - z) * t_p * t_s
+                           - 4.0 * (y - z) * (y + z - 1.0) * t_p ** 2) * pm.s2_1)
+
 
 
 def reference_delay_cells(channel, coding, kern, weight_threshold=WEIGHT_THRESHOLD):

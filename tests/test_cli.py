@@ -14,7 +14,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codedelay
 from codedelay import cli
@@ -539,3 +539,62 @@ def test_any_flags_exit_0_2_or_3_without_traceback(argv):
     res = invoke_cli(argv)
     assert res.exit_code in (0, 2, 3), res.output
     assert "Traceback" not in res.output
+
+
+@st.composite
+def _grid_argv(draw):
+    """sweep, kstar or tradeoff on a drawn channel with a grid of at most four sizes."""
+    command = draw(st.sampled_from(["sweep", "kstar", "tradeoff"]))
+    # RTT 2 ms to 10 s at t_s = 1 ms (BDP 2 to 10 000); tradeoff's 2 000 ARQ
+    # packets need a BDP under 200
+    top = -0.71 if command == "tradeoff" else 1.0
+    grid = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True))
+    argv = [command, "--epsilon", repr(draw(st.sampled_from([0.0]) | st.floats(0.0, 0.9))),
+            "--rate-bps", "1e7", "--packet-bits", "1e4",
+            "--rtt-s", repr(10.0 ** draw(st.floats(-2.7, top))),
+            "--k-grid", ",".join(map(str, sorted(grid)))]
+    margin = st.floats(0.0, 0.5).map(repr)
+    if command == "tradeoff":
+        margins = draw(st.lists(margin, min_size=1, max_size=3))
+        return argv + ["--margins", ",".join(margins), "--arq-packets", "2000",
+                       "--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        return argv + ["--margin", draw(margin)]
+    return argv + ["--redundancy", repr(draw(st.floats(1.0, 2.0)))]
+
+
+@pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_grid_argv())
+@example(argv=["sweep", "--epsilon", "0.999", "--rate-bps", "1e7", "--packet-bits", "1e4",
+               "--rtt-s", "0.1", "--k-grid", "1,64", "--redundancy", "1.0"])  # every point fails
+def test_grid_commands_print_in_range(argv):
+    """Every row that sweep, kstar or tradeoff prints lies in README's output ranges.
+
+    A sweep or kstar row's error is filled exactly when its mean, std and eta
+    are NaN, and then its smoothed mean is empty, its b 0 and the exit 3.
+    Otherwise eta is in (0, 1], std >= 0 and the smoothed mean >= the mean.
+    tradeoff's coded rows have eta in (0, 1] and std >= 0, and its ARQ row
+    has eta 1.
+    """
+    res = invoke_cli(argv)
+    assert res.exit_code in (0, 2, 3), res.output
+    if res.exit_code == 2:
+        return
+    rows = parse_csv(res.stdout)
+    assert rows, res.output
+    for row in rows:
+        values = {key: float(row[key]) for key in ("eta", "mean_s", "std_s")}
+        if row.get("error"):
+            assert all(math.isnan(v) for v in values.values()), row
+            assert not row["smoothed_mean_s"] and row["b"] == "0", row
+            continue
+        assert all(math.isfinite(v) for v in values.values()), row
+        assert 0.0 < values["eta"] <= 1.0, row
+        assert values["std_s"] >= 0.0, row
+        if argv[0] != "tradeoff":
+            assert float(row["smoothed_mean_s"]) >= values["mean_s"], row
+        elif row["kind"] == "arq":
+            assert values["eta"] == 1.0, row
+    errors = any(row.get("error") for row in rows)
+    assert res.exit_code == (3 if errors else 0), res.output

@@ -5,12 +5,14 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from codedelay.delay import _case_mean, _case_second, expected_delay
+from codedelay.delay import expected_delay
 from codedelay.kernel import build_kernel
 from codedelay.moments import prefix_moments, straggler_moments
+from codedelay.optimizer import default_k_range
 from codedelay.params import AssumptionWarning, derive_channel, derive_coding
 
-from .helpers import conditional_delay_mc, reference_expected_delay
+from .helpers import (DESIGN_CHANNELS, _case_mean, _case_second, conditional_delay_mc,
+                      reference_expected_delay)
 
 MC_TRIALS = 250_000
 MIN_CELL_GENS = 2000
@@ -128,10 +130,16 @@ def test_single_generation_in_flight():
        grid=st.one_of(st.none(), st.lists(st.integers(1, 300), min_size=1, max_size=3)))
 @example(bdp=5000.0, epsilon=0.1, k=1, margin=0.1, threshold=1e-6, grid=[2, 37, 300])
 @example(bdp=1e6, epsilon=0.02, k=1, margin=0.05, threshold=1e-9, grid=[5, 300])
+@example(bdp=100.0, epsilon=0.0, k=8, margin=0.1, threshold=1e-6, grid=None)  # lossless
+@example(bdp=3.0, epsilon=0.1, k=80, margin=0.1, threshold=1e-6, grid=None)  # b = 1
+# rows 1 and 7-17 hold mass but are skipped whole; cases 3 and 4 only
+@example(bdp=1000.0, epsilon=0.3, k=16, margin=0.1, threshold=1e-3, grid=None)
+@example(bdp=1e7, epsilon=0.1, k=1, margin=0.1, threshold=1e-6, grid=None)  # N = 8 181 818
 def test_matches_reference_cell_loop(bdp, epsilon, k, margin, threshold, grid):
-    """Reading the cdf once, taking p_Y once and skipping z rows below the
-    threshold changes no bit, for a standalone kernel of size k or for each
-    block of a kernel shared by a grid of sizes up to 300."""
+    """Reading the cdf once, taking p_Y once, skipping z rows below the
+    threshold and taking each row's y-free terms once changes no bit, for a
+    standalone kernel of size k or for each block of a kernel shared by a
+    grid of sizes up to 300."""
     ch = derive_channel(epsilon, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
     ks = [k] if grid is None else sorted(set(grid))
     with warnings.catch_warnings():
@@ -145,3 +153,21 @@ def test_matches_reference_cell_loop(bdp, epsilon, k, margin, threshold, grid):
     for cd, kern in zip(codings, kernels):
         assert (expected_delay(ch, cd, kern, weight_threshold=threshold)
                 == reference_expected_delay(ch, cd, kern, weight_threshold=threshold))
+
+
+@pytest.mark.parametrize("bdp", [100, 700, 5000])
+def test_matches_reference_cell_loop_on_design_grids(bdp):
+    """Every size of the default grid at the design workload's four channels
+    (424 points over the three BDPs), where a regrouped row constant changes
+    a few of them."""
+    for R, p in DESIGN_CHANNELS:
+        ch = derive_channel(1.0 - p, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
+        grid = default_k_range(ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            codings = [derive_coding(ch, k, R=R) for k in grid]
+        shared = build_kernel(ch, codings[-1], grid)
+        for cd in codings:
+            kern = shared.block(cd)
+            want = reference_expected_delay(ch, cd, kern)
+            assert repr(expected_delay(ch, cd, kern)) == repr(want)

@@ -11,7 +11,7 @@ from codedelay.kernel import build_kernel
 from codedelay.moments import _power_sums, prefix_moments, straggler_moments
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import prefix_mgf, prefix_pmf, straggler_pmf
+from .helpers import prefix_mgf, prefix_pmf, reference_power_sums, straggler_pmf
 
 
 def direct_prefix_moment(epsilon, k, first_round, power):
@@ -67,6 +67,18 @@ class TestPowerSums:
 
     def test_empty_range(self):
         assert _power_sums(0.3, 0) == (0.0, 0.0, 0.0, 0.0)
+
+    @given(d=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]),
+                       st.floats(-15.0, 0.0).map(lambda e: 10.0 ** e)),
+           n=st.one_of(st.integers(0, 300), st.integers(0, 10**7)))
+    @example(d=1.0, n=10**7)
+    @example(d=5e-324, n=2**23 - 1)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_match_the_tuple_join_bit_for_bit(self, d, n):
+        """The in-place doubling, with or without the cube sum, equals the join of tuples."""
+        want = reference_power_sums(d, n)
+        assert _power_sums(d, n) == want
+        assert _power_sums(d, n, False) == (*want[:3], 0.0)
 
 
 class TestPrefixMoments:
