@@ -19,19 +19,10 @@ laws, so that a row's pmf entries are one contiguous slice of it. Whenever
 the table is full, every state whose laws it holds gets its row from one
 gather over a strided window view; no Python code runs per state.
 
-Far from its mean a binomial pmf underflows to exact zeros, so the entries
-of row i past some column last[i] are 0 (at k = 1024 only 25-69% of the
-lower triangle is nonzero). The fill records that band and skips those
-columns; the absorption pass reads each row in place only up to its band,
-and only the rows the still-open sizes' cdfs depend on. Every skipped term
-is an exact 0.0 * u that an in-order sum of non-negative terms would add,
-so the cdfs are the same to the bit as those of full rows.
-
-A grid's outputs read the rows of only some states: every state up to J,
-the largest last[g] over the grid, and the grid sizes above J, whose rows
-read no column past J. The kernel records those states as (J, sizes above
-J), which `needed_states` lists, so that a pass over states (efficiency)
-can skip the rest.
+The absorption pass reads the rows in place, a block of rows at a time.
+The matrix is lower-triangular, so a block's rows read u only up to the
+block's own last row; taken last block first, each block writes its sums
+straight into u, where no block still to come reads them.
 """
 
 import math
@@ -68,11 +59,9 @@ class TransitionKernel:
 
     A kernel built for a grid of generation sizes also holds the absorption
     cdf of every size in the grid; `block` cuts out the kernel of one of them.
-    `needed` is (J, sizes above J) of the grid it was built for (see the
-    module docstring); without it every state counts as needed.
     """
 
-    def __init__(self, channel, coding, matrix, cdfs, failures, needed=None):
+    def __init__(self, channel, coding, matrix, cdfs, failures):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
@@ -80,7 +69,6 @@ class TransitionKernel:
         self._cdfs = cdfs            # size -> absorption cdf (partial where it failed)
         self._failures = failures    # size -> why its absorption did not converge
         self._absorption = cdfs[self.k]
-        self._needed = needed if needed is not None else (self.k, ())
 
     def block(self, coding):
         """Kernel for coding.k, one of the sizes this kernel was built for.
@@ -96,18 +84,7 @@ class TransitionKernel:
         if k in self._failures:
             raise NumericalError(self._failures[k])
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                {k: self._cdfs[k]}, {}, self._needed)
-
-    def needed_states(self):
-        """The states 1..k whose rows an output of this kernel's grid reads, as an ascending list.
-
-        These are 1..J and the grid sizes above J, for J the largest band
-        over the grid: their rows have no nonzero entry in a column outside
-        this set, so a bottom-up pass over states (efficiency) may skip the
-        others. A block lists those up to its own size.
-        """
-        J, above = self._needed
-        return [*range(1, min(J, self.k) + 1), *(g for g in above if g <= self.k)]
+                                {k: self._cdfs[k]}, {})
 
     @property
     def horizon(self):
@@ -163,7 +140,7 @@ def slowest_pmf(i, a, b):
 
 
 def _transition_rows(R, k, p_success):
-    """Matrix rows of states 0..k, filled as n sweeps up, and each row's band.
+    """Matrix rows of states 0..k, filled as n sweeps up.
 
     State i sends n = lo or lo + 1 packets (split_count), with weights w_lo
     and w_hi, and its row is w_lo*row(lo) + w_hi*row(lo + 1). In row(n),
@@ -178,18 +155,9 @@ def _transition_rows(R, k, p_success):
     it pad every row of a pass to the same length. The table holds
     _FILL_STEPS consecutive laws whatever R is. Once it is full, every state
     whose laws lo and lo + 1 both lie in it gets its row from one gather
-    over a strided window view, and the last law carries over to the next
-    pass.
-
-    Far below its mean a law's pmf underflows to exact zeros. Where law
-    n - 1 is 0 at every m below some m0, both terms of the recurrence are 0
-    there for law n too, so m_min, the smallest m with a nonzero pmf, never
-    falls as n grows. A pass takes m_min of the first law it reads (0 if its
-    pmf at m = 0 is nonzero, else one argmax), which bounds every later law
-    of the pass; its gather writes only columns 1..end - m_min, for its
-    largest state end, and the other entries keep np.zeros' zeros. Returns
-    (mat, last): last[i] = max(i - m_min, 0) bounds the last nonzero column
-    >= 1 of row i. Raises InputError for R < 1.
+    over a strided window view into columns 1..end, for the pass's largest
+    state end, and the last law carries over to the next pass. Raises
+    InputError for R < 1.
     """
     if not R >= 1.0:
         raise InputError(f"R must be >= 1, got {R}")
@@ -205,7 +173,6 @@ def _transition_rows(R, k, p_success):
     table = np.zeros((steps, laws + steps))
     table[0, k] = table[0, laws - 1] = 1.0      # n = 0
     rows = list(table)
-    pmf_up = slice(laws - 1, k, -1)     # a slot's pmf at m = 0, 1, ..., k
     # p * law n - 1, shifted down one index by reading it from carry[1:]; this
     # carries the pmf at m = k into the tail at m = 0, which is then reset
     carry = np.zeros(laws + steps + 1)
@@ -215,7 +182,6 @@ def _transition_rows(R, k, p_success):
     tails = np.empty((2, k))            # P(X >= i) under lo and lo + 1
     mat = np.zeros((k + 1, k + 1))
     mat[0, 0] = 1.0
-    m_mins, counts = [0], [1]           # m_min of each pass and its state count
     base, first, done = 0, 1, 0         # slot s holds law base + s
     while True:
         top = min(steps - 1, n_top - base)
@@ -228,35 +194,23 @@ def _transition_rows(R, k, p_success):
         if end > done:
             sl = slice(done, end)       # states done + 1..end
             s = lo[sl] - base
-            law = rows[s[0]]
-            # q^n at m = 0 underflows only for large n; a pmf with no nonzero
-            # m <= k gives 0, a valid if loose bound
-            m_min = 0 if law[laws - 1] else int(np.argmax(law[pmf_up] > 0.0))
-            span = end - m_min          # columns 1..span hold every nonzero pmf entry
-            if span > 0:
-                # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
-                win = np.ndarray((steps, laws + steps - span + 1, span), buffer=table,
-                                 strides=(table.strides[0], table.itemsize, table.itemsize))
-                block = mat[done + 1:end + 1, 1:span + 1]
-                np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
-                high = win[s + 1, start[sl]]
-                high *= weights[1, sl, None]
-                block += high
+            # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
+            win = np.ndarray((steps, laws + steps - end + 1, end), buffer=table,
+                             strides=(table.strides[0], table.itemsize, table.itemsize))
+            block = mat[done + 1:end + 1, 1:end + 1]
+            np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
+            high = win[s + 1, start[sl]]
+            high *= weights[1, sl, None]
+            block += high
             tails[:, sl] = table[[s, s + 1], at_i[sl]]
-            m_mins.append(m_min)
-            counts.append(end - done)
             done = end
         if base + top == n_top:
             break
         table[:1] = table[top:top + 1]
         base, first = base + top, 1
     mat[1:, 0] = weights[0] * tails[0] + weights[1] * tails[1]
-    last = np.arange(k + 1)
-    if m_mins[-1]:                      # m_min never falls, so this is the largest
-        last -= np.repeat(m_mins, counts)
-        np.maximum(last, 0, out=last)
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
-    return mat, last
+    return mat
 
 
 def _blocks(n):
@@ -270,75 +224,44 @@ def _blocks(n):
     return runs
 
 
-def _round_plan(mat, u, terms, last, reach, open_ks):
-    """The (rows, u, terms, out) blocks one round of _absorption computes while open_ks stay open.
-
-    J, the largest last[k] over the open sizes, bounds every column their
-    rows read, and row j <= J reads only columns up to j, so rows 0..J and
-    the open sizes above J are all a round needs. Rows 0..J come as views of
-    the matrix, last block first, each writing into u through `out`: a block
-    reads u only up to its own last row, never the rows of a block after it.
-    The open sizes above J read only u[:J + 1]; their rows are gathered once
-    here (a lone one twice, so that no block is one column wide) and come
-    first, their sums written back by index. Row 0 is e_0, so u[0] stays 1
-    and rows 0..J are left out when J is 0.
-    """
-    J = max(last[k] for k in open_ks)
-    above = [k for k in open_ks if k > J]
-    plan = []
-    for lo, hi in _blocks(len(above)):
-        idx = above[lo:hi] * (2 if hi - lo == 1 else 1)
-        jh = max(last[k] for k in idx) + 1
-        plan.append((mat[idx, :jh].T, u[:jh, None], terms[:jh, :len(idx)], idx))
-    for lo, hi in reversed(_blocks(J + 1 if J else 0)):
-        jh = reach[hi - 1] + 1
-        plan.append((mat[lo:hi, :jh].T, u[:jh, None], terms[:jh, :hi - lo], u[lo:hi]))
-    return plan
-
-
-def _absorption(mat, ks, last):
+def _absorption(mat, ks):
     """Absorption cdf [u_0[k], ..., u_h[k]] of each k in ks, from u_r = P u_{r-1}, u_0 = e_0.
 
     u_r[i] = [P^r]_{i0}; k's horizon h is the first r with
-    1 - u_r[k] < ABSORPTION_TAIL. last[i] bounds the last nonzero column
-    >= 1 of row i, as _transition_rows returns it. Row i of the product is
-    summed in column order 0..last[i] and no further: a numpy reduction over
-    the outer axis of a block at least two columns wide adds its rows in
-    order, and each term past last[i] would be an exact 0.0 * u[j] added to
-    a sum of non-negative terms. So u_r[i] does not depend on how far a block
-    reaches past it. Each round reads the rows in place, only the ones the
-    open sizes' cdfs depend on (_round_plan), and the plan changes only when
-    a size closes. Returns the cdfs and the sizes left open after MAX_ROUNDS
-    rounds.
+    1 - u_r[k] < ABSORPTION_TAIL. Each round touches only the states up to
+    the largest size still open, in blocks of rows read in place as views of
+    the matrix, last block first: block rows lo..hi-1 read u only up to
+    hi - 1, so each block writes its sums straight into u. Row i of the
+    product is summed in column order 0..i (a numpy reduction over the outer
+    axis of a block at least two columns wide adds its rows in order), so
+    u_r[i] does not depend on how the blocks are cut. The blocks change only
+    when a size closes. Returns the cdfs and the sizes left open after
+    MAX_ROUNDS rounds.
     """
     terms = np.empty((len(mat), 2 * _ABSORPTION_BLOCK))
     u = np.zeros(len(mat))
     u[0] = 1.0
-    reach = np.maximum.accumulate(last).tolist()   # largest last of rows 0..i
-    last = last.tolist()
     open_ks = sorted(ks)
-    plan = _round_plan(mat, u, terms, last, reach, open_ks)
-    at = np.array(open_ks)
-    phases = [(open_ks, [])]            # each open set, with u at its sizes per round
-    for _ in range(MAX_ROUNDS):
-        for rows, ucol, block, out in plan:
-            np.multiply(rows, ucol, out=block)
-            if isinstance(out, list):
-                u[out] = block.sum(axis=0)
-            else:
+    phases = []                         # each open set, with u at its sizes per round
+    rounds = 0
+    while open_ks and rounds < MAX_ROUNDS:
+        plan = [(mat[lo:hi, :hi].T, u[:hi, None], terms[:hi, :hi - lo], u[lo:hi])
+                for lo, hi in reversed(_blocks(open_ks[-1] + 1))]
+        at = np.array(open_ks)
+        phases.append((open_ks, []))
+        while rounds < MAX_ROUNDS:
+            rounds += 1
+            for rows, ucol, block, out in plan:
+                np.multiply(rows, ucol, out=block)
                 block.sum(axis=0, out=out)
-        vals = u[at].tolist()
-        phases[-1][1].append(vals)
-        if 1.0 - max(vals) < ABSORPTION_TAIL:
-            open_ks = [k for k, v in zip(open_ks, vals) if 1.0 - v >= ABSORPTION_TAIL]
-            if not open_ks:
+            vals = u[at].tolist()
+            phases[-1][1].append(vals)
+            if 1.0 - max(vals) < ABSORPTION_TAIL:
+                open_ks = [k for k, v in zip(open_ks, vals) if 1.0 - v >= ABSORPTION_TAIL]
                 break
-            plan = _round_plan(mat, u, terms, last, reach, open_ks)
-            at = np.array(open_ks)
-            phases.append((open_ks, []))
     cdfs = {k: [0.0] for k in ks}
-    for sizes, rounds in phases:
-        for k, col in zip(sizes, zip(*rounds)):
+    for sizes, per_round in phases:
+        for k, col in zip(sizes, zip(*per_round)):
             cdfs[k].extend(col)
     return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
 
@@ -357,13 +280,11 @@ def build_kernel(channel, coding, ks=None):
     grid = sorted({k, *(ks or ())})
     if grid[0] < 1 or grid[-1] > k:
         raise ValueError(f"grid sizes must lie in [1, {k}], got {grid[0]}..{grid[-1]}")
-    mat, last = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
-    cdfs, tails = _absorption(mat, grid, last)
+    mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
+    cdfs, tails = _absorption(mat, grid)
     failures = {
         g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")
         for g, tail in tails.items()}
-    J = int(last[grid].max())
-    needed = (J, tuple(g for g in grid if g > J))
-    kern = TransitionKernel(channel, coding, mat, cdfs, failures, needed)
+    kern = TransitionKernel(channel, coding, mat, cdfs, failures)
     return kern if ks is not None else kern.block(coding)

@@ -98,7 +98,7 @@ def kernel_row(i, n, p_success):
     A kernel of size i at R = n/i, which split_count snaps to exactly n
     packets for state i, so its last row is the pure row of n.
     """
-    return _transition_rows(n / i, i, p_success)[0][i]
+    return _transition_rows(n / i, i, p_success)[i]
 
 
 def _binomial_rows(n_max, width, p_success):
@@ -703,7 +703,8 @@ def reference_k_star(channel, R, k_range=None):
 
 
 def reference_received_by_state(kern):
-    """efficiency._received_by_state as it was before it skipped states: every state 1..k."""
+    """The bottom-up pass over every state 1..k, kept as the reference that any
+    faster efficiency._received_by_state must match bit for bit."""
     k = kern.k
     mat = kern.matrix
     lo, frac = split_count(kern.coding.R, np.arange(k + 1))

@@ -506,7 +506,7 @@ def _cli_argv(draw):
         return ["analyze", "--epsilon", str(draw(st.sampled_from([0.999, 0.9999]))),
                 "--rate-bps", "1e7", "--packet-bits", "1e4", "--rtt-s", "0.1",
                 "--k", str(draw(st.sampled_from([16, 64]))), "--redundancy", "1.0"]
-    command = draw(st.sampled_from(["analyze", "simulate"]))
+    command = draw(st.sampled_from(["analyze", "simulate", "compare-arq"]))
     argv = [command,
             "--epsilon", str(_either(draw, [0.0, 0.1, 0.3], number)),
             "--rate-bps", str(_either(draw, [1e7], number)),
@@ -516,11 +516,14 @@ def _cli_argv(draw):
                   ("--tp-s", lambda: _either(draw, [0.05], number)))
     argv += _pick(draw, ("--margin", lambda: _either(draw, [0.0, 0.1], number)),
                   ("--redundancy", lambda: _either(draw, [1.0, 1.25, 2.0], number)))
-    if command == "simulate":
-        argv += ["--n-packets", str(_either(draw, [2000, 20_000],
-                                            st.integers(-10, 20_000) | beyond)),
+    if command != "analyze":
+        # compare-arq also runs ARQ, which needs more than 10 BDPs of packets
+        packets = [2000, 20_000] if command == "simulate" else [2000, 5000]
+        argv += ["--n-packets", str(_either(draw, packets,
+                                            st.integers(-10, packets[-1]) | beyond)),
                  "--seed", str(_either(draw, [0, 7], count))]
         argv += draw(st.sampled_from([[], ["--mode", "idealized"], ["--mode", "relaxed"]]))
+    if command == "simulate":
         argv += draw(st.sampled_from([[], ["--real-codec"]]))
         if draw(st.booleans()):
             argv += ["--reps", str(_either(draw, [1, 2], st.integers(-2, 3) | beyond))]
@@ -535,7 +538,7 @@ def _cli_argv(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(argv=_cli_argv())
 def test_any_flags_exit_0_2_or_3_without_traceback(argv):
-    """Random analyze and simulate flags, valid or not, end in exit 0, 2 or 3."""
+    """Random analyze, simulate and compare-arq flags, valid or not, end in exit 0, 2 or 3."""
     res = invoke_cli(argv)
     assert res.exit_code in (0, 2, 3), res.output
     assert "Traceback" not in res.output

@@ -102,13 +102,13 @@ class TestEfficiency:
 
 
 class TestNeededStates:
-    """The pass over the states a kernel's grid needs against the pass over every state."""
+    """The pass over every state against the reference pass, at every grid size."""
 
     @given(eps=st.one_of(st.floats(0.005, 0.05), st.floats(0.0, 0.5)),
            R=st.floats(1.0, 2.0), k=st.integers(1, 400),
            grid=st.one_of(st.none(), st.lists(st.integers(1, 400), max_size=6)))
-    @example(eps=0.01, R=1.2, k=400, grid=[2, 30, 200])     # pmf underflows: J < k
-    @example(eps=0.005, R=1.0, k=150, grid=None)           # one size, above its own band
+    @example(eps=0.01, R=1.2, k=400, grid=[2, 30, 200])     # pmf underflows in the top rows
+    @example(eps=0.005, R=1.0, k=150, grid=None)
     @example(eps=0.3, R=1.5, k=64, grid=None)
     @settings(max_examples=60, deadline=None)
     def test_eta_bit_equal_at_every_grid_size(self, eps, R, k, grid):
@@ -121,37 +121,23 @@ class TestNeededStates:
         for g in ks:
             assert res.at(g).expected_received == ref[g]
             assert res.at(g).eta == min(g / ref[g], 1.0)
-        visited = kern.needed_states()
-        assert np.array_equal(res.by_state[visited], ref[visited])
-        skipped = np.ones(k + 1, dtype=bool)
-        skipped[[0, *visited]] = False
-        assert np.isnan(res.by_state[skipped]).all()
+        assert np.isfinite(res.by_state).all()
+        assert np.array_equal(res.by_state, ref)
         assert res.by_state[0] == 0.0
-
-    def test_underflowing_grid_skips_states(self):
-        ch = derive_channel(0.01, rate=1e7, packet_size=1e4, rtt=1.0)
-        kern = build_kernel(ch, derive_coding(ch, 400, R=1.2), [2, 30, 200])
-        visited = kern.needed_states()
-        assert len(visited) < 400 and visited[-2:] == [200, 400]
-        assert visited == sorted(set(visited))
 
 
 class TestAt:
     @pytest.fixture(scope="class")
-    def skipping(self):
+    def result(self):
         ch = derive_channel(0.01, rate=1e7, packet_size=1e4, rtt=1.0)
         return efficiency(build_kernel(ch, derive_coding(ch, 400, R=1.2), [2, 30, 200]))
 
     @pytest.mark.parametrize("k", [-1, 0, 401])
-    def test_size_outside_the_kernel_is_rejected(self, skipping, k):
+    def test_size_outside_the_kernel_is_rejected(self, result, k):
         with pytest.raises(ValueError, match=r"outside 1\.\.400"):
-            skipping.at(k)
+            result.at(k)
 
-    def test_skipped_state_is_rejected(self, skipping):
-        skipped = int(np.flatnonzero(np.isnan(skipping.by_state))[0])
-        with pytest.raises(ValueError, match=f"k = {skipped} is not among"):
-            skipping.at(skipped)
-
-    def test_visited_sizes_answer(self, skipping):
-        for k in (1, 2, 30, 200, 400):
-            assert skipping.at(k).eta == k / skipping.by_state[k]
+    def test_visited_sizes_answer(self, result):
+        # every state, grid size or not
+        for k in range(1, 401):
+            assert result.at(k).eta == k / result.by_state[k]

@@ -157,9 +157,10 @@ class TestSharedKernel:
                     == [alone.absorption_cdf(r) for r in rounds])
             dm = expected_delay(ch, cd, alone)
             assert rec.error is None
-            assert rec.mean == pytest.approx(dm.mean, rel=1e-12)
-            assert rec.std == pytest.approx(math.sqrt(dm.variance), rel=1e-12)
-            assert rec.eta == pytest.approx(efficiency(alone).eta, rel=1e-13)
+            # bit-equal, which k_star's stages rely on
+            assert rec.mean == dm.mean
+            assert rec.std == math.sqrt(dm.variance)
+            assert rec.eta == efficiency(alone).eta
 
     def test_oversized_points_fail_alone(self):
         ch = std_channel()
