@@ -23,6 +23,17 @@ The absorption pass reads the rows in place, a block of rows at a time.
 The matrix is lower-triangular, so a block's rows read u only up to the
 block's own last row; taken last block first, each block writes its sums
 straight into u, where no block still to come reads them.
+
+A kernel can grow. Rows, binomial laws, absorption values u_r[i] and the
+efficiency pass's values depend only on (state, epsilon, R), so a Chain
+keeps them for one (epsilon, R), and a larger kernel built from it
+computes only what the chain lacks: the fill starts from the law n = k of
+the last kernel, the absorption pass sums only the states above those the
+chain keeps for each round, and the efficiency pass starts above the
+states it has. What the chain keeps of the absorption is a per-round
+history, u_r at states 0..t_r, within a byte budget (_HISTORY_BYTES, or
+none for a kernel built alone); a round past the budget is summed again by
+the same pass. A grown kernel equals, bit for bit, one built in one go.
 """
 
 import math
@@ -36,6 +47,9 @@ ABSORPTION_TAIL = 1e-12
 MAX_ROUNDS = 10_000
 _ABSORPTION_BLOCK = 128   # states per reduction block in the absorption pass
 _FILL_STEPS = 32          # binomial laws the row fill holds at once
+_HISTORY_BYTES = 1 << 20  # absorption rounds a Chain keeps for the kernels that continue it
+_NONE = np.empty(0)
+_add_reduce = np.add.reduce   # ndarray.sum(axis, out) without its Python wrapper
 
 
 class NumericalError(RuntimeError):
@@ -48,6 +62,37 @@ def check_generation_size(k):
         raise InputError(f"k = {k} exceeds the supported maximum {MAX_K}")
 
 
+class Chain:
+    """The chain of one (epsilon, R), as far as the kernels built from it reach.
+
+    Everything it holds depends only on (epsilon, R) and on the state, law
+    or round it belongs to, never on a kernel's size, so a larger kernel
+    continues it where the last one stopped, bit for bit:
+    - `matrix`, the rows of states 0..k of the largest kernel built;
+    - `law`, the tail and pmf of the binomial law n = k at m = k..0;
+    - `rounds`, u_r at states 0..t_r for absorption rounds r = 1, 2, ...,
+      up to round_bytes in all; a state past them is summed again;
+    - `em`, the efficiency pass's expected received count of states 0..j.
+    build_kernel, and efficiency for the kernels it returns, extend it.
+    They replace `matrix`, `law` and `em` rather than change them in place,
+    so a kernel built earlier still reads the rows it was built from.
+    """
+
+    key = None                          # (epsilon, R), once a kernel is built
+    matrix = np.ones((1, 1))            # state 0 is absorbing
+    law = np.ones((2, 1))               # law 0: tail and pmf 1 at m = 0
+    em = np.zeros(1)
+
+    def __init__(self, round_bytes=_HISTORY_BYTES):
+        self.rounds = []
+        self.room = round_bytes         # bytes of rounds it may still keep
+
+    @property
+    def k(self):
+        """Largest state whose row the chain holds."""
+        return len(self.matrix) - 1
+
+
 class TransitionKernel:
     """Transition matrix plus precomputed absorption probabilities.
 
@@ -55,13 +100,16 @@ class TransitionKernel:
     the diagonal (dofs needed never increase). The absorption vector holds
     [P^r]_{k0} for r = 0, 1, ..., horizon, extended eagerly at build time until
     the tail 1 - [P^r]_{k0} drops below ABSORPTION_TAIL, so the object is
-    immutable afterwards and safe to share between threads.
+    immutable afterwards. Its `chain` is not: efficiency leaves its values
+    there, replacing the chain's em array by a longer one with the same
+    leading entries, so sharing the kernel between threads can at worst
+    repeat that pass.
 
     A kernel built for a grid of generation sizes also holds the absorption
     cdf of every size in the grid; `block` cuts out the kernel of one of them.
     """
 
-    def __init__(self, channel, coding, matrix, cdfs, failures):
+    def __init__(self, channel, coding, matrix, cdfs, failures, chain=None):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
@@ -69,6 +117,7 @@ class TransitionKernel:
         self._cdfs = cdfs            # size -> absorption cdf (partial where it failed)
         self._failures = failures    # size -> why its absorption did not converge
         self._absorption = cdfs[self.k]
+        self.chain = Chain(0) if chain is None else chain   # what efficiency continues
 
     def block(self, coding):
         """Kernel for coding.k, one of the sizes this kernel was built for.
@@ -84,7 +133,7 @@ class TransitionKernel:
         if k in self._failures:
             raise NumericalError(self._failures[k])
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                {k: self._cdfs[k]}, {})
+                                {k: self._cdfs[k]}, {}, self.chain)
 
     @property
     def horizon(self):
@@ -139,8 +188,8 @@ def slowest_pmf(i, a, b):
     return a ** i * -math.expm1(i * math.log1p(-(a - b) / a))
 
 
-def _transition_rows(R, k, p_success):
-    """Matrix rows of states 0..k, filled as n sweeps up.
+def _transition_rows(R, k, p_success, chain=None):
+    """Matrix rows of states 0..k, filled as n sweeps up; continues `chain`.
 
     State i sends n = lo or lo + 1 packets (split_count), with weights w_lo
     and w_hi, and its row is w_lo*row(lo) + w_hi*row(lo + 1). In row(n),
@@ -148,6 +197,12 @@ def _transition_rows(R, k, p_success):
     tail P(X >= i). Pmf and tail both follow the Pascal recurrence
     B(n, m) = q*B(n-1, m) + p*B(n-1, m-1), so every entry depends only on
     (n, m, p_success), never on k, and none is a sum over m.
+
+    The chain holds the rows of states 0..k0 and the law n = k0, whose
+    entries past m = k0 are zero, so the fill takes up the recurrence from
+    there: states above k0 send at least k0 + 1 packets. Laws k0 + 1 up to
+    the last one the chain's fill reached are taken again at the new width,
+    since they lack their entries m > k0. A fresh chain has k0 = 0.
 
     The recurrence writes each law reversed into one table slot: the tail
     at index k - m, then the pmf at 2k + 1 - m, then zeros. Row i's pmf
@@ -161,17 +216,22 @@ def _transition_rows(R, k, p_success):
     """
     if not R >= 1.0:
         raise InputError(f"R must be >= 1, got {R}")
+    chain = Chain(0) if chain is None else chain
+    k0 = chain.k
+    if k <= k0:
+        return chain.matrix[:k + 1, :k + 1]
     q, p = np.array(1.0 - p_success), np.array(p_success)   # 0-d: cheaper ufunc operands
-    states = np.arange(1, k + 1)
+    states = np.arange(k0 + 1, k + 1)
     lo, frac = split_count(R, states)
-    weights = np.empty((2, k))          # of lo and lo + 1 packets
+    weights = np.empty((2, k - k0))     # of lo and lo + 1 packets
     np.subtract(1.0, frac, out=weights[0])
     weights[1] = frac
     n_top = int(lo[-1]) + 1             # the last law any state reads
-    steps = min(_FILL_STEPS, n_top + 1)
+    steps = min(_FILL_STEPS, n_top - k0 + 1)
     laws = 2 * (k + 1)                  # tail and pmf; the zeros past them stay 0
     table = np.zeros((steps, laws + steps))
-    table[0, k] = table[0, laws - 1] = 1.0      # n = 0
+    # law k0: its tail and pmf, reversed, end at m = 0 as at width k0
+    table[0, :laws].reshape(2, k + 1)[:, k - k0:] = chain.law
     rows = list(table)
     # p * law n - 1, shifted down one index by reading it from carry[1:]; this
     # carries the pmf at m = k into the tail at m = 0, which is then reset
@@ -179,10 +239,10 @@ def _transition_rows(R, k, p_success):
     scaled, shifted = carry[:-1], carry[1:]
     start = 2 * k + 2 - states          # the pmf at m = i - 1
     at_i = k - states                   # the tail at m = i
-    tails = np.empty((2, k))            # P(X >= i) under lo and lo + 1
+    tails = np.empty((2, k - k0))       # P(X >= i) under lo and lo + 1
     mat = np.zeros((k + 1, k + 1))
-    mat[0, 0] = 1.0
-    base, first, done = 0, 1, 0         # slot s holds law base + s
+    mat[:k0 + 1, :k0 + 1] = chain.matrix
+    base, first, done = k0, 1, 0        # slot s holds law base + s; done states above k0 are filled
     while True:
         top = min(steps - 1, n_top - base)
         for s in range(first, top + 1):
@@ -190,14 +250,17 @@ def _transition_rows(R, k, p_success):
             np.multiply(rows[s - 1], p, out=scaled)
             np.add(rows[s], shifted, out=rows[s])
             rows[s][k] = 1.0            # P(X >= 0)
+        if base < k <= base + top:
+            law = rows[k - base][:laws].reshape(2, k + 1).copy()
         end = int(np.searchsorted(lo, base + top - 1, side="right"))
         if end > done:
-            sl = slice(done, end)       # states done + 1..end
+            sl = slice(done, end)       # states k0 + done + 1..k0 + end
             s = lo[sl] - base
+            last = k0 + end             # the pass's largest state
             # win[s, start] is law base + s's pmf at i - 1, i - 2, ..., 0, then zeros
-            win = np.ndarray((steps, laws + steps - end + 1, end), buffer=table,
+            win = np.ndarray((steps, laws + steps - last + 1, last), buffer=table,
                              strides=(table.strides[0], table.itemsize, table.itemsize))
-            block = mat[done + 1:end + 1, 1:end + 1]
+            block = mat[k0 + done + 1:last + 1, 1:last + 1]
             np.multiply(win[s, start[sl]], weights[0, sl, None], out=block)
             high = win[s + 1, start[sl]]
             high *= weights[1, sl, None]
@@ -208,15 +271,17 @@ def _transition_rows(R, k, p_success):
             break
         table[:1] = table[top:top + 1]
         base, first = base + top, 1
-    mat[1:, 0] = weights[0] * tails[0] + weights[1] * tails[1]
+    mat[k0 + 1:, 0] = weights[0] * tails[0] + weights[1] * tails[1]
     # Row sums are 1 up to recurrence roundoff; keep them as computed.
+    chain.matrix, chain.law = mat, law
     return mat
 
 
-def _blocks(n):
-    """(lo, hi) runs of _ABSORPTION_BLOCK covering 0..n-1; the last takes the
-    remainder, so none is one wide unless n is 1."""
-    lo, runs = 0, []
+def _blocks(lo, n):
+    """(lo, hi) runs of _ABSORPTION_BLOCK covering lo..n-1, for n >= 2; the last
+    takes the remainder, and a run of one state starts a state lower, so none
+    is one wide."""
+    lo, runs = min(lo, n - 2), []
     while lo < n:
         hi = n if n - lo < 2 * _ABSORPTION_BLOCK else lo + _ABSORPTION_BLOCK
         runs.append((lo, hi))
@@ -224,20 +289,26 @@ def _blocks(n):
     return runs
 
 
-def _absorption(mat, ks):
+def _absorption(mat, ks, chain=None):
     """Absorption cdf [u_0[k], ..., u_h[k]] of each k in ks, from u_r = P u_{r-1}, u_0 = e_0.
 
     u_r[i] = [P^r]_{i0}; k's horizon h is the first r with
-    1 - u_r[k] < ABSORPTION_TAIL. Each round touches only the states up to
-    the largest size still open, in blocks of rows read in place as views of
+    1 - u_r[k] < ABSORPTION_TAIL. Each round needs the states up to the
+    largest size still open. Those the chain holds for the round (its
+    `rounds`, u_r at states 0..t_r from earlier kernels) are read from it;
+    the rest are summed from the rows, in blocks read in place as views of
     the matrix, last block first: block rows lo..hi-1 read u only up to
-    hi - 1, so each block writes its sums straight into u. Row i of the
-    product is summed in column order 0..i (a numpy reduction over the outer
-    axis of a block at least two columns wide adds its rows in order), so
-    u_r[i] does not depend on how the blocks are cut. The blocks change only
-    when a size closes. Returns the cdfs and the sizes left open after
+    hi - 1, so each block writes its sums straight into u before the held
+    states are copied in. Row i of the product is summed in column order
+    0..i (a numpy reduction over the outer axis of a block at least two
+    columns wide adds its rows in order), so u_r[i] does not depend on how
+    the blocks are cut, or on which kernel summed it. Each round's u, where
+    it reaches past what the chain holds, goes to the chain while its
+    budget (`room`) lasts. Returns the cdfs and the sizes left open after
     MAX_ROUNDS rounds.
     """
+    chain = Chain(0) if chain is None else chain
+    held = chain.rounds
     terms = np.empty((len(mat), 2 * _ABSORPTION_BLOCK))
     u = np.zeros(len(mat))
     u[0] = 1.0
@@ -245,17 +316,39 @@ def _absorption(mat, ks):
     phases = []                         # each open set, with u at its sizes per round
     rounds = 0
     while open_ks and rounds < MAX_ROUNDS:
-        plan = [(mat[lo:hi, :hi].T, u[:hi, None], terms[:hi, :hi - lo], u[lo:hi])
-                for lo, hi in reversed(_blocks(open_ks[-1] + 1))]
+        top = open_ks[-1]
+        plans = {}                      # by the first state to sum
         at = np.array(open_ks)
-        phases.append((open_ks, []))
+        kept = u[:top + 1]
+        per_round = []
+        phases.append((open_ks, per_round))
         while rounds < MAX_ROUNDS:
+            known = held[rounds] if rounds < len(held) else _NONE
             rounds += 1
-            for rows, ucol, block, out in plan:
-                np.multiply(rows, ucol, out=block)
-                block.sum(axis=0, out=out)
+            have = len(known)
+            if have > top:
+                u[:top + 1] = known[:top + 1]
+            else:
+                plan = plans.get(have)
+                if plan is None:
+                    plan = plans[have] = [
+                        (mat[lo:hi, :hi].T, u[:hi, None], terms[:hi, :hi - lo], u[lo:hi])
+                        for lo, hi in reversed(_blocks(have, top + 1))]
+                for rows, ucol, block, out in plan:
+                    np.multiply(rows, ucol, out=block)
+                    _add_reduce(block, 0, None, out)
+                if have:
+                    u[:have] = known
+                # keep u_r, which reaches past what the chain holds, if there is room
+                grown = 8 * (top + 1 - have)
+                if grown <= chain.room and rounds <= len(held) + 1:
+                    if rounds > len(held):
+                        held.append(kept.copy())
+                    else:
+                        held[rounds - 1] = kept.copy()
+                    chain.room -= grown
             vals = u[at].tolist()
-            phases[-1][1].append(vals)
+            per_round.append(vals)
             if 1.0 - max(vals) < ABSORPTION_TAIL:
                 open_ks = [k for k, v in zip(open_ks, vals) if 1.0 - v >= ABSORPTION_TAIL]
                 break
@@ -266,7 +359,7 @@ def _absorption(mat, ks):
     return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
 
 
-def build_kernel(channel, coding, ks=None):
+def build_kernel(channel, coding, ks=None, chain=None):
     """Build the TransitionKernel for a channel/coding pair.
 
     ks lists further generation sizes up to coding.k whose kernels will be
@@ -274,17 +367,29 @@ def build_kernel(channel, coding, ks=None):
     pass as coding.k's own. Without ks, raises NumericalError if absorption
     has not reached 1 - ABSORPTION_TAIL within MAX_ROUNDS rounds; with ks,
     `block` raises it for each size that did not converge.
+
+    chain is a Chain of this epsilon and R to continue, say the one earlier
+    kernels of a k* search were built from; the kernel then computes only
+    the rows, absorption rounds and efficiency values the chain lacks, and
+    equals, bit for bit, a kernel built without it.
     """
     k = coding.k
     check_generation_size(k)
     grid = sorted({k, *(ks or ())})
     if grid[0] < 1 or grid[-1] > k:
         raise ValueError(f"grid sizes must lie in [1, {k}], got {grid[0]}..{grid[-1]}")
-    mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon)
-    cdfs, tails = _absorption(mat, grid)
+    # a kernel built alone is continued by none, so its chain keeps no rounds
+    chain = Chain(0) if chain is None else chain
+    key = (channel.epsilon, coding.R)
+    if chain.key not in (None, key):
+        raise ValueError(f"the chain is of (epsilon, R) = {chain.key}, not {key}")
+    mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon, chain)
+    chain.key = key
+    cdfs, tails = _absorption(mat, grid, chain)
     failures = {
         g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
             f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")
         for g, tail in tails.items()}
-    kern = TransitionKernel(channel, coding, mat, cdfs, failures)
-    return kern if ks is not None else kern.block(coding)
+    if ks is None and failures:
+        raise NumericalError(failures[k])
+    return TransitionKernel(channel, coding, mat, cdfs, failures, chain)

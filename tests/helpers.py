@@ -21,7 +21,8 @@ whole column blocks of a transposed copy of the matrix, the bounded k*
 search by the selection over the whole grid's sweep, and the straggler
 moments by sums of the straggler pmf.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
-Nor is `invoke_cli`, which runs one CLI command in-process.
+Nor is `invoke_cli`, which runs one CLI command in-process, or
+`growth_stages`, which draws the stages of a kernel grown from one Chain.
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from codedelay.cli import main
 from codedelay.codec import CodedPacket
@@ -700,6 +702,24 @@ def reference_k_star(channel, R, k_range=None):
     winner = min((r for r in valid if r.smoothed_mean <= best + tol),
                  key=lambda r: r.k)
     return winner.k, winner
+
+
+@st.composite
+def growth_stages(draw, k_max=700):
+    """2-5 stages of generation sizes for kernels grown from one Chain.
+
+    A stage is its top size and up to four sizes below it. Most tops pass
+    the largest size built so far, and then the sizes lie above it, as a
+    k* stage's do; a step of 0 asks again for a size already built. A stage
+    of a top alone is common.
+    """
+    stages, built = [], 0
+    for step in draw(st.lists(st.integers(0, k_max // 2), min_size=2, max_size=5)):
+        top = min(max(built + step, 1), k_max)
+        lo = built + 1 if top > built else 1
+        stages.append(sorted({top, *draw(st.lists(st.integers(lo, top), max_size=4))}))
+        built = max(built, top)
+    return stages
 
 
 def reference_received_by_state(kern):

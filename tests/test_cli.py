@@ -601,3 +601,54 @@ def test_grid_commands_print_in_range(argv):
             assert values["eta"] == 1.0, row
     errors = any(row.get("error") for row in rows)
     assert res.exit_code == (3 if errors else 0), res.output
+
+
+@st.composite
+def _simulation_argv(draw):
+    """simulate or compare-arq on a drawn channel, with 2 000 packets."""
+    command = draw(st.sampled_from(["simulate", "compare-arq"]))
+    # RTT 2 to 100 ms at t_s = 1 ms: compare-arq's ARQ run needs 10 BDPs of packets
+    argv = [command, "--epsilon", repr(draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5))),
+            "--rate-bps", "1e7", "--packet-bits", "1e4",
+            "--rtt-s", repr(10.0 ** draw(st.floats(-2.7, -1.0))),
+            "--k", str(draw(st.sampled_from([1, 2, 8, 16, 32]))),
+            "--n-packets", "2000", "--seed", str(draw(st.integers(0, 99)))]
+    argv += draw(st.sampled_from([["--margin", "0.0"], ["--margin", "0.1"],
+                                  ["--redundancy", "1.0"], ["--redundancy", "1.5"]]))
+    argv += draw(st.sampled_from([[], ["--mode", "relaxed"]]))
+    if command == "simulate":
+        argv += draw(st.sampled_from([[], ["--real-codec"]]))
+        argv += ["--reps", str(draw(st.integers(1, 3)))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_simulation_argv())
+def test_simulation_commands_print_in_range(argv):
+    """Every row that simulate or compare-arq prints lies in README's output ranges.
+
+    Each mean is at least t_s + t_p, one slot and one hop, and each std is
+    >= 0. The coded efficiency is in (0, 1] and ARQ's is exactly 1.
+    simulate's se_mean_s is empty exactly at --reps 1.
+    """
+    res = invoke_cli(argv)
+    assert res.exit_code == 0, res.output
+    flags = {name: value for name, value in zip(argv[1:], argv[2:]) if not value.startswith("--")}
+    ch = derive_channel(float(flags["--epsilon"]), float(flags["--rate-bps"]),
+                        float(flags["--packet-bits"]), rtt=float(flags["--rtt-s"]))
+    rows = parse_csv(res.stdout)
+    assert len(rows) == (1 if argv[0] == "simulate" else 2), res.output
+    for row in rows:
+        assert float(row["mean_s"]) >= ch.t_s + ch.t_p, row
+        assert float(row["std_s"]) >= 0.0, row
+        if row.get("scheme") == "arq":
+            assert float(row["efficiency"]) == 1.0, row
+        else:
+            assert 0.0 < float(row["efficiency"]) <= 1.0, row
+    if argv[0] == "simulate":
+        (row,) = rows
+        single = int(flags["--reps"]) == 1
+        assert (row["se_mean_s"] == "") == single, row
+        if not single:
+            assert float(row["se_mean_s"]) >= 0.0, row

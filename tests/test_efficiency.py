@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedelay.efficiency import efficiency
-from codedelay.kernel import build_kernel
+from codedelay.kernel import Chain, build_kernel
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import exact_received_by_state, reference_received_by_state
+from .helpers import (DESIGN_CHANNELS, exact_received_by_state, growth_stages,
+                      reference_received_by_state)
 
 
 def make_kernel(epsilon, k, R):
@@ -124,6 +125,28 @@ class TestNeededStates:
         assert np.isfinite(res.by_state).all()
         assert np.array_equal(res.by_state, ref)
         assert res.by_state[0] == 0.0
+
+
+class TestGrowth:
+    """The pass over a kernel grown from one Chain against the reference pass over a fresh one."""
+
+    @given(eps=st.floats(0.0, 0.95), R=st.floats(1.0, 8.0), stages=growth_stages())
+    @example(eps=0.1187, R=DESIGN_CHANNELS[0][0], stages=[[2, 30, 64], [79, 128], [158, 250]])
+    @example(eps=0.3, R=1.5, stages=[[10], [11], [12, 40], [40], [5, 20]])
+    @example(eps=0.95, R=1.0, stages=[[250], [251, 300]])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_every_state_bit_equal_at_every_stage(self, eps, R, stages):
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, rtt=10.0)
+        chain = Chain()
+        for sizes in stages:
+            cd = derive_coding(ch, sizes[-1], R=R)
+            res = efficiency(build_kernel(ch, cd, sizes, chain))
+            fresh = build_kernel(ch, cd, sizes)
+            assert np.array_equal(res.by_state, reference_received_by_state(fresh))
+            want = efficiency(fresh)
+            for g in sizes:
+                assert repr(res.at(g)) == repr(want.at(g))
+        assert len(chain.em) == max(max(s) for s in stages) + 1
 
 
 class TestAt:

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from codedelay.kernel import (_ABSORPTION_BLOCK, _FILL_STEPS, TransitionKernel, _absorption,
-                              _transition_rows, build_kernel)
+from codedelay.kernel import (_ABSORPTION_BLOCK, _FILL_STEPS, _HISTORY_BYTES, Chain,
+                              TransitionKernel, _absorption, _transition_rows, build_kernel)
 from codedelay.optimizer import default_k_range
 from codedelay.params import MAX_ROUND_PACKETS, InputError, derive_channel, derive_coding
 
-from .helpers import (DESIGN_CHANNELS, _binomial_rows, brute_force_row, kernel_row,
-                      mixture_row, reference_absorption, reference_transition_rows)
+from .helpers import (DESIGN_CHANNELS, _binomial_rows, brute_force_row, growth_stages,
+                      kernel_row, mixture_row, reference_absorption, reference_transition_rows)
 
 
 def make_pair(epsilon, k, R):
@@ -203,6 +203,60 @@ class TestAbsorption:
         for g in ks:
             assert np.array_equal(cdfs[g], ref_cdfs[g])
         assert failures == ref_failures
+
+
+def assert_same_kernel(got, want, sizes):
+    """Matrix, horizon, every size's absorption cdf and the failed sizes' messages, bit for bit."""
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.horizon == want.horizon
+    assert got._cdfs.keys() == want._cdfs.keys() == set(sizes)
+    for g in sizes:
+        assert np.array_equal(got._cdfs[g], want._cdfs[g])
+    assert got._failures == want._failures
+
+
+class TestGrowth:
+    """Kernels grown from one Chain against kernels built in one go."""
+
+    @given(eps=st.floats(0.0, 0.95), R=st.floats(1.0, 8.0), stages=growth_stages(),
+           room=st.sampled_from([_HISTORY_BYTES, 4096, 0]))
+    @example(eps=0.1187, R=DESIGN_CHANNELS[0][0], stages=[[2, 30, 64], [79, 128], [158, 250]],
+             room=_HISTORY_BYTES)
+    @example(eps=0.3, R=1.5, stages=[[10], [11], [12, 40], [40], [5, 20]], room=_HISTORY_BYTES)
+    @example(eps=0.95, R=1.0, stages=[[250], [251, 300]], room=_HISTORY_BYTES)
+    @example(eps=0.999, R=1.0, stages=[[3], [4, 6]], room=_HISTORY_BYTES)   # never converges
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_equals_a_fresh_build_at_every_stage(self, eps, R, stages, room):
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, rtt=10.0)
+        chain = Chain(room)
+        for sizes in stages:
+            cd = derive_coding(ch, sizes[-1], R=R)
+            assert_same_kernel(build_kernel(ch, cd, sizes, chain),
+                               build_kernel(ch, cd, sizes), sizes)
+        assert chain.k == max(max(s) for s in stages)
+
+    def test_rounds_past_the_budget_are_summed_again(self):
+        ch = derive_channel(0.95, rate=1e7, packet_size=1e4, rtt=10.0)
+        cd = derive_coding(ch, 250, R=1.0)
+        chain = Chain()
+        kern = build_kernel(ch, cd, [], chain)
+        assert 0 < len(chain.rounds) < kern.horizon     # the budget ran out
+        assert chain.room < 8 * 251
+        assert [len(u) for u in chain.rounds] == [251] * len(chain.rounds)
+        cd = derive_coding(ch, 300, R=1.0)
+        assert_same_kernel(build_kernel(ch, cd, [280], chain), build_kernel(ch, cd, [280]),
+                           [280, 300])
+
+    def test_a_kernel_built_alone_keeps_no_rounds(self):
+        kern = build_kernel(*make_pair(0.1, 64, 1.25))
+        assert kern.chain.rounds == [] and kern.chain.k == 64
+
+    def test_rejects_another_channel_or_redundancy(self):
+        chain = Chain()
+        build_kernel(*make_pair(0.1, 8, 1.25), None, chain)
+        for other in (make_pair(0.1, 16, 1.5), make_pair(0.2, 16, 1.25)):
+            with pytest.raises(ValueError, match="chain is of"):
+                build_kernel(*other, None, chain)
 
 
 class TestBuildKernel:

@@ -335,6 +335,37 @@ class TestLowerBound:
         dm = expected_delay(ch, cd, kern)
         assert dm.mean >= (1.0 - dm.truncated_mass) * lb * (1.0 - 1e-12)
 
+    @given(eps=st.floats(0.0, 0.9), log_ratio=st.floats(-3.0, 4.0), k=st.integers(1, 316),
+           R=st.floats(1.0, 4.2))
+    @example(eps=0.5, log_ratio=-2.0, k=1, R=1.0)       # t_s + t_p is not a floor here
+    @example(eps=0.1187, log_ratio=1.0, k=250, R=1.356)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mean_sits_above_the_bounds_pruning_rests_on(self, eps, log_ratio, k, R):
+        # t_p / t_s = 10**log_ratio, t_s = 1 ms
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, t_p=10 ** log_ratio * 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            cd = derive_coding(ch, k, R=R)
+        dm = expected_delay(ch, cd, build_kernel(ch, cd))
+        tm, tau = dm.truncated_mass, optimizer._MASS_MARGIN
+        if not (k == 1 and 2.0 * ch.t_p < ch.t_s):     # README: "Output ranges"
+            floor = (1.0 - tm) * (ch.t_s + ch.t_p)
+            assert dm.mean >= floor - 4 * math.ulp(floor)
+        if not _bound_holds(ch, cd):
+            return
+        lb = _lower_bound(ch, k)[0]
+        bound = (1.0 - tm) * lb
+        assert dm.mean >= bound - 4 * math.ulp(bound)
+        if tm <= tau:
+            assert dm.mean >= (1.0 - tau) * lb
+
+    def test_k_1_with_short_hops_sits_below_one_slot_and_hop(self):
+        # README "Output ranges": at k = 1 the y > 1 cells' (n_k - k - 1)*t_s term
+        # is negative, and with 2*t_p < t_s it outweighs the hops they add
+        ch = derive_channel(0.5, rate=1e6, packet_size=1e4, t_p=1e-4)
+        cd = derive_coding(ch, 1, R=1.0)
+        assert expected_delay(ch, cd, build_kernel(ch, cd)).mean < ch.t_s + ch.t_p
+
     def test_a_cell_falls_below_where_the_premises_fail(self):
         ch = bdp_channel(0.5, 2.2)      # t_p = 0.6 * t_s, BDP 3
         cd = derive_coding(ch, 2, R=1.0)
