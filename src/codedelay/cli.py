@@ -236,7 +236,7 @@ def cmd_tradeoff(ch, margins, ks, arq_packets, seed):
           + _option("--real-codec", action="store_true",
                     help="decode with the true GF(256) codec instead of rank counting")
           + _option("--hol-cap", type=int,
-                    help="override the idealized head-of-line window (default b-1)")
+                    help="override the head-of-line window (default b-1); idealized mode only")
           + _option("--trace", type=_file_path,
                     help="write a per-packet CSV trace to this file (reps must be 1)"))
 def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, trace):

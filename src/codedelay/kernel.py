@@ -78,12 +78,11 @@ class Chain:
     so a kernel built earlier still reads the rows it was built from.
     """
 
-    key = None                          # (epsilon, R), once a kernel is built
-    matrix = np.ones((1, 1))            # state 0 is absorbing
-    law = np.ones((2, 1))               # law 0: tail and pmf 1 at m = 0
-    em = np.zeros(1)
-
     def __init__(self, round_bytes=_HISTORY_BYTES):
+        self.key = None                 # (epsilon, R), once a kernel is built
+        self.matrix = np.ones((1, 1))   # state 0 is absorbing
+        self.law = np.ones((2, 1))      # law 0: tail and pmf 1 at m = 0
+        self.em = np.zeros(1)
         self.rounds = []
         self.room = round_bytes         # bytes of rounds it may still keep
 
@@ -101,21 +100,20 @@ class TransitionKernel:
     [P^r]_{k0} for r = 0, 1, ..., horizon, extended eagerly at build time until
     the tail 1 - [P^r]_{k0} drops below ABSORPTION_TAIL, so the object is
     immutable afterwards. Its `chain` is not: efficiency leaves its values
-    there, replacing the chain's em array by a longer one with the same
-    leading entries, so sharing the kernel between threads can at worst
-    repeat that pass.
+    there.
 
     A kernel built for a grid of generation sizes also holds the absorption
-    cdf of every size in the grid; `block` cuts out the kernel of one of them.
+    cdf of every size in the grid, a list per size; `block` cuts out the
+    kernel of one of them. A size whose absorption did not converge within
+    MAX_ROUNDS keeps the cdf as far as it got, and its last value shows it.
     """
 
-    def __init__(self, channel, coding, matrix, cdfs, failures, chain=None):
+    def __init__(self, channel, coding, matrix, cdfs, chain=None):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
         self.matrix = matrix
-        self._cdfs = cdfs            # size -> absorption cdf (partial where it failed)
-        self._failures = failures    # size -> why its absorption did not converge
+        self._cdfs = cdfs            # size -> absorption cdf, a list
         self._absorption = cdfs[self.k]
         self.chain = Chain(0) if chain is None else chain   # what efficiency continues
 
@@ -130,10 +128,9 @@ class TransitionKernel:
         if k not in self._cdfs or coding.R != self.coding.R:
             raise ValueError(f"k = {k}, R = {coding.R} is not among the sizes this "
                              f"kernel was built for")
-        if k in self._failures:
-            raise NumericalError(self._failures[k])
+        _check_converged(self._cdfs[k], self.channel, k, coding.R)
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                {k: self._cdfs[k]}, {}, self.chain)
+                                {k: self._cdfs[k]}, self.chain)
 
     @property
     def horizon(self):
@@ -142,7 +139,7 @@ class TransitionKernel:
 
     def absorption_list(self):
         """The stored absorption cdf, [P(Y <= r) for r = 0..horizon], as a list."""
-        return self._absorption.tolist()
+        return list(self._absorption)
 
     def absorption_cdf(self, r):
         """Probability that a generation decodes in at most r rounds.
@@ -293,35 +290,35 @@ def _absorption(mat, ks, chain=None):
     """Absorption cdf [u_0[k], ..., u_h[k]] of each k in ks, from u_r = P u_{r-1}, u_0 = e_0.
 
     u_r[i] = [P^r]_{i0}; k's horizon h is the first r with
-    1 - u_r[k] < ABSORPTION_TAIL. Each round needs the states up to the
-    largest size still open. Those the chain holds for the round (its
-    `rounds`, u_r at states 0..t_r from earlier kernels) are read from it;
-    the rest are summed from the rows, in blocks read in place as views of
-    the matrix, last block first: block rows lo..hi-1 read u only up to
-    hi - 1, so each block writes its sums straight into u before the held
-    states are copied in. Row i of the product is summed in column order
-    0..i (a numpy reduction over the outer axis of a block at least two
-    columns wide adds its rows in order), so u_r[i] does not depend on how
-    the blocks are cut, or on which kernel summed it. Each round's u, where
-    it reaches past what the chain holds, goes to the chain while its
-    budget (`room`) lasts. Returns the cdfs and the sizes left open after
-    MAX_ROUNDS rounds.
+    1 - u_r[k] < ABSORPTION_TAIL, or MAX_ROUNDS if there is none, and k's
+    cdf is one list, grown a round at a time, that ends there; so its last
+    value tells whether it converged (_check_converged). Each round needs the
+    states up to the largest size still open. Those the chain holds for the
+    round (its `rounds`, u_r at states 0..t_r from earlier kernels) are read
+    from it; the rest are summed from the rows, in blocks read in place as
+    views of the matrix, last block first: block rows lo..hi-1 read u only
+    up to hi - 1, so each block writes its sums straight into u before the
+    held states are copied in. Row i of the product is summed in column
+    order 0..i (a numpy reduction over the outer axis of a block at least
+    two columns wide adds its rows in order), so u_r[i] does not depend on
+    how the blocks are cut, or on which kernel summed it. Each round's u,
+    where it reaches past what the chain holds, goes to the chain while its
+    budget (`room`) lasts.
     """
     chain = Chain(0) if chain is None else chain
     held = chain.rounds
     terms = np.empty((len(mat), 2 * _ABSORPTION_BLOCK))
     u = np.zeros(len(mat))
     u[0] = 1.0
+    cdfs = {k: [0.0] for k in ks}
     open_ks = sorted(ks)
-    phases = []                         # each open set, with u at its sizes per round
     rounds = 0
     while open_ks and rounds < MAX_ROUNDS:
         top = open_ks[-1]
         plans = {}                      # by the first state to sum
         at = np.array(open_ks)
         kept = u[:top + 1]
-        per_round = []
-        phases.append((open_ks, per_round))
+        cols = [cdfs[k] for k in open_ks]
         while rounds < MAX_ROUNDS:
             known = held[rounds] if rounds < len(held) else _NONE
             rounds += 1
@@ -348,15 +345,20 @@ def _absorption(mat, ks, chain=None):
                         held[rounds - 1] = kept.copy()
                     chain.room -= grown
             vals = u[at].tolist()
-            per_round.append(vals)
+            for col, v in zip(cols, vals):
+                col.append(v)
             if 1.0 - max(vals) < ABSORPTION_TAIL:
                 open_ks = [k for k, v in zip(open_ks, vals) if 1.0 - v >= ABSORPTION_TAIL]
                 break
-    cdfs = {k: [0.0] for k in ks}
-    for sizes, per_round in phases:
-        for k, col in zip(sizes, zip(*per_round)):
-            cdfs[k].extend(col)
-    return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
+    return cdfs
+
+
+def _check_converged(cdf, channel, k, R):
+    """Raise NumericalError if size k's absorption cdf ends ABSORPTION_TAIL or more below 1."""
+    tail = 1.0 - cdf[-1]
+    if tail >= ABSORPTION_TAIL:
+        raise NumericalError(f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
+                             f"(epsilon={channel.epsilon}, k={k}, R={R})")
 
 
 def build_kernel(channel, coding, ks=None, chain=None):
@@ -385,11 +387,7 @@ def build_kernel(channel, coding, ks=None, chain=None):
         raise ValueError(f"the chain is of (epsilon, R) = {chain.key}, not {key}")
     mat = _transition_rows(coding.R, k, 1.0 - channel.epsilon, chain)
     chain.key = key
-    cdfs, tails = _absorption(mat, grid, chain)
-    failures = {
-        g: (f"absorption tail still {tail:.3e} after {MAX_ROUNDS} rounds "
-            f"(epsilon={channel.epsilon}, k={g}, R={coding.R})")
-        for g, tail in tails.items()}
-    if ks is None and failures:
-        raise NumericalError(failures[k])
-    return TransitionKernel(channel, coding, mat, cdfs, failures, chain)
+    cdfs = _absorption(mat, grid, chain)
+    if ks is None:
+        _check_converged(cdfs[k], channel, k, coding.R)
+    return TransitionKernel(channel, coding, mat, cdfs, chain)

@@ -53,12 +53,12 @@ class TradeoffPoint:
     std: float
 
 
-def default_k_range(channel, points=DEFAULT_K_POINTS):
+def default_k_range(channel):
     """Log-spaced generation sizes from 2 up to min(bdp - 1, 1024)."""
     hi = min(channel.bdp - 1, 1024)
     if hi < 2:
         raise InputError(f"bdp={channel.bdp} admits no generation size (need bdp > 2)")
-    grid = np.logspace(math.log10(2.0), math.log10(float(hi)), points)
+    grid = np.logspace(math.log10(2.0), math.log10(float(hi)), DEFAULT_K_POINTS)
     return [int(v) for v in np.unique(np.round(grid).astype(np.int64))]
 
 

@@ -75,7 +75,6 @@ from .params import InputError, split_count
 _CHUNK = 4096
 _CHUNK_BYTES = 1 << 25      # cap on one block's uniforms and codec coefficients (32 MiB)
 _ELIM_CELLS = 1 << 16       # cap on one real-codec elimination sub-batch, in uint8 cells
-_SPREAD = 2                 # widest / narrowest generation of one sub-batch
 _WARMUP_FACTOR = 5
 _NO_BLOCKER = -(1 << 60)    # blocker slot of a generation that nothing can block
 _ARQ_WARMUP_BDP = 10
@@ -110,6 +109,9 @@ class SimConfig:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.hol_cap is not None and self.hol_cap < 0:
             raise InputError(f"hol_cap must be nonnegative, got {self.hol_cap}")
+        if self.hol_cap is not None and self.mode == "relaxed":
+            raise InputError("hol_cap applies to idealized mode only; relaxed mode delivers "
+                             "in order through every earlier generation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +286,8 @@ class _CodecRanks:
         rows as the neediest generation of a sub-batch lacks: the first slab
         decodes nearly every generation that can, and later ones go only to
         those still short with rows left. Generations run sorted by width, in
-        sub-batches that span at most a factor _SPREAD of widths and hold at
-        most _ELIM_CELLS cells of slab and basis at the widest one's width
-        (one generation at least).
+        sub-batches that hold at most _ELIM_CELLS cells of slab and basis at
+        the widest one's width (one generation at least).
         """
         order = np.argsort(self.width[gens], kind="stable")
         width, need = self.width[gens][order], self.need[gens][order]
@@ -301,8 +302,7 @@ class _CodecRanks:
             # rows of a slab times columns, plus the basis, at each candidate end
             take = np.maximum.accumulate(need[lo:])
             cells = np.arange(1, gens.size - lo + 1) * (take + width[lo:]) * width[lo:]
-            fits = (cells <= _ELIM_CELLS) & (width[lo:] <= _SPREAD * width[lo])
-            hi = lo + max(1, int(np.count_nonzero(fits)))
+            hi = lo + max(1, int(np.count_nonzero(cells <= _ELIM_CELLS)))
             at = np.arange(lo, hi)
             first, take = 0, int(take[hi - lo - 1])
             while at.size:
@@ -702,7 +702,7 @@ def run_arq(config):
                     info_packets=acc.n, received_packets=acc.n, delay_sums=acc)
 
 
-def replicate(config, reps, engine=run_coded):
+def replicate(config, reps):
     """Aggregate independent replications on spawned RNG streams.
 
     Reports the pooled mean/std over all packets, from the replications'
@@ -716,12 +716,12 @@ def replicate(config, reps, engine=run_coded):
         raise InputError(f"reps * n_packets must be at most {MAX_PACKETS}, got "
                          f"{reps} * {config.n_packets}")
     if reps == 1:
-        return engine(config)
+        return run_coded(config)
     children = np.random.SeedSequence(config.seed).spawn(reps)
     stats = []
     for ss in children:
         sub = replace(config, seed=int(ss.generate_state(1)[0]), collect_records=False)
-        stats.append(engine(sub))
+        stats.append(run_coded(sub))
     acc = _PairStats(config.channel.t_s, config.channel.t_p)
     for st in stats:
         acc.merge(st.delay_sums)

@@ -191,6 +191,8 @@ class TestFlagValidation:
         pytest.param(["sweep", *CH, "--margin", "nan", "--k-grid", "4,8"],
                      "margin must be finite", id="sweep-margin-nan"),
         pytest.param(SIM + ["--hol-cap", "-3"], "hol_cap", id="hol-cap-negative"),
+        pytest.param(SIM + ["--mode", "relaxed", "--hol-cap", "3"], "idealized mode only",
+                     id="hol-cap-relaxed"),
         pytest.param(SIM[:-1] + ["-1"], "seed must be nonnegative", id="seed-negative"),
         pytest.param(SIM + ["--reps", "0"], "reps must be >= 1", id="reps-0"),
         pytest.param(SIM + ["--reps", "-1"], "reps must be >= 1", id="reps-negative"),

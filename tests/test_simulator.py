@@ -78,6 +78,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimConfig(channel=ch, coding=cd, **{field: value})
 
+    def test_hol_cap_rejected_in_relaxed_mode(self):
+        ch = std_channel()
+        cd = derive_coding(ch, 8, margin=0.1)
+        for cap in (0, 3):
+            with pytest.raises(InputError, match="idealized mode only"):
+                SimConfig(channel=ch, coding=cd, mode="relaxed", hol_cap=cap)
+
     def test_warmup_guard(self):
         # k=16 at margin 0.1 gives b=6, so 60 generations are not enough
         cfg = make_config(n_packets=16 * 60, seed=1)
@@ -894,7 +901,7 @@ class TestReplicate:
             with pytest.raises(InputError, match="reps \\* n_packets must be at most"):
                 replicate(cfg, reps)
 
-    def test_replications_keep_every_field_but_the_seed(self):
+    def test_replications_keep_every_field_but_the_seed(self, monkeypatch):
         cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
                           use_real_codec=True, collect_records=True)
         subs = []
@@ -903,12 +910,13 @@ class TestReplicate:
             subs.append(sub)
             return run_coded(sub)
 
-        replicate(cfg, 3, engine=engine)
+        monkeypatch.setattr(simulator, "run_coded", engine)
+        replicate(cfg, 3)
         assert len({sub.seed for sub in subs}) == 3
         for sub in subs:
             assert sub == dataclasses.replace(cfg, seed=sub.seed, collect_records=False)
 
-    def test_non_innovative_is_summed(self):
+    def test_non_innovative_is_summed(self, monkeypatch):
         cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=4000, seed=8,
                           use_real_codec=True)
         runs = []
@@ -917,7 +925,8 @@ class TestReplicate:
             runs.append(run_coded(sub))
             return runs[-1]
 
-        pooled = replicate(cfg, 3, engine=engine)
+        monkeypatch.setattr(simulator, "run_coded", engine)
+        pooled = replicate(cfg, 3)
         assert pooled.non_innovative == sum(r.non_innovative for r in runs)
 
 
