@@ -17,7 +17,7 @@ import numpy as np
 
 from .delay import expected_delay
 from .efficiency import efficiency
-from .kernel import Chain, build_kernel, check_generation_size
+from .kernel import MAX_K, Chain, build_kernel, check_generation_size
 from .params import AssumptionWarning, InputError, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, run_arq
 
@@ -268,7 +268,8 @@ def k_star(channel, R, k_range=None):
     1024 that measured 0.99-1.15 times one kernel, against 1.31-1.46 times
     for stages built from scratch.
     """
-    codings, _ = _grid_codings(channel, R, _grid(channel, k_range))
+    ks = _grid(channel, k_range)
+    codings, _ = _grid_codings(channel, R, ks)
     sizes = [c.k for c in codings]
     bounded = 2.0 * channel.t_p >= channel.t_s
     records, smoothed, done, cut, top = [], [], 0, len(codings), _FIRST_STAGE_TOP
@@ -298,7 +299,26 @@ def k_star(channel, R, k_range=None):
     tol = _TIE_REL * abs(best)
     winner = min((r for r in valid if r.smoothed_mean <= best + tol),
                  key=lambda r: r.k)
+    _warn_at_edge(channel, R, ks[-1], winner.k)
     return winner.k, winner
+
+
+def _warn_at_edge(channel, R, top, k):
+    """Warn when k* = k is the grid's top size `top` and a larger size is admissible
+    (at most MAX_K, with R*k < BDP), and when R*k >= BDP at k* itself."""
+    bdp = channel.bdp
+    if k == top and k < MAX_K and R * (k + 1) < bdp:
+        largest = min(MAX_K, math.ceil(bdp / R))
+        while R * largest >= bdp:
+            largest -= 1
+        warnings.warn(
+            f"k* = {k} is the top of the k grid, and sizes up to {largest} are admissible "
+            f"(R*k < BDP ({bdp}), k <= {MAX_K}); the optimum may lie above it: pass a "
+            f"--k-grid that reaches past {k}", AssumptionWarning, stacklevel=3)
+    if R * k >= bdp:
+        warnings.warn(
+            f"k* = {k} has R*k = {R * k:.3f} >= BDP ({bdp}); the delay model is loose at k*",
+            AssumptionWarning, stacklevel=3)
 
 
 def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):

@@ -16,10 +16,13 @@ earlier generation.
 Losses are i.i.d. per slot, so a generation's rounds depend only on its own
 draws, never on when they are sent. One trajectory stream, _trajectories,
 draws them in generation order, and the same seed gives the same rounds in
-both modes; the modes differ only in their timing map. The idealized map
-adds 2*t_p per extra round. The relaxed map, _link_slots, is an integer
-schedule: a round ending at slot e frees its retransmission from slot
-e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue. It
+both modes; the modes differ only in their timing map. It holds each round's
+receive flags slot-major, one row per slot and one column per generation, so
+every count over a generation's slots runs along rows, across all the
+generations of a block at once, not along one generation's few slots. The
+idealized map adds 2*t_p per extra round. The relaxed map, _link_slots, is
+an integer schedule: a round ending at slot e frees its retransmission from
+slot e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue. It
 streams: each block of generations is handed on once it and every earlier
 block have decoded, so a run holds only the blocks with generations in
 flight.
@@ -214,28 +217,36 @@ class _Arrivals:
 
     need holds the dofs each generation still lacks. round takes the receive
     flags of one round of the generations in active (ascending, each still
-    short) and returns which of them decoded and, for those, the slot within
-    the round where the k-th dof arrived; _CodecRanks has the same interface.
+    short), slot-major: flags[t, j] tells whether slot t of active[j]
+    arrived. It returns which of them decoded and, for those, the slot within
+    the round where the k-th dof arrived: the number of slots whose running
+    count down the column is still short of the need. The running counts are
+    one cumsum down the slots, in the smallest unsigned type that holds both
+    the slot count and k. _CodecRanks has the same interface.
     """
 
     non_innovative = None
 
     def __init__(self, k, g):
+        self.k = k
         self.need = np.full(g, k, dtype=np.int64)
 
     def round(self, rng, active, flags):
         need = self.need[active]
-        cum = np.cumsum(flags, axis=1)
-        self.need[active] = np.maximum(need - cum[:, -1], 0)
-        return cum[:, -1] >= need, np.argmax(cum >= need[:, None], axis=1)
+        small = np.min_scalar_type(max(flags.shape[0], self.k))
+        cum = np.cumsum(flags, axis=0, dtype=small)
+        self.need[active] = np.maximum(need - cum[-1], 0)
+        return cum[-1] >= need, np.count_nonzero(cum < need.astype(small), axis=0)
 
 
 class _CodecRanks:
     """Ranks over GF(2^8) of a block's generations, fed one round of every active one at a time.
 
-    Each round draws one uint8 coefficient block for all its generations and
-    coded slots, received or not, right after their receive flags: the
-    sender draws coefficients before the channel acts. Systematic packets
+    round takes the slot-major flags that _Arrivals.round does and works on
+    their transpose, one generation's rows at a time. Each round draws one
+    uint8 coefficient block for all its generations and coded slots,
+    received or not, right after their receive flags: the sender draws
+    coefficients before the channel acts. Systematic packets
     fill only the first k slots of round 1, so they leave each generation
     the set M of its missing columns, and a coded row counts only through
     its projection onto M. The received rows are eliminated column by
@@ -258,6 +269,7 @@ class _CodecRanks:
     def round(self, rng, active, flags):
         k = self.k
         n_sys = k if self.width is None else 0
+        flags = flags.T   # generation-major: the elimination works one generation's rows at a time
         coeffs = rng.integers(0, 256, size=(active.size, flags.shape[1] - n_sys, k), dtype=np.uint8)
         if n_sys:   # round 1 sends every generation of the block
             sys_flags, flags = flags[:, :k], flags[:, k:]
@@ -441,8 +453,8 @@ class _Delivery:
                 self.non_innovative += int(block.non_innovative[w].sum())
             self.gens += w.stop - w.start
             counts = np.bincount(block.y[w])
-            if counts.size > self.rounds.size:
-                self.rounds = np.pad(self.rounds, (0, counts.size - self.rounds.size))
+            if counts.size > self.rounds.size:   # keep the longer histogram, add the other in
+                self.rounds, counts = counts, self.rounds
             self.rounds[:counts.size] += counts
         if self.trace_parts is not None:
             cols = np.arange(self.k)
@@ -495,12 +507,17 @@ def _trajectories(cfg, rng, n_gens):
     within the last round where the k-th dof arrived, received every arrival,
     and non_innovative (real codec only, else None) the received coded
     packets that did not raise the rank before decode. retx lists the sizes
-    of rounds 2..y, one generation after the other. Round 1 is one matrix of
-    uniforms per block, and each retransmission round is drawn at once for
-    all generations still short of k dofs: one uniform each for its size,
-    then a matrix of slot uniforms. Their dofs are arrivals under rank
-    counting (_Arrivals) or ranks over GF(2^8) with the real codec
-    (_CodecRanks, which draws each round's coefficients after its flags).
+    of rounds 2..y, one generation after the other. Round 1 draws one
+    (generations, slots) matrix of uniforms per block, and each
+    retransmission round is drawn at once for all generations still short of
+    k dofs: one uniform each for its size, then a (generations, slots)
+    matrix of slot uniforms. The receive flags are the transpose of those
+    draws, made contiguous: (slots, generations), slot-major. Round 1's
+    size mask touches only row n_k_low, as n is n_k_low or n_k_low + 1; s is
+    the first lost row among the first k, and received counts down each
+    column. Their dofs are arrivals under rank counting (_Arrivals) or ranks
+    over GF(2^8) with the real codec (_CodecRanks, which draws each round's
+    coefficients after its flags).
     """
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
@@ -514,11 +531,13 @@ def _trajectories(cfg, rng, n_gens):
             n = lo + (rng.random(g) < frac).astype(np.int64)
         else:
             n = np.full(g, lo, dtype=np.int64)
-        u = rng.random((g, hi))
-        recv = (u >= eps) & (np.arange(hi)[None, :] < n[:, None])
-        fails = ~recv[:, :k]
-        s = np.where(fails.any(axis=1), fails.argmax(axis=1), k)
-        received = recv.sum(axis=1)
+        recv = np.ascontiguousarray((rng.random((g, hi)) >= eps).T)
+        if hi > lo:   # n is lo or hi = lo + 1, so only slot lo can lie past n
+            recv[lo] &= n > lo
+        head = recv[:k]
+        s = np.argmin(head, axis=0)   # the first lost systematic slot, or 0 when none is
+        s[head.all(axis=0)] = k
+        received = np.count_nonzero(recv, axis=0)
         y = np.ones(g, dtype=np.int64)
         dofs = dofs_of(k, g)
         active = np.arange(g)
@@ -533,8 +552,9 @@ def _trajectories(cfg, rng, n_gens):
             need = dofs.need[active]
             nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
             u2 = rng.random((active.size, int(nl.max())))
-            flags = (u2 < 1.0 - eps) & (np.arange(u2.shape[1])[None, :] < nl[:, None])
-            received[active] += flags.sum(axis=1)
+            flags = np.ascontiguousarray((u2 < 1.0 - eps).T)
+            flags &= np.arange(flags.shape[0])[:, None] < nl
+            received[active] += np.count_nonzero(flags, axis=0)
             fin, last = dofs.round(rng, active, flags)
             hit[active[fin]] = last[fin]
             y[active] = r

@@ -43,7 +43,7 @@ from codedelay.gf256 import INV, MUL
 from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
                               _transition_rows)
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.optimizer import _TIE_REL, smooth_local_maxima, sweep
+from codedelay.optimizer import _TIE_REL, _warn_at_edge, smooth_local_maxima, sweep
 from codedelay.params import InputError, redundancy_from_margin, split_count
 from codedelay.simulator import _Delivery
 
@@ -692,7 +692,8 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
 
 
 def reference_k_star(channel, R, k_range=None):
-    """optimizer.k_star as it was before it stopped early: the selection over the whole sweep."""
+    """optimizer.k_star as it was before it stopped early: the selection over the whole sweep,
+    with k_star's warnings about where k* lies."""
     records = smooth_local_maxima(sweep(channel, R, k_range))
     valid = [r for r in records if r.error is None]
     if not valid:
@@ -701,6 +702,7 @@ def reference_k_star(channel, R, k_range=None):
     tol = _TIE_REL * abs(best)
     winner = min((r for r in valid if r.smoothed_mean <= best + tol),
                  key=lambda r: r.k)
+    _warn_at_edge(channel, R, records[-1].k, winner.k)
     return winner.k, winner
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
 from codedelay.kernel import _transition_rows, build_kernel, check_generation_size
 from codedelay.optimizer import default_k_range, sweep
-from codedelay.params import InputError, derive_channel, derive_coding, redundancy_from_margin
+from codedelay.params import (AssumptionWarning, InputError, derive_channel, derive_coding,
+                              redundancy_from_margin)
 from codedelay.simulator import MAX_PACKETS, SimConfig, replicate
 
 from .helpers import invoke_cli
@@ -387,6 +389,35 @@ class TestKstarCommand:
         res = invoke_cli(["kstar", *CH, "--margin", "0.1", "--k-grid", "5000"])
         assert res.exit_code == 3, res.output
         assert "numerical failure: every sweep point failed" in res.output
+
+
+    # the design workload's link: 100 Mb/s, 12 000-bit packets
+    DESIGN_LINK = ["--rate-bps", "1e8", "--packet-bits", "12000"]
+
+    @pytest.mark.parametrize("flags, stdout, warning", [
+        # BDP 10^4, eps 0.1, margin 0.02: k* is the default grid's top, 1 024
+        (["--epsilon", "0.1", "--rtt-s", "1.2", "--margin", "0.02"],
+         "1024,1.1333333333333333,0.1,10000,9,0.8286596261403774,0.45378376261293213,"
+         "0.9167308778046699,0.9802913063661854,\n",
+         "k* = 1024 is the top of the k grid, and sizes up to 4096 are admissible (R*k < BDP "
+         "(10000), k <= 4096); the optimum may lie above it: pass a --k-grid that reaches "
+         "past 1024"),
+        # BDP 494, eps 0.26, margin 0.026: k* 428 has R*k = 593 >= BDP
+        (["--epsilon", "0.26", "--rtt-s", "0.05928", "--margin", "0.026"],
+         "428,1.3864864864864865,0.26,494,1,0.0687163596649681,0.03965419448664776,"
+         "0.0687163596649681,0.9726018459290305,\n",
+         "k* = 428 has R*k = 593.416 >= BDP (494); the delay model is loose at k*"),
+    ])
+    def test_k_star_at_an_edge_warns_and_keeps_its_stdout(self, flags, stdout, warning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke_cli(["kstar", *flags, *self.DESIGN_LINK])
+        assert res.exit_code == 0
+        # the bytes printed before k_star warned
+        assert res.stdout == "k,R,epsilon,bdp,b,mean_s,std_s,smoothed_mean_s,eta,error\n" + stdout
+        texts = [str(w.message) for w in caught if w.category is AssumptionWarning]
+        assert texts.count(warning) == 1
+        assert len([t for t in texts if t.startswith("k* = ")]) == 1
 
 
 class TestTradeoffCommand:

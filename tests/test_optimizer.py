@@ -313,6 +313,62 @@ class TestBoundedKStar:
         assert self._evaluated(monkeypatch, ch, 1.25, [1, 2, 4, 8]) == [1, 2, 4, 8]
 
 
+def _edge_warnings(caught):
+    """The k* warnings among caught: (grid-top texts, R*k >= BDP at k* texts)."""
+    texts = [str(w.message) for w in caught if w.category is AssumptionWarning]
+    return ([t for t in texts if "top of the k grid" in t],
+            [t for t in texts if "loose at k*" in t])
+
+
+class TestKStarAtTheEdge:
+    """k_star warns when k* is its grid's top and a larger size is admissible, and when R*k* >= BDP."""
+
+    def test_top_of_a_grid_names_the_largest_admissible_size(self):
+        ch = std_channel()   # BDP 100: R*k < 100 up to k = 79 at R = 1.25
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            k, _ = k_star(ch, 1.25, k_range=[2, 4, 8])
+        assert k == 8
+        assert [str(w.message) for w in caught] == [
+            "k* = 8 is the top of the k grid, and sizes up to 79 are admissible (R*k < BDP "
+            "(100), k <= 4096); the optimum may lie above it: pass a --k-grid that reaches "
+            "past 8"]
+        assert caught[0].category is AssumptionWarning
+        assert caught[0].filename == __file__
+
+    def test_an_interior_k_star_gives_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k, _ = k_star(std_channel(), 1.1 / 0.9, k_range=[2, 8, 32, 64, 79])
+        assert k not in (2, 79)
+
+    def test_tradeoff_inherits_the_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tradeoff_curve(std_channel(), [0.1], k_range=[2, 4, 8], arq_packets=2000)
+        assert len(_edge_warnings(caught)[0]) == 1
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @given(eps=st.floats(0.01, 0.3), bdp=st.integers(3, 300), margin=st.floats(0.02, 0.3),
+           grid=st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True))
+    @example(eps=0.1, bdp=20, margin=0.1, grid=[8, 16, 32])    # k* past the BDP
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_warns_exactly_at_the_edge(self, eps, bdp, margin, grid):
+        ch = bdp_channel(eps, bdp)
+        R = redundancy_from_margin(margin, eps)
+        ks = sorted(grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            k, _ = k_star(ch, R, ks)
+        at_top, loose = _edge_warnings(caught)
+        assert len(at_top) == (k == ks[-1] and R * (k + 1) < ch.bdp)
+        assert len(loose) == (R * k >= ch.bdp)
+        if at_top:
+            # the largest admissible size it names is admissible, and the next is not
+            largest = int(at_top[0].split("sizes up to ")[1].split()[0])
+            assert largest > k and R * largest < ch.bdp and R * (largest + 1) >= ch.bdp
+
+
 class TestLowerBound:
     """LB(k) bounds every evaluated delay cell from below where its premises hold."""
 

@@ -452,25 +452,52 @@ def _codec_replay(cfg, g, coefficients=None):
     return rng.draws, codec
 
 
+def _counting_replay(cfg, g):
+    """Draw one block of g rank-counting generations and compare it with the scalar
+    replay of its draws."""
+    rng = RecordingRng(simulator._rng_for(cfg.seed))
+    (tr,) = simulator._trajectories(cfg, rng, g)
+    rounds, hit, received, s, codec = reference_trajectories(
+        rng.draws, cfg.coding, cfg.channel.epsilon, g)
+    assert codec is None
+    assert tr.n.tolist() == [r[0] for r in rounds]
+    assert tr.y.tolist() == [len(r) for r in rounds]
+    assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
+    assert tr.hit.tolist() == hit
+    assert tr.received.tolist() == received
+    assert tr.s.tolist() == s
+    assert tr.non_innovative is None
+
+
+@st.composite
+def _counting_blocks(draw):
+    """(config, generations) of one rank-counting block. R is m/k in about half the draws,
+    so R*k is an integer and every round-1 size is n_k_low."""
+    eps, k = draw(st.floats(0.0, 0.45)), draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        R = draw(st.integers(k, 2 * k)) / k
+    else:
+        R = draw(st.floats(1.0, 2.0))
+    ch = std_channel(eps)
+    cfg = SimConfig(channel=ch, coding=derive_coding(ch, k, R=R), n_packets=k * 50,
+                    seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return cfg, draw(st.integers(1, 40))
+
+
 class TestTrajectories:
     @pytest.mark.parametrize("epsilon, k, R", [(0.1, 8, 1.25), (0.3, 1, 1.5), (0.2, 16, 1.0),
                                                (0.35, 5, 1.1), (0.0, 4, 1.0)])
     def test_rank_counting_matches_a_scalar_replay(self, epsilon, k, R):
         ch = std_channel(epsilon)
-        cd = derive_coding(ch, k, R=R)
         g = 600   # one block
-        rng = RecordingRng(simulator._rng_for(81))
-        cfg = SimConfig(channel=ch, coding=cd, n_packets=k * g, seed=81)
-        (tr,) = simulator._trajectories(cfg, rng, g)
-        rounds, hit, received, s, codec = reference_trajectories(rng.draws, cd, epsilon, g)
-        assert codec is None
-        assert tr.n.tolist() == [r[0] for r in rounds]
-        assert tr.y.tolist() == [len(r) for r in rounds]
-        assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
-        assert tr.hit.tolist() == hit
-        assert tr.received.tolist() == received
-        assert tr.s.tolist() == s
-        assert tr.non_innovative is None
+        _counting_replay(SimConfig(channel=ch, coding=derive_coding(ch, k, R=R),
+                                   n_packets=k * g, seed=81), g)
+
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_counting_blocks())
+    def test_rank_counting_matches_a_scalar_replay_on_drawn_blocks(self, case):
+        _counting_replay(*case)
 
     @pytest.mark.parametrize("use_real_codec", [False, True])
     def test_hit_lies_in_the_last_round(self, use_real_codec):
@@ -713,9 +740,9 @@ def _feed_both(k, gens):
     """Feed the generations' rounds to one _CodecRanks and each to its decoder reference.
 
     A round goes to every generation in round 1, then to those still short
-    of k that have one, stacked and padded with lost slots whose rows are
-    junk. Compares after each round; returns the rounds each generation was
-    fed and the _CodecRanks.
+    of k that have one, as slot-major flags (one column per generation)
+    padded with lost slots whose rows are junk. Compares after each round;
+    returns the rounds each generation was fed and the _CodecRanks.
     """
     g = len(gens)
     ranks, refs = simulator._CodecRanks(k, g), [ReferenceTracker(k) for _ in gens]
@@ -726,11 +753,11 @@ def _feed_both(k, gens):
             break
         n_sys = k if r == 0 else 0
         slots = max(gens[j][r][0].size for j in active)
-        flags = np.zeros((len(active), slots), dtype=bool)
+        flags = np.zeros((slots, len(active)), dtype=bool)
         coeffs = np.full((len(active), slots - n_sys, k), 0xA5, dtype=np.uint8)
         for row, j in enumerate(active):
             f, _, mat = gens[j][r]
-            flags[row, :f.size] = f
+            flags[:f.size, row] = f
             coeffs[row, :mat.shape[0]] = mat
         fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.array(active), flags)
         for row, j in enumerate(active):
@@ -768,7 +795,7 @@ class TestRankTracker:
 
     def test_every_systematic_packet_decodes_at_the_kth(self):
         k = 5
-        flags = np.ones((1, k + 3), dtype=bool)
+        flags = np.ones((k + 3, 1), dtype=bool)   # slot-major: one column per generation
         coeffs = np.ones((1, 3, k), dtype=np.uint8)
         ranks = simulator._CodecRanks(k, 1)
         fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.arange(1), flags)
