@@ -16,7 +16,8 @@ flag is declared once, in an option group (`_CHANNEL`, `_CODING`, `_GRID`,
 + own options)` over a body that returns the table to print. Inside the
 exit-code guard, `_command` turns the shared flags into the channel `ch`, the
 --redundancy/--margin choice, `coding` (with --k) or `R`, then `ks` from
---k-grid, checked in that order; the body makes its own checks last.
+--k-grid, checked in that order; the body makes its own checks last. `analyze`
+prints optimizer.evaluate_point's record, as sweep does at every grid point.
 """
 
 import argparse
@@ -26,12 +27,14 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
-from .delay import expected_delay
+from .delay import expected_delay  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .efficiency import efficiency
 from .kernel import NumericalError, build_kernel
-from .optimizer import default_k_range, k_star, smooth_local_maxima, sweep, tradeoff_curve
+from .optimizer import (default_k_range, evaluate_point, k_star, smooth_local_maxima, sweep,
+                        tradeoff_curve)
 from .params import InputError, derive_channel, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, replicate, run_arq, run_coded, trace_csv
 
@@ -113,15 +116,20 @@ def _emit(table, fmt, out):
         sys.stdout.write(text)
 
 
+def _parse_list(text, option, convert, kind):
+    try:
+        values = [convert(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise InputError(f"{option} must be comma-separated {kind}, got {text!r}")
+    if not values:
+        raise InputError(f"{option} is empty")
+    return values
+
+
 def _parse_k_grid(text, channel):
     if text is None:
         return default_k_range(channel)
-    try:
-        ks = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"--k-grid must be comma-separated integers, got {text!r}")
-    if not ks:
-        raise InputError("--k-grid is empty")
+    ks = _parse_list(text, "--k-grid", int, "integers")
     if min(ks) < 1:
         raise InputError(f"--k-grid sizes must be >= 1, got {min(ks)}")
     return ks
@@ -186,11 +194,9 @@ def _command(name, options):
 def analyze(ch, coding):
     """Mean/std in-order delay and efficiency at one operating point."""
     kern = build_kernel(ch, coding)
-    dm = expected_delay(ch, coding, kern)
-    eff = efficiency(kern)
-    return OutputTable(
-        ["mean_s", "std_s", "eta", "b", "truncated_mass"],
-        [[dm.mean, math.sqrt(dm.variance), eff.eta, coding.b, dm.truncated_mass]])
+    rec = evaluate_point(ch, coding.R, coding, kern, efficiency(kern))
+    return OutputTable(["mean_s", "std_s", "eta", "b", "truncated_mass"],
+                       [[rec.mean, rec.std, rec.eta, rec.b, rec.truncated_mass]])
 
 
 def _sweep_table(records):
@@ -219,12 +225,7 @@ def cmd_kstar(ch, R, ks):
           + _option("--seed", type=int, default=0, help="seed for the ARQ reference simulation"))
 def cmd_tradeoff(ch, margins, ks, arq_packets, seed):
     """Delay vs efficiency frontier over margins, with the ARQ corner."""
-    try:
-        xs = [float(part) for part in margins.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"--margins must be comma-separated numbers, got {margins!r}")
-    if not xs:
-        raise InputError("--margins is empty")
+    xs = _parse_list(margins, "--margins", float, "numbers")
     points = tradeoff_curve(ch, xs, k_range=ks, arq_packets=arq_packets, seed=seed)
     return OutputTable(
         ["kind", "margin", "R", "k", "eta", "mean_s", "std_s"],
@@ -269,10 +270,17 @@ def cmd_compare_arq(ch, coding, mode, n_packets, seed):
          ["arq", arq.mean_delay, arq.std_delay, arq.mean_efficiency]])
 
 
+def _one_line(message, category, filename, lineno, line=None):
+    """A warning as `Category: message`, without the path and source line of its call."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None, standalone_mode=True):
     """Run the command in argv (default: sys.argv[1:]); a failure raises SystemExit(2 or 3).
 
-    `main.main` is main, as perfbench calls it; standalone_mode is unused."""
+    While the command runs, a warning that is shown prints as one line (_one_line); one
+    that a caller records is recorded as before. `main.main` is main, as perfbench calls
+    it; standalone_mode is unused."""
     # `--flag value` as `--flag=value`, or argparse would read a value such as -0e0 as a flag
     tokens, joined = iter(sys.argv[1:] if argv is None else argv), []
     for token in tokens:
@@ -281,7 +289,11 @@ def main(argv=None, standalone_mode=True):
     if "--help" in joined[1:] and joined[0] in commands.choices:  # before any flag is checked
         joined = [joined[0], "--help"]
     flags = vars(parser.parse_args(joined))
-    flags.pop("run")(**flags)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
+    try:
+        flags.pop("run")(**flags)
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 main.main = main

@@ -93,15 +93,12 @@ def _grid_codings(channel, R, ks):
     return codings, errors
 
 
-def _evaluate_point(channel, R, coding, kern, eff):
-    try:
-        dm = expected_delay(channel, coding, kern.block(coding))
-        return SweepRecord(k=coding.k, R=R, epsilon=channel.epsilon,
-                           bdp=channel.bdp, mean=dm.mean, std=math.sqrt(dm.variance),
-                           eta=eff.at(coding.k).eta, b=coding.b,
-                           truncated_mass=dm.truncated_mass)
-    except Exception as exc:  # per-point failures become markers, not aborts
-        return _failed_record(channel, R, coding.k, str(exc))
+def evaluate_point(channel, R, coding, kern, eff):
+    """coding's SweepRecord, from its size's kernel and EfficiencyResult, with R as given."""
+    dm = expected_delay(channel, coding, kern)
+    return SweepRecord(k=coding.k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
+                       mean=dm.mean, std=math.sqrt(dm.variance), eta=eff.eta, b=coding.b,
+                       truncated_mass=dm.truncated_mass)
 
 
 def _grid(channel, k_range):
@@ -117,10 +114,9 @@ def _grid(channel, k_range):
 def sweep(channel, R, k_range=None, codings=None, chain=None):
     """Evaluate mean/std delay and efficiency at each k, in order.
 
-    One kernel, built at the largest k, serves every point: each k reads its
-    leading block, its own absorption cdf and its entry of one efficiency
-    pass. A failing point yields a record with its error message instead of
-    aborting the sweep.
+    One kernel, built at the largest k, serves every point: evaluate_point
+    reads each k's leading block, absorption cdf and entry of one efficiency
+    pass. A failing point yields a record with its error message, not an abort.
 
     `codings` stands in for k_range: CodingParams that `_grid_codings`
     derived, evaluated as given, with no warning. k_star evaluates its grid
@@ -137,7 +133,11 @@ def sweep(channel, R, k_range=None, codings=None, chain=None):
         kern = build_kernel(channel, codings[-1], [c.k for c in codings], chain)
         eff = efficiency(kern)
         for coding in codings:
-            done[coding.k] = _evaluate_point(channel, R, coding, kern, eff)
+            try:
+                rec = evaluate_point(channel, R, coding, kern.block(coding), eff.at(coding.k))
+            except Exception as exc:  # per-point failures become markers, not aborts
+                rec = _failed_record(channel, R, coding.k, str(exc))
+            done[coding.k] = rec
     return [done[k] if k in done else _failed_record(channel, R, k, errors[k]) for k in ks]
 
 

@@ -129,12 +129,45 @@ class TestAnalyze:
         def fail(*args, **kwargs):
             raise ValueError("array must not contain infs or NaNs")
 
-        monkeypatch.setattr(codedelay.cli, "expected_delay", fail)
+        monkeypatch.setattr(codedelay.optimizer, "expected_delay", fail)
         res = invoke_cli(["analyze", *CH, "--k", "16", "--margin", "0.1"])
         assert res.exit_code == 3, res.output
         assert "numerical failure: array must not contain infs or NaNs" in res.output
         assert "Traceback" not in res.output
         assert "Usage:" not in res.output
+
+    @given(eps=st.floats(0.0, 0.4), bdp=st.integers(3, 2000), k=st.integers(1, 200),
+           margin=st.floats(0.0, 0.3))
+    @example(eps=0.1, bdp=100, k=16, margin=0.1)
+    @example(eps=0.3, bdp=10, k=64, margin=0.05)      # R*k >= BDP
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_row_is_the_one_point_sweep(self, eps, bdp, k, margin):
+        # the same record, bit for bit, as sweep evaluates at a grid point
+        rtt = bdp * 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssumptionWarning)
+            res = invoke_cli(["analyze", "--epsilon", repr(eps), "--rate-bps", "1e7",
+                              "--packet-bits", "1e4", "--rtt-s", repr(rtt), "--k", str(k),
+                              "--margin", repr(margin)])
+            (rec,) = sweep(derive_channel(eps, 1e7, 1e4, rtt=rtt),
+                           redundancy_from_margin(margin, eps), [k])
+        assert res.exit_code == 0, res.output
+        row = parse_csv(res.stdout)[0]
+        assert rec.error is None
+        assert [float(row["mean_s"]), float(row["std_s"]), float(row["eta"]), int(row["b"]),
+                float(row["truncated_mass"])] == [rec.mean, rec.std, rec.eta, rec.b,
+                                                  rec.truncated_mass]
+
+    def test_failure_is_the_one_point_sweeps_error(self):
+        # absorption does not converge at eps 0.9999, k 64, R 1
+        res = invoke_cli(["analyze", "--epsilon", "0.9999", "--rate-bps", "1e7",
+                          "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "64",
+                          "--redundancy", "1.0"])
+        (rec,) = sweep(derive_channel(0.9999, 1e7, 1e4, rtt=0.1), 1.0, [64])
+        assert rec.error
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == f"numerical failure: {rec.error}\n"
 
     def test_float_overflow_exits_3(self):
         # a 1.3e154 s slot is accepted, but its square overflows in the delay model
@@ -493,14 +526,18 @@ class TestCompareArqCommand:
         assert float(rows["arq"]["efficiency"]) == 1.0
 
 
+def _fresh_python(*args):
+    """A fresh interpreter run on this source tree, with no PYTHONWARNINGS from outside."""
+    src = str(Path(codedelay.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 def _imported_by_cli(module):
     """Whether a fresh interpreter's `import codedelay.cli` brings in `module`."""
-    src = str(Path(codedelay.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import codedelay.cli, sys; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _fresh_python("-c", f"import codedelay.cli, sys; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip() == "True"
 
@@ -512,6 +549,49 @@ def test_cli_import_leaves_scipy_out():
 @pytest.mark.parametrize("module", ["click", "importlib.metadata"])
 def test_cli_import_leaves_click_and_package_metadata_out(module):
     assert not _imported_by_cli(module)
+
+
+class TestWarnings:
+    # BDP 10: R*k >= BDP at k 64
+    LOOSE = ["--epsilon", "0.1", "--rate-bps", "1e7", "--packet-bits", "1e4", "--rtt-s", "0.01",
+             "--margin", "0.1"]
+
+    def test_a_warning_prints_as_one_line(self):
+        proc = _fresh_python("-m", "codedelay.cli", "sweep", *self.LOOSE, "--k-grid", "2,8,64")
+        assert proc.returncode == 0
+        assert proc.stderr == ("AssumptionWarning: R*k >= BDP (10) at 1 of 3 grid points "
+                               "(k >= 64); the delay model is loose there\n")
+        # the bytes printed before the format changed
+        assert proc.stdout == (
+            "k,R,epsilon,bdp,b,mean_s,std_s,smoothed_mean_s,eta,error\n"
+            "2,1.2222222222222223,0.1,10,5,0.008407314081954657,0.00431783023444616,"
+            "0.008407314081954657,0.8517883755588673,\n"
+            "8,1.2222222222222223,0.1,10,2,0.007980869871031996,0.004024020156809396,"
+            "0.008407314081954657,0.8934574809316456,\n"
+            "64,1.2222222222222223,0.1,10,1,0.030437251067745922,0.018751658196145417,"
+            "0.030437251067745922,0.9088729654228974,\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--k-grid", "2,8,64"], 0),
+        (["analyze", "--k", "64"], 0),
+        (["sweep", "--k-grid", "64,5000"], 3),
+    ])
+    def test_recorded_warnings_keep_their_source_and_the_format_is_restored(self, argv, code):
+        before = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke_cli([*argv, *self.LOOSE])
+        assert res.exit_code == code
+        assert warnings.formatwarning is before
+        assert [w.category for w in caught] == [AssumptionWarning]
+        assert caught[0].filename.endswith("cli.py") and caught[0].lineno > 0
+        assert "AssumptionWarning" not in res.stderr
+
+    def test_importing_the_cli_leaves_the_format_alone(self):
+        proc = _fresh_python("-c", "import warnings; f = warnings.formatwarning; "
+                                   "import codedelay.cli; print(warnings.formatwarning is f)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
 
 def _either(draw, typical, wild):
