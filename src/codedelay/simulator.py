@@ -27,24 +27,35 @@ streams: each block of generations is handed on once it and every earlier
 block have decoded, so a run holds only the blocks with generations in
 flight.
 
+Replications run as lanes of one engine call, each lane with its own
+generator, from which it draws exactly what a lone run of it would, in the
+same order and shapes. Everything after the draws runs once for all the
+lanes of a batch: their flags sit side by side as columns, the dofs are
+counted over all of them together, and the delivery pass sums along each
+lane. A batch holds at most one block's worth of generation columns, so it
+takes as many lanes as fit; the relaxed link schedule stays one _link_slots
+per lane, fed that lane's views of each block. run_coded is the one-lane
+case.
+
 Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
 times are integer pairs converted to floats only for comparisons and
 reporting; the lossless case stays exact and a run spanning millions of
 slots loses nothing to cancellation. Both maps feed one delivery pass,
-_Delivery, block by block, which owns the warm-up margins. It takes the
-statistics from integer delay sums per generation, in closed form: each
+_Delivery, block by block, which owns the warm-up margins. It takes each
+lane's statistics from integer delay sums per generation, in closed form: each
 generation's delays are three runs of columns, and it sums over each run at
 once. Per-packet delays are built, from the same runs, only for a trace.
 The idealized blocker is the latest decode among a window of previous
 generations; in relaxed mode every decode is a slot count plus one hop, so
-the blocker is the running maximum of the integer decode slots.
+the blocker is the running maximum of the integer decode slots. Both are
+kept per lane.
 
 With the real codec, the same rounds count dofs as ranks over GF(2^8)
-instead of arrivals: _CodecRanks draws one coefficient block per block of
-generations and round, right after the receive flags, and eliminates the
-received rows of all those generations together, sorted by width into
-sub-batches of bounded size, with no payloads; it counts the
-non-innovative packets that SimStats reports.
+instead of arrivals: each lane draws one coefficient block per block of
+generations and round, right after its receive flags, and _CodecRanks
+eliminates the received rows of all the batch's generations together,
+sorted by width into sub-batches of bounded size, with no payloads; it
+counts the non-innovative packets that SimStats reports.
 
 The RNG is numpy's Philox counter generator seeded through SeedSequence, and
 all variate generation is inverse-transform from its uniforms, so a fixed
@@ -65,7 +76,7 @@ not exceed MAX_PACKETS.
 import json
 import math
 import statistics
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -222,7 +233,8 @@ class _Arrivals:
     the round where the k-th dof arrived: the number of slots whose running
     count down the column is still short of the need. The running counts are
     one cumsum down the slots, in the smallest unsigned type that holds both
-    the slot count and k. _CodecRanks has the same interface.
+    the slot count and k. _CodecRanks has the same interface; coeffs, its
+    coefficient blocks, is None here.
     """
 
     non_innovative = None
@@ -231,7 +243,7 @@ class _Arrivals:
         self.k = k
         self.need = np.full(g, k, dtype=np.int64)
 
-    def round(self, rng, active, flags):
+    def round(self, active, flags, coeffs):
         need = self.need[active]
         small = np.min_scalar_type(max(flags.shape[0], self.k))
         cum = np.cumsum(flags, axis=0, dtype=small)
@@ -243,10 +255,11 @@ class _CodecRanks:
     """Ranks over GF(2^8) of a block's generations, fed one round of every active one at a time.
 
     round takes the slot-major flags that _Arrivals.round does and works on
-    their transpose, one generation's rows at a time. Each round draws one
-    uint8 coefficient block for all its generations and coded slots,
-    received or not, right after their receive flags: the sender draws
-    coefficients before the channel acts. Systematic packets
+    their transpose, one generation's rows at a time, with one uint8
+    coefficient row for every coded slot of every generation in active,
+    received or not: coeffs[j, t] for slot t of active[j] (round 1: slot
+    k + t). _trajectories draws them right after the receive flags, as the
+    sender draws coefficients before the channel acts. Systematic packets
     fill only the first k slots of round 1, so they leave each generation
     the set M of its missing columns, and a coded row counts only through
     its projection onto M. The received rows are eliminated column by
@@ -266,11 +279,10 @@ class _CodecRanks:
         self.non_innovative = np.zeros(g, dtype=np.int64)
         self.width = None   # |M| of each generation, set by round 1
 
-    def round(self, rng, active, flags):
+    def round(self, active, flags, coeffs):
         k = self.k
         n_sys = k if self.width is None else 0
         flags = flags.T   # generation-major: the elimination works one generation's rows at a time
-        coeffs = rng.integers(0, 256, size=(active.size, flags.shape[1] - n_sys, k), dtype=np.uint8)
         if n_sys:   # round 1 sends every generation of the block
             sys_flags, flags = flags[:, :k], flags[:, k:]
             self.width = k - np.count_nonzero(sys_flags, axis=1)
@@ -384,7 +396,7 @@ def _chunk_rows(n_k_high, k=0):
 
 
 class _Delivery:
-    """In-order delivery of one coded run, fed blocks of generations in order.
+    """In-order delivery of a batch of coded runs (lanes), fed blocks of generations in order.
 
     A _Trajectories block gives each generation's systematic prefix s, round
     count and received count; the engine gives its start slot, decode instant
@@ -402,12 +414,16 @@ class _Delivery:
     and for c >= s one instant, decode or a later blocker, less c. So the
     statistics take _PairStats' count and five integer sums per generation
     from sums of c and c**2 over each run, read from tables of k + 1 entries
-    built once per run, with no per-packet array. The per-packet delays are
-    built, from the same runs, only for a trace. Generations inside the
-    warm-up and cool-down margins count only in the trace.
+    built once per batch, with no per-packet array, and sum them along each
+    lane's generations into that lane's own _PairStats. The per-packet delays
+    are built, from the same runs, only for a trace, which only a run of one
+    lane collects (replicate turns records off). Generations inside each
+    lane's warm-up and cool-down margins count only in the trace. The rounds
+    histogram and the received and non-innovative counts are pooled over the
+    lanes.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, lanes=1):
         k, b = cfg.coding.k, cfg.coding.b
         self.n_gens = -(-cfg.n_packets // k)
         self.warm = _WARMUP_FACTOR * b
@@ -421,7 +437,7 @@ class _Delivery:
         n = np.arange(k + 1)
         self.below = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
         self.after = tuple(col[k] - col for col in self.below)
-        self.acc = _PairStats(self.t_s, self.t_p)
+        self.accs = [_PairStats(self.t_s, self.t_p) for _ in range(lanes)]
         self.rounds = np.zeros(0, dtype=np.int64)
         self.received = 0
         self.non_innovative = 0
@@ -430,15 +446,15 @@ class _Delivery:
         self.trace_parts = [] if cfg.collect_records else None
 
     def add(self, block, start, dec_slot, dec_hops, blk_slot, blk_hops):
-        """Deliver the generations of one _Trajectories block; hop counts may be scalars.
+        """Deliver the generations of one _Trajectories block, lane-major; hop counts may be scalars.
 
         The block gives the systematic prefixes, round counts, received counts
         and, in real-codec runs, the non-innovative counts.
         """
-        g, s = start.size, block.s
+        lanes, s = len(self.accs), block.s
+        g = s.size // lanes
         t_s, t_p = self.t_s, self.t_p
         dec_rel, blk_rel = dec_slot - start, blk_slot - start
-        dec_hops, blk_hops = np.broadcast_to(dec_hops, (g,)), np.broadcast_to(blk_hops, (g,))
         blk_f = blk_rel * t_s + blk_hops * t_p
         m = np.minimum(np.searchsorted(self.prefix_f, blk_f, side="left"), s)
         late = blk_f > dec_rel * t_s + dec_hops * t_p
@@ -446,102 +462,147 @@ class _Delivery:
 
         w = slice(max(self.warm - self.done, 0), min(self.n_gens - self.warm - self.done, g))
         if w.start < w.stop:
-            self.acc.add_sums(*self._sums(m[w], s[w], blk_rel[w], blk_hops[w], tail[w],
-                                          tail_hops[w]))
-            self.received += int(block.received[w].sum())
+            def kept(col):
+                """Each lane's generations inside the margins, one row a lane."""
+                return col.reshape(lanes, g)[:, w] if np.ndim(col) else col
+
+            sums = self._sums(*map(kept, (m, s, blk_rel, blk_hops, tail, tail_hops)))
+            for acc, lane in zip(self.accs, np.array(sums).T.tolist()):
+                acc.add_sums(*lane)
+            self.received += int(kept(block.received).sum())
             if block.non_innovative is not None:
-                self.non_innovative += int(block.non_innovative[w].sum())
-            self.gens += w.stop - w.start
-            counts = np.bincount(block.y[w])
-            if counts.size > self.rounds.size:   # keep the longer histogram, add the other in
-                self.rounds, counts = counts, self.rounds
-            self.rounds[:counts.size] += counts
+                self.non_innovative += int(kept(block.non_innovative).sum())
+            self.gens += lanes * (w.stop - w.start)
+            self._count_rounds(np.bincount(kept(block.y).ravel()))
         if self.trace_parts is not None:
             cols = np.arange(self.k)
             blocked, prefix = cols < m[:, None], cols < s[:, None]
             d_slot = np.where(blocked, blk_rel[:, None],
                               np.where(prefix, cols + 1, tail[:, None])) - cols
-            d_hops = np.where(blocked, blk_hops[:, None], np.where(prefix, 1, tail_hops[:, None]))
+            d_hops = np.where(blocked, np.reshape(blk_hops, (-1, 1)),
+                              np.where(prefix, 1, tail_hops[:, None]))
             self.trace_parts.append((start[:, None] + cols, d_slot * t_s + d_hops * t_p))
         self.done += g
 
+    def _count_rounds(self, counts):
+        if counts.size > self.rounds.size:   # keep the longer histogram, add the other in
+            self.rounds, counts = counts, self.rounds
+        self.rounds[:counts.size] += counts
+
     def _sums(self, m, s, blk, blk_hops, tail, tail_hops):
-        """Count and sums a, b, a*a, a*b, b*b over the delays (a, b) of these generations."""
+        """Count and sums a, b, a*a, a*b, b*b over the delays (a, b) of each row's generations."""
         below, after = self.below, self.after
         blk = np.where(m > 0, blk, 0)   # read by no column when m = 0; _NO_BLOCKER**2 overflows
-        free = int(s.sum() - m.sum())   # columns m..s-1, at (1, 1)
+        free = s.sum(axis=1) - m.sum(axis=1)   # columns m..s-1, at (1, 1)
         rest = self.k - s
         c1, t1 = below[0][m], after[0][s]
         a_blk, a_tail = m * blk - c1, rest * tail - t1
         hb, ht = m * blk_hops, rest * tail_hops
-        return (m.size * self.k,
-                a_blk.sum() + free + a_tail.sum(),
-                hb.sum() + free + ht.sum(),
-                (blk @ (a_blk - c1) + tail @ (a_tail - t1) + below[1][m].sum() + after[1][s].sum()
-                 + free),
-                blk_hops @ a_blk + free + tail_hops @ a_tail,
-                hb @ blk_hops + free + ht @ tail_hops)
+
+        def dot(x, z):
+            return (x * z).sum(axis=1)
+
+        return (np.full(m.shape[0], m.shape[1] * self.k),
+                a_blk.sum(axis=1) + free + a_tail.sum(axis=1),
+                hb.sum(axis=1) + free + ht.sum(axis=1),
+                (dot(blk, a_blk - c1) + dot(tail, a_tail - t1) + below[1][m].sum(axis=1)
+                 + after[1][s].sum(axis=1) + free),
+                dot(blk_hops, a_blk) + free + dot(tail_hops, a_tail),
+                dot(hb, blk_hops) + free + dot(ht, tail_hops))
+
+    def merge(self, other):
+        """Take in the lanes of another batch of the same configuration."""
+        self.accs += other.accs
+        self.received += other.received
+        self.non_innovative += other.non_innovative
+        self.gens += other.gens
+        self._count_rounds(other.rounds)
 
     def stats(self):
+        """Pooled statistics of every lane; se_mean, from the lanes' own means, needs two."""
         trace = None
         if self.trace_parts is not None:
             first, delay = (np.concatenate([a.ravel() for a in col]) for col in zip(*self.trace_parts))
             trace = PacketTrace.build(first, delay, self.t_s, self.k)
-        return SimStats(mean_delay=self.acc.mean(), std_delay=self.acc.std(),
+        acc = _PairStats(self.t_s, self.t_p)
+        for lane in self.accs:
+            acc.merge(lane)
+        lanes = len(self.accs)
+        se = None
+        if lanes > 1:
+            se = statistics.stdev(lane.mean() for lane in self.accs) / math.sqrt(lanes)
+        return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                         mean_efficiency=self.k * self.gens / self.received,
-                        n_delays=self.acc.n,
+                        n_delays=acc.n, replications=lanes, se_mean=se,
                         rounds_hist={int(y): int(c) for y, c in enumerate(self.rounds) if c},
                         trace=trace, info_packets=self.k * self.gens,
                         received_packets=self.received, non_innovative=self.non_innovative,
-                        delay_sums=self.acc)
+                        delay_sums=acc)
 
 
 _Trajectories = namedtuple("_Trajectories", "n s y hit received non_innovative retx")
 
 
-def _trajectories(cfg, rng, n_gens):
-    """Draw the rounds of generations 0..n_gens-1, yielding _Trajectories of _chunk_rows of them.
+def _trajectories(cfg, rngs, n_gens):
+    """Draw the rounds of generations 0..n_gens-1 of each lane, one generator per lane.
 
-    Each field has one entry per generation of the block: n is the round-1
-    size, s the systematic prefix received, y the round count, hit the slot
-    within the last round where the k-th dof arrived, received every arrival,
-    and non_innovative (real codec only, else None) the received coded
-    packets that did not raise the rank before decode. retx lists the sizes
-    of rounds 2..y, one generation after the other. Round 1 draws one
-    (generations, slots) matrix of uniforms per block, and each
-    retransmission round is drawn at once for all generations still short of
-    k dofs: one uniform each for its size, then a (generations, slots)
-    matrix of slot uniforms. The receive flags are the transpose of those
-    draws, made contiguous: (slots, generations), slot-major. Round 1's
-    size mask touches only row n_k_low, as n is n_k_low or n_k_low + 1; s is
-    the first lost row among the first k, and received counts down each
-    column. Their dofs are arrivals under rank counting (_Arrivals) or ranks
-    over GF(2^8) with the real codec (_CodecRanks, which draws each round's
-    coefficients after its flags).
+    Yields one _Trajectories per block of _chunk_rows generations, the
+    lanes' blocks side by side: each field has one entry per generation,
+    lane-major (lane i's generations are entries i*g..(i+1)*g-1 of a block
+    of g per lane). n is the round-1 size, s the systematic prefix
+    received, y the round count, hit the slot within the last round where
+    the k-th dof arrived, received every arrival, and non_innovative (real
+    codec only, else None) the received coded packets that did not raise
+    the rank before decode. retx lists the sizes of rounds 2..y, one
+    generation after the other.
+
+    Each lane draws exactly what a lone run of it would, in the same order
+    and shapes. Round 1 draws one (generations, slots) matrix of uniforms
+    per block, and each retransmission round is drawn at once for the
+    lane's generations still short of k dofs: one uniform each for its
+    size, then a (generations, slots) matrix of slot uniforms. Everything
+    after the draws runs once for all the lanes. The receive flags are the
+    transpose of those draws: (slots, generations), slot-major, one column
+    per generation of every lane; a lane whose retransmission matrix is
+    narrower than the widest one's gets not-received rows below it. Round
+    1's size mask touches only row n_k_low, as n is n_k_low or n_k_low + 1;
+    s is the first lost row among the first k, and received counts down
+    each column. Their dofs are arrivals under rank counting (_Arrivals) or
+    ranks over GF(2^8) with the real codec (_CodecRanks), for which each
+    lane draws its round's coefficients right after its slot uniforms.
     """
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
     lo, hi, frac = cd.n_k_low, cd.n_k_high, cd.frac
     count_lo, count_frac = split_count(cd.R, np.arange(k + 1))   # (floor, fraction) per dofs needed
-    dofs_of = _CodecRanks if cfg.use_real_codec else _Arrivals
-    rows = _chunk_rows(hi, k if cfg.use_real_codec else 0)
+    codec = cfg.use_real_codec
+    dofs_of = _CodecRanks if codec else _Arrivals
+    rows = _chunk_rows(hi, k if codec else 0)
+    lanes = len(rngs)
     for done in range(0, n_gens, rows):
         g = min(rows, n_gens - done)
-        if frac > 0.0:
-            n = lo + (rng.random(g) < frac).astype(np.int64)
-        else:
-            n = np.full(g, lo, dtype=np.int64)
-        recv = np.ascontiguousarray((rng.random((g, hi)) >= eps).T)
+        n = np.full(lanes * g, lo, dtype=np.int64)
+        flags, coeffs = [], []
+        for lane, rng in enumerate(rngs):
+            if frac > 0.0:
+                n[lane * g:(lane + 1) * g] += rng.random(g) < frac
+            flags.append((rng.random((g, hi)) >= eps).T)
+            if codec:
+                coeffs.append(rng.integers(0, 256, size=(g, hi - k, k), dtype=np.uint8))
+        recv = _side_by_side(flags, 1)
+        del flags   # the lanes' own flags, now copied side by side
         if hi > lo:   # n is lo or hi = lo + 1, so only slot lo can lie past n
             recv[lo] &= n > lo
         head = recv[:k]
         s = np.argmin(head, axis=0)   # the first lost systematic slot, or 0 when none is
         s[head.all(axis=0)] = k
         received = np.count_nonzero(recv, axis=0)
-        y = np.ones(g, dtype=np.int64)
-        dofs = dofs_of(k, g)
-        active = np.arange(g)
-        fin, hit = dofs.round(rng, active, recv)
+        y = np.ones(lanes * g, dtype=np.int64)
+        bounds = np.arange(lanes + 1) * g   # each lane's first generation, and the block's end
+        dofs = dofs_of(k, lanes * g)
+        active = np.arange(lanes * g)
+        fin, hit = dofs.round(active, recv, _side_by_side(coeffs, 0) if codec else None)
+        del coeffs
         active = active[~fin]
         sent = [(np.zeros(0, dtype=np.int64),) * 2]   # (generations, sizes) per round
         r = 1
@@ -549,13 +610,23 @@ def _trajectories(cfg, rng, n_gens):
             r += 1
             if r > MAX_ROUNDS:
                 raise NumericalError("retransmission loop did not terminate")
+            # each lane's active generations are one run of active: (its generator, first, end)
+            cuts = [0, active.size] if lanes == 1 else np.searchsorted(active, bounds).tolist()
+            runs = [(rng, a, b) for rng, a, b in zip(rngs, cuts, cuts[1:]) if a < b]
+            extra = np.concatenate([rng.random(b - a) for rng, a, b in runs])
             need = dofs.need[active]
-            nl = count_lo[need] + (rng.random(active.size) < count_frac[need])
-            u2 = rng.random((active.size, int(nl.max())))
-            flags = np.ascontiguousarray((u2 < 1.0 - eps).T)
+            nl = count_lo[need] + (extra < count_frac[need])
+            flags, coeffs = [], []
+            widths = np.maximum.reduceat(nl, [a for _, a, _ in runs]).tolist()
+            for (rng, a, b), w in zip(runs, widths):
+                flags.append((rng.random((b - a, w)) < 1.0 - eps).T)
+                if codec:
+                    coeffs.append(rng.integers(0, 256, size=(b - a, w, k), dtype=np.uint8))
+            flags = _side_by_side(flags, 1)
             flags &= np.arange(flags.shape[0])[:, None] < nl
             received[active] += np.count_nonzero(flags, axis=0)
-            fin, last = dofs.round(rng, active, flags)
+            fin, last = dofs.round(active, flags, _side_by_side(coeffs, 0) if codec else None)
+            del coeffs   # before the next round draws its own: _chunk_rows counts one block's
             hit[active[fin]] = last[fin]
             y[active] = r
             sent.append((active, nl))
@@ -565,49 +636,102 @@ def _trajectories(cfg, rng, n_gens):
         yield _Trajectories(n, s, y, hit, received, dofs.non_innovative, retx)
 
 
-def _run_idealized(cfg, rng):
+def _side_by_side(parts, axis):
+    """The lanes' arrays joined along axis, contiguous; a lone one is only made contiguous.
+
+    Each is padded with zeros along the other of the first two axes to the
+    longest: the not-received slots below a lane's slot-major flags
+    (axis 1), or the zero combinations after a lane's coefficient rows
+    (axis 0).
+    """
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0])
+    pad = 1 - axis
+    shape = list(parts[0].shape)
+    shape[axis] = sum(part.shape[axis] for part in parts)
+    shape[pad] = max(part.shape[pad] for part in parts)
+    out = np.zeros(shape, parts[0].dtype)
+    at = 0
+    for part in parts:
+        into = [None, None]
+        into[axis], into[pad] = slice(at, at + part.shape[axis]), slice(part.shape[pad])
+        out[tuple(into)] = part
+        at += part.shape[axis]
+    return out
+
+
+def _batches(cfg, rngs):
+    """The lanes in batches of at most one block's worth of generation columns, one lane at least.
+
+    A lane's blocks hold _chunk_rows generations (fewer when its run is
+    shorter), as a lone run's do, since block boundaries fix the order of its
+    draws; a batch then holds as many lanes as fit in one such block.
+    """
+    cd = cfg.coding
+    rows = _chunk_rows(cd.n_k_high, cd.k if cfg.use_real_codec else 0)
+    per = max(1, rows // min(rows, -(-cfg.n_packets // cd.k)))
+    return [rngs[i:i + per] for i in range(0, len(rngs), per)]
+
+
+def _pooled(run_batch, cfg, rngs):
+    """run_batch(cfg, lanes) over each batch of the lanes; the pooled SimStats of all of them."""
+    out, *rest = (run_batch(cfg, batch) for batch in _batches(cfg, rngs))
+    for part in rest:
+        out.merge(part)
+    return out.stats()
+
+
+def _run_idealized(cfg, rngs):
+    return _pooled(_idealized_batch, cfg, rngs)
+
+
+def _idealized_batch(cfg, rngs):
     ch, cd = cfg.channel, cfg.coding
     t_s, t_p = ch.t_s, ch.t_p
-    out = _Delivery(cfg)
+    lanes = len(rngs)
+    out = _Delivery(cfg, lanes)
     n_gens = out.n_gens
     # no generation has more than n_gens - 1 earlier ones, so a larger cap
     # changes nothing but the size of the carry and the window loop
     blockers = min(cd.b - 1 if cfg.hol_cap is None else cfg.hol_cap, n_gens - 1)
 
-    # carry: absolute decode slot and propagation-hop count per window generation
-    carry_slot = np.full(blockers, _NO_BLOCKER, dtype=np.int64)
-    carry_beta = np.ones(blockers, dtype=np.int64)
-    slot_offset = 0
-    for tr in _trajectories(cfg, rng, n_gens):
-        g = tr.n.size
-        start = slot_offset + np.concatenate(([0], np.cumsum(tr.n[:-1])))
+    # carry: absolute decode slot and propagation-hop count per window
+    # generation, one row a lane, as are all the arrays below
+    carry_slot = np.full((lanes, blockers), _NO_BLOCKER, dtype=np.int64)
+    carry_beta = np.ones((lanes, blockers), dtype=np.int64)
+    slot_offset = np.zeros((lanes, 1), dtype=np.int64)
+    for tr in _trajectories(cfg, rngs, n_gens):
+        n, y, hit = (col.reshape(lanes, -1) for col in (tr.n, tr.y, tr.hit))
+        g = n.shape[1]
+        end = slot_offset + np.cumsum(n, axis=1)
+        start = end - n
         # y = 1 decodes at the k-th dof's arrival, later rounds land as bursts
         # costing 2*t_p each (retransmission slots are free in this mode).
-        dec_slot = start + np.where(tr.y == 1, tr.hit + 1, tr.n)
-        dec_beta = 2 * tr.y - 1
+        dec_slot = start + np.where(y == 1, hit + 1, n)
+        dec_beta = 2 * y - 1
 
         # head-of-line bound: the latest decode of the previous `blockers`
         # generations, compared in each generation's own frame
-        wf = np.full(g, -np.inf)
-        wa = np.full(g, _NO_BLOCKER, dtype=np.int64)
-        wb = np.zeros(g, dtype=np.int64)
+        wf = np.full((lanes, g), -np.inf)
+        wa = np.full((lanes, g), _NO_BLOCKER, dtype=np.int64)
+        wb = np.zeros((lanes, g), dtype=np.int64)
         if blockers > 0:
-            all_slot = np.concatenate((carry_slot, dec_slot))
-            all_beta = np.concatenate((carry_beta, dec_beta))
+            all_slot = np.concatenate((carry_slot, dec_slot), axis=1)
+            all_beta = np.concatenate((carry_beta, dec_beta), axis=1)
             for t in range(1, blockers + 1):
-                ca = all_slot[blockers - t:blockers - t + g]
-                cb = all_beta[blockers - t:blockers - t + g]
+                ca = all_slot[:, blockers - t:blockers - t + g]
+                cb = all_beta[:, blockers - t:blockers - t + g]
                 cf = (ca - start) * t_s + cb * t_p
                 upd = cf > wf
                 wf = np.where(upd, cf, wf)
                 wa = np.where(upd, ca, wa)
                 wb = np.where(upd, cb, wb)
-            carry_slot = all_slot[-blockers:]
-            carry_beta = all_beta[-blockers:]
+            carry_slot = all_slot[:, -blockers:]
+            carry_beta = all_beta[:, -blockers:]
 
-        out.add(tr, start, dec_slot, dec_beta, wa, wb)
-        slot_offset += int(tr.n.sum())
-    return out.stats()
+        out.add(tr, start.ravel(), dec_slot.ravel(), dec_beta.ravel(), wa.ravel(), wb.ravel())
+        slot_offset = end[:, -1:]
+    return out
 
 
 def _link_slots(blocks, t_s, t_p):
@@ -661,26 +785,74 @@ def _link_slots(blocks, t_s, t_p):
             yield tuple(held.popleft()[:3])
 
 
-def _run_relaxed(cfg, rng):
-    out = _Delivery(cfg)
+def _linked_lanes(blocks, lanes, t_s, t_p):
+    """_link_slots run on each lane's own view of the blocks; yields (block, start, dec_slot).
+
+    start and dec_slot hold every lane's generations of the block,
+    lane-major, as the block does. A block is yielded once every lane has
+    scheduled it, and held until then.
+    """
+    if lanes == 1:
+        yield from _link_slots(blocks, t_s, t_p)
+        return
+    held = deque()                            # the blocks not yet yielded
+    views = [deque() for _ in range(lanes)]   # each lane's views not yet scheduled
+
+    def lane_blocks(lane):
+        while True:
+            if not views[lane]:
+                tr = next(blocks, None)
+                if tr is None:
+                    return
+                held.append(tr)
+                for queue, view in zip(views, _lane_views(tr, lanes)):
+                    queue.append(view)
+            yield views[lane].popleft()
+
+    for done in zip(*(_link_slots(lane_blocks(lane), t_s, t_p) for lane in range(lanes))):
+        _, start, dec_slot = zip(*done)
+        yield held.popleft(), np.concatenate(start), np.concatenate(dec_slot)
+
+
+def _lane_views(tr, lanes):
+    """Each lane's _Trajectories of a lane-major block, as views of its fields."""
+    g = tr.n.size // lanes
+    cut = [0] + np.cumsum((tr.y - 1).reshape(lanes, g).sum(axis=1)).tolist()
+    return [_Trajectories(*(None if col is None else col[i * g:(i + 1) * g] for col in tr[:-1]),
+                          tr.retx[cut[i]:cut[i + 1]])
+            for i in range(lanes)]
+
+
+def _run_relaxed(cfg, rngs):
+    return _pooled(_relaxed_batch, cfg, rngs)
+
+
+def _relaxed_batch(cfg, rngs):
+    lanes = len(rngs)
+    out = _Delivery(cfg, lanes)
     # Every decode and first arrival is a slot count plus one hop, so the
     # latest of all earlier decodes, the instant that blocks a generation,
-    # is the running maximum of the integer decode slots.
-    blocker = _NO_BLOCKER
-    for tr, start, dec_slot in _link_slots(_trajectories(cfg, rng, out.n_gens),
-                                           cfg.channel.t_s, cfg.channel.t_p):
-        blk_slot = np.maximum.accumulate(np.concatenate(([blocker], dec_slot[:-1])))
-        blocker = max(int(blk_slot[-1]), int(dec_slot[-1]))
-        out.add(tr, start, dec_slot, 1, blk_slot, 1)
-    return out.stats()
+    # is the running maximum of the integer decode slots: one per lane.
+    blocker = np.full((lanes, 1), _NO_BLOCKER, dtype=np.int64)
+    for tr, start, dec_slot in _linked_lanes(_trajectories(cfg, rngs, out.n_gens), lanes,
+                                             cfg.channel.t_s, cfg.channel.t_p):
+        dec = dec_slot.reshape(lanes, -1)
+        blk_slot = np.maximum.accumulate(np.concatenate((blocker, dec[:, :-1]), axis=1), axis=1)
+        blocker = np.maximum(blk_slot[:, -1:], dec[:, -1:])
+        out.add(tr, start, dec_slot, 1, blk_slot.ravel(), 1)
+    return out
+
+
+def _run(config, rngs):
+    """Simulate the configured mode once per generator, each a lane of one engine call."""
+    if config.mode == "idealized":
+        return _run_idealized(config, rngs)
+    return _run_relaxed(config, rngs)
 
 
 def run_coded(config):
     """Simulate the coded transport per the configured mode."""
-    rng = _rng_for(config.seed)
-    if config.mode == "idealized":
-        return _run_idealized(config, rng)
-    return _run_relaxed(config, rng)
+    return _run(config, [_rng_for(config.seed)])
 
 
 def run_arq(config):
@@ -710,13 +882,14 @@ def run_arq(config):
     comp_f = comp_alpha * t_s + comp_beta * t_p
     run_max = np.maximum.accumulate(comp_f)
     latest = np.maximum.accumulate(np.where(comp_f >= run_max, idx, -1))
-    del_alpha = comp_alpha[latest]
+    del_alpha = comp_alpha[latest] - idx   # delay in slots
     del_beta = comp_beta[latest]
-    delays = (del_alpha - idx) * t_s + del_beta * t_p
 
-    trace = PacketTrace.build(idx, delays, t_s, 1) if config.collect_records else None
+    trace = None
+    if config.collect_records:
+        trace = PacketTrace.build(idx, del_alpha * t_s + del_beta * t_p, t_s, 1)
     acc = _PairStats(t_s, t_p)
-    acc.add((del_alpha - idx)[warm_packets:], del_beta[warm_packets:])
+    acc.add(del_alpha[warm_packets:], del_beta[warm_packets:])
     return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                     mean_efficiency=1.0, n_delays=acc.n, trace=trace,
                     info_packets=acc.n, received_packets=acc.n, delay_sums=acc)
@@ -725,10 +898,13 @@ def run_arq(config):
 def replicate(config, reps):
     """Aggregate independent replications on spawned RNG streams.
 
-    Reports the pooled mean/std over all packets, from the replications'
-    merged integer delay sums, so the pool is exact: equal delays give their
-    own value and zero std. Efficiency is over pooled counts, and the standard
-    error of the mean is estimated across replications (needs reps >= 2).
+    The replications run as lanes of one engine call, each drawing from its
+    own child stream exactly as a lone run of it would. Reports the pooled
+    mean/std over all packets, from the lanes' merged integer delay sums, so
+    the pool is exact: equal delays give their own value and zero std.
+    Efficiency is over pooled counts, and the standard error of the mean is
+    estimated across replications (needs reps >= 2). No replication of
+    several collects a trace.
     """
     if reps < 1:
         raise InputError(f"reps must be >= 1, got {reps}")
@@ -738,24 +914,8 @@ def replicate(config, reps):
     if reps == 1:
         return run_coded(config)
     children = np.random.SeedSequence(config.seed).spawn(reps)
-    stats = []
-    for ss in children:
-        sub = replace(config, seed=int(ss.generate_state(1)[0]), collect_records=False)
-        stats.append(run_coded(sub))
-    acc = _PairStats(config.channel.t_s, config.channel.t_p)
-    for st in stats:
-        acc.merge(st.delay_sums)
-    info = sum(st.info_packets for st in stats)
-    recv = sum(st.received_packets for st in stats)
-    wasted = sum(st.non_innovative for st in stats)
-    hist = sum((Counter(st.rounds_hist or {}) for st in stats), Counter())
-    se = statistics.stdev(st.mean_delay for st in stats) / math.sqrt(reps)
-    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
-                    mean_efficiency=info / recv, n_delays=acc.n,
-                    replications=reps, se_mean=se,
-                    rounds_hist=dict(sorted(hist.items())) or None,
-                    info_packets=info, received_packets=recv, non_innovative=wasted,
-                    delay_sums=acc)
+    return _run(replace(config, collect_records=False),
+                [_rng_for(int(ss.generate_state(1)[0])) for ss in children])
 
 
 def trace_csv(stats, config, out):

@@ -8,7 +8,8 @@ uniforms (and real-codec coefficient blocks) they drew, with the real-codec
 rank taken by feeding every packet to the reference payload decoder (an
 echelon list with systematic payloads kept apart, and a Gauss-Jordan pass
 at decode), the relaxed link schedule by a float event heap, the in-order
-delivery by a per-packet comparison over (generations, k) arrays, the trace file
+delivery by a per-packet comparison over (generations, k) arrays, the
+replications by one run per spawned seed, one after the other, the trace file
 by a writer that calls repr on both float columns of every row, the delay
 sums by the cell loop that reads p_Y from the kernel for every (z, y) cell
 and evaluates each cell's case formula whole, the power-sum doubling by a
@@ -30,7 +31,9 @@ import heapq
 import io
 import json
 import math
-from dataclasses import dataclass
+import statistics
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +48,7 @@ from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
 from codedelay.moments import prefix_moments, straggler_moments
 from codedelay.optimizer import _TIE_REL, _warn_at_edge, smooth_local_maxima, sweep
 from codedelay.params import InputError, redundancy_from_margin, split_count
-from codedelay.simulator import _Delivery
+from codedelay.simulator import SimStats, _Delivery, _PairStats, run_coded
 
 
 # (R, p_success) of the four Latin-square cells of the `design` benchmark
@@ -522,7 +525,7 @@ class ReferenceDelivery(_Delivery):
         ids = np.arange(self.done, self.done + g)
         window = (ids >= self.warm) & (ids < self.n_gens - self.warm)
         if window.any():
-            self.acc.add(d_slot[window], d_hops[window])
+            self.accs[0].add(d_slot[window], d_hops[window])
             self.received += int(block.received[window].sum())
             if block.non_innovative is not None:
                 self.non_innovative += int(block.non_innovative[window].sum())
@@ -534,6 +537,32 @@ class ReferenceDelivery(_Delivery):
         if self.trace_parts is not None:
             self.trace_parts.append((start[:, None] + cols[None, :], d_slot * t_s + d_hops * t_p))
         self.done += g
+
+
+def reference_replicate(config, reps):
+    """simulator.replicate as it was before its replications became lanes of one engine call.
+
+    One run_coded per spawned child seed, without records, one after the
+    other; then their integer delay sums merged, their counts and rounds
+    histograms added and se_mean taken across their means.
+    """
+    if reps == 1:
+        return run_coded(config)
+    children = np.random.SeedSequence(config.seed).spawn(reps)
+    stats = [run_coded(replace(config, seed=int(ss.generate_state(1)[0]), collect_records=False))
+             for ss in children]
+    acc = _PairStats(config.channel.t_s, config.channel.t_p)
+    for one in stats:
+        acc.merge(one.delay_sums)
+    info = sum(one.info_packets for one in stats)
+    recv = sum(one.received_packets for one in stats)
+    hist = sum((Counter(one.rounds_hist or {}) for one in stats), Counter())
+    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(), mean_efficiency=info / recv,
+                    n_delays=acc.n, replications=reps,
+                    se_mean=statistics.stdev(one.mean_delay for one in stats) / math.sqrt(reps),
+                    rounds_hist=dict(sorted(hist.items())) or None, info_packets=info,
+                    received_packets=recv,
+                    non_innovative=sum(one.non_innovative for one in stats), delay_sums=acc)
 
 
 def delay_sums(stats):

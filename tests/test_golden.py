@@ -68,6 +68,14 @@ CASES = {
     "simulate-relaxed-blocks": (["simulate", *CH, "--k", "2", "--margin", "0.1",
                                  "--mode", "relaxed", "--n-packets", "20000",
                                  "--seed", "25"], True),
+    "simulate-reps-codec": (["simulate", *CH, "--k", "8", "--margin", "0.1",
+                             "--mode", "relaxed", "--real-codec", "--n-packets", "3000",
+                             "--seed", "26", "--reps", "3"], False),
+    "simulate-reps-blocks": (["simulate", *CH, "--k", "2", "--margin", "0.1",
+                              "--n-packets", "10000", "--seed", "27", "--reps", "2"], False),
+    "simulate-reps-batches": (["simulate", *CH, "--k", "8", "--margin", "0.1",
+                               "--mode", "relaxed", "--n-packets", "2000", "--seed", "28",
+                               "--reps", "20"], False),
     "analyze": (["analyze", *CH, "--k", "16", "--margin", "0.1"], False),
     "sweep": (["sweep", *CH, "--redundancy", "1.25", "--k-grid", "3,6,12,24"], False),
     "kstar": (["kstar", *CH, "--margin", "0.1", "--k-grid", "2,4,8,16,32,64"], False),
@@ -99,7 +107,11 @@ CASES = {
 # take each round's mean received count as (1 - epsilon) times the mean
 # transmit count, not from the kernel's absorbing mass: only their eta column
 # moved, by at most 3.8e-16 relative (see CHANGES.md); every simulator digest
-# was kept.
+# was kept. simulate-reps-codec, simulate-reps-blocks (two 4096-generation
+# blocks per replication) and simulate-reps-batches (twenty replications of
+# 250 generations, more than one batch of lanes) were recorded when
+# replications still ran one after the other, before they became lanes of
+# one batch, and that change kept them and every other digest.
 DIGESTS = {
     "analyze": ("0fcdf88f9049e9b801fca7321cdef2e10f362967a124118cb86ed1fd2ff316d0", None),
     "compare-arq": ("a88a308927bece67f47bd0c6dfe9160e247e65a03f8f85e1e467c83e3c6a563f", None),
@@ -146,6 +158,12 @@ DIGESTS = {
         "a4a86408fe469653482702b31747400db97d0fcbb619bfe5e2012884febcf37b",
         "60e113111766449ff503a258626a94edeb79106d4848ea00eeb7f9201dbf66ce"),
     "simulate-reps": ("4125374a201a2fb37fcabbf06577620ede090e30d87d9ff3afa7966f5bc9ba56", None),
+    "simulate-reps-batches": (
+        "18bd836d819c783bb7a44afd0bc1cad3bb17dc1bc027239cbb3633cd473381d5", None),
+    "simulate-reps-blocks": (
+        "cea91261a5331a3b70ff581729dc41cfc2db1d4331fb4c0510c9b88faae9ebd7", None),
+    "simulate-reps-codec": (
+        "d7f08de4a55a9db2dd43426c65c66afaaf92b99335f7ddd853c38a5b9d90a6d9", None),
     "sweep": ("b3898ae6ec162d1b7cf934a0dac685004ce9ea1bb5eb49fd74f451d9e84fed10", None),
 }
 

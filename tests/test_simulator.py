@@ -35,6 +35,7 @@ from .helpers import (
     ScriptedCoefficients,
     delay_sums,
     reference_relaxed_slots,
+    reference_replicate,
     reference_trace_csv,
     reference_trajectories,
 )
@@ -439,7 +440,7 @@ def _codec_replay(cfg, g, coefficients=None):
     """Draw one block of g real-codec generations, replay its draws through the decoder
     reference and compare; returns the draws and the replay's per-generation codec record."""
     rng = RecordingRng(simulator._rng_for(cfg.seed), coefficients)
-    (tr,) = simulator._trajectories(cfg, rng, g)
+    (tr,) = simulator._trajectories(cfg, [rng], g)
     rounds, hit, received, s, codec = reference_trajectories(
         rng.draws, cfg.coding, cfg.channel.epsilon, g, real_codec=True)
     assert tr.n.tolist() == [r[0] for r in rounds]
@@ -456,7 +457,7 @@ def _counting_replay(cfg, g):
     """Draw one block of g rank-counting generations and compare it with the scalar
     replay of its draws."""
     rng = RecordingRng(simulator._rng_for(cfg.seed))
-    (tr,) = simulator._trajectories(cfg, rng, g)
+    (tr,) = simulator._trajectories(cfg, [rng], g)
     rounds, hit, received, s, codec = reference_trajectories(
         rng.draws, cfg.coding, cfg.channel.epsilon, g)
     assert codec is None
@@ -503,7 +504,7 @@ class TestTrajectories:
     def test_hit_lies_in_the_last_round(self, use_real_codec):
         cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=8 * 800, seed=82,
                           use_real_codec=use_real_codec)
-        (tr,) = simulator._trajectories(cfg, simulator._rng_for(82), 800)
+        (tr,) = simulator._trajectories(cfg, [simulator._rng_for(82)], 800)
         assert (tr.y > 1).sum() > 100
         ends = np.cumsum(tr.y - 1)
         last = np.where(tr.y == 1, tr.n, tr.retx[np.maximum(ends - 1, 0)])
@@ -759,7 +760,7 @@ def _feed_both(k, gens):
             f, _, mat = gens[j][r]
             flags[:f.size, row] = f
             coeffs[row, :mat.shape[0]] = mat
-        fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.array(active), flags)
+        fin, hit = ranks.round(np.array(active), flags, coeffs)
         for row, j in enumerate(active):
             f, _, mat = gens[j][r]
             want = refs[j].round(ScriptedCoefficients([mat]), f, n_sys)
@@ -798,7 +799,7 @@ class TestRankTracker:
         flags = np.ones((k + 3, 1), dtype=bool)   # slot-major: one column per generation
         coeffs = np.ones((1, 3, k), dtype=np.uint8)
         ranks = simulator._CodecRanks(k, 1)
-        fin, hit = ranks.round(ScriptedCoefficients([coeffs]), np.arange(1), flags)
+        fin, hit = ranks.round(np.arange(1), flags, coeffs)
         assert fin.tolist() == [True] and hit.tolist() == [k - 1]
         assert (ranks.need[0], ranks.non_innovative[0]) == (0, 0)
 
@@ -815,10 +816,12 @@ class TestRankTracker:
 _draw_trajectories = simulator._trajectories
 
 
-def _replayed_trajectories(cfg, rng, n_gens):
-    """_trajectories with every block's rounds and counts taken from the decoder replay of its draws."""
+def _replayed_trajectories(cfg, rngs, n_gens):
+    """_trajectories of one lane with every block's rounds and counts taken from the decoder
+    replay of its draws."""
+    (rng,) = rngs
     rec = RecordingRng(rng)
-    for tr in _draw_trajectories(cfg, rec, n_gens):
+    for tr in _draw_trajectories(cfg, [rec], n_gens):
         rounds, hit, received, s, codec = reference_trajectories(
             rec.draws, cfg.coding, cfg.channel.epsilon, tr.n.size, real_codec=True)
         rec.draws.clear()
@@ -879,6 +882,40 @@ class TestRealCodec:
         assert run_coded(make_config(k=8, n_packets=3000, seed=46)).non_innovative == 0
 
 
+@st.composite
+def _replication_runs(draw):
+    """(config, reps, generations per block) of one replicate call over both modes, rank
+    counting and the real codec, hol_cap and records. Blocks of 16 generations split a lane
+    into several; blocks of 256 hold one to a few lanes, so 20 replications run in batches."""
+    mode = draw(st.sampled_from(["idealized", "relaxed"]))
+    ch = derive_channel(draw(st.sampled_from([0.0, 0.1, 0.3])), rate=1e7, packet_size=1e4,
+                        rtt=draw(st.sampled_from([0.005, 0.02])))
+    k = draw(st.integers(1, 8))
+    cd = derive_coding(ch, k, margin=draw(st.sampled_from([0.0, 0.1, 0.3])))
+    n_gens = 10 * cd.b + draw(st.integers(1, 60))
+    cfg = SimConfig(channel=ch, coding=cd, mode=mode,
+                    n_packets=k * n_gens - draw(st.integers(0, k - 1)),
+                    seed=draw(st.integers(0, 2 ** 32 - 1)),
+                    use_real_codec=draw(st.booleans()),
+                    hol_cap=None if mode == "relaxed" else draw(st.sampled_from([None, 0, 3])),
+                    collect_records=draw(st.booleans()))
+    return cfg, draw(st.integers(1, 20)), draw(st.sampled_from([16, 256, 4096]))
+
+
+def _assert_replicate_is_the_reference(cfg, reps, chunk):
+    """replicate(cfg, reps) equals reference_replicate field for field, in blocks of chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_CHUNK", chunk)
+        got, want = replicate(cfg, reps), reference_replicate(cfg, reps)
+    assert dataclasses.replace(got, trace=None) == dataclasses.replace(want, trace=None)
+    assert delay_sums(got) == delay_sums(want)
+    if want.trace is None:
+        assert got.trace is None
+    else:
+        for field in dataclasses.fields(want.trace):
+            assert np.array_equal(getattr(got.trace, field.name), getattr(want.trace, field.name))
+
+
 class TestReplicate:
     def test_single_replication_is_a_plain_run(self):
         cfg = make_config(k=8, n_packets=3000, seed=5)
@@ -928,33 +965,29 @@ class TestReplicate:
             with pytest.raises(InputError, match="reps \\* n_packets must be at most"):
                 replicate(cfg, reps)
 
-    def test_replications_keep_every_field_but_the_seed(self, monkeypatch):
-        cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
-                          use_real_codec=True, collect_records=True)
-        subs = []
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_replication_runs())
+    def test_lanes_equal_one_run_per_replication(self, case):
+        _assert_replicate_is_the_reference(*case)
 
-        def engine(sub):
-            subs.append(sub)
-            return run_coded(sub)
-
-        monkeypatch.setattr(simulator, "run_coded", engine)
-        replicate(cfg, 3)
-        assert len({sub.seed for sub in subs}) == 3
-        for sub in subs:
-            assert sub == dataclasses.replace(cfg, seed=sub.seed, collect_records=False)
-
-    def test_non_innovative_is_summed(self, monkeypatch):
-        cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=4000, seed=8,
-                          use_real_codec=True)
-        runs = []
-
-        def engine(sub):
-            runs.append(run_coded(sub))
-            return runs[-1]
-
-        monkeypatch.setattr(simulator, "run_coded", engine)
-        pooled = replicate(cfg, 3)
-        assert pooled.non_innovative == sum(r.non_innovative for r in runs)
+    @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
+    @pytest.mark.parametrize("mode, real_codec, chunk, reps", [
+        ("idealized", False, 16, 3), ("relaxed", True, 16, 2),          # lanes of several blocks
+        ("relaxed", False, 256, 20), ("idealized", True, 256, 7),       # several batches
+        ("idealized", False, 4096, 20)])                                 # one batch
+    def test_lanes_equal_one_run_per_replication_at_the_edges(self, mode, real_codec, chunk, reps):
+        ch = derive_channel(0.2, rate=1e7, packet_size=1e4, rtt=0.01)
+        cd = derive_coding(ch, 4, margin=0.1)
+        cfg = SimConfig(channel=ch, coding=cd, mode=mode, n_packets=4 * (10 * cd.b + 30),
+                        seed=reps, use_real_codec=real_codec, collect_records=True)
+        n_gens = -(-cfg.n_packets // cd.k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_CHUNK", chunk)
+            batches = simulator._batches(cfg, list(range(reps)))
+        assert (n_gens > chunk) == (chunk == 16)
+        assert (len(batches) > 1) == (chunk < 4096)
+        _assert_replicate_is_the_reference(cfg, reps, chunk)
 
 
 class TestArq:
