@@ -965,6 +965,37 @@ class TestReplicate:
             with pytest.raises(InputError, match="reps \\* n_packets must be at most"):
                 replicate(cfg, reps)
 
+    def test_replications_keep_every_field_but_the_seed(self, monkeypatch):
+        cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
+                          use_real_codec=True, collect_records=True)
+        calls = []
+
+        def engine(sub, rngs):
+            calls.append((sub, [np.random.Generator(np.random.Philox()) for _ in rngs]))
+            for copy, rng in zip(calls[-1][1], rngs):
+                copy.bit_generator.state = rng.bit_generator.state
+            return run(sub, rngs)
+
+        run = simulator._run
+        monkeypatch.setattr(simulator, "_run", engine)
+        replicate(cfg, 3)
+        [(sub, lanes)] = calls
+        assert sub == dataclasses.replace(cfg, collect_records=False)
+        seeds = [int(ss.generate_state(1)[0])
+                 for ss in np.random.SeedSequence(cfg.seed).spawn(3)]
+        assert len(set(seeds)) == 3
+        for lane, seed in zip(lanes, seeds, strict=True):
+            assert np.array_equal(lane.random(8), simulator._rng_for(seed).random(8))
+
+    def test_non_innovative_is_summed(self):
+        cfg = make_config(epsilon=0.3, k=8, margin=0.0, n_packets=4000, seed=8,
+                          use_real_codec=True)
+        runs = [run_coded(dataclasses.replace(cfg, seed=int(ss.generate_state(1)[0])))
+                for ss in np.random.SeedSequence(cfg.seed).spawn(3)]
+        pooled = replicate(cfg, 3)
+        assert pooled.non_innovative > 0
+        assert pooled.non_innovative == sum(r.non_innovative for r in runs)
+
     @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_replication_runs())
