@@ -33,9 +33,10 @@ same order and shapes. Everything after the draws runs once for all the
 lanes of a batch: their flags sit side by side as columns, the dofs are
 counted over all of them together, and the delivery pass sums along each
 lane. A batch holds at most one block's worth of generation columns, so it
-takes as many lanes as fit; the relaxed link schedule stays one _link_slots
-per lane, fed that lane's views of each block. run_coded is the one-lane
-case.
+takes as many lanes as fit. The relaxed link schedule is one _link_slots
+pass over all the lanes of each block: its numpy set-up runs once for the
+block, and each lane's Python loop, with that lane's own queue, visits only
+the lane's retransmissions. run_coded is the one-lane case.
 
 Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
 times are integer pairs converted to floats only for comparisons and
@@ -76,6 +77,7 @@ not exceed MAX_PACKETS.
 import json
 import math
 import statistics
+from bisect import bisect_left
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -711,116 +713,132 @@ def _idealized_batch(cfg, rngs):
         dec_beta = 2 * y - 1
 
         # head-of-line bound: the latest decode of the previous `blockers`
-        # generations, compared in each generation's own frame
-        wf = np.full((lanes, g), -np.inf)
-        wa = np.full((lanes, g), _NO_BLOCKER, dtype=np.int64)
-        wb = np.zeros((lanes, g), dtype=np.int64)
+        # generations, compared in each generation's own frame; only the
+        # winning column offset is carried, and its slot and hops are
+        # gathered once
         if blockers > 0:
             all_slot = np.concatenate((carry_slot, dec_slot), axis=1)
             all_beta = np.concatenate((carry_beta, dec_beta), axis=1)
+            all_hops = all_beta * t_p
+            wf = np.full((lanes, g), -np.inf)
+            win = np.zeros((lanes, g), dtype=np.intp)
             for t in range(1, blockers + 1):
-                ca = all_slot[:, blockers - t:blockers - t + g]
-                cb = all_beta[:, blockers - t:blockers - t + g]
-                cf = (ca - start) * t_s + cb * t_p
+                at = blockers - t
+                cf = (all_slot[:, at:at + g] - start) * t_s + all_hops[:, at:at + g]
                 upd = cf > wf
-                wf = np.where(upd, cf, wf)
-                wa = np.where(upd, ca, wa)
-                wb = np.where(upd, cb, wb)
+                np.copyto(wf, cf, where=upd)
+                np.copyto(win, at, where=upd)
+            win += np.arange(g)
+            wa = np.take_along_axis(all_slot, win, axis=1)
+            wb = np.take_along_axis(all_beta, win, axis=1)
             carry_slot = all_slot[:, -blockers:]
             carry_beta = all_beta[:, -blockers:]
+        else:
+            wa = np.full((lanes, g), _NO_BLOCKER, dtype=np.int64)
+            wb = np.zeros((lanes, g), dtype=np.int64)
 
         out.add(tr, start.ravel(), dec_slot.ravel(), dec_beta.ravel(), wa.ravel(), wb.ravel())
         slot_offset = end[:, -1:]
     return out
 
 
-def _link_slots(blocks, t_s, t_p):
-    """Schedule relaxed mode's shared link, yielding (block, start, dec_slot) per block.
+def _link_slots(blocks, lanes, t_s, t_p):
+    """Schedule relaxed mode's shared link of each lane, yielding (block, start, dec_slot) per block.
 
-    blocks yields the generations' _Trajectories in order; start and dec_slot
-    hold each generation's start and decode slot. A block is yielded once it
-    and every earlier block have decoded, so only the blocks with generations
-    in flight are held, each with a count of those. Feedback on a round
-    ending at slot e is back 2*t_p later, so the next round may start from
-    slot e + hold, hold = ceil(2*t_p/t_s - 1e-9). Each new generation waits
-    for every retransmission ready by its turn; once none is left the link
-    idles up to the next ready one. Ready slots rise in queueing order (a
-    later end slot plus the same hold), so the queue is a FIFO.
+    blocks yields the lanes' lane-major _Trajectories in order; start and
+    dec_slot hold each generation's start and decode slot, lane-major too.
+    Each lane has a link of its own. A block is yielded once it and every
+    earlier block have decoded in every lane, so only the blocks with
+    generations in flight are held, each with a count of those. Feedback on
+    a round ending at slot e is back 2*t_p later, so the next round may
+    start from slot e + hold, hold = ceil(2*t_p/t_s - 1e-9). Each new
+    generation waits for every retransmission ready by its turn; once none
+    is left the link idles up to the next ready one. Ready slots rise in
+    queueing order (a later end slot plus the same hold), so each lane's
+    queue is a FIFO.
+
+    Between two stops for retransmissions a lane's cursor only adds round-1
+    sizes, so a lane steps from event to event: with a retransmission
+    queued, to the first new generation whose round-1 prefix sum reaches the
+    head's ready slot (a bisect), and with none, to just past the next
+    generation that retransmits. It queues the multi-round generations it
+    passes and, at each stop, sends every ready retransmission. A block's
+    start slots are then its prefix sums plus the running sum of the slots
+    inserted at the stops.
     """
     hold = math.ceil(2.0 * t_p / t_s - 1e-9)
-    queue = deque()   # (first slot it may start, held entry, index in it, rounds 2..y, next round, hit)
-    held = deque()    # entries [block, start, dec_slot, generations still retransmitting]
+    # each lane's FIFO of (first slot it may start, (held entry, index in it, position of the
+    # round's size in the block's retx list, position of its last size, hit))
+    queues = [deque() for _ in range(lanes)]
+    cursors = [0] * lanes   # each lane's slot after the last round 1 sent
+    held = deque()          # entries [block, start, dec_slot, generations still retransmitting, retx]
 
-    def retransmit(cursor):
-        _, entry, j, sizes, r, hit = queue.popleft()
-        if r + 1 == len(sizes):
+    def retransmit(queue, cursor):
+        _, (entry, j, r, last, hit) = queue.popleft()
+        size = entry[4][r]
+        if r == last:
             entry[2][j] = cursor + hit + 1
             entry[3] -= 1
         else:
-            queue.append((cursor + sizes[r] + hold, entry, j, sizes, r + 1, hit))
-        return cursor + sizes[r]
+            queue.append((cursor + size + hold, (entry, j, r + 1, last, hit)))
+        return cursor + size
 
-    cursor = 0
     for tr in blocks:
-        first, retx, prev = [], tr.retx.tolist(), 0
-        entry = [tr, None, np.zeros(tr.n.size, dtype=np.int64), int(np.count_nonzero(tr.y > 1))]
+        g = tr.n.size // lanes
+        prefix = np.zeros((lanes, g + 1), dtype=np.int64)   # each lane's round-1 prefix sums
+        np.cumsum(tr.n.reshape(lanes, g), axis=1, out=prefix[:, 1:])
+        multi = np.flatnonzero(tr.y > 1)
+        extra = tr.y[multi] - 1   # each one's retransmission rounds
+        ends = np.cumsum(extra)   # one past each one's last size in retx
+        cuts = np.searchsorted(multi, np.arange(lanes + 1) * g).tolist()
+        entry = [tr, None, np.zeros(tr.n.size, dtype=np.int64), multi.size, tr.retx.tolist()]
         held.append(entry)
-        for j, size, last, hit in zip(range(tr.n.size), tr.n.tolist(),
-                                      np.cumsum(tr.y - 1).tolist(), tr.hit.tolist()):
-            while queue and queue[0][0] <= cursor:
-                cursor = retransmit(cursor)
-            first.append(cursor)
-            cursor += size
-            if last > prev:
-                queue.append((cursor + hold, entry, j, retx[prev:last], 0, hit))
-                prev = last
-        entry[1] = start = np.array(first, dtype=np.int64)
+        # each multi-round generation's index in its lane, the slot its first retransmission
+        # is ready at less its lane's offset, and the rest of its queue item
+        local = (multi % g).tolist()
+        ready = (prefix.ravel()[multi + multi // g + 1] + hold).tolist()
+        rest = [(entry, *item) for item in zip(multi.tolist(), (ends - extra).tolist(),
+                                               (ends - 1).tolist(), tr.hit[multi].tolist())]
+        base = np.array(cursors, dtype=np.int64)
+        stops, inserted = [], []   # flat index of each stop, and the slots sent there
+        for lane, (queue, sums) in enumerate(zip(queues, prefix.tolist())):
+            offset = cursors[lane]   # the lane's cursor less the prefix sum of its new generations
+            j, i, i_end = 0, cuts[lane], cuts[lane + 1]   # i: the next multi-round one to queue
+            while True:
+                if not queue:   # round 1s only, through the next multi-round generation
+                    if i == i_end:
+                        break
+                    queue.append((offset + ready[i], rest[i]))
+                    j = local[i] + 1
+                    i += 1
+                # the first new generation, from j on, that the head is ready by
+                x = bisect_left(sums, queue[0][0] - offset, j, g)
+                while i < i_end and local[i] < x:
+                    queue.append((offset + ready[i], rest[i]))
+                    i += 1
+                if x == g:
+                    break
+                cursor = begin = offset + sums[x]
+                while queue and queue[0][0] <= cursor:
+                    cursor = retransmit(queue, cursor)
+                stops.append(lane * g + x)
+                inserted.append(cursor - begin)
+                offset += cursor - begin
+                j = x
+            cursors[lane] = offset + sums[g]
+        shift = np.zeros(tr.n.size, dtype=np.int64)
+        shift[stops] = inserted
+        start = base[:, None] + prefix[:, :g] + np.cumsum(shift.reshape(lanes, g), axis=1)
+        entry[1] = start = start.ravel()
         one = tr.y == 1
         entry[2][one] = start[one] + tr.hit[one] + 1
         while held and not held[0][3]:
             yield tuple(held.popleft()[:3])
-    while queue:
-        cursor = retransmit(max(cursor, queue[0][0]))
-        while held and not held[0][3]:
-            yield tuple(held.popleft()[:3])
-
-
-def _linked_lanes(blocks, lanes, t_s, t_p):
-    """_link_slots run on each lane's own view of the blocks; yields (block, start, dec_slot).
-
-    start and dec_slot hold every lane's generations of the block,
-    lane-major, as the block does. A block is yielded once every lane has
-    scheduled it, and held until then.
-    """
-    if lanes == 1:
-        yield from _link_slots(blocks, t_s, t_p)
-        return
-    held = deque()                            # the blocks not yet yielded
-    views = [deque() for _ in range(lanes)]   # each lane's views not yet scheduled
-
-    def lane_blocks(lane):
-        while True:
-            if not views[lane]:
-                tr = next(blocks, None)
-                if tr is None:
-                    return
-                held.append(tr)
-                for queue, view in zip(views, _lane_views(tr, lanes)):
-                    queue.append(view)
-            yield views[lane].popleft()
-
-    for done in zip(*(_link_slots(lane_blocks(lane), t_s, t_p) for lane in range(lanes))):
-        _, start, dec_slot = zip(*done)
-        yield held.popleft(), np.concatenate(start), np.concatenate(dec_slot)
-
-
-def _lane_views(tr, lanes):
-    """Each lane's _Trajectories of a lane-major block, as views of its fields."""
-    g = tr.n.size // lanes
-    cut = [0] + np.cumsum((tr.y - 1).reshape(lanes, g).sum(axis=1)).tolist()
-    return [_Trajectories(*(None if col is None else col[i * g:(i + 1) * g] for col in tr[:-1]),
-                          tr.retx[cut[i]:cut[i + 1]])
-            for i in range(lanes)]
+    for queue, cursor in zip(queues, cursors):
+        while queue:
+            cursor = retransmit(queue, max(cursor, queue[0][0]))
+    while held:
+        yield tuple(held.popleft()[:3])
 
 
 def _run_relaxed(cfg, rngs):
@@ -834,8 +852,8 @@ def _relaxed_batch(cfg, rngs):
     # latest of all earlier decodes, the instant that blocks a generation,
     # is the running maximum of the integer decode slots: one per lane.
     blocker = np.full((lanes, 1), _NO_BLOCKER, dtype=np.int64)
-    for tr, start, dec_slot in _linked_lanes(_trajectories(cfg, rngs, out.n_gens), lanes,
-                                             cfg.channel.t_s, cfg.channel.t_p):
+    for tr, start, dec_slot in _link_slots(_trajectories(cfg, rngs, out.n_gens), lanes,
+                                           cfg.channel.t_s, cfg.channel.t_p):
         dec = dec_slot.reshape(lanes, -1)
         blk_slot = np.maximum.accumulate(np.concatenate((blocker, dec[:, :-1]), axis=1), axis=1)
         blocker = np.maximum(blk_slot[:, -1:], dec[:, -1:])

@@ -498,6 +498,34 @@ def reference_relaxed_slots(rounds, hits, t_s, t_p):
     return start, dec
 
 
+def lane_rounds(blocks, lanes):
+    """Each lane's (rounds, hits), as reference_relaxed_slots takes them, from lane-major blocks.
+
+    blocks are _Trajectories of lanes lanes side by side; rounds[j] lists
+    lane generation j's round sizes, hits[j] its hit.
+    """
+    out = [([], []) for _ in range(lanes)]
+    for tr in blocks:
+        g = tr.n.size // lanes
+        retx = iter(tr.retx.tolist())
+        for i, (n, y, hit) in enumerate(zip(tr.n.tolist(), tr.y.tolist(), tr.hit.tolist())):
+            rounds, hits = out[i // g]
+            rounds.append([n] + [next(retx) for _ in range(y - 1)])
+            hits.append(hit)
+    return out
+
+
+def lane_slots(scheduled, lanes):
+    """Each lane's (start, dec) slot lists from _link_slots' (block, start, dec_slot) triples."""
+    out = [([], []) for _ in range(lanes)]
+    for _, start, dec in scheduled:
+        for (lane_start, lane_dec), s, d in zip(out, start.reshape(lanes, -1).tolist(),
+                                                dec.reshape(lanes, -1).tolist()):
+            lane_start += s
+            lane_dec += d
+    return out
+
+
 class ReferenceDelivery(_Delivery):
     """simulator._Delivery as it was before it took its sums per generation.
 

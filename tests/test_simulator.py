@@ -34,6 +34,8 @@ from .helpers import (
     ReferenceTracker,
     ScriptedCoefficients,
     delay_sums,
+    lane_rounds,
+    lane_slots,
     reference_relaxed_slots,
     reference_replicate,
     reference_trace_csv,
@@ -558,10 +560,12 @@ class TestTrajectories:
 
 @st.composite
 def _link_runs(draw):
-    """(channel, [generation round sizes], [hit offsets], chunk sizes) for one relaxed schedule.
+    """(channel, [generation round sizes], [hit offsets], chunk sizes, lanes) for relaxed schedules.
 
     2*t_p/t_s lands on or near an integer: t_p comes from an rtt or a t_p
-    that puts it on a grid of quarter slots, or is drawn freely.
+    that puts it on a grid of quarter slots, or is drawn freely. The
+    generations are split into lanes of equal length, dropping the
+    remainder.
     """
     rate = draw(st.sampled_from([1e6, 1e7, 3e7, 1e8]))
     packet = draw(st.sampled_from([1e3, 1e4, 12000.0]))
@@ -582,25 +586,57 @@ def _link_runs(draw):
         rounds.append(sizes)
         hits.append(draw(st.integers(0, sizes[-1] - 1)))
     chunks = draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
-    return ch, rounds, hits, chunks
+    lanes = draw(st.integers(1, min(4, n_gens)))
+    return ch, rounds, hits, chunks, lanes
 
 
-def _schedule_blocks(rounds, hits, chunks):
-    """_Trajectories blocks of the given generations, their sizes cycling through chunks."""
+def _lanes_of(rounds, hits, lanes):
+    """The generations' (rounds, hits) split into lanes of equal length, the remainder dropped."""
+    g = len(rounds) // lanes
+    return [(rounds[i * g:(i + 1) * g], hits[i * g:(i + 1) * g]) for i in range(lanes)]
+
+
+def _schedule_blocks(lane_runs, chunks):
+    """Lane-major _Trajectories blocks of each lane's (rounds, hits), sizes cycling through chunks.
+
+    Every lane has as many generations; a block holds the same span of each
+    lane's, lane after lane, as _trajectories' blocks do.
+    """
     def col(values):
         return np.array(values, dtype=np.int64)
 
     blocks = []
-    lo, sizes = 0, itertools.cycle(chunks)
-    while lo < len(rounds):
-        part = slice(lo, min(lo + next(sizes), len(rounds)))
-        gens = rounds[part]
+    lo, sizes, n_gens = 0, itertools.cycle(chunks), len(lane_runs[0][0])
+    while lo < n_gens:
+        part = slice(lo, min(lo + next(sizes), n_gens))
+        gens = [r for rounds, _ in lane_runs for r in rounds[part]]
         blocks.append(simulator._Trajectories(
             n=col([r[0] for r in gens]), s=None, y=col([len(r) for r in gens]),
-            hit=col(hits[part]), received=None, non_innovative=None,
-            retx=col([n for r in gens for n in r[1:]])))
+            hit=col([h for _, hits in lane_runs for h in hits[part]]), received=None,
+            non_innovative=None, retx=col([n for r in gens for n in r[1:]])))
         lo = part.stop
     return blocks
+
+
+def _assert_lanes_match_the_reference(lane_runs, chunks, ch):
+    """_link_slots over the lanes' blocks yields each block once, in order, each lane as the reference.
+
+    The slots are copied as each block is yielded, so one yielded before
+    every lane has decoded it fails. Returns each lane's (start, dec).
+    """
+    blocks = _schedule_blocks(lane_runs, chunks)
+    got = [(tr, start.copy(), dec.copy())
+           for tr, start, dec in simulator._link_slots(iter(blocks), len(lane_runs), ch.t_s, ch.t_p)]
+    assert all(tr is block for (tr, _, _), block in zip(got, blocks, strict=True))
+    slots = lane_slots(got, len(lane_runs))
+    for (rounds, hits), lane in zip(lane_runs, slots):
+        assert lane == reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
+    return slots
+
+
+def _link_channel(t_p_slots):
+    """A 1 ms-slot channel whose one-way delay is t_p_slots slots."""
+    return derive_channel(0.1, 1e7, 1e4, t_p=t_p_slots * 1e-3)
 
 
 class TestRelaxedSchedule:
@@ -609,43 +645,75 @@ class TestRelaxedSchedule:
     def test_matches_the_float_heap_reference(self, case):
         # cursors stay below 60 * 5 * (12 + 75) slots, where the heap's float
         # instants are exact enough for its tolerance to decide every tie
-        ch, rounds, hits, chunks = case
-        blocks = _schedule_blocks(rounds, hits, chunks)
-        got = list(simulator._link_slots(iter(blocks), ch.t_s, ch.t_p))
-        assert all(tr is block for (tr, _, _), block in zip(got, blocks, strict=True))
-        want_start, want_dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
-        assert np.concatenate([start for _, start, _ in got]).tolist() == want_start
-        assert np.concatenate([dec for _, _, dec in got]).tolist() == want_dec
+        ch, rounds, hits, chunks, lanes = case
+        _assert_lanes_match_the_reference(_lanes_of(rounds, hits, lanes), chunks, ch)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_link_runs())
     def test_holds_only_the_blocks_in_flight(self, case):
-        # When block j is drawn, the link has sent every first round of the
-        # earlier blocks and stands at the end of the last one. A generation
-        # is still in flight there when its last round starts at or after
-        # that slot; every block before the first one holding such a
-        # generation must already have been yielded.
-        ch, rounds, hits, chunks = case
-        blocks = _schedule_blocks(rounds, hits, chunks)
-        start, dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
-        last_start = [d - h - 1 for d, h in zip(dec, hits)]
-        ends = np.cumsum([tr.n.size for tr in blocks]).tolist()
+        # When block j is drawn, each lane's link has sent every first round
+        # of the earlier blocks and stands at the end of the last one. A
+        # generation is still in flight there when its last round starts at
+        # or after that slot; every block before the first one holding such
+        # a generation in any lane must already have been yielded.
+        ch, rounds, hits, chunks, lanes = case
+        lane_runs = _lanes_of(rounds, hits, lanes)
+        blocks = _schedule_blocks(lane_runs, chunks)
+        ends = np.cumsum([tr.n.size // lanes for tr in blocks]).tolist()
+        busy = []   # per lane, each block's latest last-round start and the cursor after it
+        for rounds, hits in lane_runs:
+            start, dec = reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
+            last_start = [d - h - 1 for d, h in zip(dec, hits)]
+            busy.append([(max(last_start[lo:end]), start[end - 1] + rounds[end - 1][0])
+                         for lo, end in zip([0] + ends, ends)])
         yielded, seen = [], []
 
         def source():
             for j, tr in enumerate(blocks):
                 if j:
-                    g = ends[j - 1] - 1
-                    cursor = start[g] + rounds[g][0]
-                    in_flight = (i for i in range(j)
-                                 if max(last_start[ends[i] - blocks[i].n.size:ends[i]]) >= cursor)
-                    seen.append((len(yielded), next(in_flight, j)))
+                    first_busy = min(next((i for i in range(j) if lane[i][0] >= lane[j - 1][1]), j)
+                                     for lane in busy)
+                    seen.append((len(yielded), first_busy))
                 yield tr
 
-        for tr, _, _ in simulator._link_slots(source(), ch.t_s, ch.t_p):
+        for tr, _, _ in simulator._link_slots(source(), lanes, ch.t_s, ch.t_p):
             yielded.append(tr)
         assert all(tr is block for tr, block in zip(yielded, blocks, strict=True))
         assert all(done >= first_busy for done, first_busy in seen)
+
+    def test_ready_slot_at_a_start_goes_first(self):
+        # hold 4: generation 0's round 1 ends at slot 4 and its retransmission
+        # is ready at 8, the start of generation 2, and goes first
+        (start, _), = _assert_lanes_match_the_reference([([[4, 3], [4], [4], [4]], [1, 0, 0, 0])],
+                                                         [4], _link_channel(2))
+        assert start == [0, 4, 11, 15]
+
+    @pytest.mark.parametrize("t_p_slots, lane_runs, chunks", [
+        # t_p 0, hold 0: each retransmission is ready as the round before it ends
+        (0, [([[3, 2, 1], [2], [4, 4], [1], [2, 1]], [0, 1, 3, 0, 0])], [2]),
+        # no retransmission queued at either block boundary, and one queued
+        # by the last generation of a block
+        (3, [([[3], [3], [3], [3, 2], [3], [3, 2], [3], [3]], [0, 0, 0, 1, 0, 1, 0, 0])], [3, 3]),
+        # the last generation's retransmissions are still queued after the
+        # last block, so the link idles up to them
+        (10, [([[3], [2], [3, 2, 2]], [0, 1, 1])], [2]),
+        # a lane with no multi-round generation beside one in which every
+        # generation retransmits
+        (1.5, [([[3], [4], [3], [5], [3]], [2, 3, 0, 4, 1]),
+               ([[3, 2], [4, 1, 1], [3, 3], [5, 1], [3, 2, 2]], [1, 0, 2, 0, 1])], [2, 3]),
+    ], ids=["hold-0", "empty-across-blocks", "drain", "quiet-beside-busy"])
+    def test_edge_cases(self, t_p_slots, lane_runs, chunks):
+        _assert_lanes_match_the_reference(lane_runs, chunks, _link_channel(t_p_slots))
+
+    def test_k1_lanes_as_drawn(self, monkeypatch):
+        # three lanes of 100 generations at k 1, in blocks of 16 as _trajectories draws them
+        monkeypatch.setattr(simulator, "_CHUNK", 16)
+        ch = derive_channel(0.3, 1e7, 1e4, rtt=0.005)
+        cfg = SimConfig(channel=ch, coding=derive_coding(ch, 1, margin=0.1), n_packets=100)
+        rngs = [simulator._rng_for(seed) for seed in range(3)]
+        blocks = list(simulator._trajectories(cfg, rngs, 100))
+        assert len(blocks) > 1 and all((tr.y > 1).any() for tr in blocks)
+        _assert_lanes_match_the_reference(lane_rounds(blocks, 3), [16], ch)
 
 
 def _paired_config(epsilon, k, mode, use_real_codec, seed, R=None, margin=None):
