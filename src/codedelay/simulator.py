@@ -165,7 +165,8 @@ class SimStats:
     info_packets: int = 0
     received_packets: int = 0
     non_innovative: int = 0   # real codec: received coded packets that did not raise the rank
-    # the integer sums behind mean_delay and std_delay, which replicate pools
+    # the exact integer sums behind mean_delay and std_delay, which the reference
+    # comparisons of the tests check
     delay_sums: Optional["_PairStats"] = field(default=None, repr=False, compare=False)
 
 
@@ -397,6 +398,20 @@ def _chunk_rows(n_k_high, k=0):
     return max(1, min(_CHUNK, _CHUNK_BYTES // (8 * n_k_high + (n_k_high + k) * k)))
 
 
+def _warmup_window(cfg):
+    """(generations, warm-up margin in generations) of one run of cfg.
+
+    Raises InputError when the run is no longer than its warm-up and
+    cool-down margins together.
+    """
+    n_gens = -(-cfg.n_packets // cfg.coding.k)
+    warm = _WARMUP_FACTOR * cfg.coding.b
+    if n_gens <= 2 * warm:
+        raise InputError(f"need more than {2 * warm} generations for warm-up and cool-down "
+                         f"at b={cfg.coding.b}; got {n_gens}")
+    return n_gens, warm
+
+
 class _Delivery:
     """In-order delivery of a batch of coded runs (lanes), fed blocks of generations in order.
 
@@ -426,13 +441,8 @@ class _Delivery:
     """
 
     def __init__(self, cfg, lanes=1):
-        k, b = cfg.coding.k, cfg.coding.b
-        self.n_gens = -(-cfg.n_packets // k)
-        self.warm = _WARMUP_FACTOR * b
-        if self.n_gens <= 2 * self.warm:
-            raise InputError(
-                f"need more than {2 * self.warm} generations for warm-up and cool-down "
-                f"at b={b}; got {self.n_gens}")
+        k = cfg.coding.k
+        self.n_gens, self.warm = _warmup_window(cfg)
         self.k, self.t_s, self.t_p = k, cfg.channel.t_s, cfg.channel.t_p
         self.prefix_f = (np.arange(k) + 1) * self.t_s + self.t_p   # arrival of prefix packet c
         # sums of c and of c**2 over c < n, and over n <= c < k, for n = 0..k
@@ -929,6 +939,7 @@ def replicate(config, reps):
     if reps * config.n_packets > MAX_PACKETS:
         raise InputError(f"reps * n_packets must be at most {MAX_PACKETS}, got "
                          f"{reps} * {config.n_packets}")
+    _warmup_window(config)   # before any generator is built for a run that cannot start
     if reps == 1:
         return run_coded(config)
     children = np.random.SeedSequence(config.seed).spawn(reps)

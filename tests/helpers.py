@@ -24,6 +24,8 @@ moments by sums of the straggler pmf.
 `kernel_row` is not an oracle: it reads the kernel's own row for one (i, n).
 Nor is `invoke_cli`, which runs one CLI command in-process, or
 `growth_stages`, which draws the stages of a kernel grown from one Chain.
+The `assert_*` functions are the comparisons with these oracles that the
+tests and the full-size checks of `tests.checks` share.
 """
 
 import contextlib
@@ -32,8 +34,9 @@ import io
 import json
 import math
 import statistics
+import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,12 +46,15 @@ from codedelay.cli import main
 from codedelay.codec import CodedPacket
 from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments
 from codedelay.gf256 import INV, MUL
-from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS,
-                              _transition_rows)
+from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS, NumericalError,
+                              _transition_rows, build_kernel)
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.optimizer import _TIE_REL, _warn_at_edge, smooth_local_maxima, sweep
-from codedelay.params import InputError, redundancy_from_margin, split_count
-from codedelay.simulator import SimStats, _Delivery, _PairStats, run_coded
+from codedelay.optimizer import (_TIE_REL, _warn_at_edge, default_k_range, smooth_local_maxima,
+                                 sweep)
+from codedelay.params import (AssumptionWarning, InputError, derive_channel, derive_coding,
+                              redundancy_from_margin, split_count)
+from codedelay.simulator import (SimStats, _Delivery, _link_slots, _PairStats, _Trajectories,
+                                 run_coded)
 
 
 # (R, p_success) of the four Latin-square cells of the `design` benchmark
@@ -57,6 +63,8 @@ from codedelay.simulator import SimStats, _Delivery, _PairStats, run_coded
 DESIGN_CHANNELS = [(redundancy_from_margin(m, e), 1.0 - e)
                    for e, m in ((0.1187, 0.195), (0.2637, 0.055), (0.0462, 0.265),
                                 (0.1913, 0.125))]
+# the default k grid at BDP 5 000: 37 sizes from 2 to 1024
+DESIGN_GRID = default_k_range(derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=5.0))
 
 
 def coded_count_distribution(R, i):
@@ -196,6 +204,26 @@ def reference_absorption(mat, ks):
         if not open_ks:
             break
     return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
+
+
+def block_outcome(kern, ch, g):
+    """Size g's absorption cdf as `block` cuts it from kern, or its NumericalError text."""
+    try:
+        return kern.block(derive_coding(ch, g, R=kern.coding.R)).absorption_list()
+    except NumericalError as exc:
+        return str(exc)
+
+
+def assert_same_kernel(got, want, ch, sizes):
+    """got's matrix against the leading block of want's, got's horizon, and each
+    size's absorption cdf and failure message, bit for bit."""
+    top = got.k
+    assert np.array_equal(got.matrix, want.matrix[:top + 1, :top + 1])
+    assert got.horizon == len(want._cdfs[top]) - 1
+    assert got._cdfs.keys() == set(sizes)
+    for g in sizes:
+        assert got._cdfs[g] == want._cdfs[g]
+        assert block_outcome(got, ch, g) == block_outcome(want, ch, g)
 
 
 class ScriptedCoefficients:
@@ -455,6 +483,23 @@ def reference_trajectories(draws, coding, eps, g, real_codec=False):
     return rounds, hit, received, s, codec
 
 
+def replayed_block(rounds, hit, received, s, codec):
+    """The _Trajectories block that a reference_trajectories replay describes."""
+    def col(values):
+        return np.array(values, dtype=np.int64)
+
+    return _Trajectories(
+        n=col([r[0] for r in rounds]), s=col(s), y=col([len(r) for r in rounds]), hit=col(hit),
+        received=col(received), retx=col([size for r in rounds for size in r[1:]]),
+        non_innovative=None if codec is None else col([w for w, _ in codec]))
+
+
+def assert_same_block(got, want):
+    """Two _Trajectories blocks, field by field; a field is None in both or equal in both."""
+    for name, a, b in zip(want._fields, got, want):
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 def reference_relaxed_slots(rounds, hits, t_s, t_p):
     """Start and decode slot of each generation on the relaxed mode's shared link.
 
@@ -515,15 +560,30 @@ def lane_rounds(blocks, lanes):
     return out
 
 
-def lane_slots(scheduled, lanes):
-    """Each lane's (start, dec) slot lists from _link_slots' (block, start, dec_slot) triples."""
-    out = [([], []) for _ in range(lanes)]
-    for _, start, dec in scheduled:
-        for (lane_start, lane_dec), s, d in zip(out, start.reshape(lanes, -1).tolist(),
+def link_schedule(blocks, lanes, channel):
+    """Each lane's (start, dec) slot lists from _link_slots over lane-major blocks, and the
+    blocks it yielded.
+
+    The slots are read as each block is yielded, so a block yielded before
+    every lane has decoded it shows in the comparison.
+    """
+    slots, yielded = [([], []) for _ in range(lanes)], []
+    for tr, start, dec in _link_slots(iter(blocks), lanes, channel.t_s, channel.t_p):
+        yielded.append(tr)
+        for (lane_start, lane_dec), s, d in zip(slots, start.reshape(lanes, -1).tolist(),
                                                 dec.reshape(lanes, -1).tolist()):
             lane_start += s
             lane_dec += d
-    return out
+    return slots, yielded
+
+
+def assert_schedule_is_the_reference(blocks, schedule, channel):
+    """link_schedule's output: each block yielded once, in order, and each lane's slots as
+    reference_relaxed_slots gives them."""
+    slots, yielded = schedule
+    assert all(tr is block for tr, block in zip(yielded, blocks, strict=True))
+    for (rounds, hits), lane in zip(lane_rounds(blocks, len(slots)), slots):
+        assert lane == reference_relaxed_slots(rounds, hits, channel.t_s, channel.t_p)
 
 
 class ReferenceDelivery(_Delivery):
@@ -599,6 +659,17 @@ def delay_sums(stats):
     return acc.n, acc.sa, acc.sb, acc.saa, acc.sab, acc.sbb
 
 
+def assert_same_stats(got, want):
+    """Two SimStats, every field, the delay sums and each trace column equal."""
+    assert replace(got, trace=None) == replace(want, trace=None)
+    assert delay_sums(got) == delay_sums(want)
+    if want.trace is None:
+        assert got.trace is None
+    else:
+        for field in fields(want.trace):
+            assert np.array_equal(getattr(got.trace, field.name), getattr(want.trace, field.name))
+
+
 def reference_trace_csv(stats, config, out):
     """simulator.trace_csv as it was before it formatted each distinct float once."""
     cfg = {
@@ -618,6 +689,20 @@ def reference_trace_csv(stats, config, out):
     t = stats.trace
     columns = (t.packet_id, t.generation_id, t.first_tx_slot, t.delivered_slot, t.delay)
     out.writelines(map("{},{},{},{!r},{!r}\n".format, *(c.tolist() for c in columns)))
+
+
+def assert_trace_is_the_reference(text, stats, config):
+    """A trace file's text against reference_trace_csv's; a mismatch names its first line.
+
+    (A plain assert on two traces makes pytest diff them, which takes minutes.)
+    """
+    expected = io.StringIO()
+    reference_trace_csv(stats, config, expected)
+    if text != expected.getvalue():
+        got, want = text.splitlines(True), expected.getvalue().splitlines(True)
+        line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                    min(len(got), len(want)))
+        raise AssertionError(f"line {line}: {got[line:line + 1]} != {want[line:line + 1]}")
 
 
 def reference_power_sums(d, n):
@@ -748,6 +833,16 @@ def reference_expected_delay(channel, coding, kern, weight_threshold=WEIGHT_THRE
                         terms_evaluated=evaluated)
 
 
+def grid_blocks(channel, R):
+    """(channel, coding, kernel) at each size of channel's default grid, each kernel a block
+    of one shared kernel, as a sweep evaluates them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        codings = [derive_coding(channel, k, R=R) for k in default_k_range(channel)]
+    shared = build_kernel(channel, codings[-1], [cd.k for cd in codings])
+    return [(channel, cd, shared.block(cd)) for cd in codings]
+
+
 def reference_k_star(channel, R, k_range=None):
     """optimizer.k_star as it was before it stopped early: the selection over the whole sweep,
     with k_star's warnings about where k* lies."""
@@ -761,6 +856,15 @@ def reference_k_star(channel, R, k_range=None):
                  key=lambda r: r.k)
     _warn_at_edge(channel, R, records[-1].k, winner.k)
     return winner.k, winner
+
+
+def counting_sweep(seen, full=sweep):
+    """optimizer.sweep, adding the sizes it evaluates to `seen`."""
+    def counting(*args, **kwargs):
+        records = full(*args, **kwargs)
+        seen.extend(r.k for r in records)
+        return records
+    return counting
 
 
 @st.composite

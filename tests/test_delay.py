@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from codedelay.delay import expected_delay
 from codedelay.kernel import build_kernel
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.optimizer import default_k_range
 from codedelay.params import AssumptionWarning, derive_channel, derive_coding
 
 from .helpers import (DESIGN_CHANNELS, _case_mean, _case_second, conditional_delay_mc,
-                      reference_expected_delay)
+                      grid_blocks, reference_expected_delay)
 
 MC_TRIALS = 250_000
 MIN_CELL_GENS = 2000
@@ -162,12 +161,5 @@ def test_matches_reference_cell_loop_on_design_grids(bdp):
     a few of them."""
     for R, p in DESIGN_CHANNELS:
         ch = derive_channel(1.0 - p, rate=1e7, packet_size=1e4, rtt=bdp * 1e-3)
-        grid = default_k_range(ch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AssumptionWarning)
-            codings = [derive_coding(ch, k, R=R) for k in grid]
-        shared = build_kernel(ch, codings[-1], grid)
-        for cd in codings:
-            kern = shared.block(cd)
-            want = reference_expected_delay(ch, cd, kern)
-            assert repr(expected_delay(ch, cd, kern)) == repr(want)
+        for point in grid_blocks(ch, R):
+            assert repr(expected_delay(*point)) == repr(reference_expected_delay(*point))

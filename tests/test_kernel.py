@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codedelay.kernel import (_ABSORPTION_BLOCK, _FILL_STEPS, _HISTORY_BYTES, ABSORPTION_TAIL,
-                              Chain, NumericalError, TransitionKernel, _absorption,
+                              Chain, TransitionKernel, _absorption,
                               _transition_rows, build_kernel)
-from codedelay.optimizer import default_k_range
 from codedelay.params import MAX_ROUND_PACKETS, InputError, derive_channel, derive_coding
 
-from .helpers import (DESIGN_CHANNELS, _binomial_rows, brute_force_row, growth_stages,
-                      kernel_row, mixture_row, reference_absorption, reference_transition_rows)
+from .helpers import (DESIGN_CHANNELS, DESIGN_GRID, _binomial_rows, assert_same_kernel,
+                      brute_force_row, growth_stages, kernel_row, mixture_row,
+                      reference_absorption, reference_transition_rows)
 
 
 def make_pair(epsilon, k, R):
@@ -163,10 +163,6 @@ class TestRowFill:
         assert peak <= mat.nbytes + 4 * 2 ** 20
 
 
-# the default k grid at BDP 5 000: 37 sizes from 2 to 1024
-DESIGN_GRID = default_k_range(derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=5.0))
-
-
 def _design_examples(test):
     """The four design channels at k 1024 over DESIGN_GRID."""
     for R, p in DESIGN_CHANNELS:
@@ -206,26 +202,6 @@ class TestAbsorption:
         # a size failed where its cdf ends still ABSORPTION_TAIL or more below 1
         tails = {g: 1.0 - cdf[-1] for g, cdf in cdfs.items()}
         assert {g: t for g, t in tails.items() if t >= ABSORPTION_TAIL} == ref_failures
-
-
-def block_outcome(kern, ch, g):
-    """Size g's absorption cdf as `block` cuts it from kern, or its NumericalError text."""
-    try:
-        return kern.block(derive_coding(ch, g, R=kern.coding.R)).absorption_list()
-    except NumericalError as exc:
-        return str(exc)
-
-
-def assert_same_kernel(got, want, ch, sizes):
-    """got's matrix against the leading block of want's, got's horizon, and each
-    size's absorption cdf and failure message, bit for bit."""
-    top = got.k
-    assert np.array_equal(got.matrix, want.matrix[:top + 1, :top + 1])
-    assert got.horizon == len(want._cdfs[top]) - 1
-    assert got._cdfs.keys() == set(sizes)
-    for g in sizes:
-        assert got._cdfs[g] == want._cdfs[g]
-        assert block_outcome(got, ch, g) == block_outcome(want, ch, g)
 
 
 class TestGrowth:

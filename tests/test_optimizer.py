@@ -25,7 +25,7 @@ from codedelay.optimizer import (
 from codedelay.params import (AssumptionWarning, derive_channel, derive_coding,
                               redundancy_from_margin)
 
-from .helpers import reference_delay_cells, reference_k_star
+from .helpers import counting_sweep, reference_delay_cells, reference_k_star
 
 
 def std_channel(epsilon=0.1):
@@ -252,7 +252,7 @@ class TestBoundedKStar:
         if ks is None and ch.bdp < 3:
             return
         seen = []
-        with mock.patch.object(optimizer, "sweep", self._counting(seen)):
+        with mock.patch.object(optimizer, "sweep", counting_sweep(seen)):
             result, got = _outcome(k_star, ch, R, ks)
         assert got == _outcome(reference_k_star, ch, R, ks)[1]
         if result is None:
@@ -266,19 +266,10 @@ class TestBoundedKStar:
             assert _bound_holds(ch, cd)
             assert (1.0 - optimizer._MASS_MARGIN) * _lower_bound(ch, cd.k)[0] > winner.smoothed_mean
 
-    @staticmethod
-    def _counting(seen, full=optimizer.sweep):
-        """optimizer.sweep, adding the sizes it evaluates to `seen`."""
-        def counting(*args, **kwargs):
-            records = full(*args, **kwargs)
-            seen.extend(r.k for r in records)
-            return records
-        return counting
-
     def _evaluated(self, monkeypatch, channel, R, k_range=None):
         """The sizes k_star evaluates, in the order it evaluates them."""
         seen = []
-        monkeypatch.setattr(optimizer, "sweep", self._counting(seen))
+        monkeypatch.setattr(optimizer, "sweep", counting_sweep(seen))
         k_star(channel, R, k_range)
         return seen
 

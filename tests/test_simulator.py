@@ -33,13 +33,18 @@ from .helpers import (
     ReferenceDelivery,
     ReferenceTracker,
     ScriptedCoefficients,
+    assert_same_block,
+    assert_same_stats,
+    assert_schedule_is_the_reference,
+    assert_trace_is_the_reference,
     delay_sums,
     lane_rounds,
-    lane_slots,
+    link_schedule,
     reference_relaxed_slots,
     reference_replicate,
     reference_trace_csv,
     reference_trajectories,
+    replayed_block,
 )
 
 
@@ -369,11 +374,7 @@ class TestDeliverySums:
     def test_match_the_per_packet_reference(self, run):
         cfg, blocks = run
         ref = _delivered(ReferenceDelivery, cfg, blocks)
-        got = _delivered(simulator._Delivery, cfg, blocks)
-        assert delay_sums(got) == delay_sums(ref)
-        assert np.array_equal(got.trace.delay, ref.trace.delay)
-        assert np.array_equal(got.trace.first_tx_slot, ref.trace.first_tx_slot)
-        assert dataclasses.replace(got, trace=None) == dataclasses.replace(ref, trace=None)
+        assert_same_stats(_delivered(simulator._Delivery, cfg, blocks), ref)
         untraced = _delivered(simulator._Delivery, SimpleNamespace(**{**vars(cfg),
                                                                   "collect_records": False}),
                               blocks)
@@ -403,10 +404,7 @@ class TestDeliverySums:
                           hol_cap=hol_cap, use_real_codec=real_codec, collect_records=True)
         got = run_coded(cfg)
         monkeypatch.setattr(simulator, "_Delivery", ReferenceDelivery)
-        ref = run_coded(cfg)
-        assert delay_sums(got) == delay_sums(ref)
-        assert np.array_equal(got.trace.delay, ref.trace.delay)
-        assert (got.mean_delay, got.std_delay) == (ref.mean_delay, ref.std_delay)
+        assert_same_stats(got, run_coded(cfg))
 
 
 def _sparse_bytes(level):
@@ -438,38 +436,16 @@ def _codec_blocks(draw):
     return cfg, g, coefficients, draw(st.sampled_from([None, 1, 64, 1024]))
 
 
-def _codec_replay(cfg, g, coefficients=None):
-    """Draw one block of g real-codec generations, replay its draws through the decoder
-    reference and compare; returns the draws and the replay's per-generation codec record."""
+def _replay(cfg, g, coefficients=None):
+    """Draw one block of g generations, replay its draws through the scalar reference (the
+    decoder reference with the real codec) and compare; returns the draws and the replay's
+    per-generation codec record."""
     rng = RecordingRng(simulator._rng_for(cfg.seed), coefficients)
     (tr,) = simulator._trajectories(cfg, [rng], g)
-    rounds, hit, received, s, codec = reference_trajectories(
-        rng.draws, cfg.coding, cfg.channel.epsilon, g, real_codec=True)
-    assert tr.n.tolist() == [r[0] for r in rounds]
-    assert tr.y.tolist() == [len(r) for r in rounds]
-    assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
-    assert tr.hit.tolist() == hit
-    assert tr.received.tolist() == received
-    assert tr.s.tolist() == s
-    assert tr.non_innovative.tolist() == [wasted for wasted, _ in codec]
-    return rng.draws, codec
-
-
-def _counting_replay(cfg, g):
-    """Draw one block of g rank-counting generations and compare it with the scalar
-    replay of its draws."""
-    rng = RecordingRng(simulator._rng_for(cfg.seed))
-    (tr,) = simulator._trajectories(cfg, [rng], g)
-    rounds, hit, received, s, codec = reference_trajectories(
-        rng.draws, cfg.coding, cfg.channel.epsilon, g)
-    assert codec is None
-    assert tr.n.tolist() == [r[0] for r in rounds]
-    assert tr.y.tolist() == [len(r) for r in rounds]
-    assert tr.retx.tolist() == [size for r in rounds for size in r[1:]]
-    assert tr.hit.tolist() == hit
-    assert tr.received.tolist() == received
-    assert tr.s.tolist() == s
-    assert tr.non_innovative is None
+    replay = reference_trajectories(rng.draws, cfg.coding, cfg.channel.epsilon, g,
+                                    real_codec=cfg.use_real_codec)
+    assert_same_block(tr, replayed_block(*replay))
+    return rng.draws, replay[-1]
 
 
 @st.composite
@@ -493,14 +469,14 @@ class TestTrajectories:
     def test_rank_counting_matches_a_scalar_replay(self, epsilon, k, R):
         ch = std_channel(epsilon)
         g = 600   # one block
-        _counting_replay(SimConfig(channel=ch, coding=derive_coding(ch, k, R=R),
-                                   n_packets=k * g, seed=81), g)
+        _replay(SimConfig(channel=ch, coding=derive_coding(ch, k, R=R), n_packets=k * g,
+                          seed=81), g)
 
     @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_counting_blocks())
     def test_rank_counting_matches_a_scalar_replay_on_drawn_blocks(self, case):
-        _counting_replay(*case)
+        _replay(*case)
 
     @pytest.mark.parametrize("use_real_codec", [False, True])
     def test_hit_lies_in_the_last_round(self, use_real_codec):
@@ -521,7 +497,7 @@ class TestTrajectories:
         with pytest.MonkeyPatch.context() as mp:
             if cells is not None:
                 mp.setattr(simulator, "_ELIM_CELLS", cells)
-            _codec_replay(cfg, g, coefficients)
+            _replay(cfg, g, coefficients)
 
     @pytest.mark.filterwarnings("ignore::codedelay.params.AssumptionWarning")
     @pytest.mark.parametrize("edge", ["widths 0 to k", "zero rows", "basis over 3 rounds",
@@ -541,7 +517,7 @@ class TestTrajectories:
             monkeypatch.setattr(simulator, "_ELIM_CELLS", 2000)
             monkeypatch.setattr(simulator, "_reduce",
                                 lambda rows, *a: calls.append(rows.shape[0]) or reduce(rows, *a))
-        draws, codec = _codec_replay(cfg, g, coefficients)
+        draws, codec = _replay(cfg, g, coefficients)
         k, eps = cfg.coding.k, cfg.channel.epsilon
         width = [int((row[:k] < eps).sum()) for row in draws[1 if cfg.coding.frac else 0]]
         if edge == "widths 0 to k":
@@ -619,19 +595,13 @@ def _schedule_blocks(lane_runs, chunks):
 
 
 def _assert_lanes_match_the_reference(lane_runs, chunks, ch):
-    """_link_slots over the lanes' blocks yields each block once, in order, each lane as the reference.
-
-    The slots are copied as each block is yielded, so one yielded before
-    every lane has decoded it fails. Returns each lane's (start, dec).
-    """
+    """_link_slots over the lanes' blocks yields each block once, in order, each lane as the
+    reference. Returns each lane's (start, dec)."""
     blocks = _schedule_blocks(lane_runs, chunks)
-    got = [(tr, start.copy(), dec.copy())
-           for tr, start, dec in simulator._link_slots(iter(blocks), len(lane_runs), ch.t_s, ch.t_p)]
-    assert all(tr is block for (tr, _, _), block in zip(got, blocks, strict=True))
-    slots = lane_slots(got, len(lane_runs))
-    for (rounds, hits), lane in zip(lane_runs, slots):
-        assert lane == reference_relaxed_slots(rounds, hits, ch.t_s, ch.t_p)
-    return slots
+    assert lane_rounds(blocks, len(lane_runs)) == lane_runs
+    schedule = link_schedule(blocks, len(lane_runs), ch)
+    assert_schedule_is_the_reference(blocks, schedule, ch)
+    return schedule[0]
 
 
 def _link_channel(t_p_slots):
@@ -890,17 +860,9 @@ def _replayed_trajectories(cfg, rngs, n_gens):
     (rng,) = rngs
     rec = RecordingRng(rng)
     for tr in _draw_trajectories(cfg, [rec], n_gens):
-        rounds, hit, received, s, codec = reference_trajectories(
-            rec.draws, cfg.coding, cfg.channel.epsilon, tr.n.size, real_codec=True)
+        yield replayed_block(*reference_trajectories(
+            rec.draws, cfg.coding, cfg.channel.epsilon, tr.n.size, real_codec=True))
         rec.draws.clear()
-
-        def col(values):
-            return np.array(values, dtype=np.int64)
-
-        yield simulator._Trajectories(
-            n=col([r[0] for r in rounds]), s=col(s), y=col([len(r) for r in rounds]),
-            hit=col(hit), received=col(received), non_innovative=col([w for w, _ in codec]),
-            retx=col([size for r in rounds for size in r[1:]]))
 
 
 class TestRealCodec:
@@ -923,11 +885,7 @@ class TestRealCodec:
                           seed=43, use_real_codec=True, collect_records=True)
         got = run_coded(cfg)
         monkeypatch.setattr(simulator, "_trajectories", _replayed_trajectories)
-        want = run_coded(cfg)
-        assert dataclasses.replace(got, trace=None) == dataclasses.replace(want, trace=None)
-        for field in dataclasses.fields(got.trace):
-            name = field.name
-            assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name)), name
+        assert_same_stats(got, run_coded(cfg))
 
     def test_non_innovative_counts_dependent_rows(self):
         # at R = 1 a round sends exactly the dofs missing, so every received
@@ -974,14 +932,7 @@ def _assert_replicate_is_the_reference(cfg, reps, chunk):
     """replicate(cfg, reps) equals reference_replicate field for field, in blocks of chunk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_CHUNK", chunk)
-        got, want = replicate(cfg, reps), reference_replicate(cfg, reps)
-    assert dataclasses.replace(got, trace=None) == dataclasses.replace(want, trace=None)
-    assert delay_sums(got) == delay_sums(want)
-    if want.trace is None:
-        assert got.trace is None
-    else:
-        for field in dataclasses.fields(want.trace):
-            assert np.array_equal(getattr(got.trace, field.name), getattr(want.trace, field.name))
+        assert_same_stats(replicate(cfg, reps), reference_replicate(cfg, reps))
 
 
 class TestReplicate:
@@ -1032,6 +983,17 @@ class TestReplicate:
         for reps in (MAX_PACKETS // 2000 + 1, 10**400):
             with pytest.raises(InputError, match="reps \\* n_packets must be at most"):
                 replicate(cfg, reps)
+
+    def test_warm_up_is_checked_before_seeds_are_spawned(self, monkeypatch):
+        # a run too short for its warm-up used to spawn one generator per replication first
+        def no_seeds(*args):
+            raise AssertionError("made seeds for a run too short for its warm-up")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+        ch = derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=0.01)
+        cfg = SimConfig(channel=ch, coding=derive_coding(ch, 1, margin=0.1), n_packets=10, seed=1)
+        with pytest.raises(InputError, match="need more than .* generations for warm-up"):
+            replicate(cfg, 10**7)
 
     def test_replications_keep_every_field_but_the_seed(self, monkeypatch):
         cfg = make_config(k=4, margin=0.2, n_packets=2000, seed=9, hol_cap=2,
@@ -1174,24 +1136,12 @@ class _DiscardingSink:
         collections.deque(lines, maxlen=0)
 
 
-def _written(writer, stats, cfg):
-    buf = io.StringIO()
-    writer(stats, cfg, buf)
-    return buf.getvalue()
-
-
 def _matches_reference(stats, cfg):
-    """trace_csv's text, checked against the reference writer's; a mismatch names its first line.
-
-    (A plain assert on two traces makes pytest diff them, which takes minutes.)
-    """
-    text, expected = _written(trace_csv, stats, cfg), _written(reference_trace_csv, stats, cfg)
-    if text != expected:
-        got, want = text.splitlines(True), expected.splitlines(True)
-        line = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
-                    min(len(got), len(want)))
-        raise AssertionError(f"line {line}: {got[line:line + 1]} != {want[line:line + 1]}")
-    return text
+    """trace_csv's text, checked against the reference writer's."""
+    buf = io.StringIO()
+    trace_csv(stats, cfg, buf)
+    assert_trace_is_the_reference(buf.getvalue(), stats, cfg)
+    return buf.getvalue()
 
 
 class TestTraceCsv:
