@@ -14,13 +14,17 @@ One argparse parser, built at import, has a subparser per command. Each shared
 flag is declared once, in an option group (`_CHANNEL`, `_CODING`, `_GRID`,
 `_RUN`, `_OUTPUT`: lists that `+` joins). A command is a `_command(name, groups
 + own options)` over a body that returns the table to print. Inside the
-exit-code guard, `_command` turns the shared flags into the channel `ch`, the
+exit-code guard, `_run_body` turns the shared flags into the channel `ch`, the
 --redundancy/--margin choice, `coding` (with --k) or `R`, then `ks` from
 --k-grid, checked in that order; the body makes its own checks last. `analyze`
 prints optimizer.evaluate_point's record, as sweep does at every grid point.
+With --diagnostics, `_command` runs all of that inside diagnostics.recording,
+which writes the run's report once the body returns or raises; the report
+file is opened first, so an unwritable one exits 2 before any work.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -29,7 +33,7 @@ import os
 import sys
 import warnings
 
-from . import __version__
+from . import __version__, diagnostics as _diagnostics
 from .delay import expected_delay  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .efficiency import efficiency
 from .kernel import NumericalError, build_kernel
@@ -96,7 +100,10 @@ _RUN = (_option("--mode", choices=["idealized", "relaxed"], default="idealized",
         + _option("--seed", type=int, required=True, help="RNG seed"))
 _OUTPUT = (_option("--format", dest="fmt", choices=["csv", "json"], default="csv",
                    help="output format")
-           + _option("--out", type=_file_path, help="write output to this file instead of stdout"))
+           + _option("--out", type=_file_path, help="write output to this file instead of stdout")
+           + _option("--diagnostics", type=_file_path, metavar="FILE|-",
+                     help="write a JSON report of the run (time per stage, trust fields per "
+                          "grid point, simulator margins) to FILE, or to stderr for -"))
 _HELP = _option("--help", action="help", help="show this message and exit")
 
 
@@ -145,9 +152,40 @@ commands = parser.add_subparsers(metavar="COMMAND", required=True)
 _TAKES_VALUE = set()  # option strings of the commands' flags that take a value
 
 
+@contextlib.contextmanager
+def _report(command, path):
+    """Record command's diagnostics while the block runs, then write them to path (stderr
+    for -)."""
+    sink = sys.stderr if path == "-" else _open_output(path, "--diagnostics")
+    try:
+        with _diagnostics.recording(command, sink, sys.modules[__name__]):
+            yield
+    finally:
+        if sink is not sys.stderr:
+            sink.close()
+
+
+def _run_body(body, epsilon, rate_bps, packet_bits, tp_s, rtt_s, flags):
+    """The table of body, from the shared flags turned into its arguments."""
+    ch = derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
+    if "redundancy" in flags:
+        r, x = flags.pop("redundancy"), flags.pop("margin")
+        if (r is None) == (x is None):
+            raise InputError("provide exactly one of --redundancy / --margin")
+        if "k" in flags:
+            # margin goes through as given, so derive_coding's messages can name it
+            flags["coding"] = derive_coding(ch, flags.pop("k"), R=r, margin=x)
+        else:
+            flags["R"] = r if x is None else redundancy_from_margin(x, epsilon)
+    if "k_grid" in flags:
+        flags["ks"] = _parse_k_grid(flags.pop("k_grid"), ch)
+    return body(ch, **flags)
+
+
 def _command(name, options):
-    """Register body as command `name` with the channel flags, options and --format/--out.
-    A table with any filled `error` cell (a failed sweep point) exits 3 once it is written."""
+    """Register body as command `name` with the channel flags, options and the output flags
+    (--format, --out, --diagnostics). A table with any filled `error` cell (a failed sweep
+    point) exits 3 once it is written."""
     def register(body):
         sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__,
                                   add_help=False, allow_abbrev=False)
@@ -155,21 +193,12 @@ def _command(name, options):
             if sub.add_argument(*names, **kw).nargs is None:  # takes one value
                 _TAKES_VALUE.update(names)
 
-        def run(epsilon, rate_bps, packet_bits, tp_s, rtt_s, fmt, out, **flags):
+        def run(epsilon, rate_bps, packet_bits, tp_s, rtt_s, fmt, out, diagnostics, **flags):
             try:
-                ch = derive_channel(epsilon, rate_bps, packet_bits, t_p=tp_s, rtt=rtt_s)
-                if "redundancy" in flags:
-                    r, x = flags.pop("redundancy"), flags.pop("margin")
-                    if (r is None) == (x is None):
-                        raise InputError("provide exactly one of --redundancy / --margin")
-                    if "k" in flags:
-                        # margin goes through as given, so derive_coding's messages can name it
-                        flags["coding"] = derive_coding(ch, flags.pop("k"), R=r, margin=x)
-                    else:
-                        flags["R"] = r if x is None else redundancy_from_margin(x, epsilon)
-                if "k_grid" in flags:
-                    flags["ks"] = _parse_k_grid(flags.pop("k_grid"), ch)
-                table = body(ch, **flags)
+                recording = contextlib.nullcontext() if diagnostics is None else _report(
+                    name, diagnostics)
+                with recording:
+                    table = _run_body(body, epsilon, rate_bps, packet_bits, tp_s, rtt_s, flags)
                 _emit(table, fmt, out)
             except InputError as exc:
                 sub.error(str(exc))
@@ -248,6 +277,8 @@ def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, t
                     seed=seed, use_real_codec=real_codec, hol_cap=hol_cap,
                     collect_records=trace is not None)
     stats = replicate(cfg, reps)
+    if _diagnostics.active is not None:
+        _diagnostics.active.simulation(cfg, stats)
     if trace is not None:
         with _open_output(trace, "--trace") as fh:
             trace_csv(stats, cfg, fh)
@@ -264,6 +295,9 @@ def cmd_compare_arq(ch, coding, mode, n_packets, seed):
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets, seed=seed)
     coded = run_coded(cfg)
     arq = run_arq(cfg)
+    if _diagnostics.active is not None:
+        _diagnostics.active.simulation(cfg, coded)
+        _diagnostics.active.simulation(cfg, arq, arq=True)
     return OutputTable(
         ["scheme", "mean_s", "std_s", "efficiency"],
         [["coded", coded.mean_delay, coded.std_delay, coded.mean_efficiency],

@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import diagnostics
 from .delay import expected_delay
 from .efficiency import efficiency
-from .kernel import MAX_K, Chain, build_kernel, check_generation_size
+from .kernel import MAX_K, Chain, TransitionKernel, build_kernel, check_generation_size
 from .params import AssumptionWarning, InputError, derive_coding, redundancy_from_margin
 from .simulator import SimConfig, run_arq
 
@@ -93,9 +94,21 @@ def _grid_codings(channel, R, ks):
     return codings, errors
 
 
-def evaluate_point(channel, R, coding, kern, eff):
-    """coding's SweepRecord, from its size's kernel and EfficiencyResult, with R as given."""
+def _point_delay(channel, coding, kern, report):
+    """coding's DelayMoments from its size's kernel; with a diagnostics report, also its fields."""
     dm = expected_delay(channel, coding, kern)
+    if report is not None:
+        report.point(coding, kern, dm)
+    return dm
+
+
+def evaluate_point(channel, R, coding, kern, eff, dm=None):
+    """coding's SweepRecord, from its size's kernel and EfficiencyResult, with R as given.
+
+    dm is the point's DelayMoments where the caller has them already; else they are
+    computed here."""
+    if dm is None:
+        dm = _point_delay(channel, coding, kern, diagnostics.active)
     return SweepRecord(k=coding.k, R=R, epsilon=channel.epsilon, bdp=channel.bdp,
                        mean=dm.mean, std=math.sqrt(dm.variance), eta=eff.eta, b=coding.b,
                        truncated_mass=dm.truncated_mass)
@@ -111,26 +124,18 @@ def _grid(channel, k_range):
     return ks
 
 
-def sweep(channel, R, k_range=None, codings=None, chain=None):
+def sweep(channel, R, k_range=None):
     """Evaluate mean/std delay and efficiency at each k, in order.
 
     One kernel, built at the largest k, serves every point: evaluate_point
     reads each k's leading block, absorption cdf and entry of one efficiency
     pass. A failing point yields a record with its error message, not an abort.
-
-    `codings` stands in for k_range: CodingParams that `_grid_codings`
-    derived, evaluated as given, with no warning. k_star evaluates its grid
-    in stages this way, each stage's kernel continuing the last one's
-    `chain` (see build_kernel).
     """
-    if codings is None:
-        ks = _grid(channel, k_range)
-        codings, errors = _grid_codings(channel, R, ks)
-    else:
-        ks, errors = [c.k for c in codings], {}
+    ks = _grid(channel, k_range)
+    codings, errors = _grid_codings(channel, R, ks)
     done = {}
     if codings:
-        kern = build_kernel(channel, codings[-1], [c.k for c in codings], chain)
+        kern = build_kernel(channel, codings[-1], [c.k for c in codings])
         eff = efficiency(kern)
         for coding in codings:
             try:
@@ -139,6 +144,18 @@ def sweep(channel, R, k_range=None, codings=None, chain=None):
                 rec = _failed_record(channel, R, coding.k, str(exc))
             done[coding.k] = rec
     return [done[k] if k in done else _failed_record(channel, R, k, errors[k]) for k in ks]
+
+
+def _smoothing_step(peaks, b, mean):
+    """One point of smooth_local_maxima: its smoothed mean, and the smoother's running
+    values (prev_peak, run_peak, run_b) after it, from those before it."""
+    prev_peak, run_peak, run_b = peaks
+    if b != run_b:
+        prev_peak, run_peak, run_b = run_peak, None, b
+    clamp = run_peak if run_peak is not None else prev_peak
+    smoothed = mean if clamp is None else max(mean, clamp)
+    run_peak = mean if run_peak is None else max(run_peak, mean)
+    return smoothed, (prev_peak, run_peak, run_b)
 
 
 def smooth_local_maxima(records):
@@ -150,18 +167,12 @@ def smooth_local_maxima(records):
     downward trend is lagged by at most one run rather than flattened.
     """
     out = []
-    prev_peak = None  # raw peak of the previous constant-b run
-    run_peak = None   # raw running max of the current run
-    run_b = None
+    peaks = (None, None, None)
     for rec in records:
         if rec.error is not None:
             out.append(rec)
             continue
-        if rec.b != run_b:
-            prev_peak, run_peak, run_b = run_peak, None, rec.b
-        clamp = run_peak if run_peak is not None else prev_peak
-        smoothed = rec.mean if clamp is None else max(rec.mean, clamp)
-        run_peak = rec.mean if run_peak is None else max(run_peak, rec.mean)
+        smoothed, peaks = _smoothing_step(peaks, rec.b, rec.mean)
         out.append(replace(rec, smoothed_mean=smoothed))
     return out
 
@@ -208,19 +219,27 @@ def k_star(channel, R, k_range=None):
     The result is that of the selection over
     smooth_local_maxima(sweep(channel, R, k_range)), bit for bit, but the
     grid is evaluated in stages and the search stops where a lower bound on
-    the mean delay passes the best smoothed mean.
+    the mean delay passes the best smoothed mean. Grid sizes that
+    _grid_codings rejects (derive_coding's or the kernel's input checks,
+    sweep's error rows before any kernel is built) are dropped with one
+    AssumptionWarning, and the warning that k* is the grid's top reads the
+    largest size kept.
 
-    Stages. Each stage evaluates, with one `sweep` and so one kernel, the
-    grid sizes not yet evaluated up to a top of 64, 128, 256, ... in turn.
-    Rows, absorption cdfs and efficiency values do not depend on the
-    kernel's size, and smooth_local_maxima reads only earlier records, so
-    every record of the evaluated prefix equals the full sweep's. For the
-    same reason each stage's kernel grows the last one's instead of starting
-    again: all stages share one kernel.Chain (see build_kernel). After a
-    stage, best is the least smoothed mean so far, limit = best + tol as in
-    the selection, and the cut is the first of the grid's trailing sizes
-    with (1 - tau)*LB(k) > limit whose premises (below) hold. The search
-    stops once the prefix reaches the cut, and no stage passes it.
+    Stages. Each stage builds one kernel for the grid sizes not yet
+    evaluated up to a top of 64, 128, 256, ... in turn, and takes each
+    size's DelayMoments from its block. Rows and absorption cdfs do not
+    depend on the kernel's size, and smoothing reads only earlier points,
+    so the smoother's running values (_smoothing_step) carry from point to
+    point and every smoothed mean of the evaluated prefix equals the full
+    sweep's. For the same reason each stage's kernel grows the last one's
+    instead of starting again: all stages share one kernel.Chain (see
+    build_kernel). A stage keeps, per size, only its smoothed mean, coding,
+    DelayMoments and absorption cdf; its kernel lives on only through the
+    chain. After a stage, best is the least smoothed mean so far,
+    limit = best + tol as in the selection, and the cut is the first of the
+    grid's trailing sizes with (1 - tau)*LB(k) > limit whose premises
+    (below) hold. The search stops once the prefix reaches the cut, and no
+    stage passes it.
 
     The bound. With m = min(k, (1 - eps)/eps) (k at eps = 0) and
     f(s) = (k - s)(k - s + 1)/(2k), which is convex and decreasing on
@@ -260,54 +279,85 @@ def k_star(channel, R, k_range=None):
     tie nor lower the best. The argument is about exact values; the few ulp
     by which the computed sums round are taken to fit in the same margin.
 
-    When nothing is pruned, the grown stage kernels and their efficiency
-    passes cost about what one kernel to the grid's top does: each stage
-    fills from the law n = k of the last, sums the absorption only above
-    the states the chain keeps for each round, and starts the efficiency
-    pass above the last stage's states. On the four design channels at k
-    1024 that measured 0.99-1.15 times one kernel, against 1.31-1.46 times
-    for stages built from scratch.
+    Once the search stops, only the winner k* gets an efficiency pass, over
+    states 1..k* of the chain's rows, and a record through evaluate_point,
+    from the DelayMoments its stage computed; so no size's delay sums run
+    twice. The grown stage kernels cost about what one kernel to the top of
+    the evaluated prefix does: each stage fills from the law n = k of the
+    last and sums the absorption only above the states the chain keeps for
+    each round. On the four design channels at k 1024, with an efficiency
+    pass per stage as the search then ran, that measured 0.99-1.15 times one
+    kernel, against 1.31-1.46 times for stages built from scratch.
     """
     ks = _grid(channel, k_range)
-    codings, _ = _grid_codings(channel, R, ks)
+    codings, errors = _grid_codings(channel, R, ks)
+    dropped = [k for k in ks if k in errors]
+    if dropped:
+        _warn_dropped(len(ks), dropped, errors[dropped[0]])
     sizes = [c.k for c in codings]
     bounded = 2.0 * channel.t_p >= channel.t_s
-    records, smoothed, done, cut, top = [], [], 0, len(codings), _FIRST_STAGE_TOP
+    report = diagnostics.active
     chain = Chain()
+    points = []     # (smoothed mean, coding, DelayMoments, absorption cdf) per evaluated size
+    peaks, best = (None, None, None), None
+    done, cut, top, tops = 0, len(codings), _FIRST_STAGE_TOP, []
     while done < cut:
         end = min(bisect.bisect_right(sizes, top), cut) if bounded else cut
         top *= 2
         if end == done:
             continue
-        stage = sweep(channel, R, codings=codings[done:end], chain=chain)
-        records += stage
+        kern = build_kernel(channel, codings[end - 1], sizes[done:end], chain)
+        over_margin = False
+        for coding in codings[done:end]:
+            try:
+                block = kern.block(coding)
+                dm = _point_delay(channel, coding, block, report)
+            except Exception:  # a failed point is left out, as sweep's error rows are
+                continue
+            smoothed, peaks = _smoothing_step(peaks, coding.b, dm.mean)
+            if best is None or smoothed < best:
+                best = smoothed
+            over_margin = over_margin or dm.truncated_mass > _MASS_MARGIN
+            points.append((smoothed, coding, dm, block.absorption_list()))
+        kern = block = None     # the chain holds the rows the winner needs
+        tops.append(sizes[end - 1])
         done = end
-        smoothed = smooth_local_maxima(records)
         if not bounded:
             continue
-        if any(r.error is None and r.truncated_mass > _MASS_MARGIN for r in stage):
+        if over_margin:
             bounded, cut = False, len(codings)
             continue
-        means = [r.smoothed_mean for r in smoothed if r.error is None]
-        if means:
-            best = min(means)
+        if best is not None:
             cut = _cut(channel, codings, best + _TIE_REL * abs(best))
-    valid = [r for r in smoothed if r.error is None]
-    if not valid:
+    if not points:
         raise ValueError("every sweep point failed; no k* exists")
-    best = min(r.smoothed_mean for r in valid)
     tol = _TIE_REL * abs(best)
-    winner = min((r for r in valid if r.smoothed_mean <= best + tol),
-                 key=lambda r: r.k)
-    _warn_at_edge(channel, R, ks[-1], winner.k)
-    return winner.k, winner
+    smoothed, coding, dm, cdf = min((p for p in points if p[0] <= best + tol),
+                                    key=lambda p: p[1].k)
+    k = coding.k
+    kern = TransitionKernel(channel, coding, chain.matrix[:k + 1, :k + 1], {k: cdf}, chain)
+    winner = replace(evaluate_point(channel, R, coding, kern, efficiency(kern), dm),
+                     smoothed_mean=smoothed)
+    at_top, loose = _warn_at_edge(channel, R, sizes[-1], k)
+    if report is not None:
+        report.search(R, len(ks), dropped, done, len(codings) - done, tops, k, at_top, loose)
+    return k, winner
+
+
+def _warn_dropped(grid_sizes, dropped, reason):
+    """Warn that k* drops the sizes `dropped` of its grid, for the first one's reason."""
+    warnings.warn(
+        f"k* search dropped {len(dropped)} of {grid_sizes} grid sizes "
+        f"(k = {', '.join(map(str, dropped))}): {reason}", AssumptionWarning, stacklevel=3)
 
 
 def _warn_at_edge(channel, R, top, k):
-    """Warn when k* = k is the grid's top size `top` and a larger size is admissible
-    (at most MAX_K, with R*k < BDP), and when R*k >= BDP at k* itself."""
+    """Warn when k* = k is `top`, the largest size the grid admits, and a larger size is
+    admissible (at most MAX_K, with R*k < BDP), and when R*k >= BDP at k* itself.
+    Returns whether each holds."""
     bdp = channel.bdp
-    if k == top and k < MAX_K and R * (k + 1) < bdp:
+    at_top = k == top and k < MAX_K and R * (k + 1) < bdp
+    if at_top:
         largest = min(MAX_K, math.ceil(bdp / R))
         while R * largest >= bdp:
             largest -= 1
@@ -315,10 +365,12 @@ def _warn_at_edge(channel, R, top, k):
             f"k* = {k} is the top of the k grid, and sizes up to {largest} are admissible "
             f"(R*k < BDP ({bdp}), k <= {MAX_K}); the optimum may lie above it: pass a "
             f"--k-grid that reaches past {k}", AssumptionWarning, stacklevel=3)
-    if R * k >= bdp:
+    loose = R * k >= bdp
+    if loose:
         warnings.warn(
             f"k* = {k} has R*k = {R * k:.3f} >= BDP ({bdp}); the delay model is loose at k*",
             AssumptionWarning, stacklevel=3)
+    return at_top, loose
 
 
 def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):
@@ -340,6 +392,8 @@ def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):
     arq_cfg = SimConfig(channel=channel, coding=derive_coding(channel, 1, R=1.0),
                         n_packets=arq_packets, seed=seed)
     st = run_arq(arq_cfg)
+    if diagnostics.active is not None:
+        diagnostics.active.simulation(arq_cfg, st, arq=True)
     points.append(TradeoffPoint(kind="arq", margin=float("nan"), R=1.0, k=1,
                                 eta=st.mean_efficiency, mean=st.mean_delay,
                                 std=st.std_delay))

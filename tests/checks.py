@@ -10,6 +10,7 @@ the fresh processes whose peak memory two checks compare load neither.
 """
 
 import csv
+import itertools
 import json
 import resource
 import subprocess
@@ -25,7 +26,7 @@ from codedelay import optimizer, simulator
 from codedelay.codec import DecoderState, encode, systematic_packet
 from codedelay.delay import expected_delay
 from codedelay.efficiency import efficiency
-from codedelay.kernel import ABSORPTION_TAIL, _absorption, _transition_rows, build_kernel
+from codedelay.kernel import _absorption, _transition_rows, build_kernel
 from codedelay.optimizer import default_k_range, k_star
 from codedelay.params import (AssumptionWarning, derive_channel, derive_coding,
                               redundancy_from_margin)
@@ -89,14 +90,16 @@ def _fresh(run, *args):
 
 
 def _perfbench(workload, trace, names=()):
-    """The named metric values of a 1-second seed-1 perfbench run, or None, with the run's
-    output printed, when it exits nonzero or reports an incorrect output or a failed operation."""
+    """The named metric values of a 1-second seed-1 perfbench run ("attempted": its operation
+    count), or None, with the run's output printed, when it exits nonzero or reports an
+    incorrect output or a failed operation."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "1", "--trace", str(trace)],
                           cwd=ROOT, stdout=subprocess.PIPE, text=True)
     r = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else {}
     if r.get("correct") is True and r.get("failed") == 0:
-        values = {name: r["metrics"][name]["value"] for name in names}
+        values = {name: r[name] if name == "attempted" else r["metrics"][name]["value"]
+                  for name in names}
         print(f"{workload}: correct, no failed operation" + (f", {values}" if names else ""))
         return values
     print(proc.stdout)
@@ -136,27 +139,24 @@ def codec_round_trip():
 def kernel():
     """A k = 1024 kernel fill, absorption and efficiency are bit-equal to the references at
     the design channels."""
-    from .helpers import (DESIGN_CHANNELS, DESIGN_GRID, reference_absorption,
+    from .helpers import (DESIGN_CHANNELS, DESIGN_GRID, assert_same_absorption,
+                          assert_same_efficiency, reference_absorption,
                           reference_received_by_state, reference_transition_rows)
     for R, p in DESIGN_CHANNELS:
         ch = derive_channel(1.0 - p, rate=1e7, packet_size=1e4, rtt=5.0)
         kern = build_kernel(ch, derive_coding(ch, 1024, R=R), DESIGN_GRID)
         eff, eff_ms = _timed(efficiency, kern)
         ref_em, ref_eff_ms = _timed(reference_received_by_state, kern)
-        same_eta = (np.array_equal(eff.by_state, ref_em)
-                    and all(eff.at(k).eta == k / ref_em[k] for k in DESIGN_GRID))
+        same_eta = _holds(assert_same_efficiency, eff, ref_em, DESIGN_GRID)
         print(f"R {R:.6f}, p {p}: efficiency over every state {eff_ms:.1f} ms, "
               f"reference {ref_eff_ms:.1f} ms, every state and eta at every grid size "
               f"bit-equal: {same_eta}")
         mat, fill_ms = _timed(_transition_rows, R, 1024, p)
         (ref_mat, _), ref_fill_ms = _timed(reference_transition_rows, R, 1024, p)
         cdfs, abs_ms = _timed(_absorption, mat, DESIGN_GRID)
-        (ref_cdfs, ref_failures), ref_abs_ms = _timed(reference_absorption, mat, DESIGN_GRID)
-        # a size failed where its cdf ends still ABSORPTION_TAIL or more below 1
-        failures = {g: 1.0 - c[-1] for g, c in cdfs.items() if 1.0 - c[-1] >= ABSORPTION_TAIL}
+        reference, ref_abs_ms = _timed(reference_absorption, mat, DESIGN_GRID)
         same_mat = np.array_equal(mat, ref_mat)
-        same_cdfs = (failures == ref_failures and cdfs.keys() == ref_cdfs.keys()
-                     and all(np.array_equal(cdfs[k], ref_cdfs[k]) for k in DESIGN_GRID))
+        same_cdfs = _holds(assert_same_absorption, cdfs, reference, DESIGN_GRID)
         print(f"R {R:.6f}, p {p}: fill {fill_ms:.1f} ms, reference {ref_fill_ms:.1f} ms, "
               f"bit-equal: {same_mat}; absorption over {len(DESIGN_GRID)} sizes {abs_ms:.1f} ms, "
               f"reference {ref_abs_ms:.1f} ms, every cdf bit-equal: {same_cdfs}")
@@ -167,52 +167,64 @@ def kstar():
     """Bounded k* selects what the full-grid search does on every design reference row."""
     from unittest import mock
 
-    from .helpers import assert_same_kernel, counting_sweep, reference_k_star
+    from .helpers import assert_same_kernel, counting_delay, reference_k_star
     grown_build, grown_efficiency = optimizer.build_kernel, optimizer.efficiency
-    evaluated, stages = [], []
+    stages, winners = [], []
     spent = dict.fromkeys(("k_star", "reference", "grown", "rebuilt"), 0.0)   # ms
+    same = points = evaluated = once = same_stages = same_winners = n_stages = n_winners = 0
 
     def recording_build(channel, coding, ks, chain):
         kern, ms = _timed(grown_build, channel, coding, ks, chain)
         spent["grown"] += ms
-        stages.append([channel, coding, ks, kern])
+        stages.append((channel, coding, ks, kern))
         return kern
 
     def recording_efficiency(kern):
         eff, ms = _timed(grown_efficiency, kern)
         spent["grown"] += ms
-        stages[-1].append(eff)
+        winners.append((kern, eff))
         return eff
 
-    same = points = 0
     rows = list(_design_rows("design"))
     for ch, R, row in rows:
         points += len(default_k_range(ch))
-        with mock.patch.object(optimizer, "sweep", counting_sweep(evaluated)):
+        seen = []
+        with mock.patch.object(optimizer, "expected_delay", counting_delay(seen)):
             got, ms = _timed(k_star, ch, R)
         spent["k_star"] += ms
+        evaluated += len(seen)
+        once += len(seen) == len(set(seen))   # no size's delay sums taken twice
         want, ms = _timed(reference_k_star, ch, R)
         spent["reference"] += ms
         same += repr(got) == repr(want) and got[0] == int(row["k"])
-        # the same search again, keeping each stage's grown kernel and efficiency
+        # the same search again, keeping each stage's grown kernel and the winner's efficiency
         with mock.patch.object(optimizer, "build_kernel", recording_build), \
                 mock.patch.object(optimizer, "efficiency", recording_efficiency):
             k_star(ch, R)
-    same_stages = 0
-    for channel, coding, ks, kern, eff in stages:
-        # the grown stage kernel and its efficiency against a fresh build, bit for bit
-        fresh, build_ms = _timed(build_kernel, channel, coding, ks)
-        fresh_eff, eff_ms = _timed(efficiency, fresh)
-        spent["rebuilt"] += build_ms + eff_ms
-        same_stages += (_holds(assert_same_kernel, kern, fresh, channel, ks)
-                        and np.array_equal(eff.by_state, fresh_eff.by_state)
-                        and all(repr(eff.at(g)) == repr(fresh_eff.at(g)) for g in ks))
-    print(f"{same} of {len(rows)} rows bit-identical; evaluated {len(evaluated)} of {points} grid "
+        # each grown stage kernel against a fresh build, bit for bit
+        for channel, coding, ks, kern in stages:
+            fresh, build_ms = _timed(build_kernel, channel, coding, ks)
+            spent["rebuilt"] += build_ms
+            same_stages += _holds(assert_same_kernel, kern, fresh, channel, ks)
+        # the winner's efficiency, over the chain's rows, against one of a fresh kernel at k*
+        for kern, eff in winners:
+            fresh, build_ms = _timed(build_kernel, kern.channel, kern.coding)
+            fresh_eff, eff_ms = _timed(efficiency, fresh)
+            spent["rebuilt"] += build_ms + eff_ms
+            same_winners += (np.array_equal(eff.by_state, fresh_eff.by_state)
+                             and repr(eff) == repr(fresh_eff))
+        n_stages += len(stages)
+        n_winners += len(winners)
+        stages.clear()
+        winners.clear()
+    print(f"{same} of {len(rows)} rows bit-identical; evaluated {evaluated} of {points} grid "
           f"points; k_star {spent['k_star']:.0f} ms, full-grid reference "
-          f"{spent['reference']:.0f} ms")
-    print(f"{same_stages} of {len(stages)} grown stage kernels and efficiency passes bit-equal "
-          f"to fresh builds; grown {spent['grown']:.0f} ms, rebuilt {spent['rebuilt']:.0f} ms")
-    yield same == len(rows) and same_stages == len(stages)
+          f"{spent['reference']:.0f} ms; {once} of {len(rows)} searches evaluated each size once")
+    print(f"{same_stages} of {n_stages} grown stage kernels and {same_winners} of {n_winners} "
+          f"winner efficiency passes bit-equal to fresh builds; grown {spent['grown']:.0f} ms, "
+          f"rebuilt {spent['rebuilt']:.0f} ms")
+    yield (same == once == len(rows) and same_stages == n_stages
+           and same_winners == n_winners == len(rows))
 
 
 def delay_sums():
@@ -403,16 +415,31 @@ def traced_point():
 
 def traced_design():
     """Traced design run evaluates each grid point once."""
-    m = _perfbench("design", 1, ["delay.calls", "optimizer.points", "optimizer.failed_points",
-                                 "efficiency.calls", "kernel.build.calls"])
+    m = _perfbench("design", 1, ["attempted", "delay.calls", "efficiency.calls"])
+    if m is None:
+        yield False
+        return
+    # the run's operations again, in process, counting the distinct sizes k_star takes delay
+    # sums of; the traced delay calls exceed that count if any size's sums run twice
+    from unittest import mock
+
+    from .helpers import counting_delay
+    wl = _workloads()
+    sizes = 0
+    for op in itertools.islice(wl.WORKLOADS["design"]().ops(1), m["attempted"]):
+        seen = []
+        with mock.patch.object(optimizer, "expected_delay", counting_delay(seen)):
+            k_star(wl.channel_of(op), redundancy_from_margin(op["margin"], op["epsilon"]))
+        sizes += len(set(seen))
+    per_op = sizes / m["attempted"]
+    print(f"{per_op:.6g} distinct sizes evaluated per operation in process")
 
     def same(a, b):
         # per-operation means: equal counts over the run give equal means, up to rounding
         return abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
-    yield (m is not None
-           and same(m["delay.calls"], m["optimizer.points"] - m["optimizer.failed_points"])
-           and same(m["efficiency.calls"], m["kernel.build.calls"]))
+    # one delay evaluation per evaluated size and one efficiency pass, the winner's, per operation
+    yield same(m["delay.calls"], per_op) and same(m["efficiency.calls"], 1.0)
 
 
 CHECKS = {f.__name__.replace("_", "-"): f for f in (

@@ -44,13 +44,13 @@ from hypothesis import strategies as st
 
 from codedelay.cli import main
 from codedelay.codec import CodedPacket
-from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments
+from codedelay.delay import WEIGHT_THRESHOLD, DelayMoments, expected_delay
 from codedelay.gf256 import INV, MUL
 from codedelay.kernel import (_ABSORPTION_BLOCK, ABSORPTION_TAIL, MAX_ROUNDS, NumericalError,
-                              _transition_rows, build_kernel)
+                              _transition_rows, build_kernel, check_generation_size)
 from codedelay.moments import prefix_moments, straggler_moments
-from codedelay.optimizer import (_TIE_REL, _warn_at_edge, default_k_range, smooth_local_maxima,
-                                 sweep)
+from codedelay.optimizer import (_TIE_REL, _warn_at_edge, _warn_dropped, default_k_range,
+                                 smooth_local_maxima, sweep)
 from codedelay.params import (AssumptionWarning, InputError, derive_channel, derive_coding,
                               redundancy_from_margin, split_count)
 from codedelay.simulator import (SimStats, _Delivery, _link_slots, _PairStats, _Trajectories,
@@ -204,6 +204,18 @@ def reference_absorption(mat, ks):
         if not open_ks:
             break
     return {k: np.array(c) for k, c in cdfs.items()}, {k: 1.0 - u[k] for k in open_ks}
+
+
+def assert_same_absorption(cdfs, reference, ks):
+    """kernel._absorption's cdfs of the sizes ks against reference_absorption's (its cdfs
+    and failures), bit for bit: the failed sizes are those whose cdf ends ABSORPTION_TAIL
+    or more below 1."""
+    ref_cdfs, ref_failures = reference
+    assert cdfs.keys() == ref_cdfs.keys()
+    for g in ks:
+        assert type(cdfs[g]) is list and np.array_equal(cdfs[g], ref_cdfs[g])
+    tails = {g: 1.0 - cdf[-1] for g, cdf in cdfs.items()}
+    assert {g: t for g, t in tails.items() if t >= ABSORPTION_TAIL} == ref_failures
 
 
 def block_outcome(kern, ch, g):
@@ -845,8 +857,19 @@ def grid_blocks(channel, R):
 
 def reference_k_star(channel, R, k_range=None):
     """optimizer.k_star as it was before it stopped early: the selection over the whole sweep,
-    with k_star's warnings about where k* lies."""
+    with k_star's warnings about the sizes derive_coding rejects and about where k* lies."""
     records = smooth_local_maxima(sweep(channel, R, k_range))
+    accepted, dropped = [], {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        for rec in records:
+            try:
+                check_generation_size(derive_coding(channel, rec.k, R=R).k)
+                accepted.append(rec.k)
+            except InputError as exc:
+                dropped[rec.k] = str(exc)
+    if dropped:
+        _warn_dropped(len(records), list(dropped), next(iter(dropped.values())))
     valid = [r for r in records if r.error is None]
     if not valid:
         raise ValueError("every sweep point failed; no k* exists")
@@ -854,16 +877,15 @@ def reference_k_star(channel, R, k_range=None):
     tol = _TIE_REL * abs(best)
     winner = min((r for r in valid if r.smoothed_mean <= best + tol),
                  key=lambda r: r.k)
-    _warn_at_edge(channel, R, records[-1].k, winner.k)
+    _warn_at_edge(channel, R, accepted[-1], winner.k)
     return winner.k, winner
 
 
-def counting_sweep(seen, full=sweep):
-    """optimizer.sweep, adding the sizes it evaluates to `seen`."""
-    def counting(*args, **kwargs):
-        records = full(*args, **kwargs)
-        seen.extend(r.k for r in records)
-        return records
+def counting_delay(seen, full=expected_delay):
+    """optimizer.expected_delay, adding the size of each point it evaluates to `seen`."""
+    def counting(channel, coding, *args, **kwargs):
+        seen.append(coding.k)
+        return full(channel, coding, *args, **kwargs)
     return counting
 
 
@@ -900,6 +922,17 @@ def reference_received_by_state(kern):
             raise ValueError(f"state {i} cannot progress (self-transition probability 1)")
         em[i] = (received[i] + row @ em[1:i]) / denom
     return em
+
+
+def assert_same_efficiency(res, ref, ks):
+    """An EfficiencyResult against reference_received_by_state's values ref: every state,
+    and the expected count and eta at each size in ks, bit for bit."""
+    for g in ks:
+        assert res.at(g).expected_received == ref[g]
+        assert res.at(g).eta == min(g / ref[g], 1.0)
+    assert np.isfinite(res.by_state).all()
+    assert np.array_equal(res.by_state, ref)
+    assert res.by_state[0] == 0.0
 
 
 def exact_received_by_state(R, k, p_success):

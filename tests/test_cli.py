@@ -246,6 +246,9 @@ class TestFlagValidation:
                       "--out", "missing/x.csv"], "--out missing/x.csv", id="out-unwritable"),
         pytest.param(SIM + ["--trace", "missing/x.csv"], "--trace missing/x.csv",
                      id="trace-unwritable"),
+        pytest.param(["kstar", *CH, "--margin", "0.1", "--k-grid", "4,8",
+                      "--diagnostics", "missing/x.json"], "--diagnostics missing/x.json",
+                     id="diagnostics-unwritable"),
         pytest.param(["analyze", *CH, "--k", str(10**400), "--margin", "0.1"],
                      "R*k must be at most", id="k-beyond-float-range"),
         pytest.param(["simulate", *CH, "--k", str(10**400), "--margin", "0.1",
@@ -324,7 +327,7 @@ class TestParser:
 _CHANNEL_FLAGS = [("epsilon", "required"), ("rate_bps", "required"),
                   ("packet_bits", "required"), ("tp_s", None), ("rtt_s", None)]
 _CODING_FLAGS = [("k", "required"), ("redundancy", None), ("margin", None)]
-_OUTPUT_FLAGS = [("fmt", "csv"), ("out", None)]
+_OUTPUT_FLAGS = [("fmt", "csv"), ("out", None), ("diagnostics", None)]
 _RUN_FLAGS = [("mode", "idealized"), ("n_packets", 100_000), ("seed", "required")]
 
 
@@ -451,6 +454,22 @@ class TestKstarCommand:
         texts = [str(w.message) for w in caught if w.category is AssumptionWarning]
         assert texts.count(warning) == 1
         assert len([t for t in texts if t.startswith("k* = ")]) == 1
+
+    def test_dropped_sizes_warn_and_the_edge_reads_the_largest_kept_size(self):
+        # BDP 100, R = 1.1/0.9: R*k < BDP up to k = 81, and 5000 exceeds MAX_K
+        flags = ["--epsilon", "0.1", *self.DESIGN_LINK, "--rtt-s", "0.012", "--margin", "0.1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = invoke_cli(["kstar", *flags, "--k-grid", "2,8,64,5000"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == invoke_cli(["kstar", *flags, "--k-grid", "2,8,64"]).stdout
+        assert parse_csv(res.stdout)[0]["k"] == "64"
+        assert [str(w.message) for w in caught if w.category is AssumptionWarning] == [
+            "k* search dropped 1 of 4 grid sizes (k = 5000): k = 5000 exceeds the supported "
+            "maximum 4096",
+            "k* = 64 is the top of the k grid, and sizes up to 81 are admissible (R*k < BDP "
+            "(100), k <= 4096); the optimum may lie above it: pass a --k-grid that reaches "
+            "past 64"]
 
 
 class TestTradeoffCommand:
@@ -648,13 +667,24 @@ def _cli_argv(draw):
 # derandomized: the suite runs the same examples every time, because
 # simulate with --hol-cap 10^12 at k = 1 (a window over the whole run) still
 # takes seconds per call
+# a --diagnostics file in a directory that does not exist
+_UNWRITABLE = os.path.join(os.path.dirname(os.devnull), "codedelay-no-such-dir", "report.json")
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(argv=_cli_argv())
-def test_any_flags_exit_0_2_or_3_without_traceback(argv):
-    """Random analyze, simulate and compare-arq flags, valid or not, end in exit 0, 2 or 3."""
+@given(argv=_cli_argv(), report=st.sampled_from([None, None, "-", os.devnull, _UNWRITABLE]))
+def test_any_flags_exit_0_2_or_3_without_traceback(argv, report):
+    """Random analyze, simulate and compare-arq flags, valid or not, with or without
+    --diagnostics, end in exit 0, 2 or 3."""
+    if report is not None:
+        argv = argv + ["--diagnostics", report]
     res = invoke_cli(argv)
     assert res.exit_code in (0, 2, 3), res.output
     assert "Traceback" not in res.output
+    if report == _UNWRITABLE:
+        assert res.exit_code == 2
+    if report == "-" and res.exit_code == 0:
+        assert json.loads(res.stderr.splitlines()[-1])["command"] == argv[0]
 
 
 @st.composite

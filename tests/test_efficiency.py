@@ -10,8 +10,8 @@ from codedelay.efficiency import efficiency
 from codedelay.kernel import Chain, build_kernel
 from codedelay.params import derive_channel, derive_coding
 
-from .helpers import (DESIGN_CHANNELS, exact_received_by_state, growth_stages,
-                      reference_received_by_state)
+from .helpers import (DESIGN_CHANNELS, assert_same_efficiency, exact_received_by_state,
+                      growth_stages, reference_received_by_state)
 
 
 def make_kernel(epsilon, k, R):
@@ -117,14 +117,7 @@ class TestNeededStates:
         cd = derive_coding(ch, k, R=R)
         ks = sorted({k, *(g for g in grid or () if g <= k)})
         kern = build_kernel(ch, cd, ks if grid is not None else None)
-        res = efficiency(kern)
-        ref = reference_received_by_state(kern)
-        for g in ks:
-            assert res.at(g).expected_received == ref[g]
-            assert res.at(g).eta == min(g / ref[g], 1.0)
-        assert np.isfinite(res.by_state).all()
-        assert np.array_equal(res.by_state, ref)
-        assert res.by_state[0] == 0.0
+        assert_same_efficiency(efficiency(kern), reference_received_by_state(kern), ks)
 
 
 class TestGrowth:

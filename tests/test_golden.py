@@ -2,13 +2,15 @@
 
 Each case runs one small `codedelay` invocation in-process and compares the
 sha256 of its stdout, and of its trace file where it writes one, with a
-recorded digest. A change to the random stream, the float formatting or the
+recorded digest; each case runs again with `--diagnostics -`, which must not
+move a byte of either. A change to the random stream, the float formatting or the
 arithmetic order of any reported value shows up here; such a change must be
 deliberate, and the digests are then re-recorded together with a CHANGES.md
 entry that says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -168,16 +170,17 @@ DIGESTS = {
 }
 
 
-def run_case(name, tmp_path):
-    """sha256 hex digests of the case's stdout and trace bytes (None without a trace)."""
+def run_case(name, tmp_path, extra=()):
+    """sha256 hex digests of the case's stdout and trace bytes (None without a trace), run
+    with the flags `extra` added, and its stderr."""
     argv, traced = CASES[name]
     trace = tmp_path / f"{name}.csv"
     if traced:
         argv = argv + ["--trace", str(trace)]
-    res = invoke_cli(argv)
+    res = invoke_cli([*argv, *extra])
     assert res.exit_code == 0, res.output
     out = hashlib.sha256(res.stdout_bytes).hexdigest()
-    return out, hashlib.sha256(trace.read_bytes()).hexdigest() if traced else None
+    return (out, hashlib.sha256(trace.read_bytes()).hexdigest() if traced else None), res.stderr
 
 
 def test_every_case_has_one_digest():
@@ -186,4 +189,12 @@ def test_every_case_has_one_digest():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, tmp_path):
-    assert run_case(name, tmp_path) == DIGESTS[name]
+    assert run_case(name, tmp_path)[0] == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_diagnostics_leave_the_output_bytes_unchanged(name, tmp_path):
+    digests, stderr = run_case(name, tmp_path, ["--diagnostics", "-"])
+    assert digests == DIGESTS[name]
+    # the report is the last line on stderr, after any warning
+    assert json.loads(stderr.splitlines()[-1])["command"] == CASES[name][0][0]

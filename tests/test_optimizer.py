@@ -25,7 +25,7 @@ from codedelay.optimizer import (
 from codedelay.params import (AssumptionWarning, derive_channel, derive_coding,
                               redundancy_from_margin)
 
-from .helpers import counting_sweep, reference_delay_cells, reference_k_star
+from .helpers import counting_delay, reference_delay_cells, reference_k_star
 
 
 def std_channel(epsilon=0.1):
@@ -252,7 +252,7 @@ class TestBoundedKStar:
         if ks is None and ch.bdp < 3:
             return
         seen = []
-        with mock.patch.object(optimizer, "sweep", counting_sweep(seen)):
+        with mock.patch.object(optimizer, "expected_delay", counting_delay(seen)):
             result, got = _outcome(k_star, ch, R, ks)
         assert got == _outcome(reference_k_star, ch, R, ks)[1]
         if result is None:
@@ -269,7 +269,7 @@ class TestBoundedKStar:
     def _evaluated(self, monkeypatch, channel, R, k_range=None):
         """The sizes k_star evaluates, in the order it evaluates them."""
         seen = []
-        monkeypatch.setattr(optimizer, "sweep", counting_sweep(seen))
+        monkeypatch.setattr(optimizer, "expected_delay", counting_delay(seen))
         k_star(channel, R, k_range)
         return seen
 
