@@ -60,6 +60,8 @@ class Report:
         self.simulations = []
         self.stages = {}    # stage -> [self seconds, calls]
         self._child = []    # per open stage call, the seconds of the stage calls it made
+        self._rows = None   # the matrix that owns the last point's kernel rows
+        self._drift = None  # max |row sum - 1| over its states 0..i, by i
 
     def _timed(self, fn, stage):
         def timed(*args, **kwargs):
@@ -78,11 +80,20 @@ class Report:
         return timed
 
     def point(self, coding, kern, dm):
-        """A grid point's trust fields, from its size's kernel and DelayMoments."""
-        drift = np.abs(kern.matrix.sum(axis=1) - 1.0).max()
+        """A grid point's trust fields, from its size's kernel and DelayMoments.
+
+        A size's kernel is the leading block of the matrix its stage built, and
+        the matrix is lower-triangular, so its rows are that matrix's first
+        k + 1, whole. |row sum - 1| is taken once per such matrix, with its
+        running maximum by state, and each point reads the entry at its k.
+        """
+        rows = kern.matrix if kern.matrix.base is None else kern.matrix.base
+        if rows is not self._rows:
+            self._rows = rows
+            self._drift = np.maximum.accumulate(np.abs(rows.sum(axis=1) - 1.0))
         self.points.append({
             "k": coding.k, "R": coding.R, "b": coding.b, "within_bdp": coding.within_bdp,
-            "horizon": kern.horizon, "row_sum_drift": float(drift),
+            "horizon": kern.horizon, "row_sum_drift": float(self._drift[coding.k]),
             "terms_evaluated": dm.terms_evaluated, "truncated_mass": dm.truncated_mass})
 
     def search(self, R, grid_sizes, dropped, evaluated, pruned, stage_tops, k, at_grid_top,

@@ -19,24 +19,27 @@ draws them in generation order, and the same seed gives the same rounds in
 both modes; the modes differ only in their timing map. It holds each round's
 receive flags slot-major, one row per slot and one column per generation, so
 every count over a generation's slots runs along rows, across all the
-generations of a block at once, not along one generation's few slots. The
-idealized map adds 2*t_p per extra round. The relaxed map, _link_slots, is
-an integer schedule: a round ending at slot e frees its retransmission from
-slot e + ceil(2*t_p/t_s), and waiting retransmissions form a FIFO queue. It
-streams: each block of generations is handed on once it and every earlier
-block have decoded, so a run holds only the blocks with generations in
-flight.
+generations of a block at once, not along one generation's few slots: one
+scan of whole-row adds, _running_counts, gives each round's running arrival
+counts, and the prefix, received count, decode slot and codec width are all
+read from them. The idealized map adds 2*t_p per extra round. The relaxed
+map, _link_slots, is an integer schedule: a round ending at slot e frees its
+retransmission from slot e + ceil(2*t_p/t_s), and waiting retransmissions
+form a FIFO queue. It streams: each block of generations is handed on once
+it and every earlier block have decoded, so a run holds only the blocks with
+generations in flight.
 
 Replications run as lanes of one engine call, each lane with its own
 generator, from which it draws exactly what a lone run of it would, in the
 same order and shapes. Everything after the draws runs once for all the
 lanes of a batch: their flags sit side by side as columns, the dofs are
 counted over all of them together, and the delivery pass sums along each
-lane. A batch holds at most one block's worth of generation columns, so it
-takes as many lanes as fit. The relaxed link schedule is one _link_slots
-pass over all the lanes of each block: its numpy set-up runs once for the
-block, and each lane's Python loop, with that lane's own queue, visits only
-the lane's retransmissions. run_coded is the one-lane case.
+lane. A batch holds at most two blocks' worth of generation columns, in no
+more bytes than one block may take, so it takes as many lanes as fit. The
+relaxed link schedule is one _link_slots pass over all the lanes of each
+block: its numpy set-up runs once for the block, and each lane's Python
+loop, with that lane's own queue, visits only the lane's retransmissions.
+run_coded is the one-lane case.
 
 Every event time is alpha*t_s + beta*t_p with integer alpha and beta, so
 times are integer pairs converted to floats only for comparisons and
@@ -76,7 +79,6 @@ not exceed MAX_PACKETS.
 
 import json
 import math
-import statistics
 from bisect import bisect_left
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
@@ -229,15 +231,15 @@ class _PairStats:
 class _Arrivals:
     """Dofs of a block's generations under rank counting: every arrival is one.
 
-    need holds the dofs each generation still lacks. round takes the receive
-    flags of one round of the generations in active (ascending, each still
-    short), slot-major: flags[t, j] tells whether slot t of active[j]
-    arrived. It returns which of them decoded and, for those, the slot within
-    the round where the k-th dof arrived: the number of slots whose running
-    count down the column is still short of the need. The running counts are
-    one cumsum down the slots, in the smallest unsigned type that holds both
-    the slot count and k. _CodecRanks has the same interface; coeffs, its
-    coefficient blocks, is None here.
+    need holds the dofs each generation still lacks. round takes one round of
+    the generations in active (ascending, each still short), slot-major:
+    flags[t, j] tells whether slot t of active[j] arrived, and counts[t, j]
+    is the running count of arrivals down that column through slot t
+    (_running_counts, in an unsigned type that holds both the slot count and
+    k). It returns which of them decoded and, for those, the slot within the
+    round where the k-th dof arrived: the number of slots whose running count
+    is still short of the need. _CodecRanks has the same interface; coeffs,
+    its coefficient blocks, is None here, and the flags go unread.
     """
 
     non_innovative = None
@@ -246,23 +248,43 @@ class _Arrivals:
         self.k = k
         self.need = np.full(g, k, dtype=np.int64)
 
-    def round(self, active, flags, coeffs):
-        need = self.need[active]
-        small = np.min_scalar_type(max(flags.shape[0], self.k))
-        cum = np.cumsum(flags, axis=0, dtype=small)
-        self.need[active] = np.maximum(need - cum[-1], 0)
-        return cum[-1] >= need, np.count_nonzero(cum < need.astype(small), axis=0)
+    def round(self, active, flags, counts, coeffs):
+        need, got = self.need[active], counts[-1]
+        self.need[active] = np.maximum(need - got, 0)
+        short = counts < need.astype(counts.dtype)
+        return got >= need, np.add.reduce(short, axis=0, dtype=counts.dtype)
+
+
+def _running_counts(flags, dtype):
+    """The running counts of slot-major flags down the slots: np.cumsum(flags, axis=0, dtype).
+
+    An inclusive scan by doubling (Hillis and Steele 1986): after the step of
+    shift d each row holds the sum of itself and the 2d - 1 rows above it, so
+    ceil(log2(rows)) steps finish. Each step is one add over whole rows,
+    between two buffers, which runs along memory, where a cumsum down axis 0
+    walks each column apart. dtype must hold the slot count.
+    """
+    out = flags.astype(dtype)
+    buf = np.empty_like(out)
+    shift = 1
+    while shift < out.shape[0]:
+        buf[:shift] = out[:shift]
+        np.add(out[shift:], out[:-shift], out=buf[shift:])
+        out, buf = buf, out
+        shift *= 2
+    return out
 
 
 class _CodecRanks:
     """Ranks over GF(2^8) of a block's generations, fed one round of every active one at a time.
 
-    round takes the slot-major flags that _Arrivals.round does and works on
-    their transpose, one generation's rows at a time, with one uint8
-    coefficient row for every coded slot of every generation in active,
-    received or not: coeffs[j, t] for slot t of active[j] (round 1: slot
-    k + t). _trajectories draws them right after the receive flags, as the
-    sender draws coefficients before the channel acts. Systematic packets
+    round takes the slot-major flags and counts that _Arrivals.round does,
+    reads round 1's width from the counts and works on the flags' transpose,
+    one generation's rows at a time, with one uint8 coefficient row for every
+    coded slot of every generation in active, received or not: coeffs[j, t]
+    for slot t of active[j] (round 1: slot k + t). _trajectories draws them
+    right after the receive flags, as the sender draws coefficients before
+    the channel acts. Systematic packets
     fill only the first k slots of round 1, so they leave each generation
     the set M of its missing columns, and a coded row counts only through
     its projection onto M. The received rows are eliminated column by
@@ -282,13 +304,13 @@ class _CodecRanks:
         self.non_innovative = np.zeros(g, dtype=np.int64)
         self.width = None   # |M| of each generation, set by round 1
 
-    def round(self, active, flags, coeffs):
+    def round(self, active, flags, counts, coeffs):
         k = self.k
         n_sys = k if self.width is None else 0
         flags = flags.T   # generation-major: the elimination works one generation's rows at a time
         if n_sys:   # round 1 sends every generation of the block
             sys_flags, flags = flags[:, :k], flags[:, k:]
-            self.width = k - np.count_nonzero(sys_flags, axis=1)
+            self.width = k - counts[k - 1].astype(np.int64)
             self.need = self.width.copy()
             w = int(self.width.max())
             self.missing = np.argsort(sys_flags, axis=1, kind="stable")[:, :w]
@@ -388,14 +410,15 @@ def _reduce(rows, basis, pivot, width):
     return gain, last
 
 
-def _chunk_rows(n_k_high, k=0):
+def _chunk_rows(n_k_high, k=0, blocks=1):
     """Generations per block: _CHUNK, fewer when one block would pass _CHUNK_BYTES.
 
     A generation holds n_k_high 8-byte round-1 uniforms and, with the real
     codec (k > 0), coefficient blocks of at most n_k_high rows and a basis of
-    at most k rows, k bytes a row.
+    at most k rows, k bytes a row. blocks counts the generations of that many
+    blocks instead, still under _CHUNK_BYTES.
     """
-    return max(1, min(_CHUNK, _CHUNK_BYTES // (8 * n_k_high + (n_k_high + k) * k)))
+    return max(1, min(blocks * _CHUNK, _CHUNK_BYTES // (8 * n_k_high + (n_k_high + k) * k)))
 
 
 def _warmup_window(cfg):
@@ -542,6 +565,7 @@ class _Delivery:
         lanes = len(self.accs)
         se = None
         if lanes > 1:
+            import statistics   # here, not at import: it takes fractions and decimal along
             se = statistics.stdev(lane.mean() for lane in self.accs) / math.sqrt(lanes)
         return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
                         mean_efficiency=self.k * self.gens / self.received,
@@ -577,11 +601,15 @@ def _trajectories(cfg, rngs, n_gens):
     transpose of those draws: (slots, generations), slot-major, one column
     per generation of every lane; a lane whose retransmission matrix is
     narrower than the widest one's gets not-received rows below it. Round
-    1's size mask touches only row n_k_low, as n is n_k_low or n_k_low + 1;
-    s is the first lost row among the first k, and received counts down
-    each column. Their dofs are arrivals under rank counting (_Arrivals) or
-    ranks over GF(2^8) with the real codec (_CodecRanks), for which each
-    lane draws its round's coefficients right after its slot uniforms.
+    1's size mask touches only row n_k_low, as n is n_k_low or n_k_low + 1.
+    Each round's running counts down the columns are taken once
+    (_running_counts), in the smallest unsigned type that holds the round's
+    slot count and k: s is the number of rows t < k whose count is t + 1,
+    every slot up to t received, and the last row is the round's received
+    count. The dofs are arrivals under rank counting (_Arrivals) or ranks
+    over GF(2^8) with the real codec (_CodecRanks), for which each lane
+    draws its round's coefficients right after its slot uniforms; both read
+    the counts.
     """
     ch, cd = cfg.channel, cfg.coding
     k, eps = cd.k, ch.epsilon
@@ -591,6 +619,8 @@ def _trajectories(cfg, rngs, n_gens):
     dofs_of = _CodecRanks if codec else _Arrivals
     rows = _chunk_rows(hi, k if codec else 0)
     lanes = len(rngs)
+    small = np.min_scalar_type(hi)   # round 1's counts: hi >= k slots
+    prefix = np.arange(1, k + 1, dtype=small)[:, None]   # slot t's count when all up to it arrived
     for done in range(0, n_gens, rows):
         g = min(rows, n_gens - done)
         n = np.full(lanes * g, lo, dtype=np.int64)
@@ -605,16 +635,16 @@ def _trajectories(cfg, rngs, n_gens):
         del flags   # the lanes' own flags, now copied side by side
         if hi > lo:   # n is lo or hi = lo + 1, so only slot lo can lie past n
             recv[lo] &= n > lo
-        head = recv[:k]
-        s = np.argmin(head, axis=0)   # the first lost systematic slot, or 0 when none is
-        s[head.all(axis=0)] = k
-        received = np.count_nonzero(recv, axis=0)
+        cum = _running_counts(recv, small)
+        s = np.add.reduce(cum[:k] == prefix, axis=0, dtype=small).astype(np.int64)
+        received = cum[-1].astype(np.int64)
         y = np.ones(lanes * g, dtype=np.int64)
         bounds = np.arange(lanes + 1) * g   # each lane's first generation, and the block's end
         dofs = dofs_of(k, lanes * g)
         active = np.arange(lanes * g)
-        fin, hit = dofs.round(active, recv, _side_by_side(coeffs, 0) if codec else None)
-        del coeffs
+        fin, hit = dofs.round(active, recv, cum, _side_by_side(coeffs, 0) if codec else None)
+        hit = hit.astype(np.int64)
+        del coeffs, cum
         active = active[~fin]
         sent = [(np.zeros(0, dtype=np.int64),) * 2]   # (generations, sizes) per round
         r = 1
@@ -636,8 +666,10 @@ def _trajectories(cfg, rngs, n_gens):
                     coeffs.append(rng.integers(0, 256, size=(b - a, w, k), dtype=np.uint8))
             flags = _side_by_side(flags, 1)
             flags &= np.arange(flags.shape[0])[:, None] < nl
-            received[active] += np.count_nonzero(flags, axis=0)
-            fin, last = dofs.round(active, flags, _side_by_side(coeffs, 0) if codec else None)
+            cum = _running_counts(flags, np.min_scalar_type(max(flags.shape[0], k)))
+            received[active] += cum[-1]
+            fin, last = dofs.round(active, flags, cum,
+                                   _side_by_side(coeffs, 0) if codec else None)
             del coeffs   # before the next round draws its own: _chunk_rows counts one block's
             hit[active[fin]] = last[fin]
             y[active] = r
@@ -673,15 +705,18 @@ def _side_by_side(parts, axis):
 
 
 def _batches(cfg, rngs):
-    """The lanes in batches of at most one block's worth of generation columns, one lane at least.
+    """The lanes in batches of at most two blocks' worth of generation columns, one lane at least.
 
     A lane's blocks hold _chunk_rows generations (fewer when its run is
     shorter), as a lone run's do, since block boundaries fix the order of its
-    draws; a batch then holds as many lanes as fit in one such block.
+    draws; a batch then holds as many lanes' blocks as fit in twice _CHUNK
+    columns, kept under _CHUNK_BYTES as one block is. So a batch of lanes
+    whose blocks are full, or capped by _CHUNK_BYTES, holds two lanes or one.
     """
     cd = cfg.coding
-    rows = _chunk_rows(cd.n_k_high, cd.k if cfg.use_real_codec else 0)
-    per = max(1, rows // min(rows, -(-cfg.n_packets // cd.k)))
+    k = cd.k if cfg.use_real_codec else 0
+    rows = _chunk_rows(cd.n_k_high, k)
+    per = max(1, _chunk_rows(cd.n_k_high, k, 2) // min(rows, -(-cfg.n_packets // cd.k)))
     return [rngs[i:i + per] for i in range(0, len(rngs), per)]
 
 

@@ -321,24 +321,29 @@ def codec_trace():
 
 
 def blocks():
-    """Blocks at the simulate and trace-codec cell centres equal the scalar replay of their
-    draws."""
+    """Blocks at the simulate and trace-codec cell centres, and one at k 1024, equal the scalar
+    replay of their draws."""
     from .helpers import RecordingRng, assert_same_block, reference_trajectories, replayed_block
     wl = _workloads()
-    for name, packets, real_codec in (("simulate", wl.REP_PACKETS, False),
-                                      ("trace-codec", wl.SIM_PACKETS, True)):
-        for c, cfg in _centres(name, n_packets=packets, use_real_codec=real_codec):
-            cd, eps = cfg.coding, cfg.channel.epsilon
-            rng = RecordingRng(simulator._rng_for(c))
-            # the run's first block
-            tr, block_ms = _timed(next, simulator._trajectories(cfg, [rng], -(-packets // cd.k)))
-            replay, ref_ms = _timed(reference_trajectories, rng.draws, cd, eps, tr.n.size,
-                                    real_codec)
-            same = _holds(assert_same_block, tr, replayed_block(*replay))
-            print(f"{name} cell {c}: k {cd.k}, eps {eps}, {tr.n.size} generations, up to "
-                  f"{tr.y.max()} rounds; block {block_ms:.1f} ms, reference {ref_ms:.0f} ms, "
-                  f"equal: {same}")
-            yield same
+    cases = [(f"{name} cell {c}", cfg)
+             for name, packets, real_codec in (("simulate", wl.REP_PACKETS, False),
+                                               ("trace-codec", wl.SIM_PACKETS, True))
+             for c, cfg in _centres(name, n_packets=packets, use_real_codec=real_codec)]
+    # over 1 000 slots a round, so the counts are 16-bit; 40 generations keep the replay short
+    cd = derive_coding(CHANNEL, 1024, margin=0.0)   # about half the generations retransmit
+    cases.append(("k 1024", SimConfig(channel=CHANNEL, coding=cd, n_packets=40 * cd.k, seed=1)))
+    for label, cfg in cases:
+        cd, eps = cfg.coding, cfg.channel.epsilon
+        rng = RecordingRng(simulator._rng_for(cfg.seed))
+        # the run's first block
+        tr, block_ms = _timed(next, simulator._trajectories(cfg, [rng], -(-cfg.n_packets // cd.k)))
+        replay, ref_ms = _timed(reference_trajectories, rng.draws, cd, eps, tr.n.size,
+                                cfg.use_real_codec)
+        same = _holds(assert_same_block, tr, replayed_block(*replay))
+        print(f"{label}: k {cd.k}, eps {eps}, {cd.n_k_high} round-1 slots, {tr.n.size} "
+              f"generations, up to {tr.y.max()} rounds; block {block_ms:.1f} ms, reference "
+              f"{ref_ms:.0f} ms, equal: {same}")
+        yield same
 
 
 def _replicate_cells(reps):

@@ -565,6 +565,11 @@ def test_cli_import_leaves_scipy_out():
     assert not _imported_by_cli("scipy")
 
 
+def test_cli_import_leaves_statistics_out():
+    # only pooled replications take a stdev, and statistics brings fractions and decimal along
+    assert not _imported_by_cli("statistics")
+
+
 @pytest.mark.parametrize("module", ["click", "importlib.metadata"])
 def test_cli_import_leaves_click_and_package_metadata_out(module):
     assert not _imported_by_cli(module)

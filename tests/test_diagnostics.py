@@ -3,11 +3,13 @@
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from codedelay import cli, diagnostics, optimizer
+from codedelay.kernel import build_kernel
 from codedelay.optimizer import k_star
-from codedelay.params import derive_channel, redundancy_from_margin
+from codedelay.params import derive_channel, derive_coding, redundancy_from_margin
 
 from .helpers import counting_delay, invoke_cli
 
@@ -123,6 +125,19 @@ def test_kstar_search_is_what_k_star_evaluated(tmp_path):
     assert search["evaluated"] + search["pruned"] + len(search["dropped"]) == search["grid_sizes"]
     assert search["stage_tops"][-1] == seen[-1]
     assert report["time"]["stages"]["efficiency"]["calls"] == 1   # the winner's alone
+
+
+@pytest.mark.parametrize("name", ["analyze", "sweep", "kstar"])
+def test_row_sum_drift_is_that_of_the_points_own_kernel(name, tmp_path):
+    # each point reads its drift from its stage's matrix; a kernel built alone at its k has
+    # the same rows, summed over its own k + 1 columns
+    ch = derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=0.1)
+    points = report_of(COMMANDS[name], tmp_path)[0]["points"]
+    assert points
+    for point in points:
+        rows = build_kernel(ch, derive_coding(ch, point["k"], R=point["R"])).matrix
+        want = float(np.abs(rows.sum(axis=1) - 1.0).max())
+        assert point["row_sum_drift"] == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 def test_kstar_reports_dropped_sizes_and_the_edge(tmp_path):
