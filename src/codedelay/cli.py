@@ -277,8 +277,6 @@ def cmd_simulate(ch, coding, mode, n_packets, seed, reps, real_codec, hol_cap, t
                     seed=seed, use_real_codec=real_codec, hol_cap=hol_cap,
                     collect_records=trace is not None)
     stats = replicate(cfg, reps)
-    if _diagnostics.active is not None:
-        _diagnostics.active.simulation(cfg, stats)
     if trace is not None:
         with _open_output(trace, "--trace") as fh:
             trace_csv(stats, cfg, fh)
@@ -295,9 +293,6 @@ def cmd_compare_arq(ch, coding, mode, n_packets, seed):
     cfg = SimConfig(channel=ch, coding=coding, mode=mode, n_packets=n_packets, seed=seed)
     coded = run_coded(cfg)
     arq = run_arq(cfg)
-    if _diagnostics.active is not None:
-        _diagnostics.active.simulation(cfg, coded)
-        _diagnostics.active.simulation(cfg, arq, arq=True)
     return OutputTable(
         ["scheme", "mean_s", "std_s", "efficiency"],
         [["coded", coded.mean_delay, coded.std_delay, coded.mean_efficiency],

@@ -4,11 +4,10 @@ A round from state i receives p*n_i packets on average, where n_i is the mean
 transmit count R*i as split_count realizes it and p = 1 - epsilon; the rest
 comes from the kernel's rows. No pmf is evaluated here.
 
-One bottom-up pass yields the expected received count from every state, and
-row i does not depend on the generation size, so the pass over a kernel
-built for the largest size of a grid serves every size in it (`at`), and
-a kernel grown from a chain (kernel.Chain) starts the pass above the
-states whose values the chain already has.
+One bottom-up pass over states 1..k of a kernel's rows yields the expected
+received count from every state, and writes nothing but its result. Row i
+does not depend on the generation size, so the pass over a kernel built for
+the largest size of a grid serves every size in it (`at`).
 """
 
 from dataclasses import dataclass, field
@@ -40,21 +39,15 @@ def _received_by_state(kern):
 
     Bottom-up over states: the expected count for a path from state i to
     absorption is the mean received in its first round plus the expected
-    count from wherever that round leaves it. The pass starts above the
-    states the kernel's chain already holds, and leaves its values there.
+    count from wherever that round leaves it.
     """
     k = kern.k
-    chain = kern.chain
-    j = len(chain.em) - 1
-    if j >= k:
-        return chain.em[:k + 1]
     mat = kern.matrix
-    lo, frac = split_count(kern.coding.R, np.arange(j + 1, k + 1))
+    lo, frac = split_count(kern.coding.R, np.arange(1, k + 1))
     received = (lo + frac) * (1.0 - kern.channel.epsilon)
     em = np.zeros(k + 1)
-    em[:j + 1] = chain.em
     # Python floats: the same double arithmetic as numpy scalars, with less overhead
-    for i, absorbed, mean in zip(range(j + 1, k + 1), mat[j + 1:, 0].tolist(), received.tolist()):
+    for i, absorbed, mean in zip(range(1, k + 1), mat[1:, 0].tolist(), received.tolist()):
         row = mat[i, 1:i]
         # denom is 1 - a_ii summed from the entries that leave state i,
         # which keeps its digits where a_ii is near 1 and 1 - a_ii cancels.
@@ -62,7 +55,6 @@ def _received_by_state(kern):
         if denom <= 0.0:
             raise ValueError(f"state {i} cannot progress (self-transition probability 1)")
         em[i] = (mean + float(row @ em[1:i])) / denom
-    chain.em = em
     return em
 
 

@@ -24,13 +24,12 @@ The matrix is lower-triangular, so a block's rows read u only up to the
 block's own last row; taken last block first, each block writes its sums
 straight into u, where no block still to come reads them.
 
-A kernel can grow. Rows, binomial laws, absorption values u_r[i] and the
-efficiency pass's values depend only on (state, epsilon, R), so a Chain
-keeps them for one (epsilon, R), and a larger kernel built from it
-computes only what the chain lacks: the fill starts from the law n = k of
-the last kernel, the absorption pass sums only the states above those the
-chain keeps for each round, and the efficiency pass starts above the
-states it has. What the chain keeps of the absorption is a per-round
+A kernel can grow. Rows, binomial laws and absorption values u_r[i]
+depend only on (state, epsilon, R), so a Chain keeps them for one
+(epsilon, R), and a larger kernel built from it computes only what the
+chain lacks: the fill starts from the law n = k of the last kernel, and
+the absorption pass sums only the states above those the chain keeps for
+each round. What the chain keeps of the absorption is a per-round
 history, u_r at states 0..t_r, within a byte budget (_HISTORY_BYTES, or
 none for a kernel built alone); a round past the budget is summed again by
 the same pass. A grown kernel equals, bit for bit, one built in one go.
@@ -71,18 +70,16 @@ class Chain:
     - `matrix`, the rows of states 0..k of the largest kernel built;
     - `law`, the tail and pmf of the binomial law n = k at m = k..0;
     - `rounds`, u_r at states 0..t_r for absorption rounds r = 1, 2, ...,
-      up to round_bytes in all; a state past them is summed again;
-    - `em`, the efficiency pass's expected received count of states 0..j.
-    build_kernel, and efficiency for the kernels it returns, extend it.
-    They replace `matrix`, `law` and `em` rather than change them in place,
-    so a kernel built earlier still reads the rows it was built from.
+      up to round_bytes in all; a state past them is summed again.
+    build_kernel extends it. It replaces `matrix` and `law` rather than
+    change them in place, so a kernel built earlier still reads the rows it
+    was built from.
     """
 
     def __init__(self, round_bytes=_HISTORY_BYTES):
         self.key = None                 # (epsilon, R), once a kernel is built
         self.matrix = np.ones((1, 1))   # state 0 is absorbing
         self.law = np.ones((2, 1))      # law 0: tail and pmf 1 at m = 0
-        self.em = np.zeros(1)
         self.rounds = []
         self.room = round_bytes         # bytes of rounds it may still keep
 
@@ -99,8 +96,7 @@ class TransitionKernel:
     the diagonal (dofs needed never increase). The absorption vector holds
     [P^r]_{k0} for r = 0, 1, ..., horizon, extended eagerly at build time until
     the tail 1 - [P^r]_{k0} drops below ABSORPTION_TAIL, so the object is
-    immutable afterwards. Its `chain` is not: efficiency leaves its values
-    there.
+    immutable afterwards.
 
     A kernel built for a grid of generation sizes also holds the absorption
     cdf of every size in the grid, a list per size; `block` cuts out the
@@ -108,14 +104,13 @@ class TransitionKernel:
     MAX_ROUNDS keeps the cdf as far as it got, and its last value shows it.
     """
 
-    def __init__(self, channel, coding, matrix, cdfs, chain=None):
+    def __init__(self, channel, coding, matrix, cdfs):
         self.channel = channel
         self.coding = coding
         self.k = coding.k
         self.matrix = matrix
         self._cdfs = cdfs            # size -> absorption cdf, a list
         self._absorption = cdfs[self.k]
-        self.chain = Chain(0) if chain is None else chain   # what efficiency continues
 
     def block(self, coding):
         """Kernel for coding.k, one of the sizes this kernel was built for.
@@ -130,7 +125,7 @@ class TransitionKernel:
                              f"kernel was built for")
         _check_converged(self._cdfs[k], self.channel, k, coding.R)
         return TransitionKernel(self.channel, coding, self.matrix[:k + 1, :k + 1],
-                                {k: self._cdfs[k]}, self.chain)
+                                {k: self._cdfs[k]})
 
     @property
     def horizon(self):
@@ -372,8 +367,8 @@ def build_kernel(channel, coding, ks=None, chain=None):
 
     chain is a Chain of this epsilon and R to continue, say the one earlier
     kernels of a k* search were built from; the kernel then computes only
-    the rows, absorption rounds and efficiency values the chain lacks, and
-    equals, bit for bit, a kernel built without it.
+    the rows and absorption rounds the chain lacks, and equals, bit for bit,
+    a kernel built without it. The kernel does not hold the chain.
     """
     k = coding.k
     check_generation_size(k)
@@ -390,4 +385,4 @@ def build_kernel(channel, coding, ks=None, chain=None):
     cdfs = _absorption(mat, grid, chain)
     if ks is None:
         _check_converged(cdfs[k], channel, k, coding.R)
-    return TransitionKernel(channel, coding, mat, cdfs, chain)
+    return TransitionKernel(channel, coding, mat, cdfs)

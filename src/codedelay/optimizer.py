@@ -335,7 +335,7 @@ def k_star(channel, R, k_range=None):
     smoothed, coding, dm, cdf = min((p for p in points if p[0] <= best + tol),
                                     key=lambda p: p[1].k)
     k = coding.k
-    kern = TransitionKernel(channel, coding, chain.matrix[:k + 1, :k + 1], {k: cdf}, chain)
+    kern = TransitionKernel(channel, coding, chain.matrix[:k + 1, :k + 1], {k: cdf})
     winner = replace(evaluate_point(channel, R, coding, kern, efficiency(kern), dm),
                      smoothed_mean=smoothed)
     at_top, loose = _warn_at_edge(channel, R, sizes[-1], k)
@@ -392,8 +392,6 @@ def tradeoff_curve(channel, margins, k_range=None, arq_packets=200_000, seed=0):
     arq_cfg = SimConfig(channel=channel, coding=derive_coding(channel, 1, R=1.0),
                         n_packets=arq_packets, seed=seed)
     st = run_arq(arq_cfg)
-    if diagnostics.active is not None:
-        diagnostics.active.simulation(arq_cfg, st, arq=True)
     points.append(TradeoffPoint(kind="arq", margin=float("nan"), R=1.0, k=1,
                                 eta=st.mean_efficiency, mean=st.mean_delay,
                                 std=st.std_delay))

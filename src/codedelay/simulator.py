@@ -86,6 +86,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import diagnostics
 from .gf256 import INV, gf_mul
 from .kernel import MAX_ROUNDS, NumericalError
 from .params import InputError, split_count
@@ -907,10 +908,13 @@ def _relaxed_batch(cfg, rngs):
 
 
 def _run(config, rngs):
-    """Simulate the configured mode once per generator, each a lane of one engine call."""
-    if config.mode == "idealized":
-        return _run_idealized(config, rngs)
-    return _run_relaxed(config, rngs)
+    """Simulate the configured mode once per generator, each a lane of one engine call, and
+    add the call to the diagnostics report if one records."""
+    run = _run_idealized if config.mode == "idealized" else _run_relaxed
+    stats = run(config, rngs)
+    if diagnostics.active is not None:
+        diagnostics.active.simulation(config, stats)
+    return stats
 
 
 def run_coded(config):
@@ -953,9 +957,12 @@ def run_arq(config):
         trace = PacketTrace.build(idx, del_alpha * t_s + del_beta * t_p, t_s, 1)
     acc = _PairStats(t_s, t_p)
     acc.add(del_alpha[warm_packets:], del_beta[warm_packets:])
-    return SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
-                    mean_efficiency=1.0, n_delays=acc.n, trace=trace,
-                    info_packets=acc.n, received_packets=acc.n, delay_sums=acc)
+    stats = SimStats(mean_delay=acc.mean(), std_delay=acc.std(),
+                     mean_efficiency=1.0, n_delays=acc.n, trace=trace,
+                     info_packets=acc.n, received_packets=acc.n, delay_sums=acc)
+    if diagnostics.active is not None:
+        diagnostics.active.simulation(config, stats, arq=True)
+    return stats
 
 
 def replicate(config, reps):

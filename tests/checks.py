@@ -305,11 +305,12 @@ def codec_trace():
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("idealized", "relaxed"):
             path = Path(tmp) / f"trace-{mode}.csv"
-            subprocess.run(["codedelay", "simulate", "--epsilon", "0.1", "--rate-bps", "1e7",
-                            "--packet-bits", "1e4", "--rtt-s", "0.1", "--k", "16",
-                            "--margin", "0.1", "--mode", mode, "--n-packets", "200000",
-                            "--seed", "13", "--real-codec", "--trace", str(path)],
-                           stdout=subprocess.DEVNULL, check=True)
+            subprocess.run([sys.executable, "-m", "codedelay.cli", "simulate", "--epsilon", "0.1",
+                            "--rate-bps", "1e7", "--packet-bits", "1e4", "--rtt-s", "0.1",
+                            "--k", "16", "--margin", "0.1", "--mode", mode,
+                            "--n-packets", "200000", "--seed", "13", "--real-codec",
+                            "--trace", str(path)],
+                           cwd=ROOT, stdout=subprocess.DEVNULL, check=True)
             cfg = SimConfig(channel=ch, coding=derive_coding(ch, 16, margin=0.1), mode=mode,
                             n_packets=200_000, seed=13, use_real_codec=True,
                             collect_records=True)

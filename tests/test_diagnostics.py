@@ -1,5 +1,6 @@
 """The --diagnostics report: its keys and types, its counts, and that it leaves nothing behind."""
 
+import io
 import json
 from unittest import mock
 
@@ -10,6 +11,7 @@ from codedelay import cli, diagnostics, optimizer
 from codedelay.kernel import build_kernel
 from codedelay.optimizer import k_star
 from codedelay.params import derive_channel, derive_coding, redundancy_from_margin
+from codedelay.simulator import SimConfig, replicate, run_arq
 
 from .helpers import counting_delay, invoke_cli
 
@@ -146,6 +148,19 @@ def test_kstar_reports_dropped_sizes_and_the_edge(tmp_path):
     (search,) = report_of(argv, tmp_path)[0]["searches"]
     assert (search["dropped"], search["pruned"], search["k_star"]) == ([5000], 0, 64)
     assert (search["at_grid_top"], search["loose_at_k_star"]) == (True, False)
+
+
+def test_each_library_engine_call_adds_one_simulation():
+    ch = derive_channel(0.1, rate=1e7, packet_size=1e4, rtt=0.1)
+    cfg = SimConfig(channel=ch, coding=derive_coding(ch, 8, margin=0.1), n_packets=4000, seed=3)
+    with diagnostics.recording("library", io.StringIO(), cli) as report:
+        replicate(cfg, 3)
+        assert [(s["engine"], s["replications"]) for s in report.simulations] == [
+            ("simulator.idealized", 3)]
+        run_arq(cfg)
+        assert [s["engine"] for s in report.simulations] == ["simulator.idealized",
+                                                             "simulator.arq"]
+    assert diagnostics.active is None
 
 
 def test_the_report_is_written_when_the_command_fails(tmp_path):

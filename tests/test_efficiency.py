@@ -1,5 +1,6 @@
 """Efficiency recursion against direct Monte-Carlo packet counting and exact rationals."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -144,7 +145,22 @@ class TestGrowth:
             assert np.array_equal(res.by_state, ref[:sizes[-1] + 1])
             for g in sizes:
                 assert repr(res.at(g)) == repr(want.at(g))
-        assert len(chain.em) == top + 1
+
+
+class TestBlocks:
+    """The pass over each block of one grid kernel against the reference pass over the block."""
+
+    @pytest.mark.parametrize("eps,R", [(0.1187, DESIGN_CHANNELS[0][0]), (0.3, 1.5), (0.01, 1.2)])
+    def test_bit_equal_largest_first_then_smallest_first(self, eps, R):
+        ch = derive_channel(eps, rate=1e7, packet_size=1e4, rtt=1.0)
+        ks = [1, 2, 30, 64, 200, 400]
+        kern = build_kernel(ch, derive_coding(ch, ks[-1], R=R), ks)
+        matrix, cdfs = kern.matrix.copy(), copy.deepcopy(kern._cdfs)
+        for k in [*reversed(ks), *ks]:
+            block = kern.block(derive_coding(ch, k, R=R))
+            assert_same_efficiency(efficiency(block), reference_received_by_state(block), [k])
+        assert np.array_equal(kern.matrix, matrix)
+        assert kern._cdfs == cdfs
 
 
 class TestAt:

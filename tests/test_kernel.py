@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from codedelay import kernel
 from codedelay.kernel import (_ABSORPTION_BLOCK, _FILL_STEPS, _HISTORY_BYTES,
                               Chain, TransitionKernel, _absorption,
                               _transition_rows, build_kernel)
@@ -232,9 +233,18 @@ class TestGrowth:
         assert_same_kernel(build_kernel(ch, cd, [280], chain), build_kernel(ch, cd, [280]),
                            ch, [280, 300])
 
-    def test_a_kernel_built_alone_keeps_no_rounds(self):
-        kern = build_kernel(*make_pair(0.1, 64, 1.25))
-        assert kern.chain.rounds == [] and kern.chain.k == 64
+    def test_a_kernel_built_alone_keeps_no_rounds(self, monkeypatch):
+        made = []
+
+        class Recorded(Chain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(kernel, "Chain", Recorded)
+        build_kernel(*make_pair(0.1, 64, 1.25))
+        (chain,) = made
+        assert chain.rounds == [] and chain.k == 64
 
     def test_rejects_another_channel_or_redundancy(self):
         chain = Chain()
